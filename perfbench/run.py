@@ -6,13 +6,17 @@ MINRES and dense spectral analysis, on three workloads.
 
 Run from the root of a source checkout; sdlab is imported from ./src.  One
 process runs one workload: an untimed warm-up pass on coarser meshes, then
-timed passes until --seconds have gone by and at least three passes ran
-(unless a further pass could end more than 150 s after the start).  With --trace 0 the last line of stdout is a JSON
-object with the end-to-end metrics (medians over the timed passes); with
---trace 1 the passes alternate untraced and traced, and the JSON carries the
-per-layer metrics of the traced passes.  A full record (environment, jitter,
-per-pass phases, per-operation dofs and iterations, spans) is written to
-.perfbench/<workload>-seed<seed>-trace<t>.json.  See perfbench/NOTES.md.
+timed passes while the next one is expected to end within --seconds, at
+least three of them (unless a further pass could end more than 150 s after
+the start).  Times are corrected for the host's speed, measured by a probe
+loop during each timed pass (speed.py); the record keeps them as measured
+too.  With --trace 0 the last line of stdout is a JSON object with the
+end-to-end metrics (medians over the timed passes); with --trace 1 untraced
+and traced passes alternate, and the JSON carries the per-layer metrics of
+the traced passes.  A full record (environment,
+jitter, per-pass phases, per-operation dofs and iterations, spans) is
+written to .perfbench/<workload>-seed<seed>-trace<t>.json.  See
+perfbench/NOTES.md.
 """
 
 from __future__ import annotations
@@ -117,8 +121,12 @@ def _peak_rss_mb():
 def _pass_record(run):
     return {
         "wall_s": run.wall,
+        "raw_wall_s": run.raw_wall,
+        "speed": run.speed, "probes": run.probes,
         "phases": {p: run.total(p)
                    for p in ("setup", "solve", "spectrum", "check")},
+        "raw_phases": {p: run.raw_total(p)
+                       for p in ("setup", "solve", "spectrum", "check")},
         "ops": [{"name": op.name, "dofs": op.dofs,
                  "iterations": op.iterations,
                  "phases": dict(op.phases), "failures": op.failures}
@@ -127,33 +135,41 @@ def _pass_record(run):
 
 
 def measure(workload, seed, seconds, trace, deadline):
-    """Warm up, then pass after pass until `seconds` and MIN_PASSES are
-    reached, or until the next pass could end after `deadline`."""
+    """Warm up, then pass after pass while the next pass is expected to end
+    within `seconds`, at least MIN_PASSES of them (one pair when tracing),
+    and none that could end after `deadline`."""
+    from speed import SpeedClock
     from tracing import UNITS, Tracer
     from workloads import NOMINAL_SEED, Jitter, run_pass
 
     jitter = Jitter.from_seed(seed)
     nominal = seed == NOMINAL_SEED
-    run_pass(workload, jitter, False, coarsen=WARM_UP_COARSEN)
+    clock = SpeedClock()
+    with clock.running():
+        run_pass(workload, jitter, False, clock, coarsen=WARM_UP_COARSEN)
     untraced, traced, layers, spans, missing = [], [], [], None, []
+    min_passes = 1 if trace else MIN_PASSES
     t_start = time.perf_counter()
     slowest = 0.0
     while True:
         t_pass = time.perf_counter()
-        untraced.append(run_pass(workload, jitter, nominal))
-        if trace:
-            tracer = Tracer().install()
-            try:
-                traced.append(run_pass(workload, jitter, nominal, tracer))
-            finally:
-                tracer.close()
-            layers.append(tracer.metrics())
-            spans, missing = tracer.dump_spans(), tracer.missing
+        with clock.running():
+            untraced.append(run_pass(workload, jitter, nominal, clock))
+            if trace:
+                tracer = Tracer().install()
+                try:
+                    traced.append(run_pass(workload, jitter, nominal, clock,
+                                           tracer))
+                finally:
+                    tracer.close()
+                layers.append(tracer.metrics(traced[-1].timeline))
+                spans, missing = tracer.dump_spans(), tracer.missing
         now = time.perf_counter()
         slowest = max(slowest, now - t_pass)
-        if now - t_start >= seconds and len(untraced) >= MIN_PASSES:
-            break
         if now + slowest > deadline:
+            break
+        if (now + slowest - t_start > seconds
+                and len(untraced) >= min_passes):
             break
 
     passes = untraced + traced
@@ -169,6 +185,13 @@ def measure(workload, seed, seconds, trace, deadline):
         "minres_its": sum(op.iterations for op in its),
         "fail_rate": failed / len(ops),
     }
+    raw = {
+        "wall_s": _median([r.raw_wall for r in untraced]),
+        "setup_s": _median([r.raw_total("setup") for r in untraced]),
+        "solve_s": _median([r.raw_total("solve") for r in untraced]),
+        "spectrum_s": _median([r.raw_total("spectrum") for r in untraced]),
+        "speed": _median([r.speed for r in untraced]),
+    }
     record = {
         "workload": workload, "seed": seed, "seconds": seconds,
         "trace": trace, "nominal_seed": nominal,
@@ -177,6 +200,7 @@ def measure(workload, seed, seconds, trace, deadline):
                     "untraced": len(untraced),
                     "traced": len(traced)},
         "end_to_end": e2e,
+        "raw": raw,
         "passes": [_pass_record(r) for r in untraced],
         "traced_passes": [_pass_record(r) for r in traced],
         "failures": [f"{op.name}: {f}" for op in ops for f in op.failures],
@@ -209,7 +233,12 @@ def summary_lines(record):
             f"K x{record['jitter']['K']:.4f}; medians of "
             f"{n['untraced']} timed passes after {n['warm_up']} warm-up)")
     body = "  ".join(f"{k} {v:.6g} {units[k]}" for k, v in e2e.items())
-    lines = [head, "  " + body]
+    raw = record["raw"]
+    as_measured = (f"as measured: wall_s {raw['wall_s']:.6g} s  setup_s "
+                   f"{raw['setup_s']:.6g} s  solve_s {raw['solve_s']:.6g} s"
+                   f"  spectrum_s {raw['spectrum_s']:.6g} s  (host speed "
+                   f"x{raw['speed']:.3f} of the reference)")
+    lines = [head, "  " + body, "  " + as_measured]
     if "per_layer" in record:
         lines.append(f"  per layer, medians of {n['traced']} traced passes:")
         for k, m in record["per_layer"].items():

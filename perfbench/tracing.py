@@ -71,10 +71,6 @@ class Span:
     parent: int     # index into Tracer.spans, -1 at the top
     op: int
 
-    @property
-    def seconds(self):
-        return self.end - self.start
-
 
 class _TimedOperator:
     """Stands in for A inside minres_solve; each product is a span."""
@@ -116,6 +112,7 @@ class Tracer:
         self._systems = {}      # id(A) -> (mesh, case, mu*K)
         self._stack = []
         self._saved = []
+        self._seconds = []      # span durations, set by metrics()
 
     @contextmanager
     def span(self, name):
@@ -186,21 +183,28 @@ class Tracer:
     # ------------------------------------------------------------ metrics
 
     def _total(self, name):
-        return sum(s.seconds for s in self.spans if s.name == name)
+        return sum(d for s, d in zip(self.spans, self._seconds)
+                   if s.name == name)
 
     def _count(self, name):
         return sum(1 for s in self.spans if s.name == name)
 
     def _self_time(self, name):
         child = defaultdict(float)
-        for s in self.spans:
+        for s, d in zip(self.spans, self._seconds):
             if s.parent >= 0:
-                child[s.parent] += s.seconds
-        return sum(s.seconds - child[i]
-                   for i, s in enumerate(self.spans) if s.name == name)
+                child[s.parent] += d
+        return sum(d - child[i] for i, (s, d)
+                   in enumerate(zip(self.spans, self._seconds))
+                   if s.name == name)
 
-    def metrics(self):
-        """Per-layer numbers of one traced pass; None marks a missing hook."""
+    def metrics(self, timeline):
+        """Per-layer numbers of one traced pass; None marks a missing hook.
+
+        Span times are corrected for the host's speed by the pass's
+        `timeline` (speed.py), like the end-to-end times."""
+        self._seconds = list(timeline.seconds([s.start for s in self.spans],
+                                              [s.end for s in self.spans]))
         gone = {m.rsplit(".", 1)[1] for m in self.missing}
 
         def need(*attrs):

@@ -9,6 +9,9 @@ solves and checks, recording per operation the time spent in each phase:
     spectrum  generalized_eigs calls
     check     error norms, residual and agreement checks, bound checks
 
+Phase times are kept as raw perf_counter stamps and turned into seconds
+after the pass, corrected for the host's speed (speed.py).
+
 Calls go through the sdlab module objects (``sd_mesh.build_coupled_mesh``)
 so that the traced run, which swaps those attributes for wrappers, sees
 every call without a second copy of the workload code.  Positional
@@ -45,9 +48,10 @@ REF_ERRORS_RTOL = 1e-6
 REF_NN_SPREAD = 2.8334363483711185
 REF_NN_SPREAD_RTOL = 1e-6
 
-# The diagnostic solve of `spectral` is repeated: one takes ~0.5 s and its
-# time scatters by ~20% from run to run, too much for one sample per pass.
-DIAGNOSTIC_REPEATS = 4
+# The diagnostic solve of `spectral` is repeated: one takes ~0.3-0.5 s and,
+# with two BLAS threads on its small dense products, single solves of the
+# same system scatter from 0.33 to 0.82 s within one process.
+DIAGNOSTIC_REPEATS = 8
 
 RESIDUAL_TOL = 1e-8        # true ||b - A x|| / ||b|| after a 1e-12 reduction
 AGREE_TOL = 1e-6           # plain vs deflated solution, relative 2-norm
@@ -71,9 +75,16 @@ class Jitter:
 
 @dataclass
 class Op:
-    """One checked operation of a pass."""
+    """One checked operation of a pass.
+
+    `intervals` holds the raw (phase, start, end) stamps; `Pass.settle`
+    turns them into `phases` (corrected seconds, see speed.py) and
+    `raw_phases` (seconds as measured, probe time left out).
+    """
     name: str
+    intervals: list = field(default_factory=list)
     phases: dict = field(default_factory=lambda: defaultdict(float))
+    raw_phases: dict = field(default_factory=lambda: defaultdict(float))
     dofs: int = 0
     iterations: int = 0
     failures: list = field(default_factory=list)
@@ -84,7 +95,7 @@ class Op:
         try:
             yield
         finally:
-            self.phases[name] += time.perf_counter() - t0
+            self.intervals.append((name, t0, time.perf_counter()))
 
     def check(self, ok, what):
         if not ok:
@@ -113,7 +124,12 @@ class Pass:
         self.tracer = tracer
         self.coarsen = coarsen
         self.ops = []
-        self.wall = 0.0
+        self.stamps = (0.0, 0.0)
+        self.wall = 0.0         # corrected seconds
+        self.raw_wall = 0.0     # seconds as measured, probe time left out
+        self.speed = 1.0        # median host speed against the reference
+        self.probes = 0
+        self.timeline = None
 
     @contextmanager
     def op(self, name):
@@ -126,8 +142,23 @@ class Pass:
         except Exception as exc:        # an operation that raises has failed
             op.failures.append(f"{type(exc).__name__}: {exc}")
 
+    def settle(self, timeline):
+        """Turn the raw stamps into corrected and raw seconds."""
+        self.timeline = timeline
+        self.speed = float(np.median(timeline.speed))
+        self.probes = timeline.probes
+        self.wall = timeline.seconds(*self.stamps)
+        self.raw_wall = timeline.raw_seconds(*self.stamps)
+        for op in self.ops:
+            for name, t0, t1 in op.intervals:
+                op.phases[name] += timeline.seconds(t0, t1)
+                op.raw_phases[name] += timeline.raw_seconds(t0, t1)
+
     def total(self, phase):
         return sum(op.phases.get(phase, 0.0) for op in self.ops)
+
+    def raw_total(self, phase):
+        return sum(op.raw_phases.get(phase, 0.0) for op in self.ops)
 
 
 def _mesh(run, config, nref):
@@ -283,10 +314,15 @@ WORKLOADS = {
 }
 
 
-def run_pass(name, jitter, nominal, tracer=None, coarsen=0):
+def run_pass(name, jitter, nominal, clock, tracer=None, coarsen=0):
+    """One pass, its times corrected for the host's speed by `clock`, a
+    running speed.SpeedClock."""
     run = Pass(jitter, nominal, tracer, coarsen)
     gc.collect()        # leave no garbage of the previous pass to this one
+    since = clock.sample()
     t0 = time.perf_counter()
     WORKLOADS[name](run)
-    run.wall = time.perf_counter() - t0
+    run.stamps = (t0, time.perf_counter())
+    clock.sample()
+    run.settle(clock.timeline(since))
     return run
