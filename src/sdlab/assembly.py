@@ -26,10 +26,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import elements as el
-from .mesh import (DARCY, STOKES, STOKES_NATURAL_TAGS, TAG_DARCY_NATURAL,
-                   TAG_INTERFACE)
-from .spaces import (build_layout, essential_dofs, essential_values,
-                     global_facet_normal)
+from .mesh import (STOKES, STOKES_NATURAL_TAGS, TAG_DARCY_NATURAL,
+                   ConfigurationError, outward_normal, stokes_cell)
+from .spaces import build_layout, essential_dofs, essential_values
 
 OPERATOR_TRI_DEGREE = 4
 OPERATOR_SEG_DEGREE = 5    # P2 trace products are quartic along a facet
@@ -42,6 +41,17 @@ class PhysParams:
     mu: float = 1.0
     K: float = 1.0
     alpha_bjs: float = 0.5
+
+    def __post_init__(self):
+        for name in ("mu", "K"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0):
+                raise ConfigurationError(
+                    f"{name} must be positive and finite, got {value:g}")
+        a = self.alpha_bjs
+        if not (np.isfinite(a) and a >= 0):
+            raise ConfigurationError(
+                f"alpha_bjs must be non-negative and finite, got {a:g}")
 
     @property
     def beta_tau(self):
@@ -137,8 +147,7 @@ def _slip_entries(mesh, layout, params, acc):
 
 def _trace_data(mesh, layout, f, t, w):
     """P2 trace values of the adjacent free-flow cell on facet f."""
-    c0, c1 = mesh.facet_cells[f]
-    cell = c0 if mesh.cell_subdomain[c0] == STOKES else c1
+    cell = stokes_cell(mesh, f)
     cell_pos = np.searchsorted(layout.stokes_cells, cell)
     a, b = mesh.vertices[mesh.facets[f]]
     x = a[None, :] + t[:, None] * (b - a)[None, :]
@@ -205,10 +214,14 @@ def assemble_operator(mesh, layout, params):
 
 def _coupling_entries(mesh, layout, acc):
     off_lam = layout.offsets["lam"]
-    off_ud = layout.offsets["u_D"]
-    fmap = {f: i for i, f in enumerate(layout.darcy_facets)}
+    iface = layout.interface_facets
+    ud_dofs = layout.offsets["u_D"] + np.searchsorted(layout.darcy_facets, iface)
+    # n_S is the Stokes cell's outward normal and the global RT normal is
+    # that of facet_cells[f, 0], so they agree iff the Stokes cell comes first
+    sigmas = np.where(
+        mesh.cell_subdomain[mesh.facet_cells[iface, 0]] == STOKES, 1.0, -1.0)
     t, w = el.segment_rule(OPERATOR_SEG_DEGREE)
-    for pos, f in enumerate(layout.interface_facets):
+    for pos, f in enumerate(iface):
         n_S = layout.interface_normals[pos]
         lam_row = off_lam + pos
         cell_pos, phi, ds = _trace_data(mesh, layout, f, t, w)
@@ -219,11 +232,10 @@ def _coupling_entries(mesh, layout, acc):
             vals = n_S[alpha] * ints
             acc.add(np.full(6, lam_row), cols, vals)
             acc.add(cols, np.full(6, lam_row), vals)
-        flen = np.sum(ds)
-        sigma = np.sign(np.dot(global_facet_normal(mesh, f), n_S))
-        ud = off_ud + fmap[f]
-        acc.add(np.array([lam_row]), np.array([ud]), np.array([-sigma * flen]))
-        acc.add(np.array([ud]), np.array([lam_row]), np.array([-sigma * flen]))
+        val = np.array([-sigmas[pos] * np.sum(ds)])
+        ud = ud_dofs[pos:pos + 1]
+        acc.add(np.array([lam_row]), ud, val)
+        acc.add(ud, np.array([lam_row]), val)
 
 
 def assemble_riesz(mesh, layout, params, interface_matrix):
@@ -312,7 +324,7 @@ def assemble_rhs(mesh, layout, params, loads):
             a, bb = mesh.vertices[mesh.facets[f]]
             x = a[None, :] + t[:, None] * (bb - a)[None, :]
             ds = w * np.linalg.norm(bb - a)
-            n_out = _outward(mesh, f, cell)
+            n_out = outward_normal(mesh, f, cell)
             tr = loads.stokes_traction(x, n_out, str(mesh.facet_tags[f]))
             cell_pos, phi, _ = _trace_data(mesh, layout, f, t, w)
             css = layout.stokes_cell_scalar[cell_pos]
@@ -320,26 +332,15 @@ def assemble_rhs(mesh, layout, params, loads):
                 np.add.at(b, layout.velocity_dof(alpha, css), phi @ (tr[:, alpha] * ds))
 
     if loads.darcy_pressure is not None:
-        fmap = {f: i for i, f in enumerate(layout.darcy_facets)}
-        for f in boundary:
-            if mesh.facet_tags[f] != TAG_DARCY_NATURAL:
-                continue
+        natural = boundary[mesh.facet_tags[boundary] == TAG_DARCY_NATURAL]
+        flux = layout.offsets["u_D"] + np.searchsorted(layout.darcy_facets,
+                                                        natural)
+        for f, dof in zip(natural, flux):
             a, bb = mesh.vertices[mesh.facets[f]]
             x = a[None, :] + t[:, None] * (bb - a)[None, :]
             ds = w * np.linalg.norm(bb - a)
-            b[layout.offsets["u_D"] + fmap[f]] -= np.dot(ds, loads.darcy_pressure(x))
+            b[dof] -= np.dot(ds, loads.darcy_pressure(x))
     return b
-
-
-def _outward(mesh, f, cell):
-    a, b = mesh.vertices[mesh.facets[f]]
-    tt = b - a
-    n = np.array([tt[1], -tt[0]])
-    n /= np.linalg.norm(n)
-    centroid = mesh.vertices[mesh.cells[cell]].mean(axis=0)
-    if np.dot(n, 0.5 * (a + b) - centroid) < 0:
-        n = -n
-    return n
 
 
 def apply_essential(A, b, dofs, values=None):

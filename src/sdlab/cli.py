@@ -191,14 +191,18 @@ def cmd_cond_sweep(args):
 # --------------------------------------------------------------- solve
 
 
-def _run_minres(system, args, label, out, command, extra_config):
-    """Shared MINRES execution and reporting for solve/floating."""
+def _run_minres(system, args, label, out, command, extra_config, assemble_s):
+    """Shared MINRES execution and reporting for solve/floating.
+
+    `assemble_s` is the time spent assembling `system`, recorded in the
+    sidecar next to the phases timed here."""
     t1 = time.perf_counter()
-    precond = build_preconditioner(system)
-    deflation = None
-    if args.deflate:
-        deflation = build_deflation(system, gamma_mult=args.gamma_mult)
-        precond = DeflatedPreconditioner(precond, deflation)
+    base = build_preconditioner(system)
+    precond = base
+    if extra_config["deflate"]:
+        precond = DeflatedPreconditioner(
+            base, build_deflation(system, gamma_mult=args.gamma_mult))
+    t2 = time.perf_counter()
     eigenvalues = None
     if args.diagnostic and system.A.shape[0] <= DENSE_BUDGET:
         eigenvalues = generalized_eigs(
@@ -206,9 +210,11 @@ def _run_minres(system, args, label, out, command, extra_config):
     elif args.diagnostic:
         print(f"warning: {system.A.shape[0]} dofs over the dense budget, "
               "F_k column left blank", file=sys.stderr)
+    t3 = time.perf_counter()
     log = minres_solve(system.A, system.b, precond,
                        reduction=args.reduction, maxit=args.maxit,
                        diagnostic=args.diagnostic, eigenvalues=eigenvalues)
+    t4 = time.perf_counter()
     path = out / f"{label}.csv"
     log.to_csv(path)
     rel = log.residuals[-1] / log.residuals[0] if log.residuals[0] > 0 else 0.0
@@ -218,11 +224,14 @@ def _run_minres(system, args, label, out, command, extra_config):
         "relative_residual": rel,
         "plateau_windows": [list(w) for w in log.plateau_windows],
         "plateau": bool(log.plateau_windows),
+        "lu_fill": base.lu_fill,
     }
     if log.ortho_max is not None:
         results["ortho_max"] = log.ortho_max
-    write_sidecar(path, command, extra_config,
-                  {"total": time.perf_counter() - t1}, results)
+    timings = {"assemble": assemble_s, "precond": t2 - t1,
+               "spectrum": t3 - t2, "solve": t4 - t3,
+               "total": time.perf_counter() - t1}
+    write_sidecar(path, command, extra_config, timings, results)
     flag = " plateau" if log.plateau_windows else ""
     print(f"wrote {path} ({log.iterations} iterations, {log.reason}{flag})")
     return log
@@ -237,7 +246,9 @@ def cmd_solve(args):
         for mu in args.mu:
             for K in args.K:
                 exact = ExactSolution(mu=mu, K=K, alpha_bjs=args.alpha)
+                t0 = time.perf_counter()
                 system = mms_case(nref, n0=args.n0, exact=exact, config=config)
+                assemble_s = time.perf_counter() - t0
                 label = (f"solve_{config.value}_mu{_fmt(mu)}_K{_fmt(K)}"
                          f"_nref{nref}")
                 cfg = {"case": config.value, "mu": mu, "K": K,
@@ -245,7 +256,8 @@ def cmd_solve(args):
                        "reduction": args.reduction, "maxit": args.maxit,
                        "deflate": args.deflate, "gamma_mult": args.gamma_mult,
                        "diagnostic": args.diagnostic}
-                log = _run_minres(system, args, label, out, "solve", cfg)
+                log = _run_minres(system, args, label, out, "solve", cfg,
+                                  assemble_s)
                 if args.check:
                     bad = log.reason != "converged" or (
                         args.deflate and log.plateau_windows)
@@ -265,9 +277,10 @@ def cmd_floating(args):
     status = 0
     for K in args.K:
         params = PhysParams(mu=args.mu[0], K=K, alpha_bjs=args.alpha)
+        t0 = time.perf_counter()
         system = assemble_system(mesh, params, channel_loads())
+        assemble_s = time.perf_counter() - t0
         for deflate in (False, True):
-            args.deflate = deflate
             kind = "deflated" if deflate else "plain"
             label = f"floating_{kind}_K{_fmt(K)}_m{args.inclusions}"
             cfg = {"case": BcConfig.MULTI.value, "mu": args.mu[0], "K": K,
@@ -276,7 +289,8 @@ def cmd_floating(args):
                    "reduction": args.reduction, "maxit": args.maxit,
                    "deflate": deflate, "gamma_mult": args.gamma_mult,
                    "diagnostic": args.diagnostic}
-            log = _run_minres(system, args, label, out, "floating", cfg)
+            log = _run_minres(system, args, label, out, "floating", cfg,
+                              assemble_s)
             if args.check and deflate:
                 bad = log.reason != "converged" or bool(log.plateau_windows)
                 status = max(status, 1 if bad else 0)
@@ -358,6 +372,10 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
+        gamma_mult = getattr(args, "gamma_mult", 1.0)
+        if not (np.isfinite(gamma_mult) and gamma_mult > 0):
+            raise ConfigurationError(
+                f"--gamma-mult must be positive and finite, got {gamma_mult:g}")
         return args.func(args)
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)

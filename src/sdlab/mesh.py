@@ -120,7 +120,8 @@ class Mesh:
     cell_subdomain: np.ndarray  # (nc,) STOKES or DARCY
     cell_component: np.ndarray  # (nc,) porous-rectangle index, -1 for Stokes
     facets: np.ndarray          # (nf, 2) sorted vertex id pairs
-    facet_cells: np.ndarray     # (nf, 2) adjacent cell ids, -1 if none
+    facet_cells: np.ndarray     # (nf, 2) adjacent cell ids, lower id first;
+                                # -1 in column 1 on the outer boundary
     facet_tags: np.ndarray      # (nf,) strings, "" for untagged interior
     facet_component: np.ndarray  # (nf,) porous component of interface facets
     spacing: float
@@ -371,18 +372,22 @@ def tag_boundaries(mesh, config):
     return mesh
 
 
-def _facet_normal_from_stokes(mesh, f):
-    """Unit normal of facet f pointing from the Stokes cell into the Darcy cell."""
-    c0, c1 = mesh.facet_cells[f]
-    scell = c0 if mesh.cell_subdomain[c0] == STOKES else c1
+def outward_normal(mesh, f, cell):
+    """Unit normal of facet f pointing out of its adjacent cell `cell`."""
     a, b = mesh.vertices[mesh.facets[f]]
     t = b - a
     n = np.array([t[1], -t[0]])
     n /= np.linalg.norm(n)
-    centroid = mesh.vertices[mesh.cells[scell]].mean(axis=0)
+    centroid = mesh.vertices[mesh.cells[cell]].mean(axis=0)
     if np.dot(n, 0.5 * (a + b) - centroid) < 0:
         n = -n
     return n
+
+
+def stokes_cell(mesh, f):
+    """The free-flow cell adjacent to interface facet f."""
+    c0, c1 = mesh.facet_cells[f]
+    return c0 if mesh.cell_subdomain[c0] == STOKES else c1
 
 
 def interface_chains(mesh):
@@ -432,7 +437,8 @@ def interface_chains(mesh):
         if len(chain) != len(fids):
             raise ConfigurationError("interface component is not a simple curve")
         chain = np.array(chain)
-        normals = np.array([_facet_normal_from_stokes(mesh, f) for f in chain])
+        normals = np.array([outward_normal(mesh, f, stokes_cell(mesh, f))
+                            for f in chain])
         if closed:
             # counterclockwise traversal around the inclusion: the
             # Stokes->Darcy normal then points to the left of the tangent

@@ -20,7 +20,7 @@ import numpy as np
 
 from .elements import LOCAL_EDGES, segment_rule
 from .mesh import (DARCY, STOKES, STOKES_ESSENTIAL_TAGS, TAG_DARCY_ESSENTIAL,
-                   interface_chains)
+                   interface_chains, outward_normal)
 
 FIELDS = ("u_S", "u_D", "p_S", "p_D", "lam")
 
@@ -65,50 +65,39 @@ class BlockLayout:
         return np.vstack([verts, mids])
 
 
+def _edge_keys(tris, nvert):
+    """Integer key min*nvert + max of each local edge, shape (n, 3).
+
+    Keys order like the sorted vertex pairs, so `mesh.facets` is sorted by
+    key and facet ids follow from a `searchsorted` on the keys."""
+    a = tris[:, [i for i, _ in LOCAL_EDGES]]
+    b = tris[:, [j for _, j in LOCAL_EDGES]]
+    return np.minimum(a, b) * nvert + np.maximum(a, b)
+
+
 def build_layout(mesh):
     """Number all dofs for the given tagged mesh."""
     stokes_cells = np.nonzero(mesh.cell_subdomain == STOKES)[0]
     darcy_cells = np.nonzero(mesh.cell_subdomain == DARCY)[0]
+    nvert = len(mesh.vertices)
 
-    stokes_vertices = np.unique(mesh.cells[stokes_cells])
-    vmap = {v: i for i, v in enumerate(stokes_vertices)}
-
-    edge_set = set()
-    for tri in mesh.cells[stokes_cells]:
-        for a, b in LOCAL_EDGES:
-            edge_set.add((min(tri[a], tri[b]), max(tri[a], tri[b])))
-    stokes_edges = np.array(sorted(edge_set))
-    emap = {tuple(e): i for i, e in enumerate(stokes_edges)}
-
+    tris = mesh.cells[stokes_cells]
+    stokes_vertices, vpos = np.unique(tris, return_inverse=True)
+    keys, epos = np.unique(_edge_keys(tris, nvert), return_inverse=True)
+    stokes_edges = np.column_stack(np.divmod(keys, nvert))
     nv = len(stokes_vertices)
-    cell_scalar = np.empty((len(stokes_cells), 6), dtype=int)
-    for r, c in enumerate(stokes_cells):
-        tri = mesh.cells[c]
-        for k in range(3):
-            cell_scalar[r, k] = vmap[tri[k]]
-        for k, (a, b) in enumerate(LOCAL_EDGES):
-            key = (min(tri[a], tri[b]), max(tri[a], tri[b]))
-            cell_scalar[r, 3 + k] = nv + emap[key]
+    cell_scalar = np.hstack([vpos.reshape(tris.shape),
+                             nv + epos.reshape(tris.shape)])
 
-    darcy_cell_set = set(darcy_cells)
-    fset = set()
-    for r, c in enumerate(darcy_cells):
-        tri = mesh.cells[c]
-        for a, b in LOCAL_EDGES:
-            fset.add((min(tri[a], tri[b]), max(tri[a], tri[b])))
-    pair_to_fid = {tuple(p): f for f, p in enumerate(mesh.facets)}
-    darcy_facets = np.array(sorted(pair_to_fid[p] for p in fset))
-    fmap = {f: i for i, f in enumerate(darcy_facets)}
-
-    cell_facets = np.empty((len(darcy_cells), 3), dtype=int)
-    cell_signs = np.empty((len(darcy_cells), 3), dtype=int)
-    for r, c in enumerate(darcy_cells):
-        tri = mesh.cells[c]
-        for k, (a, b) in enumerate(LOCAL_EDGES):
-            pair = (min(tri[a], tri[b]), max(tri[a], tri[b]))
-            f = pair_to_fid[pair]
-            cell_facets[r, k] = fmap[f]
-            cell_signs[r, k] = _orientation_sign(mesh, f, c)
+    # the global RT normal of a facet is the outward normal of its
+    # lower-indexed cell, facet_cells[f, 0] (see global_facet_normal)
+    facet_keys = mesh.facets[:, 0] * nvert + mesh.facets[:, 1]
+    fids = np.searchsorted(facet_keys,
+                           _edge_keys(mesh.cells[darcy_cells], nvert))
+    darcy_facets, fpos = np.unique(fids, return_inverse=True)
+    cell_facets = fpos.reshape(fids.shape)
+    cell_signs = np.where(mesh.facet_cells[fids, 0] == darcy_cells[:, None],
+                          1, -1)
 
     chains = interface_chains(mesh)
     interface = np.concatenate([ch.facets for ch in chains])
@@ -139,30 +128,13 @@ def build_layout(mesh):
                        offsets=offsets, sizes=sizes)
 
 
-def _outward_normal(mesh, f, cell):
-    a, b = mesh.vertices[mesh.facets[f]]
-    t = b - a
-    n = np.array([t[1], -t[0]])
-    n /= np.linalg.norm(n)
-    centroid = mesh.vertices[mesh.cells[cell]].mean(axis=0)
-    if np.dot(n, 0.5 * (a + b) - centroid) < 0:
-        n = -n
-    return n
-
-
 def global_facet_normal(mesh, f):
-    """Normal fixing the sign of the RT dof on facet f."""
-    c0, c1 = mesh.facet_cells[f]
-    return _outward_normal(mesh, f, c0 if c1 < 0 else min(c0, c1))
+    """Normal fixing the sign of the RT dof on facet f: the outward normal
+    of its lower-indexed adjacent cell (facet_cells rows are sorted)."""
+    return outward_normal(mesh, f, mesh.facet_cells[f, 0])
 
 
-def _orientation_sign(mesh, f, cell):
-    n_glob = global_facet_normal(mesh, f)
-    n_out = _outward_normal(mesh, f, cell)
-    return 1 if np.dot(n_glob, n_out) > 0 else -1
-
-
-def essential_dofs(layout, config=None):
+def essential_dofs(layout):
     """Indices of essentially constrained dofs (sorted, unique).
 
     P2 velocity dofs (both components) on essentially tagged free-flow
@@ -170,22 +142,19 @@ def essential_dofs(layout, config=None):
     Interface facets are never constrained.
     """
     mesh = layout.mesh
-    vmap = {v: i for i, v in enumerate(layout.stokes_vertices)}
-    emap = {tuple(e): i for i, e in enumerate(layout.stokes_edges)}
-    fmap = {f: i for i, f in enumerate(layout.darcy_facets)}
-    nv = len(layout.stokes_vertices)
-    idx = []
-    for f in range(len(mesh.facets)):
-        tag = mesh.facet_tags[f]
-        if tag in STOKES_ESSENTIAL_TAGS:
-            a, b = mesh.facets[f]
-            scalars = [vmap[a], vmap[b], nv + emap[(min(a, b), max(a, b))]]
-            for s in scalars:
-                idx.append(layout.velocity_dof(0, s))
-                idx.append(layout.velocity_dof(1, s))
-        elif tag == TAG_DARCY_ESSENTIAL:
-            idx.append(layout.offsets["u_D"] + fmap[f])
-    return np.unique(np.array(idx, dtype=int))
+    tags = mesh.facet_tags
+    nvert = len(mesh.vertices)
+    a, b = mesh.facets[np.isin(tags, sorted(STOKES_ESSENTIAL_TAGS))].T
+    edge_keys = layout.stokes_edges[:, 0] * nvert + layout.stokes_edges[:, 1]
+    scalars = np.concatenate([
+        np.searchsorted(layout.stokes_vertices, a),
+        np.searchsorted(layout.stokes_vertices, b),
+        len(layout.stokes_vertices) + np.searchsorted(edge_keys, a * nvert + b)])
+    flux = np.searchsorted(layout.darcy_facets,
+                           np.nonzero(tags == TAG_DARCY_ESSENTIAL)[0])
+    return np.unique(np.concatenate([
+        layout.velocity_dof(0, scalars), layout.velocity_dof(1, scalars),
+        layout.offsets["u_D"] + flux]))
 
 
 def essential_values(layout, dofs, u_S=None, u_D=None):

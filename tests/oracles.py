@@ -9,9 +9,12 @@ plain Python.  Slow but transparent.
 
 import numpy as np
 
-from sdlab.mesh import (STOKES_ESSENTIAL_TAGS, STOKES_NATURAL_TAGS,
-                        TAG_DARCY_NATURAL, TAG_INTERFACE)
-from sdlab.spaces import global_facet_normal
+from sdlab.elements import LOCAL_EDGES
+from sdlab.mesh import (DARCY, STOKES, STOKES_ESSENTIAL_TAGS,
+                        STOKES_NATURAL_TAGS, TAG_DARCY_ESSENTIAL,
+                        TAG_DARCY_NATURAL, TAG_INTERFACE, interface_chains,
+                        outward_normal)
+from sdlab.spaces import FIELDS, BlockLayout, global_facet_normal
 
 
 def duffy_rule(n):
@@ -95,6 +98,108 @@ def rt0_data(mesh, layout, cell_row, cell):
 
         out.append((f, basis, sigma * edge / area))
     return out
+
+
+def reference_layout(mesh):
+    """Loop-based dof numbering: dict lookups per cell and a geometric
+    orientation sign per RT dof.  Reference for `spaces.build_layout`."""
+    stokes_cells = np.nonzero(mesh.cell_subdomain == STOKES)[0]
+    darcy_cells = np.nonzero(mesh.cell_subdomain == DARCY)[0]
+
+    stokes_vertices = np.unique(mesh.cells[stokes_cells])
+    vmap = {v: i for i, v in enumerate(stokes_vertices)}
+
+    edge_set = set()
+    for tri in mesh.cells[stokes_cells]:
+        for a, b in LOCAL_EDGES:
+            edge_set.add((min(tri[a], tri[b]), max(tri[a], tri[b])))
+    stokes_edges = np.array(sorted(edge_set))
+    emap = {tuple(e): i for i, e in enumerate(stokes_edges)}
+
+    nv = len(stokes_vertices)
+    cell_scalar = np.empty((len(stokes_cells), 6), dtype=int)
+    for r, c in enumerate(stokes_cells):
+        tri = mesh.cells[c]
+        for k in range(3):
+            cell_scalar[r, k] = vmap[tri[k]]
+        for k, (a, b) in enumerate(LOCAL_EDGES):
+            key = (min(tri[a], tri[b]), max(tri[a], tri[b]))
+            cell_scalar[r, 3 + k] = nv + emap[key]
+
+    fset = set()
+    for r, c in enumerate(darcy_cells):
+        tri = mesh.cells[c]
+        for a, b in LOCAL_EDGES:
+            fset.add((min(tri[a], tri[b]), max(tri[a], tri[b])))
+    pair_to_fid = {tuple(p): f for f, p in enumerate(mesh.facets)}
+    darcy_facets = np.array(sorted(pair_to_fid[p] for p in fset))
+    fmap = {f: i for i, f in enumerate(darcy_facets)}
+
+    cell_facets = np.empty((len(darcy_cells), 3), dtype=int)
+    cell_signs = np.empty((len(darcy_cells), 3), dtype=int)
+    for r, c in enumerate(darcy_cells):
+        tri = mesh.cells[c]
+        for k, (a, b) in enumerate(LOCAL_EDGES):
+            pair = (min(tri[a], tri[b]), max(tri[a], tri[b]))
+            f = pair_to_fid[pair]
+            cell_facets[r, k] = fmap[f]
+            cell_signs[r, k] = _orientation_sign(mesh, f, c)
+
+    chains = interface_chains(mesh)
+    interface = np.concatenate([ch.facets for ch in chains])
+    normals = np.vstack([ch.normals for ch in chains])
+
+    sizes = {
+        "u_S": 2 * (nv + len(stokes_edges)),
+        "u_D": len(darcy_facets),
+        "p_S": nv,
+        "p_D": len(darcy_cells),
+        "lam": len(interface),
+    }
+    offsets, off = {}, 0
+    for name in FIELDS:
+        offsets[name] = off
+        off += sizes[name]
+
+    return BlockLayout(mesh=mesh, stokes_cells=stokes_cells,
+                       darcy_cells=darcy_cells,
+                       stokes_vertices=stokes_vertices,
+                       stokes_edges=stokes_edges,
+                       stokes_cell_scalar=cell_scalar,
+                       darcy_facets=darcy_facets,
+                       darcy_cell_facets=cell_facets,
+                       darcy_cell_signs=cell_signs,
+                       interface_facets=interface,
+                       interface_normals=normals,
+                       offsets=offsets, sizes=sizes)
+
+
+def _orientation_sign(mesh, f, cell):
+    n_glob = global_facet_normal(mesh, f)
+    n_out = outward_normal(mesh, f, cell)
+    return 1 if np.dot(n_glob, n_out) > 0 else -1
+
+
+def reference_essential_dofs(layout):
+    """Loop-based essential dof selection, one dict lookup per facet.
+    Reference for `spaces.essential_dofs`."""
+    mesh = layout.mesh
+    vmap = {v: i for i, v in enumerate(layout.stokes_vertices)}
+    emap = {tuple(e): i for i, e in enumerate(layout.stokes_edges)}
+    fmap = {f: i for i, f in enumerate(layout.darcy_facets)}
+    nv = len(layout.stokes_vertices)
+    idx = []
+    for f in range(len(mesh.facets)):
+        tag = mesh.facet_tags[f]
+        if tag in STOKES_ESSENTIAL_TAGS:
+            a, b = mesh.facets[f]
+            scalars = [vmap[a], vmap[b], nv + emap[(min(a, b), max(a, b))]]
+            for s in scalars:
+                idx.append(layout.velocity_dof(0, s))
+                idx.append(layout.velocity_dof(1, s))
+        elif tag == TAG_DARCY_ESSENTIAL:
+            idx.append(layout.offsets["u_D"] + fmap[f])
+    return np.unique(np.array(idx, dtype=int))
 
 
 def oracle_operator(mesh, layout, params, nquad=10):

@@ -121,6 +121,14 @@ def test_solve_subcommand_diagnostic(tmp_path):
     assert side["results"]["relative_residual"] <= 1e-11
     assert side["results"]["ortho_max"] <= 1e-8
     assert side["config"]["case"] == "NE"
+    # per-phase timings and the fill of the preconditioner's LU factors
+    timings = side["timings_sec"]
+    for phase in ("assemble", "precond", "spectrum", "solve", "total"):
+        assert timings[phase] >= 0
+    assert timings["precond"] + timings["spectrum"] + timings["solve"] \
+        <= timings["total"]
+    assert isinstance(side["results"]["lu_fill"], int)
+    assert side["results"]["lu_fill"] > 0
 
 
 def test_solve_deflate_flag(tmp_path):
@@ -159,6 +167,37 @@ def test_invalid_inclusion_count_exits_2(tmp_path):
         "floating", "--inclusions", "0", "--out", str(tmp_path / "x"),
     ])
     assert ret == 2
+
+
+@pytest.mark.parametrize("flags", [
+    ["--mu", "-1"], ["--mu", "nan"], ["--mu", "0"],
+    ["--K", "0"], ["--K", "-2"], ["--K", "inf"],
+    ["--alpha", "-0.5"], ["--alpha", "nan"],
+    ["--gamma-mult", "0"], ["--gamma-mult", "-1"], ["--gamma-mult", "nan"],
+], ids=lambda f: "".join(f).lstrip("-"))
+def test_bad_parameters_exit_2(tmp_path, capsys, flags):
+    out = tmp_path / "bad"
+    ret = main(["solve", "--case", "EN", "--nref", "0", "--n0", "2",
+                "--out", str(out)] + flags)
+    assert ret == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_floating_sidecar_phases(tmp_path):
+    out = tmp_path / "float"
+    ret = main(["floating", "--inclusions", "1", "--n0", "2", "--nref", "0",
+                "--K", "10", "--out", str(out)])
+    assert ret == 0
+    plain = read_sidecar(out / "floating_plain_K10_m1.csv")
+    defl = read_sidecar(out / "floating_deflated_K10_m1.csv")
+    for side in (plain, defl):
+        assert set(side["timings_sec"]) == {"assemble", "precond", "spectrum",
+                                            "solve", "total"}
+    # both runs share one assembly and factor the same Riesz blocks
+    assert plain["timings_sec"]["assemble"] == defl["timings_sec"]["assemble"]
+    assert plain["results"]["lu_fill"] == defl["results"]["lu_fill"] > 0
 
 
 def test_unknown_case_rejected(tmp_path):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse.linalg as spla
 
 from sdlab.assembly import PhysParams, assemble_system
 from sdlab.mesh import BcConfig, build_coupled_mesh, stacked_domain, tag_boundaries
@@ -41,6 +42,25 @@ def test_apply_parameter_extremes(rng):
         B = build_preconditioner(system)
         x = rng.standard_normal(system.layout.total_dofs)
         assert np.abs(B.apply(system.N @ x) - x).max() <= 1e-8 * np.abs(x).max()
+
+
+@pytest.mark.parametrize("config,mu,K", [
+    (BcConfig.NE, 3.0, 0.2), (BcConfig.EN, 1e-4, 1e4), (BcConfig.NN, 1e4, 1e-4)])
+def test_block_factors_match_dense_solve(config, mu, K, rng):
+    # each symmetric-mode factor solves its block like a dense solve, with
+    # no more fill than a default-ordering splu of the same block
+    system = make_system(config=config, nref=2, mu=mu, K=K)
+    B = build_preconditioner(system)
+    assert set(B._solvers) == {"u_S", "u_D", "p_S"}
+    for name, lu in B._solvers.items():
+        blk = B._block(name)
+        r = rng.standard_normal(blk.shape[0])
+        expect = np.linalg.solve(blk.toarray(), r)
+        got = lu.solve(r)
+        assert np.linalg.norm(got - expect) <= 1e-12 * np.linalg.norm(expect)
+        default = spla.splu(blk.tocsc())
+        assert lu.L.nnz + lu.U.nnz <= default.L.nnz + default.U.nnz
+    assert B.lu_fill == sum(lu.L.nnz + lu.U.nnz for lu in B._solvers.values())
 
 
 def test_preconditioner_is_spd_form(rng):

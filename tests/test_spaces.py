@@ -2,8 +2,12 @@
 multiplier, essential dof selection, boundary interpolation."""
 
 import numpy as np
+import pytest
 
-from sdlab.mesh import BcConfig, build_coupled_mesh, stacked_domain, tag_boundaries
+from oracles import reference_essential_dofs, reference_layout
+from sdlab.cli import floating_domain
+from sdlab.mesh import (BcConfig, build_coupled_mesh, side_by_side_domain,
+                        stacked_domain, tag_boundaries)
 from sdlab.spaces import (
     FIELDS,
     build_layout,
@@ -54,22 +58,57 @@ def test_layout_deterministic():
     assert np.array_equal(a.darcy_cell_signs, b.darcy_cell_signs)
 
 
-def test_darcy_cell_tables(unit_stack):
-    tag_boundaries(unit_stack, BcConfig.NE)
-    lay = build_layout(unit_stack)
-    m = unit_stack
+LAYOUT_TABLES = ("stokes_cells", "darcy_cells", "stokes_vertices",
+                 "stokes_edges", "stokes_cell_scalar", "darcy_facets",
+                 "darcy_cell_facets", "darcy_cell_signs", "interface_facets",
+                 "interface_normals")
+
+
+def layout_meshes(domain, nref):
+    """Every edge-sharing layout on the stacked or side-by-side domain, or
+    three floating inclusions with MultiInclusion."""
+    if domain == "floating":
+        pairs = [(floating_domain(3), BcConfig.MULTI)]
+    else:
+        dom = stacked_domain() if domain == "stacked" else side_by_side_domain()
+        pairs = [(dom, c) for c in BcConfig if c is not BcConfig.MULTI]
+    meshes = []
+    for dom, config in pairs:
+        m = build_coupled_mesh(dom, nref)
+        tag_boundaries(m, config)
+        meshes.append(m)
+    return meshes
+
+
+@pytest.mark.parametrize("domain", ["stacked", "side", "floating"])
+@pytest.mark.parametrize("nref", [0, 1, 2])
+def test_layout_matches_loop_reference(domain, nref):
+    for m in layout_meshes(domain, nref):
+        lay, ref = build_layout(m), reference_layout(m)
+        for name in LAYOUT_TABLES:
+            got, want = getattr(lay, name), getattr(ref, name)
+            assert got.dtype == want.dtype, name
+            assert np.array_equal(got, want), name
+        assert lay.sizes == ref.sizes and lay.offsets == ref.offsets
+        got, want = essential_dofs(lay), reference_essential_dofs(ref)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_darcy_cell_tables():
     # each Darcy cell references its three facets with a sign that makes the
     # facet dof an outward flux when positive along the global normal
-    for row in range(lay.darcy_cell_facets.shape[0]):
-        cell = np.nonzero(m.cell_subdomain == 1)[0][row]
-        centroid = m.vertices[m.cells[cell]].mean(axis=0)
-        for le in range(3):
-            f = lay.darcy_cell_facets[row, le]
-            gf = lay.darcy_facets[f]
-            n = global_facet_normal(m, gf)
-            mid = m.facet_midpoints([gf])[0]
-            sign = 1.0 if np.dot(n, mid - centroid) > 0 else -1.0
-            assert lay.darcy_cell_signs[row, le] == sign
+    meshes = [m for nref in range(3) for domain in ("stacked", "floating")
+              for m in layout_meshes(domain, nref)]
+    for m in meshes:
+        lay = build_layout(m)
+        for row, cell in enumerate(lay.darcy_cells):
+            centroid = m.vertices[m.cells[cell]].mean(axis=0)
+            for le in range(3):
+                gf = lay.darcy_facets[lay.darcy_cell_facets[row, le]]
+                n = global_facet_normal(m, gf)
+                mid = m.facet_midpoints([gf])[0]
+                sign = 1.0 if np.dot(n, mid - centroid) > 0 else -1.0
+                assert lay.darcy_cell_signs[row, le] == sign
 
 
 def test_essential_dofs_nn():
