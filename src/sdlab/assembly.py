@@ -15,19 +15,25 @@ The Riesz map (block-diagonal norm operator) uses the same velocity blocks
 plus (1/K)*(div u, div v), the (1/(2*mu))-scaled P1 mass, the K-scaled P0
 mass, and a supplied interface multiplier matrix.
 
+Both are affine in a few scalar weights of the parameters (`_weights`).
+The parameter-free pieces, the dof layout, the essential dofs and the
+elimination pattern are built once per tagged mesh and kept on it (see
+`mesh._per_mesh`); a new (mu, K) only forms the weighted sums and the
+load vector.  tag_boundaries clears them.
+
 Eliminated (essential) dofs keep unit diagonal rows in both matrices.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
 
 from . import elements as el
 from .mesh import (STOKES, STOKES_NATURAL_TAGS, TAG_DARCY_NATURAL,
-                   ConfigurationError, outward_normal, stokes_cell)
+                   ConfigurationError, _per_mesh, outward_normal, stokes_cell)
 from .spaces import build_layout, essential_dofs, essential_values
 
 OPERATOR_TRI_DEGREE = 4
@@ -57,6 +63,25 @@ class PhysParams:
     def beta_tau(self):
         """Slip coefficient alpha_bjs * sqrt(mu / K), always recomputed."""
         return self.alpha_bjs * np.sqrt(self.mu / self.K)
+
+
+def _weights(params):
+    """The weight of each parameter-free piece: the one place that knows
+    how the parameters enter A, N and the multiplier block,
+
+        A = mu*visc + beta_tau*slip + (1/K)*mass + saddle
+        N = mu*visc + beta_tau*slip + (1/K)*(mass + divdiv)
+            + (1/(2*mu))*p1 + K*p0 + lam,
+        lam = (1/mu)*P(-1/2) + K*P(+1/2)   (see frac_interface).
+    """
+    mu, K = params.mu, params.K
+    return {"visc": mu, "slip": params.beta_tau, "mass": 1.0 / K,
+            "divdiv": 1.0 / K, "saddle": 1.0, "p1": 1.0 / (2.0 * mu),
+            "p0": K, "lam_low": 1.0 / mu, "lam_high": K}
+
+
+_A_PIECES = ("visc", "slip", "mass", "saddle")
+_N_PIECES = ("visc", "slip", "mass", "divdiv", "p1", "p0")
 
 
 @dataclass
@@ -110,27 +135,27 @@ def _stokes_geometry(mesh, layout, degree):
     return coords, pts, weights, grads
 
 
-def _velocity_entries(mesh, layout, params, acc):
-    """2*mu*(eps(u), eps(v)) over the free-flow cells plus the interface slip
-    penalty; shared by operator and Riesz assembly."""
-    _, pts, W, G = _stokes_geometry(mesh, layout, OPERATOR_TRI_DEGREE)
-    mu = params.mu
+def _velocity_entries(mesh, layout, W, G):
+    """2*(eps(u), eps(v)) over the free-flow cells and the interface slip
+    mass (u.tau, v.tau)_Gamma: the pieces `visc` and `slip` that A and N
+    share.  W, G: quadrature weights and P2 gradients (_stokes_geometry)."""
     gd = np.einsum("caqi,cbqi,cq->cab", G, G, W)
     cr = np.einsum("caqi,cbqj,cq->cabij", G, G, W)
     cs = layout.stokes_cell_scalar
+    visc = _Acc(layout.total_dofs)
     for beta in range(2):
         rows = layout.velocity_dof(beta, cs)[:, None, :]       # (c, 1, b)
         for alpha in range(2):
             cols = layout.velocity_dof(alpha, cs)[:, :, None]  # (c, a, 1)
-            vals = mu * cr[:, :, :, beta, alpha]
+            vals = cr[:, :, :, beta, alpha]
             if alpha == beta:
-                vals = vals + mu * gd
-            acc.add(rows, cols, vals)
-    _slip_entries(mesh, layout, params, acc)
+                vals = vals + gd
+            visc.add(rows, cols, vals)
+    return visc.matrix(), _slip_entries(mesh, layout)
 
 
-def _slip_entries(mesh, layout, params, acc):
-    bt = params.beta_tau
+def _slip_entries(mesh, layout):
+    acc = _Acc(layout.total_dofs)
     t, w = el.segment_rule(OPERATOR_SEG_DEGREE)
     for pos, f in enumerate(layout.interface_facets):
         n_S = layout.interface_normals[pos]
@@ -142,7 +167,8 @@ def _slip_entries(mesh, layout, params, acc):
             rows = layout.velocity_dof(beta, cs)[None, :]
             for alpha in range(2):
                 cols = layout.velocity_dof(alpha, cs)[:, None]
-                acc.add(rows, cols, bt * tau[alpha] * tau[beta] * m)
+                acc.add(rows, cols, tau[alpha] * tau[beta] * m)
+    return acc.matrix()
 
 
 def _trace_data(mesh, layout, f, t, w):
@@ -178,38 +204,159 @@ def _rt_basis(mesh, layout, degree):
     return vals, div, area, weights, x
 
 
-def assemble_operator(mesh, layout, params):
-    """The indefinite coupled operator (without essential elimination)."""
+def _pieces(mesh, layout):
+    """Every parameter-free piece of A and N (see `_weights`), each a CSR
+    matrix on its own block's pattern."""
     n = layout.total_dofs
-    acc = _Acc(n)
-    _velocity_entries(mesh, layout, params, acc)
-
-    # -(div v, p) on the free-flow side, and its transpose
     _, pts, W, G = _stokes_geometry(mesh, layout, OPERATOR_TRI_DEGREE)
+    visc, slip = _velocity_entries(mesh, layout, W, G)
     psi = el.p1_basis(pts)
-    dv = -np.einsum("caqi,bq,cq->ciab", G, psi, W)
     cs = layout.stokes_cell_scalar
-    off_ps = layout.offsets["p_S"]
-    prow = off_ps + cs[:, None, :3]                            # (c, 1, b)
+    prow = layout.offsets["p_S"] + cs[:, :3]
+    rt, div, area, Wd, _ = _rt_basis(mesh, layout, OPERATOR_TRI_DEGREE)
+    rows = layout.offsets["u_D"] + layout.darcy_cell_facets
+    pdr = layout.offsets["p_D"] + np.arange(len(layout.darcy_cells))
+
+    # -(div v, p) in both subdomains, the transposes and the interface terms
+    saddle = _Acc(n)
+    dv = -np.einsum("caqi,bq,cq->ciab", G, psi, W)
     for alpha in range(2):
         cols = layout.velocity_dof(alpha, cs)[:, :, None]      # (c, a, 1)
-        acc.add(prow, cols, dv[:, alpha])
-        acc.add(cols, prow, dv[:, alpha])
-
-    rt, div, area, Wd, _ = _rt_basis(mesh, layout, OPERATOR_TRI_DEGREE)
-    mass = np.einsum("ckqi,clqi,cq->ckl", rt, rt, Wd) / params.K
-    off_ud = layout.offsets["u_D"]
-    rows = off_ud + layout.darcy_cell_facets
-    acc.add(rows[:, None, :], rows[:, :, None], mass)
-
-    off_pd = layout.offsets["p_D"]
-    pdr = off_pd + np.arange(len(layout.darcy_cells))
+        saddle.add(prow[:, None, :], cols, dv[:, alpha])
+        saddle.add(cols, prow[:, None, :], dv[:, alpha])
     bd = -div * area[:, None]                                  # -(div psi_k, 1)
-    acc.add(pdr[:, None], rows, bd)
-    acc.add(rows, pdr[:, None], bd)
+    saddle.add(pdr[:, None], rows, bd)
+    saddle.add(rows, pdr[:, None], bd)
+    _coupling_entries(mesh, layout, saddle)
 
-    _coupling_entries(mesh, layout, acc)
-    return acc.matrix()
+    mass, divdiv, p1, p0 = (_Acc(n) for _ in range(4))
+    mass.add(rows[:, None, :], rows[:, :, None],
+             np.einsum("ckqi,clqi,cq->ckl", rt, rt, Wd))
+    divdiv.add(rows[:, None, :], rows[:, :, None],
+               div[:, :, None] * div[:, None, :] * area[:, None, None])
+    p1.add(prow[:, None, :], prow[:, :, None],
+           np.einsum("aq,bq,cq->cab", psi, psi, W))
+    p0.add(pdr, pdr, area)
+    return {"visc": visc, "slip": slip, "saddle": saddle.matrix(),
+            "mass": mass.matrix(), "divdiv": divdiv.matrix(),
+            "p1": p1.matrix(), "p0": p0.matrix()}
+
+
+def _keys(M):
+    """Row-major key row*n + col of each entry of canonical CSR M."""
+    n = M.shape[0]
+    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(M.indptr))
+    return rows * n + M.indices
+
+
+@dataclass
+class _Elimination:
+    """The pattern side of `apply_essential` on one CSR pattern: entries
+    off the essential rows and columns are kept, and each essential dof
+    gets a unit diagonal inserted at `at` among the kept entries."""
+
+    dofs: np.ndarray
+    keep: np.ndarray       # mask over the pattern's entries
+    at: np.ndarray
+    indptr: np.ndarray     # of the eliminated pattern
+
+    @classmethod
+    def of(cls, M, dofs):
+        """For canonical CSR M and the essential `dofs`."""
+        n = M.shape[0]
+        dofs = np.unique(dofs)
+        drop = np.zeros(n, dtype=bool)
+        drop[dofs] = True
+        rows = np.repeat(np.arange(n), np.diff(M.indptr))
+        keep = ~(drop[rows] | drop[M.indices])
+        kept = np.concatenate([[0], np.cumsum(np.bincount(rows[keep],
+                                                          minlength=n))])
+        indptr = kept + np.concatenate([[0], np.cumsum(drop)])
+        return cls(dofs=dofs, keep=keep, at=kept[dofs],
+                   indptr=indptr.astype(M.indptr.dtype))
+
+    def apply(self, M):
+        """M eliminated; M must have the pattern this was made for."""
+        data = np.insert(M.data[self.keep], self.at, 1.0)
+        indices = np.insert(M.indices[self.keep], self.at, self.dofs)
+        return sp.csr_matrix((data, indices, self.indptr.copy()),
+                             shape=M.shape)
+
+
+@dataclass
+class _Pattern:
+    """The fixed CSR pattern of a weighted sum of pieces: `pos[name]`
+    places the entries of piece `name` (in its own CSR order) in it."""
+
+    n: int
+    indptr: np.ndarray
+    indices: np.ndarray
+    pos: dict
+    elimination: _Elimination
+
+    @classmethod
+    def of(cls, n, keys, dofs):
+        """From the `_keys` of each piece."""
+        union = np.sort(np.concatenate(list(keys.values())))
+        union = union[np.concatenate([[True], union[1:] != union[:-1]])]
+        indptr = np.searchsorted(union, np.arange(n + 1, dtype=np.int64) * n)
+        pattern = sp.csr_matrix((np.zeros(len(union)), union % n, indptr),
+                                shape=(n, n))
+        # positions fit the index dtype scipy chose for the pattern
+        pos = {k: np.searchsorted(union, v).astype(pattern.indptr.dtype)
+               for k, v in keys.items()}
+        return cls(n=n, indptr=pattern.indptr, indices=pattern.indices,
+                   pos=pos, elimination=_Elimination.of(pattern, dofs))
+
+    def matrix(self, values):
+        """The sum over pieces of `values[name]` placed at `pos[name]`."""
+        data = np.zeros(len(self.indices))
+        for name, pos in self.pos.items():
+            data[pos] += values[name]
+        return sp.csr_matrix((data, self.indices.copy(), self.indptr.copy()),
+                             shape=(self.n, self.n))
+
+
+@dataclass
+class _Affine:
+    """Everything about A and N that does not depend on the parameters,
+    for one tagged mesh: the pieces' values and their patterns in A and N
+    (the multiplier block `lam` of N is dense and supplied per call)."""
+
+    layout: object          # without its mesh, see _affine
+    essential: np.ndarray
+    pieces: dict
+    A: _Pattern
+    N: _Pattern
+
+
+def _affine(mesh, layout=None):
+    """The mesh's `_Affine`, built on first use from `layout` (which must
+    be build_layout(mesh)) or from a fresh layout."""
+    def build(mesh):
+        lay = build_layout(mesh) if layout is None else layout
+        pieces = _pieces(mesh, lay)
+        keys = {name: _keys(P) for name, P in pieces.items()}
+        n = lay.total_dofs
+        lam = lay.offsets["lam"] + np.arange(lay.sizes["lam"])
+        keys["lam"] = (lam[:, None] * n + lam[None, :]).ravel()
+        dofs = essential_dofs(lay)
+        # a mesh that reached itself through this layout would outlive its
+        # last reference until the cyclic collector ran, pieces and all
+        return _Affine(
+            layout=replace(lay, mesh=None), essential=dofs,
+            pieces={name: P.data for name, P in pieces.items()},
+            A=_Pattern.of(n, {k: keys[k] for k in _A_PIECES}, dofs),
+            N=_Pattern.of(n, {k: keys[k] for k in _N_PIECES + ("lam",)},
+                          dofs))
+    return _per_mesh(mesh, "affine operator", build)
+
+
+def assemble_operator(mesh, layout, params):
+    """The indefinite coupled operator (without essential elimination)."""
+    aff = _affine(mesh, layout)
+    w = _weights(params)
+    return aff.A.matrix({k: w[k] * aff.pieces[k] for k in _A_PIECES})
 
 
 def _coupling_entries(mesh, layout, acc):
@@ -241,29 +388,11 @@ def _coupling_entries(mesh, layout, acc):
 def assemble_riesz(mesh, layout, params, interface_matrix):
     """Block-diagonal Riesz map; `interface_matrix` is the dense multiplier
     block (see frac_interface)."""
-    n = layout.total_dofs
-    acc = _Acc(n)
-    _velocity_entries(mesh, layout, params, acc)
-
-    rt, div, area, Wd, _ = _rt_basis(mesh, layout, OPERATOR_TRI_DEGREE)
-    mass = np.einsum("ckqi,clqi,cq->ckl", rt, rt, Wd)
-    divdiv = div[:, :, None] * div[:, None, :] * area[:, None, None]
-    rows = layout.offsets["u_D"] + layout.darcy_cell_facets
-    acc.add(rows[:, None, :], rows[:, :, None], (mass + divdiv) / params.K)
-
-    _, pts, W, _ = _stokes_geometry(mesh, layout, OPERATOR_TRI_DEGREE)
-    psi = el.p1_basis(pts)
-    m_p1 = np.einsum("aq,bq,cq->cab", psi, psi, W) / (2.0 * params.mu)
-    prow = layout.offsets["p_S"] + layout.stokes_cell_scalar[:, :3]
-    acc.add(prow[:, None, :], prow[:, :, None], m_p1)
-
-    pdr = layout.offsets["p_D"] + np.arange(len(layout.darcy_cells))
-    acc.add(pdr, pdr, params.K * area)
-
-    S = np.asarray(interface_matrix)
-    lam = layout.offsets["lam"] + np.arange(layout.sizes["lam"])
-    acc.add(lam[:, None], lam[None, :], S)
-    return acc.matrix()
+    aff = _affine(mesh, layout)
+    w = _weights(params)
+    values = {k: w[k] * aff.pieces[k] for k in _N_PIECES}
+    values["lam"] = np.asarray(interface_matrix).ravel()
+    return aff.N.matrix(values)
 
 
 def assemble_rhs(mesh, layout, params, loads):
@@ -353,20 +482,19 @@ def apply_essential(A, b, dofs, values=None):
         return A.tocsr(), b
     if values is None:
         values = np.zeros(len(dofs))
+    A = A.tocoo().tocsr()                  # canonical: sorted, no duplicates
     if b is not None:
-        b = b - A.tocsc()[:, dofs] @ values
-    coo = A.tocoo()
-    n = A.shape[0]
-    drop = np.zeros(n, dtype=bool)
-    drop[dofs] = True
-    keep = ~(drop[coo.row] | drop[coo.col])
-    rows = np.concatenate([coo.row[keep], dofs])
-    cols = np.concatenate([coo.col[keep], dofs])
-    vals = np.concatenate([coo.data[keep], np.ones(len(dofs))])
-    A2 = sp.coo_matrix((vals, (rows, cols)), shape=A.shape).tocsr()
-    if b is not None:
-        b[dofs] = values
-    return A2, b
+        b = _lift(A, b, dofs, values)
+    return _Elimination.of(A, dofs).apply(A), b
+
+
+def _lift(A, b, dofs, values):
+    """b - A[:, dofs] @ values, pinned to `values` at `dofs`."""
+    x = np.zeros(A.shape[0])
+    x[dofs] = values
+    b = b - A @ x
+    b[dofs] = values
+    return b
 
 
 @dataclass
@@ -387,22 +515,24 @@ class BlockSystem:
 
 
 def assemble_system(mesh, params, loads=None):
-    """Facade: layout, operator, Riesz map, rhs and essential elimination."""
+    """Facade: operator, Riesz map, rhs and essential elimination; all but
+    the weights and the rhs come from the mesh's per-mesh pieces."""
     from .frac_interface import interface_operator
 
-    layout = build_layout(mesh)
+    aff = _affine(mesh)
+    layout, dofs = replace(aff.layout, mesh=mesh), aff.essential
     iop = interface_operator(mesh, params, mesh.config)
     A = assemble_operator(mesh, layout, params)
     N = assemble_riesz(mesh, layout, params, iop.matrix)
     b = assemble_rhs(mesh, layout, params, loads)
-    dofs = essential_dofs(layout)
     vals = essential_values(
         layout, dofs,
         None if loads is None else loads.u_S_essential,
         None if loads is None else loads.u_D_essential)
-    A, b = apply_essential(A, b, dofs, vals)
-    N, _ = apply_essential(N, None, dofs)
-    return BlockSystem(mesh=mesh, layout=layout, params=params, A=A, N=N, b=b,
+    b = _lift(A, b, dofs, vals)
+    return BlockSystem(mesh=mesh, layout=layout, params=params,
+                       A=aff.A.elimination.apply(A),
+                       N=aff.N.elimination.apply(N), b=b,
                        interface_op=iop, essential=dofs, essential_vals=vals)
 
 

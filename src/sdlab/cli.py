@@ -31,6 +31,7 @@ from . import __version__
 from .mesh import (BcConfig, ConfigurationError, DomainSpec,
                    build_coupled_mesh, stacked_domain, tag_boundaries)
 from .assembly import LoadData, PhysParams, assemble_system
+from .spaces import build_layout
 from .mms import ExactSolution, mms_case, run_convergence
 from .minres import minres_solve
 from .precond import DeflatedPreconditioner, build_deflation, build_preconditioner
@@ -141,17 +142,18 @@ def cmd_cond_sweep(args):
         mesh = build_coupled_mesh(stacked_domain(args.n0), nref)
         tag_boundaries(mesh, config)
         drop = near_kernel_dim(config, mesh)
+        ndof = build_layout(mesh).total_dofs
         for mu in args.mu:
             for K in args.K:
                 t1 = time.perf_counter()
                 params = PhysParams(mu=mu, K=K, alpha_bjs=args.alpha)
-                system = assemble_system(mesh, params, exact.loads())
-                if system.A.shape[0] > DENSE_BUDGET:
+                if ndof > DENSE_BUDGET:
                     skipped.append((mu, K, nref))
                     print(f"warning: skipping mu={mu:g} K={K:g} nref={nref}: "
-                          f"{system.A.shape[0]} dofs over the dense budget "
+                          f"{ndof} dofs over the dense budget "
                           f"{DENSE_BUDGET}", file=sys.stderr)
                     continue
+                system = assemble_system(mesh, params, exact.loads())
                 spec = generalized_eigs(system.A, system.N,
                                         n_eliminated=len(system.essential))
                 rows.append({

@@ -15,6 +15,8 @@ ghost coupling 2/|F_end| on the end facet's diagonal.  Closed interface
 loops have no endpoints.  When the two fractional terms use different
 endpoint conditions, two eigenbases are built and the sum is inverted by
 dense Cholesky factorization; otherwise the inverse is applied spectrally.
+The bases and the two fractional powers do not depend on (mu, K), so they
+are built once per tagged mesh.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .mesh import BcConfig, interface_chains
+from .assembly import _weights
+from .mesh import BcConfig, _per_mesh, interface_chains
 
 # endpoint condition for (the (-1/2)-power term, the (+1/2)-power term)
 ENDPOINTS = {
@@ -95,11 +98,6 @@ def fractional_matrix(basis, power, coeff=1.0):
     return 0.5 * (S + S.T)
 
 
-def multiplier_block_matrix(mesh, params, config):
-    """Dense multiplier block (1/mu)*power(-1/2) + K*power(+1/2)."""
-    return interface_operator(mesh, params, config).matrix
-
-
 @dataclass
 class InterfaceOperator:
     matrix: np.ndarray
@@ -115,24 +113,29 @@ class InterfaceOperator:
         return sla.cho_solve(self._chol, r)
 
 
+def _basis(mesh, endpoint):
+    return _per_mesh(mesh, ("interface basis", endpoint),
+                     lambda m: build_interface_basis(m, endpoint))
+
+
+def _fractional(mesh, endpoint, power):
+    return _per_mesh(mesh, ("fractional", endpoint, power),
+                     lambda m: fractional_matrix(_basis(m, endpoint), power))
+
+
 def interface_operator(mesh, params, config=None):
-    """Build the multiplier block and its inverse for the mesh's layout."""
+    """Build the multiplier block and its inverse for the mesh's layout.
+
+    The bases and fractional powers are parameter-free and built once per
+    tagged mesh; only their weights 1/mu and K change with `params`."""
     config = BcConfig(config if config is not None else mesh.config)
     ep_low, ep_high = ENDPOINTS[config]
-    mu, K = params.mu, params.K
-    basis = build_interface_basis(mesh, ep_low)
+    w = _weights(params)
+    S = (w["lam_low"] * _fractional(mesh, ep_low, -0.5)
+         + w["lam_high"] * _fractional(mesh, ep_high, +0.5))
     if ep_low == ep_high:
-        s = basis.eigenvalues ** -0.5 / mu + K * basis.eigenvalues ** 0.5
-        MU = basis.lengths[:, None] * basis.vectors
-        S = (MU * s[None, :]) @ MU.T
-        # gemm rounding is not symmetric; make the certificate exact
-        S = 0.5 * (S + S.T)
+        basis = _basis(mesh, ep_low)
+        d = basis.eigenvalues
+        s = w["lam_low"] * d ** -0.5 + w["lam_high"] * d ** 0.5
         return InterfaceOperator(matrix=S, _spectral=(basis, s))
-    basis_high = build_interface_basis(mesh, ep_high)
-    S = (fractional_matrix(basis, -0.5, 1.0 / mu)
-         + fractional_matrix(basis_high, +0.5, K))
     return InterfaceOperator(matrix=S, _chol=sla.cho_factor(S))
-
-
-def apply_S_inverse(op, r):
-    return op.solve(r)

@@ -129,6 +129,9 @@ class Mesh:
     nref: int
     config: BcConfig | None = None
     _chains: list = field(default=None, repr=False)
+    # parameter-free data derived from the tagged mesh, see `_per_mesh`
+    _derived: dict = field(default_factory=dict, init=False, repr=False,
+                           compare=False)
 
     @property
     def h(self):
@@ -369,6 +372,7 @@ def tag_boundaries(mesh, config):
             "layout leaves the free-flow velocity unconstrained on the outer boundary")
     mesh.config = config
     mesh._chains = None
+    mesh._derived = {}
     return mesh
 
 
@@ -454,6 +458,18 @@ def interface_chains(mesh):
                                      closed=closed, component=int(comp)))
     mesh._chains = chains
     return chains
+
+
+def _per_mesh(mesh, key, build):
+    """`build(mesh)`, computed once per tagged mesh and kept under `key`.
+
+    For what every (mu, K) on the mesh shares: the dof layout, the
+    parameter-free operator pieces, the interface bases.  tag_boundaries
+    clears it, since tags decide the essential dofs and the interface
+    endpoints."""
+    if key not in mesh._derived:
+        mesh._derived[key] = build(mesh)
+    return mesh._derived[key]
 
 
 def interface_facets(mesh):

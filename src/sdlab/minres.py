@@ -153,9 +153,11 @@ def minres_solve(A, b, precond, x0=None, reduction=1e-12, abs_floor=1e-14,
     `precond` is a callable applying the SPD preconditioner.  Residual
     norms are preconditioner norms; iteration stops on a relative
     reduction (with an absolute floor against roundoff stagnation), at
-    maxit, or on Lanczos breakdown.  With `diagnostic` the Lanczos basis is
-    re-orthogonalized and harmonic Ritz values (plus F_k when the true
-    `eigenvalues` are supplied) are logged per iteration.
+    maxit, on Lanczos breakdown, or with reason "nonfinite" as soon as a
+    NaN or inf reaches the recurrence (x is then the last finite iterate).
+    With `diagnostic` the Lanczos basis is re-orthogonalized and harmonic
+    Ritz values (plus F_k when the true `eigenvalues` are supplied) are
+    logged per iteration.
     """
     if reorth is None:
         reorth = diagnostic
@@ -170,6 +172,9 @@ def minres_solve(A, b, precond, x0=None, reduction=1e-12, abs_floor=1e-14,
     residuals = [beta1]
     alphas, betas = [], []
     theta_min, Fks, thetas_all = [np.nan], [np.nan], [None]
+    if not np.isfinite(beta1):
+        return _finalize(x, residuals, alphas, betas, "nonfinite",
+                         diagnostic, theta_min, Fks, thetas_all, None)
     if beta1 == 0.0:
         if np.linalg.norm(r1) > 0.0:
             raise PreconditionerError(
@@ -208,11 +213,6 @@ def minres_solve(A, b, precond, x0=None, reduction=1e-12, abs_floor=1e-14,
         betasq = float(r2 @ y)
         _check_definite(betasq, r2, y)
         beta = np.sqrt(max(betasq, 0.0))
-        alphas.append(alfa)
-        betas.append(beta)
-        if reorth and beta > 0.0:
-            V.append(r2 / beta)
-            Z.append(y / beta)
 
         oldeps = epsln
         delta = cs * dbar + sn * alfa
@@ -224,6 +224,14 @@ def minres_solve(A, b, precond, x0=None, reduction=1e-12, abs_floor=1e-14,
         sn = beta / gamma
         phi = cs * phibar
         phibar = sn * phibar
+        if not (np.isfinite(beta) and np.isfinite(phibar)):
+            reason = "nonfinite"      # the log ends at the last finite step
+            break
+        alphas.append(alfa)
+        betas.append(beta)
+        if reorth and beta > 0.0:
+            V.append(r2 / beta)
+            Z.append(y / beta)
         w1 = w2
         w2 = w
         w = (v - oldeps * w1 - delta * w2) / gamma

@@ -43,7 +43,7 @@ class ExactSolution:
 
     @property
     def beta_tau(self):
-        return self.alpha_bjs * np.sqrt(self.mu / self.K)
+        return self.params().beta_tau
 
     # free-flow fields -------------------------------------------------
     def u_S(self, pts):
@@ -224,7 +224,7 @@ def mms_case(nref, n0=4, exact=None, config=BcConfig.NESTAR):
     return assemble_system(mesh, exact.params(), exact.loads())
 
 
-def run_convergence(nref_max=4, n0=4, exact=None, timer=None):
+def run_convergence(nref_max=4, n0=4, exact=None):
     """Solve the manufactured problem on a refinement ladder."""
     import time
 

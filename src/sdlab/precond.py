@@ -172,7 +172,3 @@ class DeflatedPreconditioner:
         return z
 
     __call__ = apply
-
-
-def apply_deflated(base, deflation, r):
-    return DeflatedPreconditioner(base, deflation).apply(r)

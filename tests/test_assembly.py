@@ -1,10 +1,14 @@
 """Block operator, Riesz map and rhs against an independent plain-loop oracle,
 plus structural identities the discretization must satisfy."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from sdlab import assembly
 from sdlab.assembly import (
     LoadData,
     PhysParams,
@@ -16,6 +20,7 @@ from sdlab.assembly import (
     build_layout,
     save_matrix_coo,
 )
+from sdlab.cli import floating_domain
 from sdlab.frac_interface import interface_operator
 from sdlab.mesh import (
     BcConfig,
@@ -212,3 +217,91 @@ def test_assemble_system_facade():
         assert system.b[d] == v
     assert abs(system.A - system.A.T).max() == 0.0
     assert abs(system.N - system.N.T).max() == 0.0
+
+
+# every layout, with mu*K at both ends of the swept range
+CACHE_CONFIGS = list(BcConfig)
+CACHE_PARAMS = [(1e-3, 1e-3), (1e3, 1e3), (3.0, 0.2)]
+
+
+def tagged(config):
+    domain = (floating_domain(2, 2) if config is BcConfig.MULTI
+              else stacked_domain(4))
+    m = build_coupled_mesh(domain, 0)
+    tag_boundaries(m, config)
+    return m
+
+
+def mms_system(m, mu, K):
+    exact = ExactSolution(mu=mu, K=K, alpha_bjs=0.5)
+    return assemble_system(m, exact.params(), exact.loads())
+
+
+def assert_same_system(got, want):
+    """Equal patterns, entries within a relative 1e-14 of each other."""
+    def close(a, b):
+        assert np.all(np.abs(a - b) <= 1e-14 * np.abs(b))
+
+    for name in ("A", "N"):
+        a, b = getattr(got, name).tocsr(), getattr(want, name).tocsr()
+        assert np.array_equal(a.indptr, b.indptr)
+        assert np.array_equal(a.indices, b.indices)
+        close(a.data, b.data)
+    close(got.b, want.b)
+    close(got.interface_op.matrix, want.interface_op.matrix)
+    r = np.linspace(-1.0, 2.0, got.interface_op.matrix.shape[0])
+    close(got.interface_op.solve(r), want.interface_op.solve(r))
+    assert np.array_equal(got.essential, want.essential)
+
+
+@pytest.mark.parametrize("config", CACHE_CONFIGS, ids=lambda c: c.value)
+def test_reused_mesh_matches_fresh_mesh(config):
+    # the per-mesh pieces built at one (mu, K) serve every other one
+    m = tagged(config)
+    mms_system(m, 1.0, 1.0)
+    for mu, K in CACHE_PARAMS:
+        assert_same_system(mms_system(m, mu, K),
+                           mms_system(tagged(config), mu, K))
+
+
+def test_retagged_mesh_matches_fresh_mesh():
+    # tags decide the essential dofs and the interface endpoints, so
+    # re-tagging must drop the pieces of the previous layout
+    m = build_coupled_mesh(stacked_domain(4), 0)
+    for config in [c for c in BcConfig if c is not BcConfig.MULTI]:
+        tag_boundaries(m, config)
+        got = mms_system(m, 1e-3, 1e3)
+        assert_same_system(got, mms_system(tagged(config), 1e-3, 1e3))
+
+
+def test_velocity_block_assembled_once_per_tagged_mesh(monkeypatch):
+    calls = []
+    real = assembly._velocity_entries
+
+    def counted(*args):
+        calls.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(assembly, "_velocity_entries", counted)
+    m = tagged(BcConfig.NE)
+    for mu, K in CACHE_PARAMS:
+        mms_system(m, mu, K)
+    assert len(calls) == 1
+    tag_boundaries(m, BcConfig.EN)
+    for mu, K in CACHE_PARAMS:
+        mms_system(m, mu, K)
+    assert len(calls) == 2
+
+
+def test_mesh_freed_without_cyclic_collector():
+    # the per-mesh pieces must not reach back to their mesh, or a dropped
+    # mesh would keep them alive until the cyclic collector runs
+    gc.disable()
+    try:
+        m = tagged(BcConfig.NE)
+        mms_system(m, 1.0, 1.0)
+        ref = weakref.ref(m)
+        del m
+        assert ref() is None
+    finally:
+        gc.enable()

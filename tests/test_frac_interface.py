@@ -9,12 +9,10 @@ import pytest
 from sdlab.assembly import PhysParams
 from sdlab.frac_interface import (
     ENDPOINTS,
-    apply_S_inverse,
     build_interface_basis,
     facet_laplacian,
     fractional_matrix,
     interface_operator,
-    multiplier_block_matrix,
 )
 from sdlab.mesh import BcConfig, build_coupled_mesh, stacked_domain, tag_boundaries
 from sdlab.cli import floating_domain
@@ -48,7 +46,7 @@ def test_two_facet_hand_values():
     basis = build_interface_basis(m, "free")
     assert np.allclose(np.sort(basis.eigenvalues), [1.0, 9.0], atol=1e-12)
     # mu = K = 1: entries (d^-1/2 + d^1/2) weighted by the mass matrix
-    S = multiplier_block_matrix(m, PhysParams(1.0, 1.0, 0.5), BcConfig.NE)
+    S = interface_operator(m, PhysParams(1.0, 1.0, 0.5), BcConfig.NE).matrix
     expect = [[4.0 / 3.0, -1.0 / 3.0], [-1.0 / 3.0, 4.0 / 3.0]]
     assert np.allclose(S, expect, atol=1e-12)
 
@@ -56,7 +54,7 @@ def test_two_facet_hand_values():
 def test_single_facet_values():
     m = iface_mesh(0)
     # free endpoints: L = 0, single eigenvalue 1, S = 1/mu + K
-    S = multiplier_block_matrix(m, PhysParams(2.0, 5.0, 0.5), BcConfig.NE)
+    S = interface_operator(m, PhysParams(2.0, 5.0, 0.5), BcConfig.NE).matrix
     assert np.allclose(S, [[0.5 + 5.0]], atol=1e-14)
     # zero endpoints add 2/|F| at each end
     Lz, _ = facet_laplacian(m, "zero")
@@ -117,7 +115,7 @@ def test_inverse_round_trip(config, rng):
         op = interface_operator(m, PhysParams(mu, K, 0.5), config)
         S = op.matrix
         r = rng.standard_normal(S.shape[0])
-        x = apply_S_inverse(op, r)
+        x = op.solve(r)
         assert np.abs(S @ x - r).max() <= 1e-10 * np.abs(r).max()
         # S is symmetric positive definite at every parameter pair
         assert np.abs(S - S.T).max() == 0.0
@@ -128,7 +126,7 @@ def test_mixed_endpoints_sum():
     # NN combines a free-endpoint -1/2 power with a zero-endpoint +1/2 power
     m = iface_mesh(2)
     params = PhysParams(3.0, 0.2, 0.5)
-    S = multiplier_block_matrix(m, params, BcConfig.NN)
+    S = interface_operator(m, params, BcConfig.NN).matrix
     a = fractional_matrix(build_interface_basis(m, "free"), -0.5, 1.0 / 3.0)
     b = fractional_matrix(build_interface_basis(m, "zero"), 0.5, 0.2)
     assert np.abs(S - (a + b)).max() < 1e-13
@@ -137,9 +135,9 @@ def test_mixed_endpoints_sum():
 def test_parameter_scaling():
     # the two terms scale independently in 1/mu and K
     m = iface_mesh(1)
-    S1 = multiplier_block_matrix(m, PhysParams(1.0, 1.0, 0.5), BcConfig.NE)
-    Sa = multiplier_block_matrix(m, PhysParams(10.0, 1.0, 0.5), BcConfig.NE)
-    Sb = multiplier_block_matrix(m, PhysParams(1.0, 7.0, 0.5), BcConfig.NE)
+    S1 = interface_operator(m, PhysParams(1.0, 1.0, 0.5), BcConfig.NE).matrix
+    Sa = interface_operator(m, PhysParams(10.0, 1.0, 0.5), BcConfig.NE).matrix
+    Sb = interface_operator(m, PhysParams(1.0, 7.0, 0.5), BcConfig.NE).matrix
     basis = build_interface_basis(m, "free")
     neg = fractional_matrix(basis, -0.5)
     pos = fractional_matrix(basis, 0.5)

@@ -207,3 +207,21 @@ def test_convergence_bound_on_diagnostic_run(rng):
     worst = check_convergence_bound(log, rho)
     assert np.isfinite(worst)
     assert worst <= 1.0
+
+
+def test_nonfinite_preconditioner_stops():
+    # max(nan, 0) is nan, so without a finiteness test the recurrence
+    # would run on to maxit
+    system = small_system()
+    B = build_preconditioner(system)
+    applies = []
+
+    def poisoned(r):
+        applies.append(1)
+        z = B.apply(r)
+        return z * np.nan if len(applies) == 2 else z
+
+    log = minres_solve(system.A, system.b, poisoned, maxit=500)
+    assert log.reason == "nonfinite"
+    assert log.iterations <= 2
+    assert np.all(np.isfinite(log.x)) and np.all(np.isfinite(log.residuals))

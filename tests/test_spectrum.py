@@ -137,3 +137,22 @@ def test_spectrum_serialization(tmp_path):
     spec.save_summary(q, drop=1, extra={"label": "demo"})
     d = json.loads(q.read_text())
     assert d["label"] == "demo" and d["kappa"] == pytest.approx(6.0)
+
+
+EDGE_CONFIGS = [BcConfig.NN, BcConfig.EE, BcConfig.NESTAR, BcConfig.ENSTAR,
+                BcConfig.NE, BcConfig.EN]
+
+
+@pytest.mark.parametrize("config", EDGE_CONFIGS, ids=lambda c: c.value)
+def test_spectrum_depends_on_mu_times_K_only(config):
+    # normwise, because EE has an exact zero eigenvalue
+    for nref in (0, 1):
+        m = build_coupled_mesh(stacked_domain(4), nref)
+        tag_boundaries(m, config)
+        spectra = []
+        for mu, K in ((1.0, 1.0), (1e-2, 1e2), (1e4, 1e-4)):
+            s = assemble_system(m, PhysParams(mu=mu, K=K, alpha_bjs=0.5))
+            spectra.append(generalized_eigs(s.A, s.N).eigenvalues)
+        ref = spectra[0]
+        for lam in spectra[1:]:
+            assert np.abs(lam - ref).max() <= 1e-12 * np.abs(ref).max()
