@@ -33,8 +33,9 @@ import scipy.sparse as sp
 
 from . import elements as el
 from .mesh import (STOKES, STOKES_NATURAL_TAGS, TAG_DARCY_NATURAL,
-                   ConfigurationError, _per_mesh, outward_normal, stokes_cell)
-from .spaces import build_layout, essential_dofs, essential_values
+                   ConfigurationError, _per_mesh, outward_normal)
+from .spaces import (_dot, _facet_quadrature, build_layout, essential_dofs,
+                     essential_values)
 
 OPERATOR_TRI_DEGREE = 4
 OPERATOR_SEG_DEGREE = 5    # P2 trace products are quartic along a facet
@@ -88,10 +89,15 @@ _N_PIECES = ("visc", "slip", "mass", "divdiv", "p1", "p0")
 class LoadData:
     """Problem data; missing callables mean zero.
 
-    Point arrays have shape (n, 2).  Interface callables receive the
-    Stokes-to-Darcy unit normal (and the counterclockwise-rotated tangent
-    where it matters); only tangent-quadratic combinations enter, so the
-    tangent sign convention is immaterial.
+    Point arrays have shape (n, 2), and so do normals and tangents: one
+    per point.  Interface callables receive the Stokes-to-Darcy unit
+    normal (and the counterclockwise-rotated tangent where it matters);
+    only tangent-quadratic combinations enter, so the tangent sign
+    convention is immaterial.
+
+    Each assembly calls each callable once, on all of its quadrature
+    points or nodes, and not at all where it has none: `stokes_traction`
+    once per natural boundary tag, with that tag.
     """
 
     f_S: object = None                 # (pts) -> (n, 2) free-flow body force
@@ -151,38 +157,22 @@ def _velocity_entries(mesh, layout, W, G):
             if alpha == beta:
                 vals = vals + gd
             visc.add(rows, cols, vals)
-    return visc.matrix(), _slip_entries(mesh, layout)
+    return visc.matrix(), _slip_entries(layout)
 
 
-def _slip_entries(mesh, layout):
+def _slip_entries(layout):
+    _, ds, phi, cs = _facet_quadrature(layout, layout.interface_facets,
+                                       OPERATOR_SEG_DEGREE, trace=True)
+    n_S = layout.interface_normals
+    tau = np.column_stack([-n_S[:, 1], n_S[:, 0]])
+    m = np.einsum("faq,fbq,fq->fab", phi, phi, ds)
     acc = _Acc(layout.total_dofs)
-    t, w = el.segment_rule(OPERATOR_SEG_DEGREE)
-    for pos, f in enumerate(layout.interface_facets):
-        n_S = layout.interface_normals[pos]
-        tau = np.array([-n_S[1], n_S[0]])
-        cell, phi, ds = _trace_data(mesh, layout, f, t, w)
-        cs = layout.stokes_cell_scalar[cell]
-        m = np.einsum("aq,bq,q->ab", phi, phi, ds)
-        for beta in range(2):
-            rows = layout.velocity_dof(beta, cs)[None, :]
-            for alpha in range(2):
-                cols = layout.velocity_dof(alpha, cs)[:, None]
-                acc.add(rows, cols, tau[alpha] * tau[beta] * m)
+    for beta in range(2):
+        rows = layout.velocity_dof(beta, cs)[:, None, :]        # (f, 1, b)
+        for alpha in range(2):
+            cols = layout.velocity_dof(alpha, cs)[:, :, None]   # (f, a, 1)
+            acc.add(rows, cols, (tau[:, alpha] * tau[:, beta])[:, None, None] * m)
     return acc.matrix()
-
-
-def _trace_data(mesh, layout, f, t, w):
-    """P2 trace values of the adjacent free-flow cell on facet f."""
-    cell = stokes_cell(mesh, f)
-    cell_pos = np.searchsorted(layout.stokes_cells, cell)
-    a, b = mesh.vertices[mesh.facets[f]]
-    x = a[None, :] + t[:, None] * (b - a)[None, :]
-    coords = mesh.cell_coords(np.array([cell]))
-    _, inv, _ = el.affine_maps(coords)
-    ref = (x - coords[0, 0][None, :]) @ inv[0].T
-    phi = el.p2_basis(ref)
-    ds = w * np.linalg.norm(b - a)
-    return cell_pos, phi, ds
 
 
 def _rt_basis(mesh, layout, degree):
@@ -360,29 +350,24 @@ def assemble_operator(mesh, layout, params):
 
 
 def _coupling_entries(mesh, layout, acc):
-    off_lam = layout.offsets["lam"]
     iface = layout.interface_facets
-    ud_dofs = layout.offsets["u_D"] + np.searchsorted(layout.darcy_facets, iface)
+    lam = layout.offsets["lam"] + np.arange(len(iface))
+    ud = layout.offsets["u_D"] + np.searchsorted(layout.darcy_facets, iface)
     # n_S is the Stokes cell's outward normal and the global RT normal is
     # that of facet_cells[f, 0], so they agree iff the Stokes cell comes first
     sigmas = np.where(
         mesh.cell_subdomain[mesh.facet_cells[iface, 0]] == STOKES, 1.0, -1.0)
-    t, w = el.segment_rule(OPERATOR_SEG_DEGREE)
-    for pos, f in enumerate(iface):
-        n_S = layout.interface_normals[pos]
-        lam_row = off_lam + pos
-        cell_pos, phi, ds = _trace_data(mesh, layout, f, t, w)
-        cs = layout.stokes_cell_scalar[cell_pos]
-        ints = phi @ ds
-        for alpha in range(2):
-            cols = layout.velocity_dof(alpha, cs)
-            vals = n_S[alpha] * ints
-            acc.add(np.full(6, lam_row), cols, vals)
-            acc.add(cols, np.full(6, lam_row), vals)
-        val = np.array([-sigmas[pos] * np.sum(ds)])
-        ud = ud_dofs[pos:pos + 1]
-        acc.add(np.array([lam_row]), ud, val)
-        acc.add(ud, np.array([lam_row]), val)
+    _, ds, phi, cs = _facet_quadrature(layout, iface, OPERATOR_SEG_DEGREE,
+                                       trace=True)
+    ints = _dot(phi, ds)
+    for alpha in range(2):
+        cols = layout.velocity_dof(alpha, cs)
+        vals = layout.interface_normals[:, alpha, None] * ints
+        acc.add(lam[:, None], cols, vals)
+        acc.add(cols, lam[:, None], vals)
+    val = -sigmas * ds.sum(axis=1)
+    acc.add(lam, ud, val)
+    acc.add(ud, lam, val)
 
 
 def assemble_riesz(mesh, layout, params, interface_matrix):
@@ -420,56 +405,62 @@ def assemble_rhs(mesh, layout, params, loads):
         vals = -np.einsum("cq,cq->c", g, Wd)
         np.add.at(b, layout.offsets["p_D"] + np.arange(len(layout.darcy_cells)), vals)
 
-    t, w = el.segment_rule(LOAD_SEG_DEGREE)
+    iface = layout.interface_facets
     if loads.g_gamma is not None or loads.t_n is not None or loads.t_t is not None:
-        for pos, f in enumerate(layout.interface_facets):
-            n_S = layout.interface_normals[pos]
-            tau = np.array([-n_S[1], n_S[0]])
-            a, bb = mesh.vertices[mesh.facets[f]]
-            x = a[None, :] + t[:, None] * (bb - a)[None, :]
-            ds = w * np.linalg.norm(bb - a)
-            if loads.g_gamma is not None:
-                b[layout.offsets["lam"] + pos] += np.dot(ds, loads.g_gamma(x, n_S))
-            if loads.t_n is not None or loads.t_t is not None:
-                cell_pos, phi, _ = _trace_data(mesh, layout, f, t, w)
-                css = layout.stokes_cell_scalar[cell_pos]
-                if loads.t_n is not None:
-                    q = loads.t_n(x, n_S) * ds
-                    for alpha in range(2):
-                        np.add.at(b, layout.velocity_dof(alpha, css),
-                                  n_S[alpha] * (phi @ q))
-                if loads.t_t is not None:
-                    q = loads.t_t(x, n_S, tau) * ds
-                    for alpha in range(2):
-                        np.add.at(b, layout.velocity_dof(alpha, css),
-                                  tau[alpha] * (phi @ q))
+        x, ds, phi, cs_f = _facet_quadrature(layout, iface, LOAD_SEG_DEGREE,
+                                             trace=True)
+        pts, nq = x.reshape(-1, 2), ds.shape[1]
+        n_S = layout.interface_normals
+        tau = np.column_stack([-n_S[:, 1], n_S[:, 0]])
+        n_q, tau_q = np.repeat(n_S, nq, axis=0), np.repeat(tau, nq, axis=0)
+        if loads.g_gamma is not None:
+            g = loads.g_gamma(pts, n_q).reshape(ds.shape)
+            b[layout.offsets["lam"] + np.arange(len(iface))] += _dot(ds, g)
+        # (t_n n_S + t_t tau, v) over each facet, one (nf, 2, 6) per load
+        stress = []
+        if loads.t_n is not None:
+            q = loads.t_n(pts, n_q).reshape(ds.shape) * ds
+            stress.append(n_S[:, :, None] * _dot(phi, q)[:, None, :])
+        if loads.t_t is not None:
+            q = loads.t_t(pts, n_q, tau_q).reshape(ds.shape) * ds
+            stress.append(tau[:, :, None] * _dot(phi, q)[:, None, :])
+        if stress:
+            _add_trace_load(b, layout, cs_f, np.stack(stress, axis=1))
 
     boundary = np.nonzero(mesh.facet_cells[:, 1] < 0)[0]
-    if loads.stokes_traction is not None:
-        for f in boundary:
-            if mesh.facet_tags[f] not in STOKES_NATURAL_TAGS:
-                continue
-            cell = mesh.facet_cells[f, 0]
-            a, bb = mesh.vertices[mesh.facets[f]]
-            x = a[None, :] + t[:, None] * (bb - a)[None, :]
-            ds = w * np.linalg.norm(bb - a)
-            n_out = outward_normal(mesh, f, cell)
-            tr = loads.stokes_traction(x, n_out, str(mesh.facet_tags[f]))
-            cell_pos, phi, _ = _trace_data(mesh, layout, f, t, w)
-            css = layout.stokes_cell_scalar[cell_pos]
-            for alpha in range(2):
-                np.add.at(b, layout.velocity_dof(alpha, css), phi @ (tr[:, alpha] * ds))
+    tags = mesh.facet_tags[boundary]
+    on_natural = np.isin(tags, sorted(STOKES_NATURAL_TAGS))
+    natural, natural_tags = boundary[on_natural], tags[on_natural]
+    if loads.stokes_traction is not None and len(natural):
+        x, ds, phi, cs_f = _facet_quadrature(layout, natural, LOAD_SEG_DEGREE,
+                                             trace=True)
+        n_out = outward_normal(mesh, natural, mesh.facet_cells[natural, 0])
+        tr = np.empty_like(x)
+        for tag in sorted(set(natural_tags)):
+            on = natural_tags == tag
+            tr[on] = loads.stokes_traction(
+                x[on].reshape(-1, 2), np.repeat(n_out[on], ds.shape[1], axis=0),
+                tag).reshape(-1, ds.shape[1], 2)
+        vals = np.stack([_dot(phi, tr[..., alpha] * ds) for alpha in range(2)],
+                        axis=1)
+        _add_trace_load(b, layout, cs_f, vals[:, None])
 
-    if loads.darcy_pressure is not None:
-        natural = boundary[mesh.facet_tags[boundary] == TAG_DARCY_NATURAL]
+    natural = boundary[tags == TAG_DARCY_NATURAL]
+    if loads.darcy_pressure is not None and len(natural):
+        x, ds = _facet_quadrature(layout, natural, LOAD_SEG_DEGREE)
+        p = loads.darcy_pressure(x.reshape(-1, 2)).reshape(ds.shape)
         flux = layout.offsets["u_D"] + np.searchsorted(layout.darcy_facets,
                                                         natural)
-        for f, dof in zip(natural, flux):
-            a, bb = mesh.vertices[mesh.facets[f]]
-            x = a[None, :] + t[:, None] * (bb - a)[None, :]
-            ds = w * np.linalg.norm(bb - a)
-            b[dof] -= np.dot(ds, loads.darcy_pressure(x))
+        b[flux] -= _dot(ds, p)
     return b
+
+
+def _add_trace_load(b, layout, cs, vals):
+    """Add vals (nf, loads, 2, 6) at the velocity dofs (component, local
+    dof) of each facet's free-flow cell, facet by facet."""
+    dofs = np.stack([layout.velocity_dof(alpha, cs) for alpha in range(2)],
+                    axis=1)
+    np.add.at(b, np.broadcast_to(dofs[:, None], vals.shape), vals)
 
 
 def apply_essential(A, b, dofs, values=None):

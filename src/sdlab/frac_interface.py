@@ -13,18 +13,18 @@ behaviour of the underlying Laplacian depends on the boundary layout:
 `free` endpoints get no extra term, `zero` endpoints add the Dirichlet
 ghost coupling 2/|F_end| on the end facet's diagonal.  Closed interface
 loops have no endpoints.  When the two fractional terms use different
-endpoint conditions, two eigenbases are built and the sum is inverted by
-dense Cholesky factorization; otherwise the inverse is applied spectrally.
-The bases and the two fractional powers do not depend on (mu, K), so they
-are built once per tagged mesh.
+endpoint conditions, two eigenbases are built.  The block is inverted by
+dense Cholesky factorization.  The bases and the two fractional powers do
+not depend on (mu, K), so they are built once per tagged mesh.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.linalg import lapack
 
 from .assembly import _weights
 from .mesh import BcConfig, _per_mesh, interface_chains
@@ -100,17 +100,19 @@ def fractional_matrix(basis, power, coeff=1.0):
 
 @dataclass
 class InterfaceOperator:
+    """The SPD multiplier block and its upper Cholesky factor."""
+
     matrix: np.ndarray
-    _spectral: object = None      # (basis, s) for single-basis configs
-    _chol: object = None
+    _chol: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self._chol = sla.cholesky(self.matrix)
 
     def solve(self, r):
-        """Apply the inverse of the multiplier block."""
-        if self._spectral is not None:
-            basis, s = self._spectral
-            U = basis.vectors
-            return U @ ((U.T @ r) / s)
-        return sla.cho_solve(self._chol, r)
+        """Apply the inverse of the multiplier block.  Called once per
+        preconditioner apply, so LAPACK's potrs is called directly: the
+        checks of `cho_solve` cost several times the solve itself."""
+        return lapack.dpotrs(self._chol, r)[0]
 
 
 def _basis(mesh, endpoint):
@@ -131,11 +133,6 @@ def interface_operator(mesh, params, config=None):
     config = BcConfig(config if config is not None else mesh.config)
     ep_low, ep_high = ENDPOINTS[config]
     w = _weights(params)
-    S = (w["lam_low"] * _fractional(mesh, ep_low, -0.5)
-         + w["lam_high"] * _fractional(mesh, ep_high, +0.5))
-    if ep_low == ep_high:
-        basis = _basis(mesh, ep_low)
-        d = basis.eigenvalues
-        s = w["lam_low"] * d ** -0.5 + w["lam_high"] * d ** 0.5
-        return InterfaceOperator(matrix=S, _spectral=(basis, s))
-    return InterfaceOperator(matrix=S, _chol=sla.cho_factor(S))
+    return InterfaceOperator(
+        matrix=w["lam_low"] * _fractional(mesh, ep_low, -0.5)
+        + w["lam_high"] * _fractional(mesh, ep_high, +0.5))

@@ -25,6 +25,8 @@ from enum import Enum
 
 import numpy as np
 
+from .elements import LOCAL_EDGES
+
 STOKES = 0
 DARCY = 1
 
@@ -129,6 +131,10 @@ class Mesh:
     nref: int
     config: BcConfig | None = None
     _chains: list = field(default=None, repr=False)
+    # lattice rectangles (free flow, porous list) and how each porous one
+    # meets the free-flow one, see _domain_lattice
+    _lattice: tuple = field(default=None, repr=False)
+    _modes: list = field(default=None, repr=False)
     # parameter-free data derived from the tagged mesh, see `_per_mesh`
     _derived: dict = field(default_factory=dict, init=False, repr=False,
                            compare=False)
@@ -211,16 +217,15 @@ def _rects_conflict(a, b, strict):
     return not (ax1 <= bx0 or bx1 <= ax0 or ay1 <= by0 or by1 <= ay0)
 
 
-def build_coupled_mesh(domain, nref=0):
-    """Build the conforming two-subdomain mesh at refinement level nref."""
+def _domain_lattice(domain, nref):
+    """The lattice rectangles (free flow, porous list) of the domain at
+    refinement nref, and how each porous one meets the free-flow one."""
     n0 = domain.base_divisions
     if n0 < 1:
         raise ConfigurationError("base_divisions must be >= 1")
     if not domain.darcy_rects:
         raise ConfigurationError("no porous rectangle given, interface is empty")
     scale = 2 ** nref
-    spacing = 1.0 / (n0 * scale)
-
     srect = _lattice_rect(domain.stokes_rect, n0, scale, "free-flow")
     drects = [_lattice_rect(r, n0, scale, "porous") for r in domain.darcy_rects]
     modes = [_classify_darcy(srect, r) for r in drects]
@@ -230,61 +235,62 @@ def build_coupled_mesh(domain, nref=0):
             if _rects_conflict(drects[a], drects[b], strict):
                 raise ConfigurationError(
                     f"porous rectangles {a} and {b} overlap or touch")
+    return (srect, drects), modes
 
-    squares = {}
-    for comp, (i0, j0, i1, j1) in enumerate(drects):
-        for j in range(j0, j1):
-            for i in range(i0, i1):
-                squares[(i, j)] = (DARCY, comp)
-    I0, J0, I1, J1 = srect
-    for j in range(J0, J1):
-        for i in range(I0, I1):
-            squares.setdefault((i, j), (STOKES, -1))
 
-    vertex_ids = {}
+def _edge_keys(tris, nvert):
+    """Integer key min*nvert + max of each local edge, shape (n, 3).
 
-    def vid(i, j):
-        key = (j, i)
-        if key not in vertex_ids:
-            vertex_ids[key] = None
-        return key
+    Keys order like the sorted vertex pairs, so `mesh.facets` is sorted by
+    key and facet ids follow from a `searchsorted` on the keys."""
+    a = tris[:, [i for i, _ in LOCAL_EDGES]]
+    b = tris[:, [j for _, j in LOCAL_EDGES]]
+    return np.minimum(a, b) * nvert + np.maximum(a, b)
 
-    order = sorted(squares)
-    for (i, j) in order:
-        for corner in ((i, j), (i + 1, j), (i + 1, j + 1), (i, j + 1)):
-            vid(*corner)
-    for k, key in enumerate(sorted(vertex_ids)):
-        vertex_ids[key] = k
-    vertices = np.array([(i * spacing, j * spacing) for (j, i) in sorted(vertex_ids)])
 
-    cells, subdom, comp_ids = [], [], []
-    for (i, j) in sorted(squares, key=lambda s: (s[1], s[0])):
-        sd, comp = squares[(i, j)]
-        v00 = vertex_ids[(j, i)]
-        v10 = vertex_ids[(j, i + 1)]
-        v11 = vertex_ids[(j + 1, i + 1)]
-        v01 = vertex_ids[(j + 1, i)]
-        cells.append((v00, v10, v11))
-        cells.append((v00, v11, v01))
-        subdom.extend([sd, sd])
-        comp_ids.extend([comp, comp])
-    cells = np.array(cells)
-    subdom = np.array(subdom)
-    comp_ids = np.array(comp_ids)
+def build_coupled_mesh(domain, nref=0):
+    """Build the conforming two-subdomain mesh at refinement level nref.
 
-    facet_map = {}
-    for c, tri in enumerate(cells):
-        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[0], tri[2])):
-            key = (min(a, b), max(a, b))
-            facet_map.setdefault(key, []).append(c)
-    facet_keys = sorted(facet_map)
-    facets = np.array(facet_keys)
+    Vertices are numbered by (y, x), cells square by square in the same
+    order, facets by their sorted vertex pair."""
+    lattice, modes = _domain_lattice(domain, nref)
+    srect, drects = lattice
+    spacing = 1.0 / (domain.base_divisions * 2 ** nref)
+
+    # owner of each lattice square of the bounding box: -2 outside the
+    # domain, -1 free flow, else the porous component (porous wins)
+    rects = [srect] + drects
+    i_lo, j_lo = min(r[0] for r in rects), min(r[1] for r in rects)
+    i_hi, j_hi = max(r[2] for r in rects), max(r[3] for r in rects)
+    owner = np.full((j_hi - j_lo, i_hi - i_lo), -2)
+    for comp, (i0, j0, i1, j1) in enumerate(rects, start=-1):
+        owner[j0 - j_lo:j1 - j_lo, i0 - i_lo:i1 - i_lo] = comp
+    sj, si = np.nonzero(owner > -2)
+    comp_ids = np.repeat(owner[sj, si], 2)
+    subdom = np.where(comp_ids < 0, STOKES, DARCY)
+
+    # corners (0,0), (1,0), (1,1), (0,1) of each square, keyed in (y, x) order
+    width = i_hi - i_lo + 1
+    corners = ((sj[:, None] + [0, 0, 1, 1]) * width
+               + si[:, None] + [0, 1, 1, 0])
+    keys, vid = np.unique(corners, return_inverse=True)
+    jv, iv = np.divmod(keys, width)
+    vertices = np.column_stack([(iv + i_lo) * spacing, (jv + j_lo) * spacing])
+    cells = vid.reshape(corners.shape)[:, [0, 1, 2, 0, 2, 3]].reshape(-1, 3)
+
+    # a stable sort keeps the cells of each facet in ascending order
+    nvert = len(vertices)
+    edge_keys = _edge_keys(cells, nvert).ravel()
+    order = np.argsort(edge_keys, kind="stable")
+    fkeys, first, count = np.unique(edge_keys[order], return_index=True,
+                                    return_counts=True)
+    if count.max() > 2:
+        raise ConfigurationError("non-manifold facet")
+    facets = np.column_stack(np.divmod(fkeys, nvert))
     facet_cells = np.full((len(facets), 2), -1, dtype=int)
-    for f, key in enumerate(facet_keys):
-        adj = sorted(facet_map[key])
-        if len(adj) > 2:
-            raise ConfigurationError("non-manifold facet")
-        facet_cells[f, :len(adj)] = adj
+    facet_cells[:, 0] = order[first] // 3
+    two = count == 2
+    facet_cells[two, 1] = order[first[two] + 1] // 3
 
     facet_tags = np.full(len(facets), TAG_NONE, dtype=object)
     facet_component = np.full(len(facets), -1, dtype=int)
@@ -299,28 +305,22 @@ def build_coupled_mesh(domain, nref=0):
     if not iface.any():
         raise ConfigurationError("interface is empty")
 
-    mesh = Mesh(vertices=vertices, cells=cells, cell_subdomain=subdom,
+    return Mesh(vertices=vertices, cells=cells, cell_subdomain=subdom,
                 cell_component=comp_ids, facets=facets, facet_cells=facet_cells,
                 facet_tags=facet_tags, facet_component=facet_component,
-                spacing=spacing, domain=domain, nref=nref)
-    mesh._modes = modes
-    mesh._lattice = (srect, drects)
-    return mesh
+                spacing=spacing, domain=domain, nref=nref,
+                _lattice=lattice, _modes=modes)
 
 
-def _boundary_side(rect, fmid, spacing):
-    """Which side of the lattice rectangle a boundary facet lies on."""
+def _boundary_side(rect, mids, spacing):
+    """Side ("left", "right", "bottom", "top", "" for none) of the lattice
+    rectangle on which each facet midpoint of `mids` (n, 2) lies."""
     i0, j0, i1, j1 = rect
     tol = 1e-9 * max(1.0, spacing)
-    if abs(fmid[0] - i0 * spacing) < tol:
-        return "left"
-    if abs(fmid[0] - i1 * spacing) < tol:
-        return "right"
-    if abs(fmid[1] - j0 * spacing) < tol:
-        return "bottom"
-    if abs(fmid[1] - j1 * spacing) < tol:
-        return "top"
-    return None
+    x, y = mids.T
+    return np.select([abs(x - i0 * spacing) < tol, abs(x - i1 * spacing) < tol,
+                      abs(y - j0 * spacing) < tol, abs(y - j1 * spacing) < tol],
+                     ["left", "right", "bottom", "top"], "")
 
 
 _OPPOSITE = {"left": "right", "right": "left", "top": "bottom", "bottom": "top"}
@@ -335,19 +335,18 @@ def tag_boundaries(mesh, config):
     srect, drects = mesh._lattice
     modes = mesh._modes
     boundary = np.nonzero(mesh.facet_cells[:, 1] < 0)[0]
+    darcy = mesh.cell_subdomain[mesh.facet_cells[boundary, 0]] == DARCY
+    mids = mesh.facet_midpoints(boundary)
 
     if config is BcConfig.MULTI:
         if any(m != "inclusion" for m in modes):
             raise ConfigurationError(
                 "MultiInclusion layout requires all porous rectangles to be inclusions")
-        for f in boundary:
-            cell = mesh.facet_cells[f, 0]
-            if mesh.cell_subdomain[cell] == DARCY:
-                raise ConfigurationError("inclusion touches the outer boundary")
-            side = _boundary_side(srect, mesh.facet_midpoints([f])[0], mesh.spacing)
-            tag = {"left": TAG_INFLOW, "right": TAG_OUTFLOW,
-                   "top": TAG_WALL, "bottom": TAG_WALL}[side]
-            mesh.facet_tags[f] = tag
+        if darcy.any():
+            raise ConfigurationError("inclusion touches the outer boundary")
+        side = _boundary_side(srect, mids, mesh.spacing)
+        tags = np.where(side == "left", TAG_INFLOW,
+                        np.where(side == "right", TAG_OUTFLOW, TAG_WALL))
     else:
         if len(drects) != 1 or modes[0] == "inclusion":
             raise ConfigurationError(
@@ -356,18 +355,14 @@ def tag_boundaries(mesh, config):
         s_far = _OPPOSITE[shared]
         d_far = shared
         s_adj_tag, s_far_tag, d_adj_tag, d_far_tag = _EDGE_TAGS[config]
-        for f in boundary:
-            cell = mesh.facet_cells[f, 0]
-            fmid = mesh.facet_midpoints([f])[0]
-            if mesh.cell_subdomain[cell] == STOKES:
-                side = _boundary_side(srect, fmid, mesh.spacing)
-                mesh.facet_tags[f] = s_far_tag if side == s_far else s_adj_tag
-            else:
-                side = _boundary_side(drects[0], fmid, mesh.spacing)
-                mesh.facet_tags[f] = d_far_tag if side == d_far else d_adj_tag
+        s_side = _boundary_side(srect, mids, mesh.spacing)
+        d_side = _boundary_side(drects[0], mids, mesh.spacing)
+        tags = np.where(darcy,
+                        np.where(d_side == d_far, d_far_tag, d_adj_tag),
+                        np.where(s_side == s_far, s_far_tag, s_adj_tag))
+    mesh.facet_tags[boundary] = tags
 
-    has_essential = any(mesh.facet_tags[f] in STOKES_ESSENTIAL_TAGS for f in boundary)
-    if not has_essential:
+    if not np.isin(tags, sorted(STOKES_ESSENTIAL_TAGS)).any():
         raise ConfigurationError(
             "layout leaves the free-flow velocity unconstrained on the outer boundary")
     mesh.config = config
@@ -377,21 +372,23 @@ def tag_boundaries(mesh, config):
 
 
 def outward_normal(mesh, f, cell):
-    """Unit normal of facet f pointing out of its adjacent cell `cell`."""
-    a, b = mesh.vertices[mesh.facets[f]]
+    """Unit normal of facet f pointing out of its adjacent cell `cell`;
+    for arrays of facets and cells, shape (n, 2)."""
+    p = mesh.vertices[mesh.facets[f]]
+    a, b = p[..., 0, :], p[..., 1, :]
     t = b - a
-    n = np.array([t[1], -t[0]])
-    n /= np.linalg.norm(n)
-    centroid = mesh.vertices[mesh.cells[cell]].mean(axis=0)
-    if np.dot(n, 0.5 * (a + b) - centroid) < 0:
-        n = -n
-    return n
+    n = np.stack([t[..., 1], -t[..., 0]], axis=-1)
+    n /= np.linalg.norm(n, axis=-1, keepdims=True)
+    centroid = mesh.vertices[mesh.cells[cell]].mean(axis=-2)
+    inward = np.sum(n * (0.5 * (a + b) - centroid), axis=-1) < 0
+    return np.where(inward[..., None], -n, n)
 
 
 def stokes_cell(mesh, f):
-    """The free-flow cell adjacent to interface facet f."""
-    c0, c1 = mesh.facet_cells[f]
-    return c0 if mesh.cell_subdomain[c0] == STOKES else c1
+    """The free-flow cell adjacent to interface facet(s) f."""
+    c = mesh.facet_cells[f]
+    return np.where(mesh.cell_subdomain[c[..., 0]] == STOKES,
+                    c[..., 0], c[..., 1])
 
 
 def interface_chains(mesh):
@@ -441,17 +438,13 @@ def interface_chains(mesh):
         if len(chain) != len(fids):
             raise ConfigurationError("interface component is not a simple curve")
         chain = np.array(chain)
-        normals = np.array([outward_normal(mesh, f, stokes_cell(mesh, f))
-                            for f in chain])
+        normals = outward_normal(mesh, chain, stokes_cell(mesh, chain))
         if closed:
             # counterclockwise traversal around the inclusion: the
             # Stokes->Darcy normal then points to the left of the tangent
-            mids_c = mesh.facet_midpoints(chain)
-            area2 = 0.0
-            for k in range(len(chain)):
-                p, q = mids_c[k], mids_c[(k + 1) % len(chain)]
-                area2 += p[0] * q[1] - q[0] * p[1]
-            if area2 < 0:
+            p = mesh.facet_midpoints(chain)
+            q = np.roll(p, -1, axis=0)
+            if np.sum(p[:, 0] * q[:, 1] - q[:, 0] * p[:, 1]) < 0:
                 chain = chain[::-1].copy()
                 normals = normals[::-1].copy()
         chains.append(InterfaceChain(facets=chain, normals=normals,
@@ -520,6 +513,7 @@ def load_mesh(path):
     dom = DomainSpec(tuple(d["domain"]["stokes_rect"]),
                      tuple(tuple(r) for r in d["domain"]["darcy_rects"]),
                      d["domain"]["base_divisions"])
+    lattice, modes = _domain_lattice(dom, d["nref"])
     mesh = Mesh(vertices=np.array(d["vertices"]),
                 cells=np.array(d["cells"]),
                 cell_subdomain=np.array(d["cell_subdomain"]),
@@ -529,17 +523,12 @@ def load_mesh(path):
                 facet_tags=np.array(d["facet_tags"], dtype=object),
                 facet_component=np.array(d["facet_component"]),
                 spacing=d["spacing"], domain=dom, nref=d["nref"],
-                config=BcConfig(d["config"]) if d["config"] else None)
+                config=BcConfig(d["config"]) if d["config"] else None,
+                _lattice=lattice, _modes=modes)
     mesh._chains = [
         InterfaceChain(facets=np.array(c["facets"]),
                        normals=np.array(c["normals"]),
                        closed=c["closed"], component=c["component"])
         for c in d["interface"]
     ]
-    scale = 2 ** mesh.nref
-    n0 = dom.base_divisions
-    srect = _lattice_rect(dom.stokes_rect, n0, scale, "free-flow")
-    drects = [_lattice_rect(r, n0, scale, "porous") for r in dom.darcy_rects]
-    mesh._modes = [_classify_darcy(srect, r) for r in drects]
-    mesh._lattice = (srect, drects)
     return mesh

@@ -76,9 +76,10 @@ class ExactSolution:
         return np.column_stack([fx, fy])
 
     def stokes_stress_n(self, pts, n):
-        """(2*mu*eps(u_S) - p_S I) n for a constant unit normal n."""
-        sn = 2.0 * self.mu * self.eps_u_S(pts) @ np.asarray(n)
-        return sn - self.p_S(pts)[:, None] * np.asarray(n)[None, :]
+        """(2*mu*eps(u_S) - p_S I) n for unit normals n, (2,) or (n, 2)."""
+        n = np.broadcast_to(n, pts.shape)
+        sn = 2.0 * self.mu * np.einsum("kij,kj->ki", self.eps_u_S(pts), n)
+        return sn - self.p_S(pts)[:, None] * n
 
     # porous fields ----------------------------------------------------
     def p_D(self, pts):
@@ -95,23 +96,26 @@ class ExactSolution:
         return 20.0 * np.pi ** 2 * self.K * self.p_D(pts)
 
     # interface defects ------------------------------------------------
+    # normals and tangents are (2,) or one per point, (n, 2)
     def mass_defect(self, pts, n_S):
         """u_S . n_S + u_D . n_D along the interface."""
-        n = np.asarray(n_S)
-        return self.u_S(pts) @ n - self.u_D(pts) @ n
+        n = np.broadcast_to(n_S, pts.shape)
+        return (np.einsum("ki,ki->k", self.u_S(pts), n)
+                - np.einsum("ki,ki->k", self.u_D(pts), n))
 
     def normal_stress_defect(self, pts, n_S):
         """p_D - p_S + 2*mu * n'eps(u_S)n."""
-        n = np.asarray(n_S)
-        enn = np.einsum("i,nij,j->n", n, self.eps_u_S(pts), n)
+        n = np.broadcast_to(n_S, pts.shape)
+        enn = np.einsum("ki,kij,kj->k", n, self.eps_u_S(pts), n)
         return self.p_D(pts) - self.p_S(pts) + 2.0 * self.mu * enn
 
     def slip_defect(self, pts, n_S, tau):
         """2*mu * tau'eps(u_S)n + beta_tau * u_S.tau."""
-        n = np.asarray(n_S)
-        t = np.asarray(tau)
-        etn = np.einsum("i,nij,j->n", t, self.eps_u_S(pts), n)
-        return 2.0 * self.mu * etn + self.beta_tau * (self.u_S(pts) @ t)
+        n = np.broadcast_to(n_S, pts.shape)
+        t = np.broadcast_to(tau, pts.shape)
+        etn = np.einsum("ki,kij,kj->k", t, self.eps_u_S(pts), n)
+        return (2.0 * self.mu * etn
+                + self.beta_tau * np.einsum("ki,ki->k", self.u_S(pts), t))
 
     def params(self):
         return PhysParams(mu=self.mu, K=self.K, alpha_bjs=self.alpha_bjs)

@@ -3,7 +3,7 @@
 The preconditioner applies the inverse of the assembled block-diagonal
 Riesz map: sparse LU solves for the velocity and free-flow pressure
 blocks, a diagonal solve for the porous pressure block, and the interface
-operator's spectral inverse for the multiplier block.  The LU blocks are
+operator's Cholesky solve for the multiplier block.  The LU blocks are
 SPD, so they are factored in symmetric mode: a minimum-degree ordering of
 A' + A and pivots taken from the diagonal, which keeps the ordering
 symmetric and roughly halves the fill of a default `splu`.

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elements import LOCAL_EDGES, segment_rule
+from . import elements as el
 from .mesh import (DARCY, STOKES, STOKES_ESSENTIAL_TAGS, TAG_DARCY_ESSENTIAL,
-                   interface_chains, outward_normal)
+                   _edge_keys, interface_chains, outward_normal, stokes_cell)
 
 FIELDS = ("u_S", "u_D", "p_S", "p_D", "lam")
 
@@ -63,16 +63,6 @@ class BlockLayout:
         mids = 0.5 * (self.mesh.vertices[self.stokes_edges[:, 0]]
                       + self.mesh.vertices[self.stokes_edges[:, 1]])
         return np.vstack([verts, mids])
-
-
-def _edge_keys(tris, nvert):
-    """Integer key min*nvert + max of each local edge, shape (n, 3).
-
-    Keys order like the sorted vertex pairs, so `mesh.facets` is sorted by
-    key and facet ids follow from a `searchsorted` on the keys."""
-    a = tris[:, [i for i, _ in LOCAL_EDGES]]
-    b = tris[:, [j for _, j in LOCAL_EDGES]]
-    return np.minimum(a, b) * nvert + np.maximum(a, b)
 
 
 def build_layout(mesh):
@@ -129,8 +119,8 @@ def build_layout(mesh):
 
 
 def global_facet_normal(mesh, f):
-    """Normal fixing the sign of the RT dof on facet f: the outward normal
-    of its lower-indexed adjacent cell (facet_cells rows are sorted)."""
+    """Normal fixing the sign of the RT dof on facet(s) f: the outward
+    normal of its lower-indexed adjacent cell (facet_cells rows sorted)."""
     return outward_normal(mesh, f, mesh.facet_cells[f, 0])
 
 
@@ -157,37 +147,64 @@ def essential_dofs(layout):
         layout.offsets["u_D"] + flux]))
 
 
+def _facet_quadrature(layout, facets, degree, trace=False):
+    """Gauss points (nf, nq, 2) and weights (nf, nq) of the segment rule of
+    `degree` on each facet; with `trace`, also the P2 basis (nf, 6, nq) of
+    each facet's free-flow cell at those points and that cell's scalar dofs
+    (nf, 6)."""
+    mesh = layout.mesh
+    t, w = el.segment_rule(degree)
+    p = mesh.vertices[mesh.facets[facets]]
+    a, d = p[:, 0], p[:, 1] - p[:, 0]
+    x = a[:, None, :] + t[None, :, None] * d[:, None, :]
+    ds = w[None, :] * np.linalg.norm(d, axis=1)[:, None]
+    if not trace:
+        return x, ds
+    cells = stokes_cell(mesh, facets)
+    coords = mesh.cell_coords(cells)
+    _, inv, _ = el.affine_maps(coords)
+    ref = (x - coords[:, None, 0]) @ np.swapaxes(inv, 1, 2)
+    phi = el.p2_basis(ref.reshape(-1, 2)).reshape(6, *ds.shape)
+    cs = layout.stokes_cell_scalar[np.searchsorted(layout.stokes_cells, cells)]
+    return x, ds, phi.transpose(1, 0, 2), cs
+
+
+def _dot(a, q):
+    """a @ q facet by facet: a (nf, n) or (nf, k, n), q (nf, n)."""
+    if a.ndim == 2:
+        return (a[:, None, :] @ q[:, :, None])[:, 0, 0]
+    return (a @ q[:, :, None])[..., 0]
+
+
 def essential_values(layout, dofs, u_S=None, u_D=None):
     """Interpolated values for the constrained dofs.
 
     u_S maps points (n, 2) to velocities (n, 2) and is sampled at the P2
     nodes; u_D maps points to porous velocities and is reduced to facet-mean
-    normal flux densities by Gauss quadrature.  Missing fields give zeros.
+    normal flux densities by Gauss quadrature.  Each is called once, on all
+    its points.  Missing fields give zeros.
     """
-    mesh = layout.mesh
+    dofs = np.asarray(dofs)
     vals = np.zeros(len(dofs))
-    if u_S is None and u_D is None:
-        return vals
-    off_us, n_us = layout.offsets["u_S"], layout.sizes["u_S"]
-    ns = layout.num_scalar
+
+    def select(field):
+        loc = dofs - layout.offsets[field]
+        sel = np.nonzero((loc >= 0) & (loc < layout.sizes[field]))[0]
+        return sel, loc[sel]
+
     if u_S is not None:
-        pts = layout.scalar_dof_points()
-        sel = [(i, d) for i, d in enumerate(dofs) if off_us <= d < off_us + n_us]
-        if sel:
-            loc = np.array([d - off_us for _, d in sel])
-            comp = loc // ns
-            scal = loc % ns
-            uv = u_S(pts[scal])
-            vals[[i for i, _ in sel]] = uv[np.arange(len(sel)), comp]
+        sel, loc = select("u_S")
+        if len(sel):
+            comp, scal = np.divmod(loc, layout.num_scalar)
+            uv = u_S(layout.scalar_dof_points()[scal])
+            vals[sel] = uv[np.arange(len(sel)), comp]
     if u_D is not None:
-        off_ud, n_ud = layout.offsets["u_D"], layout.sizes["u_D"]
-        t, w = segment_rule(5)
-        for i, d in enumerate(dofs):
-            if not (off_ud <= d < off_ud + n_ud):
-                continue
-            f = layout.darcy_facets[d - off_ud]
-            a, b = mesh.vertices[mesh.facets[f]]
-            n = global_facet_normal(mesh, f)
-            pts = a[None, :] + t[:, None] * (b - a)[None, :]
-            vals[i] = np.dot(w, u_D(pts) @ n)
+        sel, loc = select("u_D")
+        if len(sel):
+            f = layout.darcy_facets[loc]
+            x, _ = _facet_quadrature(layout, f, 5)
+            u = u_D(x.reshape(-1, 2)).reshape(x.shape)
+            un = _dot(u, global_facet_normal(layout.mesh, f))
+            w = el.segment_rule(5)[1]          # sums to 1: the facet mean
+            vals[sel] = _dot(un, np.broadcast_to(w, un.shape))
     return vals

@@ -80,8 +80,9 @@ def generalized_eigs(A, N, n_eliminated=0, budget=DENSE_BUDGET):
 def deflated_pencil_eigs(A, N, deflation, budget=DENSE_BUDGET):
     """Spectrum of the deflated-preconditioned operator B_W A.
 
-    B_W = N^{-1} + gamma^{-1}-scaled rank-m correction; realized densely via
-    the symmetric similarity L' A L with B_W = L L'.
+    B_W = N^{-1} + W E^{-1} W' with the Cholesky factor of E stored in
+    `deflation`; realized densely via the symmetric similarity L' A L with
+    B_W = L L'.
     """
     n = A.shape[0]
     if n > budget:
@@ -90,8 +91,7 @@ def deflated_pencil_eigs(A, N, deflation, budget=DENSE_BUDGET):
     Ad = A.toarray() if sp.issparse(A) else np.asarray(A)
     Nd = N.toarray() if sp.issparse(N) else np.asarray(N)
     W = deflation.W
-    E = W.T @ (Nd @ W) * deflation.gamma
-    Bw = np.linalg.inv(Nd) + W @ np.linalg.solve(E, W.T)
+    Bw = np.linalg.inv(Nd) + W @ sla.cho_solve(deflation.E, W.T)
     Bw = 0.5 * (Bw + Bw.T)
     L = np.linalg.cholesky(Bw)
     lam = sla.eigh(L.T @ Ad @ L, eigvals_only=True)

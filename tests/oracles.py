@@ -10,9 +10,12 @@ plain Python.  Slow but transparent.
 import numpy as np
 
 from sdlab.elements import LOCAL_EDGES
-from sdlab.mesh import (DARCY, STOKES, STOKES_ESSENTIAL_TAGS,
-                        STOKES_NATURAL_TAGS, TAG_DARCY_ESSENTIAL,
-                        TAG_DARCY_NATURAL, TAG_INTERFACE, interface_chains,
+from sdlab.mesh import (_EDGE_TAGS, _OPPOSITE, DARCY, STOKES,
+                        STOKES_ESSENTIAL_TAGS, STOKES_NATURAL_TAGS,
+                        TAG_DARCY_ESSENTIAL, TAG_DARCY_NATURAL, TAG_INFLOW,
+                        TAG_INTERFACE, TAG_NONE, TAG_OUTFLOW, TAG_WALL,
+                        BcConfig, ConfigurationError, Mesh, _classify_darcy,
+                        _lattice_rect, _rects_conflict, interface_chains,
                         outward_normal)
 from sdlab.spaces import FIELDS, BlockLayout, global_facet_normal
 
@@ -98,6 +101,167 @@ def rt0_data(mesh, layout, cell_row, cell):
 
         out.append((f, basis, sigma * edge / area))
     return out
+
+
+def reference_mesh(domain, nref=0):
+    """Loop-based mesh building: dicts keyed by lattice square, vertex and
+    vertex pair.  Reference for `mesh.build_coupled_mesh`."""
+    n0 = domain.base_divisions
+    if n0 < 1:
+        raise ConfigurationError("base_divisions must be >= 1")
+    if not domain.darcy_rects:
+        raise ConfigurationError("no porous rectangle given, interface is empty")
+    scale = 2 ** nref
+    spacing = 1.0 / (n0 * scale)
+
+    srect = _lattice_rect(domain.stokes_rect, n0, scale, "free-flow")
+    drects = [_lattice_rect(r, n0, scale, "porous") for r in domain.darcy_rects]
+    modes = [_classify_darcy(srect, r) for r in drects]
+    for a in range(len(drects)):
+        for b in range(a + 1, len(drects)):
+            strict = modes[a] == "inclusion" or modes[b] == "inclusion"
+            if _rects_conflict(drects[a], drects[b], strict):
+                raise ConfigurationError(
+                    f"porous rectangles {a} and {b} overlap or touch")
+
+    squares = {}
+    for comp, (i0, j0, i1, j1) in enumerate(drects):
+        for j in range(j0, j1):
+            for i in range(i0, i1):
+                squares[(i, j)] = (DARCY, comp)
+    I0, J0, I1, J1 = srect
+    for j in range(J0, J1):
+        for i in range(I0, I1):
+            squares.setdefault((i, j), (STOKES, -1))
+
+    vertex_ids = {}
+
+    def vid(i, j):
+        key = (j, i)
+        if key not in vertex_ids:
+            vertex_ids[key] = None
+        return key
+
+    order = sorted(squares)
+    for (i, j) in order:
+        for corner in ((i, j), (i + 1, j), (i + 1, j + 1), (i, j + 1)):
+            vid(*corner)
+    for k, key in enumerate(sorted(vertex_ids)):
+        vertex_ids[key] = k
+    vertices = np.array([(i * spacing, j * spacing) for (j, i) in sorted(vertex_ids)])
+
+    cells, subdom, comp_ids = [], [], []
+    for (i, j) in sorted(squares, key=lambda s: (s[1], s[0])):
+        sd, comp = squares[(i, j)]
+        v00 = vertex_ids[(j, i)]
+        v10 = vertex_ids[(j, i + 1)]
+        v11 = vertex_ids[(j + 1, i + 1)]
+        v01 = vertex_ids[(j + 1, i)]
+        cells.append((v00, v10, v11))
+        cells.append((v00, v11, v01))
+        subdom.extend([sd, sd])
+        comp_ids.extend([comp, comp])
+    cells = np.array(cells)
+    subdom = np.array(subdom)
+    comp_ids = np.array(comp_ids)
+
+    facet_map = {}
+    for c, tri in enumerate(cells):
+        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[0], tri[2])):
+            key = (min(a, b), max(a, b))
+            facet_map.setdefault(key, []).append(c)
+    facet_keys = sorted(facet_map)
+    facets = np.array(facet_keys)
+    facet_cells = np.full((len(facets), 2), -1, dtype=int)
+    for f, key in enumerate(facet_keys):
+        adj = sorted(facet_map[key])
+        if len(adj) > 2:
+            raise ConfigurationError("non-manifold facet")
+        facet_cells[f, :len(adj)] = adj
+
+    facet_tags = np.full(len(facets), TAG_NONE, dtype=object)
+    facet_component = np.full(len(facets), -1, dtype=int)
+    both = facet_cells[:, 1] >= 0
+    sd0 = subdom[facet_cells[:, 0]]
+    sd1 = np.where(both, subdom[facet_cells[:, 1]], sd0)
+    iface = both & (sd0 != sd1)
+    facet_tags[iface] = TAG_INTERFACE
+    dcell = np.where(subdom[facet_cells[:, 0]] == DARCY,
+                     facet_cells[:, 0], facet_cells[:, 1])
+    facet_component[iface] = comp_ids[dcell[iface]]
+    if not iface.any():
+        raise ConfigurationError("interface is empty")
+
+    mesh = Mesh(vertices=vertices, cells=cells, cell_subdomain=subdom,
+                cell_component=comp_ids, facets=facets, facet_cells=facet_cells,
+                facet_tags=facet_tags, facet_component=facet_component,
+                spacing=spacing, domain=domain, nref=nref)
+    mesh._modes = modes
+    mesh._lattice = (srect, drects)
+    return mesh
+
+
+def _reference_side(rect, fmid, spacing):
+    """Which side of the lattice rectangle a boundary facet lies on."""
+    i0, j0, i1, j1 = rect
+    tol = 1e-9 * max(1.0, spacing)
+    if abs(fmid[0] - i0 * spacing) < tol:
+        return "left"
+    if abs(fmid[0] - i1 * spacing) < tol:
+        return "right"
+    if abs(fmid[1] - j0 * spacing) < tol:
+        return "bottom"
+    if abs(fmid[1] - j1 * spacing) < tol:
+        return "top"
+    return None
+
+
+def reference_tag_boundaries(mesh, config):
+    """Loop-based boundary tagging, one side test per facet.  Reference for
+    `mesh.tag_boundaries`."""
+    config = BcConfig(config)
+    srect, drects = mesh._lattice
+    modes = mesh._modes
+    boundary = np.nonzero(mesh.facet_cells[:, 1] < 0)[0]
+
+    if config is BcConfig.MULTI:
+        if any(m != "inclusion" for m in modes):
+            raise ConfigurationError(
+                "MultiInclusion layout requires all porous rectangles to be inclusions")
+        for f in boundary:
+            cell = mesh.facet_cells[f, 0]
+            if mesh.cell_subdomain[cell] == DARCY:
+                raise ConfigurationError("inclusion touches the outer boundary")
+            side = _reference_side(srect, mesh.facet_midpoints([f])[0], mesh.spacing)
+            tag = {"left": TAG_INFLOW, "right": TAG_OUTFLOW,
+                   "top": TAG_WALL, "bottom": TAG_WALL}[side]
+            mesh.facet_tags[f] = tag
+    else:
+        if len(drects) != 1 or modes[0] == "inclusion":
+            raise ConfigurationError(
+                f"layout {config.value} requires exactly one edge-sharing porous rectangle")
+        shared = modes[0]                      # darcy side seen from stokes rect
+        s_far = _OPPOSITE[shared]
+        d_far = shared
+        s_adj_tag, s_far_tag, d_adj_tag, d_far_tag = _EDGE_TAGS[config]
+        for f in boundary:
+            cell = mesh.facet_cells[f, 0]
+            fmid = mesh.facet_midpoints([f])[0]
+            if mesh.cell_subdomain[cell] == STOKES:
+                side = _reference_side(srect, fmid, mesh.spacing)
+                mesh.facet_tags[f] = s_far_tag if side == s_far else s_adj_tag
+            else:
+                side = _reference_side(drects[0], fmid, mesh.spacing)
+                mesh.facet_tags[f] = d_far_tag if side == d_far else d_adj_tag
+
+    has_essential = any(mesh.facet_tags[f] in STOKES_ESSENTIAL_TAGS for f in boundary)
+    if not has_essential:
+        raise ConfigurationError(
+            "layout leaves the free-flow velocity unconstrained on the outer boundary")
+    mesh.config = config
+    mesh._chains = None
+    mesh._derived = {}
+    return mesh
 
 
 def reference_layout(mesh):

@@ -1,6 +1,8 @@
 """Block operator, Riesz map and rhs against an independent plain-loop oracle,
 plus structural identities the discretization must satisfy."""
 
+import collections
+import dataclasses
 import gc
 import weakref
 
@@ -20,9 +22,12 @@ from sdlab.assembly import (
     build_layout,
     save_matrix_coo,
 )
-from sdlab.cli import floating_domain
+from sdlab.cli import channel_loads, floating_domain
 from sdlab.frac_interface import interface_operator
 from sdlab.mesh import (
+    STOKES_NATURAL_TAGS,
+    TAG_DARCY_ESSENTIAL,
+    TAG_DARCY_NATURAL,
     BcConfig,
     build_coupled_mesh,
     side_by_side_domain,
@@ -46,17 +51,22 @@ def coupled(domain, nref, config):
     return m, build_layout(m)
 
 
-@pytest.mark.parametrize("params", PARAM_SETS, ids=["unit", "mixed"])
-@pytest.mark.parametrize(
-    "domain,config",
-    [
-        (stacked_domain(1), BcConfig.NE),
-        (side_by_side_domain(1), BcConfig.EE),
-    ],
-    ids=["stacked", "side"],
-)
-def test_operator_matches_oracle(domain, config, params):
-    for nref in (0, 1):
+OPERATOR_ORACLE_CASES = [
+    pytest.param(domain, config, (0, 1), params, id=f"{name}-{pid}")
+    for name, domain, config in (("stacked", stacked_domain(1), BcConfig.NE),
+                                 ("side", side_by_side_domain(1), BcConfig.EE))
+    for pid, params in zip(("unit", "mixed"), PARAM_SETS)
+] + [
+    # the one interface whose normal turns along it, so a facet paired with
+    # another facet's normal shows here; its oracle takes about 6 s
+    pytest.param(floating_domain(1, n0=1), BcConfig.MULTI, (0,), PARAM_SETS[1],
+                 id="floating-mixed"),
+]
+
+
+@pytest.mark.parametrize("domain,config,nrefs,params", OPERATOR_ORACLE_CASES)
+def test_operator_matches_oracle(domain, config, nrefs, params):
+    for nref in nrefs:
         m, lay = coupled(domain, nref, config)
         A = assemble_operator(m, lay, params).toarray()
         A_ref = oracles.oracle_operator(m, lay, params)
@@ -153,6 +163,73 @@ def test_rhs_matches_oracle(params):
     b_ref = oracles.oracle_rhs(m, lay, params, loads)
     scale = np.abs(b_ref).max()
     assert np.abs(b - b_ref).max() <= 1e-10 * scale
+
+
+EDGE_CONFIGS = [c for c in BcConfig if c is not BcConfig.MULTI]
+FACET_LOAD_CASES = (
+    [(name, config, 2) for name in ("stacked", "side") for config in EDGE_CONFIGS]
+    + [("channel", BcConfig.MULTI, 1), ("floating", BcConfig.MULTI, 2)])
+
+
+@pytest.mark.parametrize("name,config,nref", FACET_LOAD_CASES,
+                         ids=lambda v: getattr(v, "value", str(v)))
+def test_facet_rhs_matches_oracle(name, config, nref):
+    # interface, traction and porous-pressure loads on every layout; the
+    # volume loads, which dominate the rhs, are left out.  The inclusions
+    # turn the interface normal; "channel" is the floating command's load.
+    params = PhysParams(mu=3.0, K=0.2, alpha_bjs=0.7)
+    exact = ExactSolution(mu=params.mu, K=params.K, alpha_bjs=params.alpha_bjs)
+    loads = dataclasses.replace(exact.loads(), f_S=None, g_D=None)
+    if name == "channel":
+        loads = channel_loads()
+    elif name == "floating":
+        loads.stokes_traction = channel_loads().stokes_traction
+    domain = {"stacked": stacked_domain(), "side": side_by_side_domain(),
+              "channel": floating_domain(2), "floating": floating_domain(2)}
+    m, lay = coupled(domain[name], nref, config)
+    b = assemble_rhs(m, lay, params, loads)
+    b_ref = oracles.oracle_rhs(m, lay, params, loads)
+    scale = np.abs(b_ref).max()
+    assert scale > 0
+    assert np.abs(b - b_ref).max() <= 1e-10 * scale
+
+
+def counted_loads(loads):
+    """`loads` with each callable counting its calls in the returned Counter."""
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+        return call
+
+    for f in dataclasses.fields(loads):
+        fn = getattr(loads, f.name)
+        if fn is not None:
+            setattr(loads, f.name, counted(f.name, fn))
+    return loads, calls
+
+
+@pytest.mark.parametrize("config", list(BcConfig), ids=lambda c: c.value)
+def test_load_callables_called_once_per_assembly(config):
+    # each callable sees all its points at once, however fine the mesh;
+    # the traction once per natural tag
+    seen = []
+    for nref in (0, 2):
+        domain = (floating_domain(2, 2) if config is BcConfig.MULTI
+                  else stacked_domain(2))
+        m = tag_boundaries(build_coupled_mesh(domain, nref), config)
+        loads, calls = counted_loads(ExactSolution().loads())
+        assemble_system(m, PhysParams(), loads)
+        seen.append(dict(calls))
+    tags = set(m.facet_tags)
+    expect = {"f_S": 1, "g_D": 1, "g_gamma": 1, "t_n": 1, "t_t": 1,
+              "u_S_essential": 1,
+              "stokes_traction": len(tags & STOKES_NATURAL_TAGS),
+              "darcy_pressure": int(TAG_DARCY_NATURAL in tags),
+              "u_D_essential": int(TAG_DARCY_ESSENTIAL in tags)}
+    assert seen[0] == seen[1] == {k: v for k, v in expect.items() if v}
 
 
 def test_apply_essential_structure(rng):

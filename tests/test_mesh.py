@@ -20,6 +20,8 @@ from sdlab.mesh import (
 )
 from sdlab.cli import floating_domain
 
+import oracles
+
 
 def tag_counts(mesh):
     return dict(
@@ -194,6 +196,7 @@ def test_save_load_round_trip(tmp_path, stack4):
     c1, c2 = interface_chains(stack4)[0], interface_chains(m2)[0]
     assert np.array_equal(c1.facets, c2.facets)
     assert np.array_equal(c1.normals, c2.normals)
+    assert m2._lattice == stack4._lattice and m2._modes == stack4._modes
 
 
 def test_refinement_nests_tags():
@@ -234,3 +237,37 @@ def test_bad_configs_raise(stack4):
     # inclusion touching the outer boundary is rejected at build time
     with pytest.raises(ConfigurationError):
         build_coupled_mesh(DomainSpec((0, 0, 3, 3), ((1, 0, 2, 1),), 2), 0)
+
+
+MESH_TABLES = ("vertices", "cells", "cell_subdomain", "cell_component",
+               "facets", "facet_cells", "facet_tags", "facet_component")
+REFERENCE_DOMAINS = {
+    "stacked": stacked_domain(),
+    "side": side_by_side_domain(),
+    "stokes_right": DomainSpec((1.0, 0.0, 2.0, 1.0), ((0.0, 0.0, 1.0, 1.0),), 4),
+    "darcy_below": DomainSpec((0.0, 1.0, 1.0, 2.0), ((0.0, 0.0, 1.0, 1.0),), 4),
+    "floating": floating_domain(3),
+}
+
+
+def assert_same_tables(got, want):
+    for name in MESH_TABLES:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        assert np.array_equal(a, b), name
+
+
+@pytest.mark.parametrize("nref", [0, 1, 2])
+@pytest.mark.parametrize("name", REFERENCE_DOMAINS)
+def test_mesh_matches_loop_reference(name, nref):
+    domain = REFERENCE_DOMAINS[name]
+    m, ref = build_coupled_mesh(domain, nref), oracles.reference_mesh(domain, nref)
+    assert_same_tables(m, ref)
+    assert m.spacing == ref.spacing
+    assert m._lattice == ref._lattice and m._modes == ref._modes
+    configs = ([BcConfig.MULTI] if name == "floating"
+               else [c for c in BcConfig if c is not BcConfig.MULTI])
+    for config in configs:
+        tag_boundaries(m, config)
+        oracles.reference_tag_boundaries(ref, config)
+        assert_same_tables(m, ref)
