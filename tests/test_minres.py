@@ -3,8 +3,10 @@ the cluster-robust convergence-bound diagnostics."""
 
 import csv
 
+import mpmath
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 
 from sdlab.assembly import PhysParams, assemble_system
@@ -16,7 +18,6 @@ from sdlab.minres import (
     compute_Fk,
     detect_plateaus,
     harmonic_ritz,
-    lanczos_tridiagonal,
     minres_solve,
 )
 from sdlab.precond import build_preconditioner
@@ -101,6 +102,52 @@ def test_harmonic_ritz_converges_to_eigenvalues(rng):
     assert np.abs(th - np.sort(lam)).max() < 1e-8
 
 
+def _pencil_reference(alphas, betas, k, digits=50):
+    """Harmonic Ritz values from their defining pencil (T'T + b^2 e_k e_k',
+    T) at `digits` digits, sorted by magnitude."""
+    with mpmath.workdps(digits):
+        T = mpmath.matrix(k, k)
+        for i in range(k):
+            T[i, i] = alphas[i]
+            if i + 1 < k:
+                T[i, i + 1] = T[i + 1, i] = betas[i]
+        G = T * T
+        G[k - 1, k - 1] += mpmath.mpf(betas[k - 1]) ** 2
+        theta = mpmath.eig(mpmath.inverse(T) * G, left=False, right=False)
+        return sorted((mpmath.re(t) for t in theta), key=abs)
+
+
+def test_harmonic_ritz_matches_extended_precision():
+    # two tight clusters and an isolated eigenvalue 1e-7: after a plateau
+    # the smallest harmonic Ritz value has found 1e-7, about 1e-7 * ||T||
+    lam = np.concatenate([np.linspace(-1.3, -1.0, 20),
+                          np.linspace(0.8, 1.1, 19), [1e-7]])
+    k = 24
+    log = minres_solve(np.diag(lam), np.ones(len(lam)), lambda r: r,
+                       maxit=k, diagnostic=True)
+    assert log.iterations == k
+    ref = _pencil_reference(log.alphas, log.betas, k)
+    theta = harmonic_ritz(log.alphas, log.betas, k)
+    assert abs(float(ref[0]) / 1e-7 - 1.0) < 0.01
+    err = [abs(t - float(r)) / abs(float(r)) for t, r in zip(theta, ref)]
+    assert len(theta) == k and max(err) <= 1e-8
+
+
+def test_harmonic_ritz_singular_tridiagonal():
+    # T with diagonal (1, 2, 1) and off-diagonal (1, 1) has eigenvalues 0,
+    # 1 and 3: its null direction has an infinite harmonic Ritz value, the
+    # finite ones are the pencil's
+    alphas, betas = [1.0, 2.0, 1.0], [1.0, 1.0, 0.5]
+    T = np.diag(alphas) + np.diag(betas[:2], 1) + np.diag(betas[:2], -1)
+    G = T @ T
+    G[2, 2] += betas[2] ** 2
+    w = sla.eigh(T, G, eigvals_only=True)
+    finite = np.sort(1.0 / w[np.abs(w) > 1e-12])
+    assert len(finite) == 2
+    assert np.allclose(harmonic_ritz(alphas, betas, 3), finite, rtol=1e-12)
+    assert len(harmonic_ritz([0.0], [0.3], 1)) == 0
+
+
 def test_Fk_product_value():
     theta = np.array([0.02])
     lam = np.array([0.01, 1.0, 2.0])
@@ -145,19 +192,6 @@ def test_detect_plateaus_synthetic():
     # shorter stagnation is ignored
     r = list(0.5 ** np.arange(5)) + [0.5**5] * 5 + list(0.5 ** np.arange(6, 15))
     assert detect_plateaus(r) == []
-
-
-def test_lanczos_tridiagonal_shapes():
-    alphas = [1.0, 2.0, 3.0]
-    betas = [0.1, 0.2, 0.3]
-    T = lanczos_tridiagonal(alphas, betas, 3)
-    assert T.shape == (3, 3)
-    assert np.allclose(np.diag(T), alphas)
-    assert np.allclose(np.diag(T, 1), betas[:2])
-    Te = lanczos_tridiagonal(alphas, betas, 3, extended=True)
-    assert Te.shape == (4, 3)
-    assert Te[3, 2] == betas[2]
-    assert np.allclose(Te[:3], T)
 
 
 def test_diagnostic_reorthogonalization():

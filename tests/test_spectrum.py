@@ -9,6 +9,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from sdlab.assembly import PhysParams, assemble_system
+from sdlab.cli import floating_domain
 from sdlab.mesh import BcConfig, build_coupled_mesh, stacked_domain, tag_boundaries
 from sdlab.precond import build_deflation
 from sdlab.spectrum import (
@@ -34,6 +35,27 @@ def test_generalized_eigs_matches_direct(rng):
     ref = sla.eigh(A, N, eigvals_only=True)
     assert np.abs(spec.eigenvalues - ref).max() < 1e-10
     assert (np.diff(spec.eigenvalues) >= 0).all()
+
+
+@pytest.mark.parametrize("config", list(BcConfig), ids=lambda c: c.value)
+def test_generalized_eigs_matches_scipy_on_every_layout(config):
+    # the eliminated dofs are solved apart from the dense pencil; the
+    # spectrum must not notice
+    domain = (floating_domain(2, n0=1) if config is BcConfig.MULTI
+              else stacked_domain(2))
+    for nref in (0, 1):
+        m = tag_boundaries(build_coupled_mesh(domain, nref), config)
+        s = assemble_system(m, PhysParams(mu=0.3, K=2e-3, alpha_bjs=0.5))
+        Ad, Nd = s.A.toarray(), s.N.toarray()
+        ref = sla.eigh(Ad, Nd, eigvals_only=True)
+        tol = 1e-12 * np.abs(ref).max()
+        n_elim = len(s.essential)
+        assert n_elim > 0
+        for spec in (generalized_eigs(s.A, s.N),
+                     generalized_eigs(s.A, s.N, n_elim),
+                     generalized_eigs(Ad, Nd, n_eliminated=n_elim)):
+            assert np.abs(spec.eigenvalues - ref).max() <= tol
+        assert spec.n_eliminated == n_elim
 
 
 def test_budget_guard(rng):
