@@ -133,30 +133,52 @@ class _Acc:
 
 
 def _stokes_geometry(mesh, layout, degree):
+    """Reference points, weights (nc, nq) and gradient rows X (nc, 12, nq)
+    of the free-flow cells: X[c, 6*i + a, q] = d(phi_a)/dx_i at point q."""
     coords = mesh.cell_coords(layout.stokes_cells)
     pts, w = el.triangle_rule(degree)
     _, inv, det = el.affine_maps(coords)
     grads = el.physical_grads(inv, el.p2_grads(pts))
     weights = w[None, :] * np.abs(det)[:, None]
-    return coords, pts, weights, grads
+    return pts, weights, grads.transpose(0, 3, 1, 2).reshape(len(coords), 12, -1)
 
 
-def _velocity_entries(mesh, layout, W, G):
+def _viscous_blocks(X, XW):
+    """Element blocks of 2*(eps(u), eps(v)), keyed by the velocity
+    components (beta, alpha) of (row, column); each block is (nc, a, b)
+    with a the column's and b the row's basis function, and block
+    (alpha, beta) is exactly the transpose of block (beta, alpha).
+
+    H[c, i, a, j, b] = (d_i phi_a, d_j phi_b) on cell c is one batched BLAS
+    product.  Block (beta, alpha) is H[beta, :, alpha, :], plus
+    (grad phi_a, grad phi_b) = H[0, :, 0, :] + H[1, :, 1, :] on the
+    diagonal.  BLAS rounds the (a, b) and (b, a) entries differently, so
+    each diagonal block is taken as its symmetric part, S_alpha + S_other/2
+    with S_alpha = H[alpha, :, alpha, :] plus its transpose, and block (1, 0)
+    as the transpose of block (0, 1).  No block is a view of H, which is
+    freed on return.
+    """
+    H = (XW @ X.transpose(0, 2, 1)).reshape(len(X), 2, 6, 2, 6)
+    S = [H[:, a, :, a, :] + H[:, a, :, a, :].transpose(0, 2, 1) for a in range(2)]
+    block = {(0, 0): S[0] + 0.5 * S[1], (1, 1): S[1] + 0.5 * S[0],
+             (0, 1): H[:, 0, :, 1, :].copy()}
+    block[1, 0] = block[0, 1].transpose(0, 2, 1)
+    return block
+
+
+def _velocity_entries(mesh, layout, X, XW):
     """2*(eps(u), eps(v)) over the free-flow cells and the interface slip
     mass (u.tau, v.tau)_Gamma: the pieces `visc` and `slip` that A and N
-    share.  W, G: quadrature weights and P2 gradients (_stokes_geometry)."""
-    gd = np.einsum("caqi,cbqi,cq->cab", G, G, W)
-    cr = np.einsum("caqi,cbqj,cq->cabij", G, G, W)
+    share.  X, XW: the gradient rows of _stokes_geometry, plain and times
+    the quadrature weights."""
+    block = _viscous_blocks(X, XW)
     cs = layout.stokes_cell_scalar
     visc = _Acc(layout.total_dofs)
     for beta in range(2):
         rows = layout.velocity_dof(beta, cs)[:, None, :]       # (c, 1, b)
         for alpha in range(2):
             cols = layout.velocity_dof(alpha, cs)[:, :, None]  # (c, a, 1)
-            vals = cr[:, :, :, beta, alpha]
-            if alpha == beta:
-                vals = vals + gd
-            visc.add(rows, cols, vals)
+            visc.add(rows, cols, block[beta, alpha])
     return visc.matrix(), _slip_entries(layout)
 
 
@@ -175,22 +197,27 @@ def _slip_entries(layout):
     return acc.matrix()
 
 
-def _rt_basis(mesh, layout, degree):
-    """RT basis values, divergences and weights on the porous cells."""
+def _rt_divergence(mesh, layout):
+    """Vertex coordinates, areas and RT basis divergences of the porous
+    cells; div psi_k = sign_k * |e_k| / area is constant on a cell."""
     coords = mesh.cell_coords(layout.darcy_cells)
-    pts, w = el.triangle_rule(degree)
     _, _, det = el.affine_maps(coords)
     area = 0.5 * np.abs(det)
-    x = el.physical_points(coords, pts)
     edge_len = np.stack([
         np.linalg.norm(coords[:, j] - coords[:, i], axis=1)
         for (i, j) in el.LOCAL_EDGES], axis=1)
-    opp = np.stack([coords[:, el.OPPOSITE_VERTEX[k]] for k in range(3)], axis=1)
-    signs = layout.darcy_cell_signs
-    scale = signs * edge_len / (2.0 * area)[:, None]
-    vals = scale[:, :, None, None] * (x[:, None, :, :] - opp[:, :, None, :])
-    div = signs * edge_len / area[:, None]
-    weights = w[None, :] * np.abs(det)[:, None]
+    return coords, area, layout.darcy_cell_signs * edge_len / area[:, None]
+
+
+def _rt_basis(mesh, layout, degree):
+    """RT basis values psi_k(x) = (div psi_k / 2) * (x - opposite vertex),
+    divergences, areas and weights on the porous cells."""
+    coords, area, div = _rt_divergence(mesh, layout)
+    pts, w = el.triangle_rule(degree)
+    x = el.physical_points(coords, pts)
+    opp = coords[:, list(el.OPPOSITE_VERTEX)]
+    vals = (0.5 * div)[:, :, None, None] * (x[:, None, :, :] - opp[:, :, None, :])
+    weights = w[None, :] * (2.0 * area)[:, None]
     return vals, div, area, weights
 
 
@@ -198,8 +225,9 @@ def _pieces(mesh, layout):
     """Every parameter-free piece of A and N (see `_weights`), each a CSR
     matrix on its own block's pattern."""
     n = layout.total_dofs
-    _, pts, W, G = _stokes_geometry(mesh, layout, OPERATOR_TRI_DEGREE)
-    visc, slip = _velocity_entries(mesh, layout, W, G)
+    pts, W, X = _stokes_geometry(mesh, layout, OPERATOR_TRI_DEGREE)
+    XW = X * W[:, None, :]
+    visc, slip = _velocity_entries(mesh, layout, X, XW)
     psi = el.p1_basis(pts)
     cs = layout.stokes_cell_scalar
     prow = layout.offsets["p_S"] + cs[:, :3]
@@ -209,7 +237,8 @@ def _pieces(mesh, layout):
 
     # -(div v, p) in both subdomains, the transposes and the interface terms
     saddle = _Acc(n)
-    dv = -np.einsum("caqi,bq,cq->ciab", G, psi, W)
+    # dv[c, i, a, b] = -(d_i phi_a, psi_b): one BLAS product
+    dv = -(XW.reshape(-1, W.shape[1]) @ psi.T).reshape(-1, 2, 6, 3)
     for alpha in range(2):
         cols = layout.velocity_dof(alpha, cs)[:, :, None]      # (c, a, 1)
         saddle.add(prow[:, None, :], cols, dv[:, alpha])
@@ -224,8 +253,10 @@ def _pieces(mesh, layout):
              np.einsum("ckqi,clqi,cq->ckl", rt, rt, Wd))
     divdiv.add(rows[:, None, :], rows[:, :, None],
                div[:, :, None] * div[:, None, :] * area[:, None, None])
+    # symmetrized, as BLAS need not round entries (a, b) and (b, a) alike
+    pm = (W @ (psi[:, None] * psi[None]).reshape(9, -1).T).reshape(-1, 3, 3)
     p1.add(prow[:, None, :], prow[:, :, None],
-           np.einsum("aq,bq,cq->cab", psi, psi, W))
+           0.5 * (pm + pm.transpose(0, 2, 1)))
     p0.add(pdr, pdr, area)
     return {"visc": visc, "slip": slip, "saddle": saddle.matrix(),
             "mass": mass.matrix(), "divdiv": divdiv.matrix(),
@@ -390,10 +421,11 @@ def assemble_rhs(mesh, layout, params, loads):
     if loads.f_S is not None:
         pts, x, W = _load_quadrature(mesh, layout.stokes_cells)
         fv = loads.f_S(x.reshape(-1, 2)).reshape(x.shape[0], x.shape[1], 2)
-        phi = el.p2_basis(pts)
-        load = np.einsum("cqi,aq,cq->cai", fv, phi, W)
+        # load[c, i, a] = (f_i, phi_a) on cell c: one BLAS product
+        fw = (fv * W[:, :, None]).transpose(0, 2, 1).reshape(-1, W.shape[1])
+        load = (fw @ el.p2_basis(pts).T).reshape(-1, 2, 6)
         for alpha in range(2):
-            np.add.at(b, layout.velocity_dof(alpha, cs), load[:, :, alpha])
+            np.add.at(b, layout.velocity_dof(alpha, cs), load[:, alpha])
 
     if loads.g_D is not None:
         _, x, Wd = _load_quadrature(mesh, layout.darcy_cells)

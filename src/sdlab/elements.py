@@ -102,15 +102,27 @@ def affine_maps(coords):
     return jac, inv, det
 
 
+# Both maps below contract a length-2 axis for every cell at once, as one
+# BLAS product with the cells' rows stacked.  BLAS may fuse one of the two
+# products into their sum, so on a general mesh a value can differ from
+# a*b + c*d in the last bit; where the products are exact, as on a lattice
+# whose spacing is a power of two, it cannot.
+
+
 def physical_points(coords, ref_pts):
     """Map reference points to physical points, shape (nc, nq, 2)."""
     jac, _, _ = affine_maps(coords)
-    return coords[:, None, 0, :] + np.einsum("cij,qj->cqi", jac, ref_pts)
+    x = (jac.reshape(-1, 2) @ ref_pts.T).reshape(len(coords), 2, -1)
+    return coords[:, None, 0, :] + x.transpose(0, 2, 1)
 
 
 def physical_grads(inv, ref_grads):
     """Push reference gradients forward, shape (nc, nbasis, nq, 2).
 
-    grad_x(phi) = inv^T grad_ref(phi) for each cell.
+    grad_x(phi) = inv^T grad_ref(phi) for each cell.  The result is a view
+    whose memory is ordered (nc, 2, nbasis, nq), so that
+    ``G.transpose(0, 3, 1, 2)`` is contiguous.
     """
-    return np.einsum("cji,bqj->cbqi", inv, ref_grads)
+    nb, nq, _ = ref_grads.shape
+    g = inv.transpose(0, 2, 1).reshape(-1, 2) @ ref_grads.reshape(-1, 2).T
+    return g.reshape(len(inv), 2, nb, nq).transpose(0, 2, 3, 1)

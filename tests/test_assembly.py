@@ -23,6 +23,7 @@ from sdlab.assembly import (
     save_matrix_coo,
 )
 from sdlab.cli import channel_loads, floating_domain
+from sdlab.elements import affine_maps
 from sdlab.frac_interface import interface_operator
 from sdlab.mesh import (
     STOKES_NATURAL_TAGS,
@@ -45,14 +46,31 @@ PARAM_SETS = [
 ]
 
 
-def coupled(domain, nref, config):
+def coupled(domain, nref, config, jitter=0.0):
+    """A tagged mesh and its layout.  With `jitter`, every vertex off the
+    outer boundary and the interface first moves by up to jitter * spacing
+    in each coordinate, so that the cells' Jacobians are general.  A lattice
+    cell's Jacobian has equal diagonal entries and a power-of-two scale, so
+    a swap of those entries, or products rounded in another order, would
+    not show on it."""
     m = build_coupled_mesh(domain, nref)
+    if jitter:
+        cells = m.facet_cells
+        outer = cells[:, 1] < 0
+        sub = m.cell_subdomain[cells]
+        fixed = np.unique(m.facets[outer | (sub[:, 0] != sub[:, 1])])
+        free = np.setdiff1d(np.arange(len(m.vertices)), fixed)
+        assert len(free)
+        shift = np.random.default_rng(5).uniform(-1.0, 1.0, (len(free), 2))
+        m.vertices[free] += jitter * m.spacing * shift
+        _, _, det = affine_maps(m.cell_coords())
+        assert det.min() > 0.0                  # still counterclockwise
     tag_boundaries(m, config)
     return m, build_layout(m)
 
 
 OPERATOR_ORACLE_CASES = [
-    pytest.param(domain, config, (0, 1), params, id=f"{name}-{pid}")
+    pytest.param(domain, config, (0, 1), params, 0.0, id=f"{name}-{pid}")
     for name, domain, config in (("stacked", stacked_domain(1), BcConfig.NE),
                                  ("side", side_by_side_domain(1), BcConfig.EE))
     for pid, params in zip(("unit", "mixed"), PARAM_SETS)
@@ -60,14 +78,18 @@ OPERATOR_ORACLE_CASES = [
     # the one interface whose normal turns along it, so a facet paired with
     # another facet's normal shows here; its oracle takes about 6 s
     pytest.param(floating_domain(1, n0=1), BcConfig.MULTI, (0,), PARAM_SETS[1],
-                 id="floating-mixed"),
+                 0.0, id="floating-mixed"),
+    # nref 1 is the first with a vertex inside each subdomain
+    pytest.param(stacked_domain(1), BcConfig.NE, (1,), PARAM_SETS[1], 0.2,
+                 id="stacked-mixed-jittered"),
 ]
 
 
-@pytest.mark.parametrize("domain,config,nrefs,params", OPERATOR_ORACLE_CASES)
-def test_operator_matches_oracle(domain, config, nrefs, params):
+@pytest.mark.parametrize("domain,config,nrefs,params,jitter",
+                         OPERATOR_ORACLE_CASES)
+def test_operator_matches_oracle(domain, config, nrefs, params, jitter):
     for nref in nrefs:
-        m, lay = coupled(domain, nref, config)
+        m, lay = coupled(domain, nref, config, jitter)
         A = assemble_operator(m, lay, params).toarray()
         A_ref = oracles.oracle_operator(m, lay, params)
         scale = np.abs(A_ref).max()
@@ -153,10 +175,13 @@ def test_interface_coupling_entries():
         assert abs(abs(nz[0]) - 0.25) < 1e-14
 
 
-@pytest.mark.parametrize("params", PARAM_SETS, ids=["unit", "mixed"])
-def test_rhs_matches_oracle(params):
+@pytest.mark.parametrize("params,jitter",
+                         [(PARAM_SETS[0], 0.0), (PARAM_SETS[1], 0.0),
+                          (PARAM_SETS[1], 0.2)],
+                         ids=["unit", "mixed", "mixed-jittered"])
+def test_rhs_matches_oracle(params, jitter):
     # fine enough that quadrature truncation sits below the gate
-    m, lay = coupled(stacked_domain(4), 1, BcConfig.NE)
+    m, lay = coupled(stacked_domain(4), 1, BcConfig.NE, jitter)
     exact = ExactSolution(mu=params.mu, K=params.K, alpha_bjs=params.alpha_bjs)
     loads = exact.loads()
     b = assemble_rhs(m, lay, params, loads)
