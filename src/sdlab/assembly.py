@@ -304,6 +304,10 @@ class _Elimination:
                              shape=M.shape)
 
 
+# The pattern keeps the entries whose sum is zero (47,498 of N's 839,771 at
+# EN nref 4).  Summing the pieces with scipy `+` drops them, and the LU of
+# the sparser N fills more: lu_fill 4.90M -> 6.59M, preconditioner build
+# 0.48 -> 0.65 s.  Any rework must keep this pattern.
 @dataclass
 class _Pattern:
     """The fixed CSR pattern of a weighted sum of pieces: `pos[name]`

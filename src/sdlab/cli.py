@@ -378,6 +378,12 @@ def main(argv=None):
         if not (np.isfinite(gamma_mult) and gamma_mult > 0):
             raise ConfigurationError(
                 f"--gamma-mult must be positive and finite, got {gamma_mult:g}")
+        reduction = getattr(args, "reduction", 1e-12)
+        if not (np.isfinite(reduction) and reduction > 0):
+            raise ConfigurationError(
+                f"--reduction must be positive and finite, got {reduction:g}")
+        if args.command == "mms" and max(args.nref) < 1:
+            raise ConfigurationError("mms needs --nref >= 1: a rate needs two levels")
         return args.func(args)
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -90,10 +90,10 @@ def build_interface_basis(mesh, endpoint="free"):
                                   endpoint=endpoint)
 
 
-def fractional_matrix(basis, power, coeff=1.0):
-    """coeff * M U diag(d**power) U' M."""
+def fractional_matrix(basis, power):
+    """M U diag(d**power) U' M."""
     MU = basis.lengths[:, None] * basis.vectors
-    S = coeff * (MU * basis.eigenvalues[None, :] ** power) @ MU.T
+    S = (MU * basis.eigenvalues[None, :] ** power) @ MU.T
     # gemm rounding is not symmetric; make the certificate exact
     return 0.5 * (S + S.T)
 

@@ -107,7 +107,7 @@ def stacked_domain(n0=4):
 
 @dataclass
 class InterfaceChain:
-    """One connected interface component, facets in traversal order."""
+    """One connected interface component, facets in interface order."""
 
     facets: np.ndarray          # global facet ids
     normals: np.ndarray         # (n, 2) unit normals pointing Stokes -> Darcy
@@ -130,7 +130,6 @@ class Mesh:
     domain: DomainSpec
     nref: int
     config: BcConfig | None = None
-    _chains: list = field(default=None, repr=False)
     # lattice rectangles (free flow, porous list) and how each porous one
     # meets the free-flow one, see _domain_lattice
     _lattice: tuple = field(default=None, repr=False)
@@ -143,19 +142,9 @@ class Mesh:
     def h(self):
         return self.spacing * np.sqrt(2.0)
 
-    @property
-    def num_cells(self):
-        return len(self.cells)
-
     def cell_coords(self, cell_ids=None):
         ids = slice(None) if cell_ids is None else cell_ids
         return self.vertices[self.cells[ids]]
-
-    def cell_areas(self):
-        c = self.cell_coords()
-        return 0.5 * np.abs(
-            (c[:, 1, 0] - c[:, 0, 0]) * (c[:, 2, 1] - c[:, 0, 1])
-            - (c[:, 2, 0] - c[:, 0, 0]) * (c[:, 1, 1] - c[:, 0, 1]))
 
     def facet_lengths(self, facet_ids=None):
         ids = slice(None) if facet_ids is None else facet_ids
@@ -220,6 +209,8 @@ def _rects_conflict(a, b, strict):
 def _domain_lattice(domain, nref):
     """The lattice rectangles (free flow, porous list) of the domain at
     refinement nref, and how each porous one meets the free-flow one."""
+    if not isinstance(nref, (int, np.integer)) or nref < 0:
+        raise ConfigurationError(f"nref must be a non-negative integer, got {nref!r}")
     n0 = domain.base_divisions
     if n0 < 1:
         raise ConfigurationError("base_divisions must be >= 1")
@@ -366,7 +357,6 @@ def tag_boundaries(mesh, config):
         raise ConfigurationError(
             "layout leaves the free-flow velocity unconstrained on the outer boundary")
     mesh.config = config
-    mesh._chains = None
     mesh._derived = {}
     return mesh
 
@@ -391,72 +381,10 @@ def stokes_cell(mesh, f):
                     c[..., 0], c[..., 1])
 
 
-def interface_chains(mesh):
-    """Ordered interface components with Stokes-to-Darcy normals.
-
-    Open chains (edge-sharing layouts) run in the direction of increasing
-    midpoint coordinate; closed loops (inclusions) are traversed
-    counterclockwise starting from the lexicographically smallest midpoint.
-    Results are cached on the mesh.
-    """
-    if mesh._chains is not None:
-        return mesh._chains
-    iface = np.nonzero(mesh.facet_tags == TAG_INTERFACE)[0]
-    chains = []
-    for comp in sorted(set(mesh.facet_component[iface])):
-        fids = iface[mesh.facet_component[iface] == comp]
-        by_vertex = {}
-        for f in fids:
-            for v in mesh.facets[f]:
-                by_vertex.setdefault(v, []).append(f)
-        ends = sorted(v for v, fs in by_vertex.items() if len(fs) == 1)
-        closed = not ends
-        mids = mesh.facet_midpoints(fids)
-        order_key = {f: (m[1], m[0]) for f, m in zip(fids, mids)}
-        if closed:
-            start = min(fids, key=lambda f: order_key[f])
-            prev_v = min(mesh.facets[start])
-        else:
-            if len(ends) != 2:
-                raise ConfigurationError("interface component is not a simple curve")
-            start_v = min(
-                ends, key=lambda v: (mesh.vertices[v][1], mesh.vertices[v][0]))
-            start = by_vertex[start_v][0]
-            prev_v = start_v
-        chain = [start]
-        cur = start
-        while True:
-            nxt_v = [v for v in mesh.facets[cur] if v != prev_v][0]
-            cand = [f for f in by_vertex[nxt_v] if f != cur]
-            if not cand:
-                break
-            cur = cand[0]
-            prev_v = nxt_v
-            if cur == start:
-                break
-            chain.append(cur)
-        if len(chain) != len(fids):
-            raise ConfigurationError("interface component is not a simple curve")
-        chain = np.array(chain)
-        normals = outward_normal(mesh, chain, stokes_cell(mesh, chain))
-        if closed:
-            # counterclockwise traversal around the inclusion: the
-            # Stokes->Darcy normal then points to the left of the tangent
-            p = mesh.facet_midpoints(chain)
-            q = np.roll(p, -1, axis=0)
-            if np.sum(p[:, 0] * q[:, 1] - q[:, 0] * p[:, 1]) < 0:
-                chain = chain[::-1].copy()
-                normals = normals[::-1].copy()
-        chains.append(InterfaceChain(facets=chain, normals=normals,
-                                     closed=closed, component=int(comp)))
-    mesh._chains = chains
-    return chains
-
-
 def _per_mesh(mesh, key, build):
     """`build(mesh)`, computed once per tagged mesh and kept under `key`.
 
-    For what every (mu, K) on the mesh shares: the dof layout, the
+    For what every (mu, K) on the mesh shares: the interface order, the
     parameter-free operator pieces, the interface bases.  tag_boundaries
     clears it, since tags decide the essential dofs and the interface
     endpoints."""
@@ -465,9 +393,42 @@ def _per_mesh(mesh, key, build):
     return mesh._derived[key]
 
 
-def interface_facets(mesh):
-    """All interface facet ids in chain order, concatenated over components."""
-    return np.concatenate([c.facets for c in interface_chains(mesh)])
+def interface_chains(mesh):
+    """Ordered interface components with Stokes-to-Darcy normals.
+
+    This order numbers the multiplier dofs.  It is decided by position:
+    an open chain (edge-sharing layouts) is sorted by facet midpoint
+    (y, x); a closed loop (inclusion) by its perimeter coordinate, counted
+    counterclockwise from the lower-left corner.  Components come in
+    ascending porous-rectangle index."""
+    return _per_mesh(mesh, "interface chains", _interface_chains)
+
+
+def _interface_chains(mesh):
+    iface = np.nonzero(mesh.facet_tags == TAG_INTERFACE)[0]
+    chains = []
+    for comp in np.unique(mesh.facet_component[iface]):
+        fids = iface[mesh.facet_component[iface] == comp]
+        _, degree = np.unique(mesh.facets[fids], return_counts=True)
+        ends = np.count_nonzero(degree == 1)
+        if degree.max() > 2 or ends not in (0, 2):
+            raise ConfigurationError("interface component is not a simple curve")
+        x, y = mesh.facet_midpoints(fids).T
+        if ends:
+            order = np.lexsort((x, y))
+        else:
+            # every lattice loop is a rectangle: its bottom, right, top and
+            # left sides run counterclockwise one after the other
+            x0, y0, x1, y1 = x.min(), y.min(), x.max(), y.max()
+            w, h = x1 - x0, y1 - y0
+            order = np.argsort(np.select(
+                [y == y0, x == x1, y == y1],
+                [x - x0, w + y - y0, w + h + x1 - x], 2 * w + h + y1 - y))
+        chain = fids[order]
+        normals = outward_normal(mesh, chain, stokes_cell(mesh, chain))
+        chains.append(InterfaceChain(facets=chain, normals=normals,
+                                     closed=not ends, component=int(comp)))
+    return chains
 
 
 def mesh_to_dict(mesh):
@@ -525,7 +486,7 @@ def load_mesh(path):
                 spacing=d["spacing"], domain=dom, nref=d["nref"],
                 config=BcConfig(d["config"]) if d["config"] else None,
                 _lattice=lattice, _modes=modes)
-    mesh._chains = [
+    mesh._derived["interface chains"] = [
         InterfaceChain(facets=np.array(c["facets"]),
                        normals=np.array(c["normals"]),
                        closed=c["closed"], component=c["component"])

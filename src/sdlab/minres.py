@@ -43,6 +43,11 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 
+COLLISION_TOL = 1e-14       # |theta_1 - lam_k| below this: F_k = inf
+PLATEAU_LEN, PLATEAU_FACTOR = 10, 0.99  # a plateau: >= 10 steps of < 1%
+ABS_FLOOR = 1e-14           # residual floor against roundoff stagnation
+BOUND_SLACK = 1.0 + 1e-9    # roundoff allowance of check_convergence_bound
+
 
 class PreconditionerError(ValueError):
     """The preconditioner turned out not to be positive definite."""
@@ -64,10 +69,6 @@ class SolveLog:
     @property
     def iterations(self):
         return len(self.residuals) - 1
-
-    @property
-    def plateau(self):
-        return bool(self.plateau_windows)
 
     def to_csv(self, path):
         """Columns: iteration,residual,theta_min,F_k (blank when undefined)."""
@@ -112,7 +113,7 @@ def harmonic_ritz(alphas, betas, k):
     return theta[np.argsort(np.abs(theta))][1:]
 
 
-def compute_Fk(theta, eigenvalues, collision_tol=1e-14):
+def compute_Fk(theta, eigenvalues):
     """Residual-bound degradation factor from harmonic Ritz values.
 
     `eigenvalues` is the true (nonzero) spectrum of the preconditioned
@@ -128,53 +129,51 @@ def compute_Fk(theta, eigenvalues, collision_tol=1e-14):
     theta1 = finite[np.argmin(np.abs(finite - lam1))]
     rest = np.delete(lams, first)
     dens = np.abs(theta1 - rest)
-    if np.any(dens < collision_tol):
+    if np.any(dens < COLLISION_TOL):
         return np.inf
     return float(np.max((np.abs(theta1) / np.abs(lam1))
                         * np.abs(lam1 - rest) / dens))
 
 
-def detect_plateaus(residuals, min_len=10, factor=0.99):
-    """Windows of >= min_len consecutive iterations with < 1% reduction.
+def detect_plateaus(residuals):
+    """Windows of >= PLATEAU_LEN consecutive iterations with < 1% reduction.
 
     Returns [(start, end)] iteration index pairs, residuals[end]/
     residuals[start] covering the slow stretch.
     """
     r = np.asarray(residuals)
-    slow = r[1:] > factor * r[:-1]
+    slow = r[1:] > PLATEAU_FACTOR * r[:-1]
     windows = []
     start = None
     for k, s in enumerate(slow):
         if s and start is None:
             start = k
         elif not s and start is not None:
-            if k - start >= min_len:
+            if k - start >= PLATEAU_LEN:
                 windows.append((start, k))
             start = None
-    if start is not None and len(slow) - start >= min_len:
+    if start is not None and len(slow) - start >= PLATEAU_LEN:
         windows.append((start, len(slow)))
     return windows
 
 
-def minres_solve(A, b, precond, x0=None, reduction=1e-12, abs_floor=1e-14,
-                 maxit=1000, diagnostic=False, eigenvalues=None, reorth=None):
+def minres_solve(A, b, precond, reduction=1e-12, maxit=1000, diagnostic=False,
+                 eigenvalues=None):
     """Preconditioned MINRES on the symmetric indefinite system A x = b.
 
     `precond` is a callable applying the SPD preconditioner.  Residual
-    norms are preconditioner norms; iteration stops on a relative
-    reduction (with an absolute floor against roundoff stagnation), at
+    norms are preconditioner norms; iteration starts from x = 0 and stops
+    on a relative reduction (with the absolute floor ABS_FLOOR), at
     maxit, on Lanczos breakdown, or with reason "nonfinite" as soon as a
     NaN or inf reaches the recurrence (x is then the last finite iterate).
     With `diagnostic` the Lanczos basis is re-orthogonalized and harmonic
     Ritz values (plus F_k when the true `eigenvalues` are supplied) are
     logged per iteration.
     """
-    if reorth is None:
-        reorth = diagnostic
     apply_B = precond.apply if hasattr(precond, "apply") else precond
     n = len(b)
-    x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
-    r1 = b - A @ x if x0 is not None else np.asarray(b, dtype=float).copy()
+    x = np.zeros(n)
+    r1 = np.asarray(b, dtype=float).copy()
     y = apply_B(r1)
     beta1sq = float(r1 @ y)
     _check_definite(beta1sq, r1, y)
@@ -192,9 +191,9 @@ def minres_solve(A, b, precond, x0=None, reduction=1e-12, abs_floor=1e-14,
                 "it must be symmetric positive definite")
         return _finalize(x, residuals, alphas, betas, "converged",
                          diagnostic, theta_min, Fks, thetas_all, None)
-    target = max(reduction * beta1, abs_floor)
+    target = max(reduction * beta1, ABS_FLOOR)
 
-    basis = _LanczosBasis(r1 / beta1, y / beta1) if reorth else None
+    basis = _LanczosBasis(r1 / beta1, y / beta1) if diagnostic else None
     oldb, beta = 0.0, beta1
     dbar = epsln = sn = 0.0
     cs = -1.0
@@ -211,7 +210,7 @@ def minres_solve(A, b, precond, x0=None, reduction=1e-12, abs_floor=1e-14,
             yv = yv - (beta / oldb) * r1
         alfa = float(v @ yv)
         yv = yv - (alfa / beta) * r2
-        if reorth:
+        if diagnostic:
             yv = basis.project_out(basis.project_out(yv))
         r1 = r2
         r2 = yv
@@ -236,7 +235,7 @@ def minres_solve(A, b, precond, x0=None, reduction=1e-12, abs_floor=1e-14,
             break
         alphas.append(alfa)
         betas.append(beta)
-        if reorth and beta > 0.0:
+        if diagnostic and beta > 0.0:
             basis.append(r2 / beta, y / beta)
         w1 = w2
         w2 = w
@@ -258,7 +257,7 @@ def minres_solve(A, b, precond, x0=None, reduction=1e-12, abs_floor=1e-14,
             reason = "breakdown"
             break
 
-    ortho = basis.ortho_max() if reorth else None
+    ortho = basis.ortho_max() if diagnostic else None
     return _finalize(x, residuals, alphas, betas, reason, diagnostic,
                      theta_min, Fks, thetas_all, ortho)
 
@@ -313,13 +312,13 @@ def _finalize(x, residuals, alphas, betas, reason, diagnostic,
     return log
 
 
-def check_convergence_bound(log, rho, slack=1.0 + 1e-9):
+def check_convergence_bound(log, rho):
     """Largest ratio of logged residuals to the F/rho bound.
 
     For every anchor iteration m with finite F_m and every j >= 0,
     r_{m+j} <= 2 * F_m * rho^(j//2) * r_0 must hold (r_0 is a conservative
     surrogate for the deflated initial residual).  Returns the max ratio;
-    values <= 1 (up to `slack`) mean the bound held everywhere.
+    values <= 1 (up to BOUND_SLACK) mean the bound held everywhere.
     """
     if log.Fk is None:
         raise ValueError("bound check needs a diagnostic solve with F_k")
@@ -332,5 +331,5 @@ def check_convergence_bound(log, rho, slack=1.0 + 1e-9):
     bound = 2.0 * Fk[m, None] * rho ** (j // 2) * r[0]    # (anchors, j)
     later = m[:, None] + j
     ok = (later < n) & (bound > 0)
-    ratio = r[later[ok]] / (bound[ok] * slack)
+    ratio = r[later[ok]] / (bound[ok] * BOUND_SLACK)
     return float(ratio.max(initial=0.0))

@@ -28,7 +28,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .mesh import BcConfig, interface_chains
+from .mesh import BcConfig
 
 
 class BlockPreconditioner:
@@ -118,24 +118,13 @@ def deflation_vectors(layout, config):
         return w
     if config == BcConfig.MULTI:
         mesh = layout.mesh
-        chains = interface_chains(mesh)
-        comps = sorted(c.component for c in chains)
-        cols = []
-        lam_off = layout.offsets["lam"]
-        pd_off = layout.offsets["p_D"]
-        cell_comp = mesh.cell_component[layout.darcy_cells]
-        lam_pos = 0
-        lam_ranges = {}
-        for c in chains:
-            lam_ranges[c.component] = (lam_pos, lam_pos + len(c.facets))
-            lam_pos += len(c.facets)
-        for comp in comps:
-            w = np.zeros(n)
-            w[pd_off + np.nonzero(cell_comp == comp)[0]] = 1.0
-            lo, hi = lam_ranges[comp]
-            w[lam_off + lo:lam_off + hi] = 1.0
-            cols.append(w)
-        return np.column_stack(cols)
+        lam_comp = mesh.facet_component[layout.interface_facets]
+        comps = np.unique(lam_comp)
+        w = np.zeros((n, len(comps)))
+        w[layout.field_slice("p_D")] = (
+            mesh.cell_component[layout.darcy_cells, None] == comps)
+        w[layout.field_slice("lam")] = lam_comp[:, None] == comps
+        return w
     return None
 
 

@@ -23,8 +23,6 @@ One helper, `_pencil_eigs`, solves every dense pencil:
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +30,8 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 DENSE_BUDGET = 6000
+# an eliminated dof's eigenvalue A_ii / N_ii is 1 up to this
+UNIT_TOL = 1e-12
 
 
 @dataclass
@@ -51,31 +51,6 @@ class Spectrum:
     def kappa_eff(self, drop=1):
         lam = np.abs(self.by_magnitude)
         return float(lam[-1] / lam[drop])
-
-    def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            wr = csv.writer(fh)
-            wr.writerow(["index", "eigenvalue"])
-            for i, v in enumerate(self.eigenvalues):
-                wr.writerow([i, repr(float(v))])
-
-    def summary(self, drop=1):
-        lam = self.by_magnitude
-        return {
-            "n": int(len(lam)),
-            "n_eliminated": int(self.n_eliminated),
-            "lam_min_mag": float(lam[0]),
-            "lam_max_mag": float(lam[-1]),
-            "kappa": self.kappa(),
-            "kappa_eff": self.kappa_eff(drop),
-        }
-
-    def save_summary(self, path, drop=1, extra=None):
-        d = self.summary(drop)
-        if extra:
-            d.update(extra)
-        with open(path, "w") as fh:
-            json.dump(d, fh, indent=2)
 
 
 def generalized_eigs(A, N, n_eliminated=0, budget=DENSE_BUDGET):
@@ -144,11 +119,11 @@ def _dense(M, keep=None):
     return np.array(M if keep is None else M[np.ix_(keep, keep)], order="F")
 
 
-def two_interval_hull(eigenvalues, drop=0, n_unit=0, unit_tol=1e-12):
+def two_interval_hull(eigenvalues, drop=0, n_unit=0):
     """Interval hull (a, b, c, d) of the spectrum after near-kernel removal.
 
     Drops the `drop` smallest-magnitude eigenvalues, and up to `n_unit`
-    eigenvalues equal to 1 within `unit_tol` (the eliminated-dof artifacts);
+    eigenvalues equal to 1 within UNIT_TOL (the eliminated-dof artifacts);
     unit eigenvalues are only filtered when at least n_unit of them exist.
     Returns a <= b < 0 < c <= d.
     """
@@ -156,7 +131,7 @@ def two_interval_hull(eigenvalues, drop=0, n_unit=0, unit_tol=1e-12):
     lam = lam[np.argsort(np.abs(lam))]
     lam = lam[drop:]
     if n_unit:
-        ones = np.nonzero(np.abs(lam - 1.0) <= unit_tol)[0]
+        ones = np.nonzero(np.abs(lam - 1.0) <= UNIT_TOL)[0]
         if len(ones) >= n_unit:
             lam = np.delete(lam, ones[:n_unit])
     neg = lam[lam < 0]

@@ -4,7 +4,8 @@ Everything here deliberately avoids the package's quadrature tables,
 reference-element maps, and vectorized kernels: bases are evaluated from
 barycentric coordinates computed per physical cell, integration uses
 tensor Gauss-Legendre on the collapsed square (Duffy map), and loops are
-plain Python.  Slow but transparent.
+plain Python, over cells and quadrature points.  Only the viscous term
+forms the 12 x 12 products of one point at once.  Slow but transparent.
 """
 
 import numpy as np
@@ -14,9 +15,9 @@ from sdlab.mesh import (_EDGE_TAGS, _OPPOSITE, DARCY, STOKES,
                         STOKES_ESSENTIAL_TAGS, STOKES_NATURAL_TAGS,
                         TAG_DARCY_ESSENTIAL, TAG_DARCY_NATURAL, TAG_INFLOW,
                         TAG_INTERFACE, TAG_NONE, TAG_OUTFLOW, TAG_WALL,
-                        BcConfig, ConfigurationError, Mesh, _classify_darcy,
-                        _lattice_rect, _rects_conflict, interface_chains,
-                        outward_normal)
+                        BcConfig, ConfigurationError, InterfaceChain, Mesh,
+                        _classify_darcy, _lattice_rect, _rects_conflict,
+                        outward_normal, stokes_cell)
 from sdlab.spaces import FIELDS, BlockLayout, global_facet_normal
 
 
@@ -259,9 +260,79 @@ def reference_tag_boundaries(mesh, config):
         raise ConfigurationError(
             "layout leaves the free-flow velocity unconstrained on the outer boundary")
     mesh.config = config
-    mesh._chains = None
     mesh._derived = {}
     return mesh
+
+
+def reference_interface_chains(mesh):
+    """Facet-graph walk over each interface component: from the end vertex
+    with the smallest (y, x) along an open chain, from the facet with the
+    smallest midpoint (y, x) around a closed loop, which is then flipped
+    to run counterclockwise.  Reference for `mesh.interface_chains`."""
+    iface = np.nonzero(mesh.facet_tags == TAG_INTERFACE)[0]
+    chains = []
+    for comp in sorted(set(mesh.facet_component[iface])):
+        fids = iface[mesh.facet_component[iface] == comp]
+        by_vertex = {}
+        for f in fids:
+            for v in mesh.facets[f]:
+                by_vertex.setdefault(v, []).append(f)
+        ends = sorted(v for v, fs in by_vertex.items() if len(fs) == 1)
+        closed = not ends
+        mids = mesh.facet_midpoints(fids)
+        order_key = {f: (m[1], m[0]) for f, m in zip(fids, mids)}
+        if closed:
+            start = min(fids, key=lambda f: order_key[f])
+            prev_v = min(mesh.facets[start])
+        else:
+            if len(ends) != 2:
+                raise ConfigurationError("interface component is not a simple curve")
+            start_v = min(
+                ends, key=lambda v: (mesh.vertices[v][1], mesh.vertices[v][0]))
+            start = by_vertex[start_v][0]
+            prev_v = start_v
+        chain = [start]
+        cur = start
+        while True:
+            nxt_v = [v for v in mesh.facets[cur] if v != prev_v][0]
+            cand = [f for f in by_vertex[nxt_v] if f != cur]
+            if not cand:
+                break
+            cur = cand[0]
+            prev_v = nxt_v
+            if cur == start:
+                break
+            chain.append(cur)
+        if len(chain) != len(fids):
+            raise ConfigurationError("interface component is not a simple curve")
+        chain = np.array(chain)
+        normals = outward_normal(mesh, chain, stokes_cell(mesh, chain))
+        if closed:
+            # counterclockwise traversal around the inclusion: the
+            # Stokes->Darcy normal then points to the left of the tangent
+            p = mesh.facet_midpoints(chain)
+            q = np.roll(p, -1, axis=0)
+            if np.sum(p[:, 0] * q[:, 1] - q[:, 0] * p[:, 1]) < 0:
+                chain = chain[::-1].copy()
+                normals = normals[::-1].copy()
+        chains.append(InterfaceChain(facets=chain, normals=normals,
+                                     closed=closed, component=int(comp)))
+    return chains
+
+
+def same_chains(got, want):
+    """Whether two lists of InterfaceChain agree exactly."""
+    return len(got) == len(want) and all(
+        np.array_equal(a.facets, b.facets) and np.array_equal(a.normals, b.normals)
+        and (a.closed, a.component) == (b.closed, b.component)
+        for a, b in zip(got, want))
+
+
+# the BlockLayout arrays that reference_layout builds independently
+LAYOUT_TABLES = ("stokes_cells", "darcy_cells", "stokes_vertices",
+                 "stokes_edges", "stokes_cell_scalar", "darcy_facets",
+                 "darcy_cell_facets", "darcy_cell_signs", "interface_facets",
+                 "interface_normals")
 
 
 def reference_layout(mesh):
@@ -309,7 +380,7 @@ def reference_layout(mesh):
             cell_facets[r, k] = fmap[f]
             cell_signs[r, k] = _orientation_sign(mesh, f, c)
 
-    chains = interface_chains(mesh)
+    chains = reference_interface_chains(mesh)
     interface = np.concatenate([ch.facets for ch in chains])
     normals = np.vstack([ch.normals for ch in chains])
 
@@ -366,37 +437,78 @@ def reference_essential_dofs(layout):
     return np.unique(np.array(idx, dtype=int))
 
 
+def _stokes_interface_cell(mesh, layout, f):
+    """The free-flow cell of interface facet f and its scalar P2 dofs."""
+    cell = None
+    for c in mesh.facet_cells[f]:
+        if c >= 0 and mesh.cell_subdomain[c] == 0:
+            cell = c
+    srow = list(layout.stokes_cells).index(cell)
+    return cell, layout.stokes_cell_scalar[srow]
+
+
+def _velocity_block(mesh, layout, params, M, nquad=10):
+    """Add the free-flow velocity block, which the operator and the Riesz
+    map share, to the dense matrix M: the viscous term 2 mu eps(u):eps(v)
+    and the tangential friction beta_tau (u.tau)(v.tau) on the interface."""
+    ref_pts, ref_w = duffy_rule(nquad)
+    for row, cell in enumerate(layout.stokes_cells):
+        tri = mesh.vertices[mesh.cells[cell]]
+        pts = map_to_cell(tri, ref_pts)
+        w = 2.0 * triangle_area(tri) * ref_w
+        lam, grads = barycentric(tri, pts)
+        cs = layout.stokes_cell_scalar[row]
+        dofs = [layout.velocity_dof(c, cs[a]) for a in range(6) for c in range(2)]
+        for q in range(len(pts)):
+            # strain eps(phi_a e_c) of each of the 12 vector basis functions
+            eps = np.zeros((6, 2, 2, 2))
+            for a in range(6):
+                g = 0.5 * p2_grad(lam[q], grads, a)
+                for c in range(2):
+                    eps[a, c, c] += g
+                    eps[a, c, :, c] += g
+            eps = eps.reshape(12, 4)
+            M[np.ix_(dofs, dofs)] += 2.0 * params.mu * (eps @ eps.T) * w[q]
+
+    x1d, w1d = segment_rule_1d(nquad)
+    beta = params.beta_tau
+    for pos, f in enumerate(layout.interface_facets):
+        pa, pb = mesh.vertices[mesh.facets[f]]
+        n_S = layout.interface_normals[pos]
+        tau = np.array([-n_S[1], n_S[0]])
+        cell, cs = _stokes_interface_cell(mesh, layout, f)
+        pts = [pa + t * (pb - pa) for t in x1d]
+        ds = np.linalg.norm(pb - pa) * w1d
+        lam_bc, _ = barycentric(mesh.vertices[mesh.cells[cell]], pts)
+        for q in range(len(pts)):
+            vb = [p2_value(lam_bc[q], k) for k in range(6)]
+            for a_ in range(6):
+                for b_ in range(6):
+                    for ca in range(2):
+                        for cb in range(2):
+                            val = (beta * vb[a_] * tau[ca] * vb[b_] * tau[cb]
+                                   * ds[q])
+                            M[layout.velocity_dof(cb, cs[b_]),
+                              layout.velocity_dof(ca, cs[a_])] += val
+
+
 def oracle_operator(mesh, layout, params, nquad=10):
     """Dense saddle-point matrix assembled the slow way."""
     n = layout.total_dofs
     A = np.zeros((n, n))
+    _velocity_block(mesh, layout, params, A, nquad)
     ref_pts, ref_w = duffy_rule(nquad)
-    mu, K = params.mu, params.K
+    K = params.K
 
+    # pressure-divergence coupling, both transposes
     for row, cell in enumerate(layout.stokes_cells):
         tri = mesh.vertices[mesh.cells[cell]]
-        area = triangle_area(tri)
         pts = map_to_cell(tri, ref_pts)
-        w = 2.0 * area * ref_w
+        w = 2.0 * triangle_area(tri) * ref_w
         lam, grads = barycentric(tri, pts)
         cs = layout.stokes_cell_scalar[row]
         for q in range(len(pts)):
             gb = [p2_grad(lam[q], grads, k) for k in range(6)]
-            vb = [p2_value(lam[q], k) for k in range(6)]
-            for a in range(6):
-                for b in range(6):
-                    for ca in range(2):
-                        for cb in range(2):
-                            ea = np.zeros((2, 2))
-                            ea[ca] += 0.5 * gb[a]
-                            ea[:, ca] += 0.5 * gb[a]
-                            eb = np.zeros((2, 2))
-                            eb[cb] += 0.5 * gb[b]
-                            eb[:, cb] += 0.5 * gb[b]
-                            val = 2.0 * mu * np.tensordot(ea, eb) * w[q]
-                            A[layout.velocity_dof(cb, cs[b]),
-                              layout.velocity_dof(ca, cs[a])] += val
-            # pressure-divergence coupling, both transposes
             for a in range(6):
                 for ca in range(2):
                     for b in range(3):
@@ -421,49 +533,30 @@ def oracle_operator(mesh, layout, params, nquad=10):
             A[off_p + row, off_u + fa] += -diva * area
             A[off_u + fa, off_p + row] += -diva * area
 
-    # interface terms: multiplier coupling and tangential friction
+    # interface terms: multiplier coupling with both normal traces
     x1d, w1d = segment_rule_1d(nquad)
     fmap = {f: i for i, f in enumerate(layout.darcy_facets)}
     lam_off = layout.offsets["lam"]
-    lam_index = {f: i for i, f in enumerate(layout.interface_facets)}
-    beta = params.beta_tau
     for pos, f in enumerate(layout.interface_facets):
-        a, b = mesh.facets[f]
-        pa, pb = mesh.vertices[a], mesh.vertices[b]
+        pa, pb = mesh.vertices[mesh.facets[f]]
         length = np.linalg.norm(pb - pa)
         n_S = layout.interface_normals[pos]
-        tau = np.array([-n_S[1], n_S[0]])
-        cell = None
-        for c in mesh.facet_cells[f]:
-            if c >= 0 and mesh.cell_subdomain[c] == 0:
-                cell = c
-        srow = list(layout.stokes_cells).index(cell)
-        tri = mesh.vertices[mesh.cells[cell]]
-        cs = layout.stokes_cell_scalar[srow]
+        cell, cs = _stokes_interface_cell(mesh, layout, f)
         pts = [pa + t * (pb - pa) for t in x1d]
         ds = length * w1d
-        lam_bc, grads = barycentric(tri, pts)
+        lam_bc, _ = barycentric(mesh.vertices[mesh.cells[cell]], pts)
+        r = lam_off + pos
         for q in range(len(pts)):
             vb = [p2_value(lam_bc[q], k) for k in range(6)]
+            # multiplier pairing with the free-flow normal trace
             for a_ in range(6):
-                # multiplier pairing with the free-flow normal trace
                 for ca in range(2):
                     val = vb[a_] * n_S[ca] * ds[q]
-                    r = lam_off + lam_index[f]
                     c = layout.velocity_dof(ca, cs[a_])
                     A[r, c] += val
                     A[c, r] += val
-                for b_ in range(6):
-                    for ca in range(2):
-                        for cb in range(2):
-                            val = (beta * vb[a_] * tau[ca] * vb[b_] * tau[cb]
-                                   * ds[q])
-                            A[layout.velocity_dof(cb, cs[b_]),
-                              layout.velocity_dof(ca, cs[a_])] += val
         # porous normal trace pairs with the multiplier through the flux dof
-        n_glob = global_facet_normal(mesh, f)
-        sigma_rel = np.dot(n_glob, n_S)
-        r = lam_off + lam_index[f]
+        sigma_rel = np.dot(global_facet_normal(mesh, f), n_S)
         c = layout.offsets["u_D"] + fmap[f]
         A[r, c] += -sigma_rel * length
         A[c, r] += -sigma_rel * length
@@ -477,9 +570,7 @@ def oracle_riesz(mesh, layout, params, interface_matrix, nquad=10):
     ref_pts, ref_w = duffy_rule(nquad)
     mu, K = params.mu, params.K
 
-    A_full = oracle_operator(mesh, layout, params, nquad)
-    sl = layout.field_slice("u_S")
-    N[sl, sl] = A_full[sl, sl]
+    _velocity_block(mesh, layout, params, N, nquad)
 
     for row, cell in enumerate(layout.darcy_cells):
         tri = mesh.vertices[mesh.cells[cell]]

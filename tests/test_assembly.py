@@ -76,7 +76,7 @@ OPERATOR_ORACLE_CASES = [
     for pid, params in zip(("unit", "mixed"), PARAM_SETS)
 ] + [
     # the one interface whose normal turns along it, so a facet paired with
-    # another facet's normal shows here; its oracle takes about 6 s
+    # another facet's normal shows here
     pytest.param(floating_domain(1, n0=1), BcConfig.MULTI, (0,), PARAM_SETS[1],
                  0.0, id="floating-mixed"),
     # nref 1 is the first with a vertex inside each subdomain

@@ -169,16 +169,32 @@ def test_invalid_inclusion_count_exits_2(tmp_path):
     assert ret == 2
 
 
-@pytest.mark.parametrize("flags", [
+BAD_FLAGS = [
     ["--mu", "-1"], ["--mu", "nan"], ["--mu", "0"],
     ["--K", "0"], ["--K", "-2"], ["--K", "inf"],
     ["--alpha", "-0.5"], ["--alpha", "nan"],
     ["--gamma-mult", "0"], ["--gamma-mult", "-1"], ["--gamma-mult", "nan"],
-], ids=lambda f: "".join(f).lstrip("-"))
-def test_bad_parameters_exit_2(tmp_path, capsys, flags):
+    ["--reduction", "nan"], ["--reduction", "-1"], ["--nref", "-1"],
+]
+BAD_RUNS = [("solve", f) for f in BAD_FLAGS] + [
+    ("floating", ["--nref", "-1"]), ("cond-sweep", ["--nref", "-1"]),
+    # a convergence rate needs two levels
+    ("mms", ["--nref", "0"]),
+]
+COMMAND_ARGV = {"solve": ["solve", "--case", "EN"],
+                "cond-sweep": ["cond-sweep", "--case", "EN"],
+                "floating": ["floating", "--inclusions", "1"],
+                "mms": ["mms"]}
+
+
+@pytest.mark.parametrize("command,flags", [
+    pytest.param(c, f, id=("" if c == "solve" else c + "-")
+                 + "".join(f).lstrip("-"))
+    for c, f in BAD_RUNS])
+def test_bad_parameters_exit_2(tmp_path, capsys, command, flags):
     out = tmp_path / "bad"
-    ret = main(["solve", "--case", "EN", "--nref", "0", "--n0", "2",
-                "--out", str(out)] + flags)
+    ret = main(COMMAND_ARGV[command] + ["--nref", "0", "--n0", "2",
+                                        "--out", str(out)] + flags)
     assert ret == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1

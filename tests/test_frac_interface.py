@@ -101,7 +101,7 @@ def test_fractional_matrix_symmetric_consistent():
     m = iface_mesh(2)
     basis = build_interface_basis(m, "free")
     for p in (-0.5, 0.5):
-        S = fractional_matrix(basis, p, coeff=2.0)
+        S = 2.0 * fractional_matrix(basis, p)
         assert np.abs(S - S.T).max() == 0.0
     # power 0 collapses to the facet mass matrix
     M0 = fractional_matrix(basis, 0.0)
@@ -130,8 +130,8 @@ def test_mixed_endpoints_sum():
     m = iface_mesh(2)
     params = PhysParams(3.0, 0.2, 0.5)
     S = interface_operator(m, params, BcConfig.NN).matrix
-    a = fractional_matrix(build_interface_basis(m, "free"), -0.5, 1.0 / 3.0)
-    b = fractional_matrix(build_interface_basis(m, "zero"), 0.5, 0.2)
+    a = fractional_matrix(build_interface_basis(m, "free"), -0.5) / 3.0
+    b = 0.2 * fractional_matrix(build_interface_basis(m, "zero"), 0.5)
     assert np.abs(S - (a + b)).max() < 1e-13
 
 

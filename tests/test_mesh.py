@@ -11,7 +11,6 @@ from sdlab.mesh import (
     DomainSpec,
     build_coupled_mesh,
     interface_chains,
-    interface_facets,
     load_mesh,
     save_mesh,
     side_by_side_domain,
@@ -87,7 +86,7 @@ def test_facet_cells_ordering(stack4):
 def test_interface_facets_and_length():
     for nref in (0, 1):
         m = build_coupled_mesh(stacked_domain(4), nref)
-        iface = interface_facets(m)
+        iface = np.concatenate([c.facets for c in interface_chains(m)])
         assert len(iface) == 4 * 2**nref
         pts = m.vertices[m.facets[iface]]
         lengths = np.linalg.norm(pts[:, 1] - pts[:, 0], axis=1)
@@ -206,7 +205,7 @@ def test_refinement_nests_tags():
     assert tag_counts(m) == {
         "stokes_essential": 24, "darcy_natural": 16, "darcy_essential": 8
     }
-    assert len(interface_facets(m)) == 8
+    assert sum(len(c.facets) for c in interface_chains(m)) == 8
 
 
 def test_bad_domains_raise():
@@ -226,6 +225,10 @@ def test_bad_domains_raise():
         build_coupled_mesh(
             DomainSpec((0, 0, 3, 3), ((1, 1, 2, 2), (1.5, 1, 2.5, 2)), 2), 0
         )
+    # the refinement level is a non-negative integer
+    for nref in (-1, 1.5):
+        with pytest.raises(ConfigurationError):
+            build_coupled_mesh(stacked_domain(2), nref)
 
 
 def test_bad_configs_raise(stack4):
@@ -271,3 +274,5 @@ def test_mesh_matches_loop_reference(name, nref):
         tag_boundaries(m, config)
         oracles.reference_tag_boundaries(ref, config)
         assert_same_tables(m, ref)
+        assert oracles.same_chains(interface_chains(m),
+                                   oracles.reference_interface_chains(ref))

@@ -1,0 +1,86 @@
+"""Property tests over random lattice domains: the interface order and the
+dof layout equal their loop references, and the assembled operator and
+Riesz map are exactly symmetric.
+
+Domains are drawn in lattice units of 1/n0: a free-flow rectangle with one
+porous rectangle on any of its four sides, or with one to three porous
+inclusions of random size and position.  Examples are derandomized, so
+every run checks the same cases."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracles
+from sdlab.assembly import PhysParams, assemble_system
+from sdlab.mesh import (BcConfig, DomainSpec, build_coupled_mesh,
+                        interface_chains, tag_boundaries)
+from sdlab.spaces import build_layout
+
+EDGE_CONFIGS = [c for c in BcConfig if c is not BcConfig.MULTI]
+PROPERTIES = settings(derandomize=True, max_examples=40, deadline=None)
+
+
+def _domain(n0, stokes, porous):
+    return DomainSpec(tuple(v / n0 for v in stokes),
+                      tuple(tuple(v / n0 for v in r) for r in porous), n0)
+
+
+@st.composite
+def edge_sharing(draw):
+    """A free-flow rectangle and one porous rectangle on a whole side."""
+    n0 = draw(st.integers(1, 2))
+    w, h, depth = (draw(st.integers(1, 3)) for _ in range(3))
+    x, y = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    porous = {"right": (x + w, y, x + w + depth, y + h),
+              "left": (x - depth, y, x, y + h),
+              "top": (x, y + h, x + w, y + h + depth),
+              "bottom": (x, y - depth, x + w, y)}[
+        draw(st.sampled_from(["right", "left", "top", "bottom"]))]
+    return (_domain(n0, (x, y, x + w, y + h), [porous]),
+            draw(st.sampled_from(EDGE_CONFIGS)))
+
+
+@st.composite
+def inclusions(draw):
+    """A free-flow rectangle with one to three porous inclusions in a row,
+    each of random size and height, none touching another or the border."""
+    n0 = draw(st.integers(1, 2))
+    porous, right, top = [], 0, 0
+    for _ in range(draw(st.integers(1, 3))):
+        x0, y0 = right + draw(st.integers(1, 2)), draw(st.integers(1, 2))
+        right = x0 + draw(st.integers(1, 3))
+        porous.append((x0, y0, right, y0 + draw(st.integers(1, 3))))
+        top = max(top, porous[-1][3])
+    stokes = (0, 0, right + draw(st.integers(1, 2)),
+              top + draw(st.integers(1, 2)))
+    return _domain(n0, stokes, porous), BcConfig.MULTI
+
+
+def _check(case, nref):
+    domain, config = case
+    m = tag_boundaries(build_coupled_mesh(domain, nref), config)
+
+    assert oracles.same_chains(interface_chains(m),
+                               oracles.reference_interface_chains(m))
+
+    lay, ref = build_layout(m), oracles.reference_layout(m)
+    for name in oracles.LAYOUT_TABLES:
+        assert np.array_equal(getattr(lay, name), getattr(ref, name)), name
+    assert lay.sizes == ref.sizes and lay.offsets == ref.offsets
+
+    system = assemble_system(m, PhysParams(mu=3.0, K=0.2, alpha_bjs=0.7))
+    for M in (system.A, system.N):
+        assert abs(M - M.T).max() == 0.0
+
+
+@PROPERTIES
+@given(edge_sharing(), st.integers(0, 1))
+def test_edge_sharing_domains_match_references(case, nref):
+    _check(case, nref)
+
+
+@PROPERTIES
+@given(inclusions(), st.integers(0, 1))
+def test_inclusion_domains_match_references(case, nref):
+    _check(case, nref)

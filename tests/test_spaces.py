@@ -4,7 +4,7 @@ multiplier, essential dof selection, boundary interpolation."""
 import numpy as np
 import pytest
 
-from oracles import reference_essential_dofs, reference_layout
+from oracles import LAYOUT_TABLES, reference_essential_dofs, reference_layout
 from sdlab.cli import floating_domain
 from sdlab.mesh import (BcConfig, build_coupled_mesh, side_by_side_domain,
                         stacked_domain, tag_boundaries)
@@ -56,12 +56,6 @@ def test_layout_deterministic():
     assert np.array_equal(a.darcy_facets, b.darcy_facets)
     assert np.array_equal(a.darcy_cell_facets, b.darcy_cell_facets)
     assert np.array_equal(a.darcy_cell_signs, b.darcy_cell_signs)
-
-
-LAYOUT_TABLES = ("stokes_cells", "darcy_cells", "stokes_vertices",
-                 "stokes_edges", "stokes_cell_scalar", "darcy_facets",
-                 "darcy_cell_facets", "darcy_cell_signs", "interface_facets",
-                 "interface_normals")
 
 
 def layout_meshes(domain, nref):

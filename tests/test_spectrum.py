@@ -1,8 +1,5 @@
 """Dense spectral analysis of the preconditioned pencil."""
 
-import csv
-import json
-
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -141,24 +138,10 @@ def test_deflation_moves_near_kernel_mode():
     assert defl.kappa() < 50.0
 
 
-def test_spectrum_serialization(tmp_path):
-    spec = Spectrum(eigenvalues=np.array([-1.5, 0.25, 1.0]), n_eliminated=3)
-    p = tmp_path / "eigs.csv"
-    spec.to_csv(p)
-    with open(p, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["index", "eigenvalue"]
-    assert [float(r[1]) for r in rows[1:]] == [-1.5, 0.25, 1.0]
-
-    s = spec.summary(drop=1)
-    assert s["n"] == 3 and s["n_eliminated"] == 3
-    assert s["kappa"] == pytest.approx(6.0)
-    assert s["kappa_eff"] == pytest.approx(1.5)
-
-    q = tmp_path / "summary.json"
-    spec.save_summary(q, drop=1, extra={"label": "demo"})
-    d = json.loads(q.read_text())
-    assert d["label"] == "demo" and d["kappa"] == pytest.approx(6.0)
+def test_spectrum_kappa_and_kappa_eff():
+    spec = Spectrum(eigenvalues=np.array([-1.5, 0.25, 1.0]))
+    assert spec.kappa() == pytest.approx(6.0)
+    assert spec.kappa_eff(1) == pytest.approx(1.5)
 
 
 EDGE_CONFIGS = [BcConfig.NN, BcConfig.EE, BcConfig.NESTAR, BcConfig.ENSTAR,
