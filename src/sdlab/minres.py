@@ -291,8 +291,10 @@ class _LanczosBasis:
 
 
 def _check_definite(inner, r, y):
-    scale = np.linalg.norm(r) * np.linalg.norm(y)
-    if inner < -1e-12 * max(scale, 1e-300):
+    # the scale matters only for a negative inner product: skip its norms
+    # on every other step
+    if inner < 0.0 and inner < -1e-12 * max(
+            np.linalg.norm(r) * np.linalg.norm(y), 1e-300):
         raise PreconditionerError(
             "preconditioner produced a negative inner product "
             f"({inner:.3e}); it must be symmetric positive definite")

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.linalg import lapack
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -93,7 +94,10 @@ class Deflation:
         return self.W.shape[1]
 
     def correction(self, r):
-        return self.W @ sla.cho_solve(self.E, self.W.T @ r)
+        # dpotrs directly, as in InterfaceOperator.solve: cho_solve's
+        # checks cost more than the m x m solve
+        return self.W @ lapack.dpotrs(self.E[0], self.W.T @ r,
+                                      lower=self.E[1])[0]
 
 
 def deflation_vectors(layout, config):

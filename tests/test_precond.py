@@ -163,3 +163,12 @@ def test_gamma_mult_scales_correction(rng):
     r = rng.standard_normal(system.layout.total_dofs)
     # E scales linearly with gamma, so the correction scales by 1/4
     assert np.allclose(d4.correction(r), d1.correction(r) / 4.0, atol=1e-12)
+
+
+def test_deflation_correction_equals_cho_solve(rng):
+    system = make_system(config=BcConfig.MULTI, domain=floating_domain(2, n0=1))
+    defl = build_deflation(system)
+    assert defl.m == 2
+    r = rng.standard_normal(system.layout.total_dofs)
+    expect = defl.W @ sla.cho_solve(defl.E, defl.W.T @ r)
+    assert np.array_equal(defl.correction(r), expect)

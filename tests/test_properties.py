@@ -1,6 +1,7 @@
 """Property tests over random lattice domains: the interface order and the
-dof layout equal their loop references, and the assembled operator and
-Riesz map are exactly symmetric.
+dof layout equal their loop references, the assembled operator and Riesz
+map are exactly symmetric, and the pencil spectrum equals its dense
+reference and depends on (mu, K) only through mu*K.
 
 Domains are drawn in lattice units of 1/n0: a free-flow rectangle with one
 porous rectangle on any of its four sides, or with one to three porous
@@ -8,6 +9,7 @@ inclusions of random size and position.  Examples are derandomized, so
 every run checks the same cases."""
 
 import numpy as np
+import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,6 +18,7 @@ from sdlab.assembly import PhysParams, assemble_system
 from sdlab.mesh import (BcConfig, DomainSpec, build_coupled_mesh,
                         interface_chains, tag_boundaries)
 from sdlab.spaces import build_layout
+from sdlab.spectrum import generalized_eigs
 
 EDGE_CONFIGS = [c for c in BcConfig if c is not BcConfig.MULTI]
 PROPERTIES = settings(derandomize=True, max_examples=40, deadline=None)
@@ -84,3 +87,19 @@ def test_edge_sharing_domains_match_references(case, nref):
 @given(inclusions(), st.integers(0, 1))
 def test_inclusion_domains_match_references(case, nref):
     _check(case, nref)
+
+
+@settings(derandomize=True, max_examples=16, deadline=None)
+@given(st.one_of(edge_sharing(), inclusions()),
+       st.sampled_from([1e-3, 1.0, 1e3]))
+def test_spectrum_matches_dense_and_depends_on_mu_times_K(case, muK):
+    domain, config = case
+    m = tag_boundaries(build_coupled_mesh(domain, 0), config)
+    spectra = []
+    for mu in (1.0, 1e-2):
+        s = assemble_system(m, PhysParams(mu=mu, K=muK / mu, alpha_bjs=0.5))
+        spectra.append(generalized_eigs(s.A, s.N).eigenvalues)
+    ref = sla.eigh(s.A.toarray(), s.N.toarray(), eigvals_only=True)
+    tol = 1e-12 * np.abs(ref).max()
+    assert np.abs(spectra[1] - ref).max() <= tol
+    assert np.abs(spectra[0] - spectra[1]).max() <= tol

@@ -9,6 +9,7 @@ from sdlab.assembly import PhysParams, assemble_system
 from sdlab.cli import floating_domain
 from sdlab.mesh import BcConfig, build_coupled_mesh, stacked_domain, tag_boundaries
 from sdlab.precond import build_deflation
+from sdlab import spectrum
 from sdlab.spectrum import (
     Spectrum,
     contraction_factor,
@@ -161,3 +162,99 @@ def test_spectrum_depends_on_mu_times_K_only(config):
         ref = spectra[0]
         for lam in spectra[1:]:
             assert np.abs(lam - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def _system(config, nref, mu=1e-4, K=1e-4):
+    domain = (floating_domain(2, n0=1) if config is BcConfig.MULTI
+              else stacked_domain(4))
+    m = tag_boundaries(build_coupled_mesh(domain, nref), config)
+    return assemble_system(m, PhysParams(mu=mu, K=K, alpha_bjs=0.5))
+
+
+def _reduced(A, N):
+    """The saddle-point reduction's part of the spectrum, or None where it
+    does not apply, on the coupled dofs as `_pencil_eigs` slices them."""
+    A, N = sp.csr_matrix(A), sp.csr_matrix(N)
+    keep = np.flatnonzero(spectrum._coupled(A) | spectrum._coupled(N))
+    return spectrum._saddle_eigs(A[keep][:, keep], N[keep][:, keep])
+
+
+def _saddle_pencil(rng, n_u, n_p, rank):
+    """A = [[A_uu, B'], [B, 0]] and N = diag(A_uu + B' S B, N_pp) with
+    random SPD A_uu, S, N_pp and a B of the given rank."""
+    B = rng.standard_normal((n_p, rank)) @ rng.standard_normal((rank, n_u))
+    A_uu, S, N_pp = spd(rng, n_u), spd(rng, n_p), spd(rng, n_p)
+    A = np.block([[A_uu, B.T], [B, np.zeros((n_p, n_p))]])
+    N = sla.block_diag(A_uu + B.T @ S @ B, N_pp)
+    return A, N
+
+
+def test_saddle_reduction_on_random_pencils(rng):
+    for rank in (6, 4):         # full and deficient coupling rank
+        A, N = _saddle_pencil(rng, 15, 6, rank)
+        ref = sla.eigh(A, N, eigvals_only=True)
+        lam = _reduced(A, N)
+        assert lam is not None
+        assert np.count_nonzero(lam == 1.0) >= 15 - 6
+        assert np.abs(np.sort(lam) - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_saddle_reduction_declines_other_pencils(rng):
+    A, N = _saddle_pencil(rng, 15, 6, 6)
+    # N_uu - A_uu leaves the range of the coupling: certificate fails
+    N_off = N.copy()
+    N_off[:15, :15] += 0.1 * spd(rng, 15)
+    # a nonzero pressure block, and N coupling u and p
+    A_pp = A.copy()
+    A_pp[15:, 15:] = np.eye(6)
+    A_pp[0, 0] = 0.0
+    N_up = N.copy()
+    N_up[0, 15] = N_up[15, 0] = 0.01
+    for A_, N_ in ((A, N_off), (A_pp, N), (A, N_up)):
+        assert _reduced(A_, N_) is None
+        ref = sla.eigh(A_, N_, eigvals_only=True)
+        lam = generalized_eigs(A_, N_).eigenvalues
+        assert np.abs(lam - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("config", [BcConfig.EN, BcConfig.NN],
+                         ids=lambda c: c.value)
+def test_saddle_reduction_matches_dense_at_nref_2(config):
+    s = _system(config, 2)
+    assert _reduced(s.A, s.N) is not None
+    ref = sla.eigh(s.A.toarray(), s.N.toarray(), eigvals_only=True,
+                   driver="gv")
+    lam = generalized_eigs(s.A, s.N).eigenvalues
+    assert np.abs(lam - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("config", [BcConfig.NE, BcConfig.EN, BcConfig.MULTI],
+                         ids=lambda c: c.value)
+def test_deflated_reduction_matches_dense_woodbury(config):
+    # B_W^{-1} is as singular as min(gamma, 1/gamma) along W, so far out in
+    # mu*K no dense reference holds 1e-12 (eigh and sygv differ by 7e-11 on
+    # EN at mu*K = 1e-6); the sweep stays within two decades of 1
+    for nref in (0, 1):
+        for muK in (1e-2, 1.0, 1e2):
+            s = _system(config, nref, mu=muK, K=1.0)
+            defl = build_deflation(s)
+            Nd = s.N.toarray()
+            NW = Nd @ defl.W
+            Bw_inv = Nd - NW @ np.linalg.solve(
+                (1.0 + defl.gamma) * (defl.W.T @ NW), NW.T)
+            ref = sla.eigh(s.A.toarray(), Bw_inv, eigvals_only=True)
+            assert _reduced(s.A, Bw_inv) is not None
+            lam = deflated_pencil_eigs(s.A, s.N, defl).eigenvalues
+            assert np.abs(lam - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_pencil_off_the_coupling_range_takes_dense_path():
+    # a small free-flow velocity mass in N: N_uu - A_uu leaves range(Y)
+    s = _system(BcConfig.EN, 1)
+    u_S = np.zeros(s.A.shape[0])
+    u_S[s.layout.field_slice("u_S")] = 1e-3 * s.N.diagonal().mean()
+    N = (s.N + sp.diags(u_S)).tocsr()
+    assert _reduced(s.A, N) is None
+    ref = sla.eigh(s.A.toarray(), N.toarray(), eigvals_only=True)
+    lam = generalized_eigs(s.A, N).eigenvalues
+    assert np.abs(lam - ref).max() <= 1e-12 * np.abs(ref).max()
