@@ -12,8 +12,9 @@ One helper, `_pencil_eigs`, solves every dense pencil:
   so it is sliced out of the sparse matrices before they are made dense and
   its eigenvalue is appended afterwards.  These unit eigenvalues stay in the
   reported spectrum but can be filtered out of the two-interval hull.
-- The dense pencil goes to LAPACK's ``sygv`` (scipy ``driver="gv"``),
-  in Fortran order so that LAPACK works in place.  scipy's default ``gvd``
+- A pencil that the reduction below does not take goes to LAPACK's
+  ``sygv`` (scipy ``driver="gv"``), in Fortran order so that LAPACK works
+  in place.  scipy's default ``gvd``
   gets no workspace query; on the EN pencil at nref 2 (3795 dofs, 2 vCPUs)
   it took 10.3 s against 6.2 s for ``gv``, with eigenvalues equal to
   7.5e-15 relative to max|lam|.  Slicing out the 210 eliminated dofs and
@@ -37,8 +38,8 @@ One helper, `_pencil_eigs`, solves every dense pencil:
   error it neglects by 2 ||Z - Q Q'Z||_F (Weyl).  In sdlab the condition
   holds because N_uu - A_uu = (1/K) divdiv = B_D' (K p0)^{-1} B_D; on EN at
   nref 2 (mu = K = 1e-4) it reads 1.1e-13 against 8.0e-13, 1951 of the
-  3585 coupled eigenvalues are exact ones, and the solve takes 1.5 s
-  against 4.3 s for ``sygv``.  A pencil without this structure, or whose
+  3585 coupled eigenvalues are exact ones, and the solve takes 0.91-1.02 s
+  against 4.2-4.9 s for ``sygv`` (2 vCPUs).  A pencil without this structure, or whose
   certificate fails, goes to ``sygv`` unchanged.
 """
 
@@ -49,11 +50,15 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
+from scipy.linalg import blas, lapack
 from scipy.sparse import csgraph
 
 DENSE_BUDGET = 6000
 # an eliminated dof's eigenvalue A_ii / N_ii is 1 up to this
 UNIT_TOL = 1e-12
+# block size of the saddle-point reduction's QR; of 32, 64, 128 and n_p
+# the fastest on EN and NN at nref 1 and 2
+QR_BLOCK = 128
 
 
 @dataclass
@@ -156,10 +161,18 @@ def _saddle_eigs(A, N):
     Y = Y.T.copy()
     for rows, L in p_blocks:
         Y[rows] = _lower_solve(L, Y[rows])
-    Q, R = sla.qr(Y.T, mode="economic", overwrite_a=True, check_finite=False)
+    # compact-WY Householder QR: its panels are factored recursively in
+    # level-3 BLAS, where geqrf/orgqr (scipy's qr) spend most of a 744 x 217
+    # QR (NN, nref 1) in thread start-up of level-2 calls on 2 vCPUs
+    V, T, _ = lapack.dgeqrt(min(n_p, QR_BLOCK), Y.T, overwrite_a=True)
+    Q = lapack.dgemqrt(V, T, np.eye(n_u, n_p, order="F"), overwrite_c=True)[0]
+    R = np.triu(V[:n_p])
 
     # Z is block diagonal over the u components and zero where D is; the
-    # certificate compares ||Z - Q Q'Z||_F with ||Z||_F
+    # certificate compares ||Z - Q Q'Z||_F with ||Z||_F.  The products go
+    # to scipy's BLAS, as every other call here: numpy's `@` would wake the
+    # thread pool of numpy's own BLAS, whose idle workers then spin next to
+    # scipy's and slow down what runs after (NN at nref 1 on 2 vCPUs: 2x)
     QZQ = np.zeros((n_p, n_p))
     off = norm = 0.0
     for rows, L in u_blocks:
@@ -167,13 +180,14 @@ def _saddle_eigs(A, N):
         if not D_c.count_nonzero():
             continue
         Z = _lower_solve(L, _lower_solve(L, D_c.toarray()).T)
-        QZ = Q[rows].T @ Z
-        QZQ += QZ @ Q[rows]
-        E = Q @ QZ
+        QZ = blas.dgemm(1.0, Q[rows], Z, trans_a=True)
+        QZQ += blas.dgemm(1.0, QZ, Q[rows])
+        E = blas.dgemm(1.0, Q, QZ)
         E[rows] -= Z
         off += np.sum(E * E)
         norm += np.sum(Z * Z)
-    if np.sqrt(off) > (n_u + n_p) * np.finfo(float).eps * np.sqrt(norm):
+    # written so that a NaN fails it too
+    if not np.sqrt(off) <= (n_u + n_p) * np.finfo(float).eps * np.sqrt(norm):
         return None
 
     H = np.zeros((2 * n_p, 2 * n_p), order="F")
