@@ -14,12 +14,11 @@ One helper, `_pencil_eigs`, solves every dense pencil:
   reported spectrum but can be filtered out of the two-interval hull.
 - A pencil that the reduction below does not take goes to LAPACK's
   ``sygv`` (scipy ``driver="gv"``), in Fortran order so that LAPACK works
-  in place.  scipy's default ``gvd``
-  gets no workspace query; on the EN pencil at nref 2 (3795 dofs, 2 vCPUs)
-  it took 10.3 s against 6.2 s for ``gv``, with eigenvalues equal to
-  7.5e-15 relative to max|lam|.  Slicing out the 210 eliminated dofs and
-  working in place took the solve to 4.1 s and the process's peak RSS from
-  538 to 281 MB.
+  in place.  scipy's default ``gvd`` gets no workspace query; on the EN
+  pencil at nref 2 (3795 dofs, 2 vCPUs) it took 10.3 s against 6.2 s for
+  ``gv``, with eigenvalues equal to 7.5e-15 relative to max|lam|.  Slicing
+  out the 210 eliminated dofs and working in place took the solve to 4.1 s
+  and the process's peak RSS from 538 to 281 MB.
 - A saddle-point pencil, A = [[A_uu, A_up], [A_pu, 0]] and N = diag(N_uu,
   N_pp) with p the dofs where A_ii = 0, is reduced first when N_uu - A_uu
   acts only through the coupling (Benzi, Golub & Liesen 2005, section 10).
@@ -39,8 +38,8 @@ One helper, `_pencil_eigs`, solves every dense pencil:
   holds because N_uu - A_uu = (1/K) divdiv = B_D' (K p0)^{-1} B_D; on EN at
   nref 2 (mu = K = 1e-4) it reads 1.1e-13 against 8.0e-13, 1951 of the
   3585 coupled eigenvalues are exact ones, and the solve takes 0.91-1.02 s
-  against 4.2-4.9 s for ``sygv`` (2 vCPUs).  A pencil without this structure, or whose
-  certificate fails, goes to ``sygv`` unchanged.
+  against 4.2-4.9 s for ``sygv`` (2 vCPUs).  A pencil without this
+  structure, or whose certificate fails, goes to ``sygv`` unchanged.
 """
 
 from __future__ import annotations
@@ -162,8 +161,8 @@ def _saddle_eigs(A, N):
     for rows, L in p_blocks:
         Y[rows] = _lower_solve(L, Y[rows])
     # compact-WY Householder QR: its panels are factored recursively in
-    # level-3 BLAS, where geqrf/orgqr (scipy's qr) spend most of a 744 x 217
-    # QR (NN, nref 1) in thread start-up of level-2 calls on 2 vCPUs
+    # level-3 BLAS; scipy's qr (geqrf, orgqr) spent 0.02-0.05 s of a
+    # 744 x 217 QR (NN, nref 1, 2 vCPUs) in level-2 calls, geqrt 0.008 s
     V, T, _ = lapack.dgeqrt(min(n_p, QR_BLOCK), Y.T, overwrite_a=True)
     Q = lapack.dgemqrt(V, T, np.eye(n_u, n_p, order="F"), overwrite_c=True)[0]
     R = np.triu(V[:n_p])

@@ -204,10 +204,10 @@ def test_saddle_reduction_declines_other_pencils(rng):
     # N_uu - A_uu leaves the range of the coupling: certificate fails
     N_off = N.copy()
     N_off[:15, :15] += 0.1 * spd(rng, 15)
-    # a nonzero pressure block, and N coupling u and p
+    # a nonzero pressure block (its diagonal still zero), and N coupling
+    # u and p
     A_pp = A.copy()
-    A_pp[15:, 15:] = np.eye(6)
-    A_pp[0, 0] = 0.0
+    A_pp[15, 16] = A_pp[16, 15] = 0.5
     N_up = N.copy()
     N_up[0, 15] = N_up[15, 0] = 0.01
     for A_, N_ in ((A, N_off), (A_pp, N), (A, N_up)):
