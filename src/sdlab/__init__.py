@@ -24,7 +24,7 @@ from .precond import (BlockPreconditioner, DeflatedPreconditioner, Deflation,
                       deflation_vectors)
 from .minres import (PreconditionerError, SolveLog, check_convergence_bound,
                      compute_Fk, detect_plateaus, harmonic_ritz, minres_solve)
-from .spectrum import (DENSE_BUDGET, Spectrum, contraction_factor,
-                       deflated_pencil_eigs, generalized_eigs,
-                       two_interval_hull)
+from .spectrum import (DENSE_BUDGET, BudgetError, Spectrum,
+                       contraction_factor, deflated_pencil_eigs,
+                       generalized_eigs, two_interval_hull)
 from .mms import ExactSolution, MmsReport, compute_errors, mms_case, run_convergence

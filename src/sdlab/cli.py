@@ -31,11 +31,10 @@ from . import __version__
 from .mesh import (BcConfig, ConfigurationError, DomainSpec,
                    build_coupled_mesh, stacked_domain, tag_boundaries)
 from .assembly import LoadData, PhysParams, assemble_system
-from .spaces import build_layout
 from .mms import ExactSolution, mms_case, run_convergence
 from .minres import minres_solve
 from .precond import DeflatedPreconditioner, build_deflation, build_preconditioner
-from .spectrum import DENSE_BUDGET, generalized_eigs
+from .spectrum import BudgetError, generalized_eigs
 
 SCHEMA = "sdlab-1"
 DEFAULT_SWEEP = (1e-4, 1e-2, 1.0, 1e2, 1e4)
@@ -142,20 +141,19 @@ def cmd_cond_sweep(args):
         mesh = build_coupled_mesh(stacked_domain(args.n0), nref)
         tag_boundaries(mesh, config)
         drop = near_kernel_dim(config, mesh)
-        ndof = build_layout(mesh).total_dofs
         for mu in args.mu:
             for K in args.K:
                 t1 = time.perf_counter()
                 params = PhysParams(mu=mu, K=K, alpha_bjs=args.alpha)
-                if ndof > DENSE_BUDGET:
+                system = assemble_system(mesh, params, exact.loads())
+                try:
+                    spec = generalized_eigs(system.A, system.N,
+                                            n_eliminated=len(system.essential))
+                except BudgetError as err:
                     skipped.append((mu, K, nref))
                     print(f"warning: skipping mu={mu:g} K={K:g} nref={nref}: "
-                          f"{ndof} dofs over the dense budget "
-                          f"{DENSE_BUDGET}", file=sys.stderr)
+                          f"{err}", file=sys.stderr)
                     continue
-                system = assemble_system(mesh, params, exact.loads())
-                spec = generalized_eigs(system.A, system.N,
-                                        n_eliminated=len(system.essential))
                 rows.append({
                     "mu": mu, "K": K, "nref": nref, "h": mesh.h,
                     "ndof": system.A.shape[0],
@@ -206,12 +204,13 @@ def _run_minres(system, args, label, out, command, extra_config, assemble_s):
             base, build_deflation(system, gamma_mult=args.gamma_mult))
     t2 = time.perf_counter()
     eigenvalues = None
-    if args.diagnostic and system.A.shape[0] <= DENSE_BUDGET:
-        eigenvalues = generalized_eigs(
-            system.A, system.N, n_eliminated=len(system.essential)).eigenvalues
-    elif args.diagnostic:
-        print(f"warning: {system.A.shape[0]} dofs over the dense budget, "
-              "F_k column left blank", file=sys.stderr)
+    if args.diagnostic:
+        try:
+            eigenvalues = generalized_eigs(
+                system.A, system.N,
+                n_eliminated=len(system.essential)).eigenvalues
+        except BudgetError as err:
+            print(f"warning: {err}, F_k column left blank", file=sys.stderr)
     t3 = time.perf_counter()
     log = minres_solve(system.A, system.b, precond,
                        reduction=args.reduction, maxit=args.maxit,

@@ -38,7 +38,7 @@ spectrum this yields the a-posteriori residual bound checked by
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
@@ -62,7 +62,6 @@ class SolveLog:
     reason: str
     theta_min: np.ndarray = None   # smallest-|.| harmonic Ritz per iteration
     Fk: np.ndarray = None
-    thetas: list = field(default=None, repr=False)
     ortho_max: float = None
     plateau_windows: list = None
 
@@ -180,17 +179,17 @@ def minres_solve(A, b, precond, reduction=1e-12, maxit=1000, diagnostic=False,
     beta1 = np.sqrt(max(beta1sq, 0.0))
     residuals = [beta1]
     alphas, betas = [], []
-    theta_min, Fks, thetas_all = [np.nan], [np.nan], [None]
+    theta_min, Fks = [np.nan], [np.nan]
     if not np.isfinite(beta1):
         return _finalize(x, residuals, alphas, betas, "nonfinite",
-                         diagnostic, theta_min, Fks, thetas_all, None)
+                         diagnostic, theta_min, Fks, None)
     if beta1 == 0.0:
         if np.linalg.norm(r1) > 0.0:
             raise PreconditionerError(
                 "preconditioner annihilated a nonzero residual; "
                 "it must be symmetric positive definite")
         return _finalize(x, residuals, alphas, betas, "converged",
-                         diagnostic, theta_min, Fks, thetas_all, None)
+                         diagnostic, theta_min, Fks, None)
     target = max(reduction * beta1, ABS_FLOOR)
 
     basis = _LanczosBasis(r1 / beta1, y / beta1) if diagnostic else None
@@ -245,7 +244,6 @@ def minres_solve(A, b, precond, reduction=1e-12, maxit=1000, diagnostic=False,
 
         if diagnostic:
             theta = harmonic_ritz(alphas, betas, itn)
-            thetas_all.append(theta)
             theta_min.append(theta[0] if len(theta) else np.nan)
             Fks.append(compute_Fk(theta, eigenvalues)
                        if eigenvalues is not None else np.nan)
@@ -259,7 +257,7 @@ def minres_solve(A, b, precond, reduction=1e-12, maxit=1000, diagnostic=False,
 
     ortho = basis.ortho_max() if diagnostic else None
     return _finalize(x, residuals, alphas, betas, reason, diagnostic,
-                     theta_min, Fks, thetas_all, ortho)
+                     theta_min, Fks, ortho)
 
 
 class _LanczosBasis:
@@ -301,14 +299,13 @@ def _check_definite(inner, r, y):
 
 
 def _finalize(x, residuals, alphas, betas, reason, diagnostic,
-              theta_min, Fks, thetas_all, ortho):
+              theta_min, Fks, ortho):
     residuals = np.array(residuals)
     log = SolveLog(x=x, residuals=residuals,
                    alphas=np.array(alphas), betas=np.array(betas),
                    reason=reason,
                    theta_min=np.array(theta_min) if diagnostic else None,
                    Fk=np.array(Fks) if diagnostic else None,
-                   thetas=thetas_all if diagnostic else None,
                    ortho_max=ortho,
                    plateau_windows=detect_plateaus(residuals))
     return log

@@ -37,7 +37,6 @@ from sdlab.mms import ExactSolution, mms_case, run_convergence
 from sdlab.precond import DeflatedPreconditioner, build_deflation, build_preconditioner
 from sdlab.spaces import build_layout
 from sdlab.spectrum import (
-    _pencil_eigs,
     contraction_factor,
     deflated_pencil_eigs,
     generalized_eigs,
@@ -208,7 +207,7 @@ def _exact_deflation(system, B):
     is not amplified by c in the lifted eigenpair.
     """
     A, N = system.A, system.N
-    lam = _pencil_eigs(A, N)
+    lam = generalized_eigs(A, N).eigenvalues
     lam0, lam1 = lam[np.argsort(np.abs(lam))[:2]]
     d = sp.diags(1.0 / np.sqrt(N.diagonal()))
     A_d, N_d = d @ A @ d, d @ N @ d

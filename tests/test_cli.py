@@ -88,10 +88,10 @@ def test_cond_sweep_check_exit_codes(tmp_path):
 
 
 def test_cond_sweep_budget_skip(tmp_path, capsys):
-    # nref=3 at n0=4 exceeds the dense eigensolve budget
+    # nref=4 at n0=4 exceeds the dense eigensolve budget
     ret = main([
         "cond-sweep", "--case", "EE", "--mu", "1", "--K", "1",
-        "--nref", "3", "--n0", "4", "--out", str(tmp_path / "c"), "--check",
+        "--nref", "4", "--n0", "4", "--out", str(tmp_path / "c"), "--check",
     ])
     assert ret == 2
     captured = capsys.readouterr()

@@ -164,28 +164,36 @@ def test_spectrum_depends_on_mu_times_K_only(config):
             assert np.abs(lam - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
-def _system(config, nref, mu=1e-4, K=1e-4):
+def _system(config, nref, mu=1e-4, K=1e-4, n0=4):
     domain = (floating_domain(2, n0=1) if config is BcConfig.MULTI
-              else stacked_domain(4))
+              else stacked_domain(n0))
     m = tag_boundaries(build_coupled_mesh(domain, nref), config)
     return assemble_system(m, PhysParams(mu=mu, K=K, alpha_bjs=0.5))
 
 
-def _reduced(A, N):
-    """The saddle-point reduction's part of the spectrum, or None where it
-    does not apply, on the coupled dofs as `_pencil_eigs` slices them."""
-    A, N = sp.csr_matrix(A), sp.csr_matrix(N)
-    keep = np.flatnonzero(spectrum._coupled(A) | spectrum._coupled(N))
-    return spectrum._saddle_eigs(A[keep][:, keep], N[keep][:, keep])
+def _reduced(A, M, N=None):
+    """The saddle-point reduction's part of the spectrum of (A, M), or None
+    where it does not apply, on the coupled dofs as `_pencil_eigs` slices
+    them; N is the undeflated Riesz map (M itself by default)."""
+    A, M = sp.csr_matrix(A), sp.csr_matrix(M)
+    N = M if N is None else sp.csr_matrix(N)
+    keep = np.flatnonzero(spectrum._coupled(A) | spectrum._coupled(M))
+    return spectrum._saddle_eigs(A[keep][:, keep], M[keep][:, keep],
+                                 N[keep][:, keep], spectrum.DENSE_BUDGET)
 
 
-def _saddle_pencil(rng, n_u, n_p, rank):
-    """A = [[A_uu, B'], [B, 0]] and N = diag(A_uu + B' S B, N_pp) with
-    random SPD A_uu, S, N_pp and a B of the given rank."""
+def _saddle_pencil(rng, n_u, n_p, rank, n_D=3):
+    """A = [[A_uu, B'], [B, 0]] and N = diag(A_uu + B_D' N_DD^{-1} B_D,
+    N_pp): random SPD A_uu, a B of the given rank, and N_pp the block
+    diagonal of a random SPD block and the positive diagonal N_DD on the
+    last n_D pressure dofs D."""
     B = rng.standard_normal((n_p, rank)) @ rng.standard_normal((rank, n_u))
-    A_uu, S, N_pp = spd(rng, n_u), spd(rng, n_p), spd(rng, n_p)
+    N_DD = rng.uniform(0.5, 2.0, n_D)
+    A_uu = spd(rng, n_u)
+    B_D = B[n_p - n_D:]
     A = np.block([[A_uu, B.T], [B, np.zeros((n_p, n_p))]])
-    N = sla.block_diag(A_uu + B.T @ S @ B, N_pp)
+    N = sla.block_diag(A_uu + B_D.T @ (B_D / N_DD[:, None]),
+                       spd(rng, n_p - n_D), np.diag(N_DD))
     return A, N
 
 
@@ -201,6 +209,10 @@ def test_saddle_reduction_on_random_pencils(rng):
 
 def test_saddle_reduction_declines_other_pencils(rng):
     A, N = _saddle_pencil(rng, 15, 6, 6)
+    # N_uu - A_uu = B' S B with a dense S: no single pressure dofs carry it
+    B = A[15:, :15]
+    S = spd(rng, 6)
+    N_S = sla.block_diag(A[:15, :15] + B.T @ S @ B, spd(rng, 6))
     # N_uu - A_uu leaves the range of the coupling: certificate fails
     N_off = N.copy()
     N_off[:15, :15] += 0.1 * spd(rng, 15)
@@ -210,11 +222,39 @@ def test_saddle_reduction_declines_other_pencils(rng):
     A_pp[15, 16] = A_pp[16, 15] = 0.5
     N_up = N.copy()
     N_up[0, 15] = N_up[15, 0] = 0.01
-    for A_, N_ in ((A, N_off), (A_pp, N), (A, N_up)):
+    for A_, N_ in ((A, N_S), (A, N_off), (A_pp, N), (A, N_up)):
         assert _reduced(A_, N_) is None
         ref = sla.eigh(A_, N_, eigvals_only=True)
         lam = generalized_eigs(A_, N_).eigenvalues
         assert np.abs(lam - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("config", list(BcConfig), ids=lambda c: c.value)
+def test_saddle_reduction_applies_on_every_layout(config):
+    # mu = K = 1e-4 and (1e4, 1e-4) leave Delta = 0 in the certified
+    # identity, (3e-3, 7e2) and (1, 1e4) a nonzero Delta of roundoff size
+    for nref in (0, 1):
+        for mu, K in ((1e-4, 1e-4), (3e-3, 7e2), (1.0, 1e4), (1e4, 1e-4)):
+            s = _system(config, nref, mu, K, n0=2)
+            assert _reduced(s.A, s.N) is not None
+            ref = sla.eigh(s.A.toarray(), s.N.toarray(), eigvals_only=True)
+            lam = generalized_eigs(s.A, s.N).eigenvalues
+            assert np.abs(lam - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_saddle_reduction_declines_a_perturbed_identity():
+    # one u_D diagonal entry of N off by 1e-10 relative breaks
+    # N_uu - A_uu = A_uD N_DD^{-1} A_Du far beyond roundoff
+    s = _system(BcConfig.EN, 1, n0=2)
+    u_D = s.layout.field_slice("u_D")
+    i = np.setdiff1d(np.arange(u_D.start, u_D.stop), s.essential)[0]
+    N = s.N.tolil()
+    N[i, i] *= 1.0 + 1e-10
+    N = N.tocsr()
+    assert _reduced(s.A, N) is None
+    ref = sla.eigh(s.A.toarray(), N.toarray(), eigvals_only=True)
+    lam = generalized_eigs(s.A, N).eigenvalues
+    assert np.abs(lam - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 @pytest.mark.parametrize("config", [BcConfig.EN, BcConfig.NN],
@@ -243,7 +283,7 @@ def test_deflated_reduction_matches_dense_woodbury(config):
             Bw_inv = Nd - NW @ np.linalg.solve(
                 (1.0 + defl.gamma) * (defl.W.T @ NW), NW.T)
             ref = sla.eigh(s.A.toarray(), Bw_inv, eigvals_only=True)
-            assert _reduced(s.A, Bw_inv) is not None
+            assert _reduced(s.A, Bw_inv, s.N) is not None
             lam = deflated_pencil_eigs(s.A, s.N, defl).eigenvalues
             assert np.abs(lam - ref).max() <= 1e-12 * np.abs(ref).max()
 
