@@ -59,6 +59,11 @@ class PhysParams:
         if not (np.isfinite(a) and a >= 0):
             raise ConfigurationError(
                 f"alpha_bjs must be non-negative and finite, got {a:g}")
+        over = [k for k, w in _weights(self).items() if not np.isfinite(w)]
+        if over:
+            raise ConfigurationError(
+                f"mu = {self.mu:g}, K = {self.K:g} overflow the weights of "
+                f"{', '.join(over)}")
 
     @property
     def beta_tau(self):

@@ -29,7 +29,13 @@ from scipy.linalg import lapack
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .mesh import BcConfig
+from .mesh import BcConfig, ConfigurationError
+
+
+def symmetric_lu(M):
+    """Symmetric-mode `splu` of the sparse SPD M (module docstring)."""
+    return spla.splu(M.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                     diag_pivot_thresh=0, options={"SymmetricMode": True})
 
 
 class BlockPreconditioner:
@@ -43,9 +49,7 @@ class BlockPreconditioner:
         for name in ("u_S", "u_D", "p_S"):
             blk = self._block(name)
             if blk.shape[0]:
-                self._solvers[name] = spla.splu(
-                    blk.tocsc(), permc_spec="MMD_AT_PLUS_A",
-                    diag_pivot_thresh=0, options={"SymmetricMode": True})
+                self._solvers[name] = symmetric_lu(blk)
         pd = self._block("p_D").diagonal()
         if np.any(pd <= 0):
             raise ValueError("porous pressure block is not positive definite")
@@ -134,21 +138,30 @@ def deflation_vectors(layout, config):
 
 def deflation_gamma(params, config):
     config = BcConfig(config)
+    muK = params.mu * params.K
     if config in (BcConfig.NE, BcConfig.MULTI):
-        return 1.0 / (params.mu * params.K)
+        return 1.0 / muK if muK else np.inf     # muK may underflow
     if config == BcConfig.EN:
-        return params.mu * params.K
+        return muK
     raise ValueError(f"layout {config.value} has no deflation space")
 
 
 def build_deflation(system, gamma_mult=1.0):
-    """Deflation data for a BlockSystem, or None if the layout needs none."""
+    """Deflation data for a BlockSystem, or None if the layout needs none;
+    a ConfigurationError where gamma or E is not positive and finite."""
     W = deflation_vectors(system.layout, system.config)
     if W is None:
         return None
     gamma = gamma_mult * deflation_gamma(system.params, system.config)
-    E = W.T @ (system.N @ W) * gamma
-    return Deflation(W=W, gamma=gamma, E=sla.cho_factor(E))
+    if 0 < gamma < np.inf:
+        try:
+            E = sla.cho_factor(W.T @ (system.N @ W) * gamma)
+            return Deflation(W=W, gamma=gamma, E=E)
+        except ValueError:      # not positive definite, or not finite
+            pass
+    raise ConfigurationError(
+        f"deflation weight gamma = {gamma:g} (gamma_mult = {gamma_mult:g}) "
+        f"must leave E = gamma W'NW finite and positive definite")
 
 
 class DeflatedPreconditioner:

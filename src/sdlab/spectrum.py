@@ -1,72 +1,60 @@
 """Dense generalized eigenanalysis of the preconditioned operator.
 
-Solves A x = lam N x with N the SPD Riesz map.  Condition numbers are
-magnitude ratios of extreme eigenvalues; the effective variant drops a
-given number of smallest-magnitude (near-kernel) eigenvalues.
+Solves A x = lam N x with N the SPD Riesz map, or A x = lam B_W^{-1} x for
+the deflated preconditioner B_W.  Condition numbers are magnitude ratios of
+extreme eigenvalues; the effective variant drops a given number of
+smallest-magnitude (near-kernel) eigenvalues.
 
-One helper, `_pencil_eigs`, solves every dense pencil:
+One helper, `_pencil_eigs`, solves every dense pencil (README, Spectrum,
+has the measurements):
 
 - An eliminated essential dof has a row and column holding only a diagonal
-  entry in both A and N.  It is decoupled and contributes the exact
-  eigenvalue A_ii / N_ii (1 for the identity rows of `apply_essential`),
-  so it is sliced out of the sparse matrices before they are made dense and
-  its eigenvalue is appended afterwards.  These unit eigenvalues stay in the
-  reported spectrum but can be filtered out of the two-interval hull.
-- A pencil that the reduction below does not take goes to LAPACK's
-  ``sygv`` (scipy ``driver="gv"``), in Fortran order so that LAPACK works
-  in place.  scipy's default ``gvd`` gets no workspace query; on the EN
-  pencil at nref 2 (3795 dofs, 2 vCPUs) it took 10.3 s against 6.2 s for
-  ``gv``, with eigenvalues equal to 7.5e-15 relative to max|lam|.  Slicing
-  out the 210 eliminated dofs and working in place took the solve to 4.1 s
-  and the process's peak RSS from 538 to 281 MB.
-- A saddle-point pencil, A = [[A_uu, A_up], [A_pu, 0]] and M = diag(M_uu,
-  M_pp) with p the dofs where A_ii = 0, is reduced first when M_uu - A_uu
-  acts only through the single pressure dofs D (Benzi, Golub & Liesen
-  2005, section 10): M_uu - A_uu = A_uD N_DD^{-1} A_Du, with N_DD diagonal
-  (in sdlab D is p_D and N_DD its P0 mass, and M_uu - A_uu is (1/K)
-  divdiv on u_D).  M is the Riesz map N, or B_W^{-1} for a deflated
-  pencil, whose N_DD is still read from N.  With M_uu = L_u L_u' and
-  M_pp = L_p L_p', the pencil is congruent to
+  entry in both A and N: its exact eigenvalue A_ii / N_ii (1 for the rows
+  of `apply_essential`) is appended, and it is sliced out before the
+  matrices are made dense.
+- A saddle-point pencil, A = [[A_uu, A_up], [A_pu, 0]] and N = diag(N_uu,
+  N_pp) with p the dofs where A_ii = 0, is reduced when N_uu - A_uu acts
+  only through the single pressure dofs D (Benzi, Golub & Liesen 2005,
+  section 10): N_uu - A_uu = A_uD N_DD^{-1} A_Du (in sdlab D is p_D, N_DD
+  its P0 mass, and N_uu - A_uu is (1/K) divdiv on u_D).  With N_uu = L_u
+  L_u' and N_pp = L_p L_p', the pencil is congruent to
 
-      [[I - Z, Y], [Y', 0]],   Z = L_u^{-1} (M_uu - A_uu) L_u^{-T},
+      [[I - Z, Y], [Y', 0]],   Z = L_u^{-1} (N_uu - A_uu) L_u^{-T},
                                Y = L_u^{-1} A_up L_p^{-T} = Q R,
 
-  and the identity gives Z = Q G G' Q' with G = R L_p[D, :]' N_DD^{-1/2}
-  (G = R[:, D] for a plain pencil).  Every direction orthogonal to
+  and Z = Q G G' Q' with G = R[:, D].  Every direction orthogonal to
   range(Q) is an eigenvector with eigenvalue exactly 1, and the rest of
   the spectrum is that of the 2 n_p matrix H = [[I - G G', R], [R', 0]].
   Q is never formed: the reduction holds Y, R and H only.
-  - L_u comes from a symmetric-mode sparse LU of each connected component
-    of M_uu (the settings of `precond`): P M_uu P' = L diag(d) L' with
-    diagonal pivots, so L_u = P' L diag(d)^{1/2}.  A factor that pivots
-    off the diagonal or has a pivot <= 0 declines the reduction.  Y's u
-    rows are triangular solves on the columns each component couples to.
-    L_p is a dense Cholesky factor per component of M_pp, a diagonal on
-    the single dofs.  R comes from a compact-WY Householder QR of Y.
-  - Certificate: with Delta = M_uu - A_uu - A_uD N_DD^{-1} A_Du (sparse),
+  - Deflation is a rank-m congruence.  W lives on p, so B_W^{-1} is N but
+    for its pp block L_p (I - c U U') L_p', with c = 1 / (1 + gamma) and U
+    an orthonormal basis of range(L_p' W_p).  That is L_p (I + s U U')^2
+    L_p' with s = r - 1, r = (1 - c)^{1/2}, so the reduction runs on
+    Y (I + t U U'), t = 1/r - 1, and G = R[:, D] + s (R U) U[D, :]'.
+  - L_u is a sparse `_VelocityFactor` per connected component of N_uu; one
+    that is not definite declines the reduction.  Y's u rows are
+    triangular solves on the columns each component couples to.  L_p is a
+    dense Cholesky factor per component of N_pp, a diagonal on the single
+    dofs, which come first.  R comes from a Householder QR of Y.
+  - Certificate: with Delta = N_uu - A_uu - A_uD N_DD^{-1} A_Du (sparse),
     ||L_u^{-1} Delta L_u^{-T}||_F <= n eps ||G G'||_F, computed from
     half-solves on Delta's nonzero columns only.  By Weyl it bounds the
-    eigenvalue error the reduction neglects.  On the stacked meshes at
-    nref 0-1, Delta is exactly 0 at mu = K = 1e-4 and at (1e4, 1e-4), and
-    has 8-200 nonzero columns of roundoff size at (3e-3, 7e2) and (1, 1e4).
-  - Cost: EN at nref 2 (mu = K = 1e-4, 2 vCPUs) 0.35 s and 47 MB above
-    the assembled system, against 4.2-4.9 s for ``sygv``; at nref 3
-    (14,755 dofs) 15.1 s and 611 MB max RSS.  1951 of 3585 coupled
-    eigenvalues at nref 2 are exact ones.
-  The reduction calls scipy's LAPACK/BLAS only: numpy's `@` would wake the
-  thread pool of numpy's own BLAS, whose idle workers then spin next to
-  scipy's and slow down what runs after (NN at nref 1 on 2 vCPUs: 2x).
-  A pencil without this structure, or whose certificate fails (a NaN
-  fails it too), goes to ``sygv`` unchanged.
+    eigenvalue error the reduction neglects.
+  The reduction calls scipy's LAPACK/BLAS only: numpy's `@` wakes numpy's
+  own BLAS thread pool, whose idle workers spin next to scipy's.
+- A pencil without this structure, or whose certificate fails (a NaN
+  fails it too), goes to LAPACK's ``sygv`` (scipy ``driver="gv"``) in
+  Fortran order, so that LAPACK works in place.  B_W^{-1} is formed only
+  here, as a rank-m update of the dense N.
 - Budget: before it allocates a dense array, each path estimates the bytes
   it will hold and raises a BudgetError over `budget`.  The reduction
   holds 8 (n_u n_p + 4 n_p^2) bytes for Y and H plus its sparse and dense
-  factors, ``sygv`` 16 n^2.
+  factors, ``sygv`` 16 n^2; a deflation's n x m arrays are not counted.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg as sla
@@ -74,6 +62,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import blas, lapack
 from scipy.sparse import csgraph
+
+from .precond import symmetric_lu
 
 # bytes the dense path may hold (the `_check_budget` estimate): EN and NN
 # need 0.62-0.63 GB at nref 3 (by the reduction) and 9.6 GB at nref 4
@@ -111,36 +101,15 @@ class Spectrum:
 def generalized_eigs(A, N, n_eliminated=0, budget=DENSE_BUDGET):
     """Full spectrum of the pencil (A, N); dense, guarded by `budget`
     bytes (a BudgetError)."""
-    N = sp.csr_matrix(N)
-    return Spectrum(eigenvalues=_pencil_eigs(A, N, N, budget),
-                    n_eliminated=n_eliminated)
+    return Spectrum(_pencil_eigs(A, N, None, budget), n_eliminated)
 
 
 def deflated_pencil_eigs(A, N, deflation, budget=DENSE_BUDGET):
-    """Spectrum of the deflated-preconditioned operator B_W A.
-
-    B_W = N^{-1} + W E^{-1} W' with E = gamma W' N W (`deflation`).  The
-    eigenvalues of B_W A are those of the pencil (A, B_W^{-1}), and by
-    Woodbury B_W^{-1} = N - N W ((1 + gamma) W' N W)^{-1} W' N, so no
-    inverse of N is formed.  The correction is dense on the dofs where N W
-    is nonzero only (the pressures and multipliers W lives on), so B_W^{-1}
-    stays sparse elsewhere and keeps the saddle-point structure of N.  A
-    `deflation` of None (a layout that needs none) gives the plain
-    spectrum.
-    """
-    N = sp.csr_matrix(N)
-    Bw_inv = N
-    if deflation is not None:
-        W = deflation.W
-        NW = N @ W
-        s = np.flatnonzero(NW.any(axis=1))
-        C = NW[s] @ sla.solve((1.0 + deflation.gamma) * (W.T @ NW),
-                              NW[s].T, assume_a="pos")
-        Bw_inv = N - sp.csr_matrix(
-            (C.ravel(), (np.repeat(s, len(s)), np.tile(s, len(s)))),
-            shape=N.shape)
-    return Spectrum(eigenvalues=_pencil_eigs(A, Bw_inv, N, budget),
-                    n_eliminated=0)
+    """Spectrum of B_W A, B_W = N^{-1} + W E^{-1} W' and E = gamma W' N W
+    (`deflation`): the pencil (A, B_W^{-1}), where by Woodbury B_W^{-1} =
+    N - N W ((1 + gamma) W' N W)^{-1} W' N.  A `deflation` of None (a
+    layout that needs none) gives the plain spectrum."""
+    return Spectrum(_pencil_eigs(A, N, deflation, budget))
 
 
 def _check_budget(nbytes, budget):
@@ -149,44 +118,55 @@ def _check_budget(nbytes, budget):
                           f"over the dense budget of {budget:.3g} bytes")
 
 
-def _pencil_eigs(A, M, N, budget):
-    """Eigenvalues of the symmetric-definite pencil (A, M), ascending;
-    A sparse or dense, M and N sparse, N the undeflated Riesz map (M itself
-    for a plain pencil).  Decoupled dofs are solved exactly, and a
-    saddle-point pencil on its non-unit part only (see the module
-    docstring)."""
-    A = sp.csr_matrix(A)
-    coupled = _coupled(A) | _coupled(M)
+def _pencil_eigs(A, N, deflation, budget):
+    """Eigenvalues of the symmetric-definite pencil (A, N), or (A, B_W^{-1})
+    for a `deflation`, ascending; A and N sparse or dense.  Decoupled dofs
+    are solved exactly, and a saddle-point pencil on its non-unit part only
+    (see the module docstring)."""
+    A, N = sp.csr_matrix(A), sp.csr_matrix(N)
+    coupled = _coupled(A) | _coupled(N)
+    if deflation is not None:       # B_W^{-1} couples the rows of W
+        coupled |= deflation.W.any(axis=1)
     keep, free = np.flatnonzero(coupled), np.flatnonzero(~coupled)
-    A_c, M_c = A[keep][:, keep], M[keep][:, keep]
-    lam = _saddle_eigs(A_c, M_c, N[keep][:, keep], budget)
+    A_c, N_c = A[keep][:, keep], N[keep][:, keep]
+    defl = None if deflation is None else replace(deflation,
+                                                  W=deflation.W[keep])
+    lam = _saddle_eigs(A_c, N_c, defl, budget)
     if lam is None:
         # an upper bound: two n x n matrices, the decoupled dofs counted too
         _check_budget(16 * A.shape[0] ** 2, budget)
-        lam = sla.eigh(A_c.toarray(order="F"), M_c.toarray(order="F"),
-                       eigvals_only=True, driver="gv", overwrite_a=True,
-                       overwrite_b=True)
-    exact = A.diagonal()[free] / M.diagonal()[free]
+        M = N_c.toarray(order="F")
+        if defl is not None:
+            # B_W^{-1} = N - X X', X = N W L^{-T}, L L' = (1 + gamma) W'NW
+            W, gamma = defl.W, defl.gamma
+            NW = N_c @ W
+            L = sla.cholesky((1.0 + gamma) * blas.dgemm(1.0, W, NW, trans_a=1),
+                             lower=True)
+            X = blas.dtrsm(1.0, L, NW, side=1, lower=1, trans_a=1)
+            M = blas.dgemm(-1.0, X, X, 1.0, M, trans_b=1, overwrite_c=1)
+        lam = sla.eigh(A_c.toarray(order="F"), M, eigvals_only=True,
+                       driver="gv", overwrite_a=True, overwrite_b=True)
+    exact = A.diagonal()[free] / N.diagonal()[free]
     return np.sort(np.concatenate([lam, exact]))
 
 
-def _saddle_eigs(A, M, N, budget):
-    """Eigenvalues of the sparse pencil (A, M) by the certified saddle-point
-    reduction of the module docstring, or None where it does not apply.
-    N is the undeflated Riesz map on the same dofs; it gives the single
-    pressure dofs D and the N_DD of the certified identity."""
+def _saddle_eigs(A, N, deflation, budget):
+    """Eigenvalues of the sparse pencil (A, N), or of (A, B_W^{-1}) for a
+    `deflation` on the same dofs, by the certified saddle-point reduction
+    of the module docstring, or None where it does not apply."""
     zero = A.diagonal() == 0
     u, p = np.flatnonzero(~zero), np.flatnonzero(zero)
     n_u, n_p = len(u), len(p)
     if not 0 < n_p <= n_u or A[p][:, p].count_nonzero() \
-            or M[u][:, p].count_nonzero():
+            or N[u][:, p].count_nonzero() \
+            or deflation is not None and deflation.W[u].any():
         return None
-    u_order, u_blocks = _components(M[u][:, u])
-    p_order, p_blocks = _components(M[p][:, p])
+    u_order, u_blocks = _components(N[u][:, u])
+    p_order, p_blocks = _components(N[p][:, p])
     u, p = u[u_order], p[p_order]
-    M_uu, M_pp, A_up = M[u][:, u], M[p][:, p], A[u][:, p].tocsc()
+    N_uu, N_pp, A_up = N[u][:, u], N[p][:, p], A[u][:, p].tocsc()
     try:
-        u_facs = [_velocity_factor(M_uu[b, b], c) for b, c in u_blocks]
+        u_facs = [_VelocityFactor(N_uu[b, b], c) for b, c in u_blocks]
     except (np.linalg.LinAlgError, RuntimeError):
         return None
     # Y (n_u x n_p) and H (2 n_p x 2 n_p) do not coexist, so this bounds
@@ -196,7 +176,7 @@ def _saddle_eigs(A, M, N, budget):
                              if c))
                   + sum(f.nbytes() for f in u_facs), budget)
     try:
-        p_facs = [_pressure_factor(M_pp[b, b], c) for b, c in p_blocks]
+        p_facs = [_pressure_factor(N_pp[b, b], c) for b, c in p_blocks]
     except np.linalg.LinAlgError:
         return None
 
@@ -214,38 +194,44 @@ def _saddle_eigs(A, M, N, budget):
         else:
             Y[:, b] = blas.dtrsm(1.0, L, Y[:, b], side=1, lower=1,
                                  trans_a=1, overwrite_b=1)
-    # compact-WY Householder QR: its panels are factored recursively in
-    # level-3 BLAS; scipy's qr (geqrf, orgqr) spent 0.02-0.05 s of a
-    # 744 x 217 QR (NN, nref 1, 2 vCPUs) in level-2 calls, geqrt 0.008 s.
-    # Only R is kept: Q never enters the reduced matrix
+    if deflation is not None:
+        # B_W^{-1}'s pp block is L_p (I + s U U')^2 L_p', U an orthonormal
+        # basis of range(L_p' W_p): Y becomes Y (I + t U U'), 1 + t = 1/(1 + s)
+        gamma = deflation.gamma
+        V = np.asfortranarray(deflation.W[p], dtype=float)
+        for (b, _), L in zip(p_blocks, p_facs):
+            V[b] = (L[:, None] * V[b] if L.ndim == 1
+                    else blas.dtrmm(1.0, L, V[b], lower=1, trans_a=1))
+        U = sla.qr(V, mode="economic", check_finite=False)[0]
+        c = 1.0 / (1.0 + gamma)
+        r = np.sqrt(gamma * c)          # sqrt(1 - c), without cancellation
+        t, s = c / (r * (1.0 + r)), -c / (1.0 + r)
+        Y = blas.dgemm(t, blas.dgemm(1.0, Y, U), U, trans_b=True, beta=1.0,
+                       c=Y, overwrite_c=1)
+    # compact-WY Householder QR, its panels in level-3 BLAS (scipy's qr
+    # spends most of its time in level-2 calls); only R is kept
     V = lapack.dgeqrt(min(n_p, QR_BLOCK), Y, overwrite_a=True)[0]
     R = np.triu(V[:n_p])
     del Y, V
 
-    # G = R L_p[D, :]' N_DD^{-1/2}, so that Q'ZQ = G G'
-    N_pp = N[p][:, p]
-    D = np.flatnonzero(~_coupled(N_pp))
-    s_D = np.sqrt(N_pp.diagonal()[D])
-    G = np.empty((n_p, len(D)), order="F")
-    for (b, _), L in zip(p_blocks, p_facs):
-        j = np.flatnonzero((D >= b.start) & (D < b.stop))
-        if not len(j):
-            continue
-        if L.ndim == 1:
-            G[:, j] = R[:, D[j]] * (L[D[j] - b.start] / s_D[j])
-        else:
-            G[:, j] = blas.dgemm(1.0, R[:, b], L[D[j] - b.start],
-                                 trans_b=True) / s_D[j]
+    # D, the single pressure dofs, come first in p, and L_p[D, D] =
+    # N_DD^{1/2}: G = R (I + s U U')[:, D] gives Q'ZQ = G G'
+    n_D = 0 if p_blocks[0][1] else p_blocks[0][0].stop
+    G = np.asfortranarray(R[:, :n_D])
+    if deflation is not None:
+        G = blas.dgemm(s, blas.dgemm(1.0, R, U), U[:n_D], trans_b=True,
+                       beta=1.0, c=G, overwrite_c=1)
     GG = blas.dsyrk(1.0, G)             # upper triangle of G G'
     del G
     diag = GG.diagonal()
     GG_norm = np.sqrt(2.0 * lapack.dlange("F", GG) ** 2 - np.sum(diag * diag))
 
-    # certificate: ||L_u^{-1} Delta L_u^{-T}||_F, Delta = M_uu - A_uu -
+    # certificate: ||L_u^{-1} Delta L_u^{-T}||_F, Delta = N_uu - A_uu -
     # A_uD N_DD^{-1} A_Du, from the half-solves V = L_u^{-1} on Delta's
     # nonzero columns c: its square is tr(V'V Delta_cc V'V Delta_cc)
-    A_uD = A_up[:, D]
-    Delta = (M_uu - A[u][:, u] - A_uD @ sp.diags(1.0 / s_D ** 2)
+    A_uD = A_up[:, :n_D]
+    s_D = p_facs[0] if n_D else np.empty(0)
+    Delta = (N_uu - A[u][:, u] - A_uD @ sp.diags(1.0 / s_D ** 2)
              @ A_uD.T).tocsc()
     Delta.eliminate_zeros()
     c = np.flatnonzero(np.diff(Delta.indptr))
@@ -293,13 +279,22 @@ def _components(M):
 
 
 class _VelocityFactor:
-    """M[q][:, q] = L diag(d) L' by a symmetric-mode `splu` (the settings
-    of `precond`), with L unit lower triangular; a diagonal M keeps L =
-    None and q the identity.  So M = L_u L_u' with L_u = P' L diag(d)^{1/2},
-    P the permutation x -> x[q]."""
+    """M[q][:, q] = L diag(d) L' by `precond.symmetric_lu` of the SPD sparse
+    M, with L unit lower triangular; a diagonal M keeps L = None and q the
+    identity.  So M = L_u L_u' with L_u = P' L diag(d)^{1/2}, P the
+    permutation x -> x[q].  A LinAlgError where the factor pivots off the
+    diagonal or a pivot is not positive."""
 
-    def __init__(self, q, L, sqrt_d):
-        self.q, self.L, self.sqrt_d = q, L, sqrt_d
+    def __init__(self, M, coupled):
+        self.q = self.L = None
+        d = M.diagonal()
+        if coupled:
+            lu = symmetric_lu(M)
+            if not np.array_equal(lu.perm_r, lu.perm_c):
+                raise np.linalg.LinAlgError("pencil is not definite")
+            self.q, self.L = np.argsort(lu.perm_c), lu.L.tocsr()
+            d = lu.U.diagonal()
+        self.sqrt_d = _sqrt_diagonal(d)
 
     def half_solve(self, X):
         """L_u^{-1} X for a dense X of as many rows as M."""
@@ -315,30 +310,16 @@ class _VelocityFactor:
         return sparse + self.sqrt_d.nbytes
 
 
-def _velocity_factor(M, coupled):
-    """The `_VelocityFactor` of the SPD sparse M, or a LinAlgError where
-    the factor pivots off the diagonal or a pivot is not positive."""
-    if not coupled:
-        return _VelocityFactor(None, None, _sqrt_diagonal(M))
-    lu = spla.splu(M.tocsc(), permc_spec="MMD_AT_PLUS_A",
-                   diag_pivot_thresh=0, options={"SymmetricMode": True})
-    d = lu.U.diagonal()
-    if not (np.array_equal(lu.perm_r, lu.perm_c) and np.all(d > 0)):
-        raise np.linalg.LinAlgError("pencil is not definite")
-    return _VelocityFactor(np.argsort(lu.perm_c), lu.L.tocsr(), np.sqrt(d))
-
-
 def _pressure_factor(M, coupled):
     """Dense lower Cholesky factor of the SPD sparse M, or the vector of
     square roots of its diagonal where M is the run of single dofs."""
     if not coupled:
-        return _sqrt_diagonal(M)
+        return _sqrt_diagonal(M.diagonal())
     return sla.cholesky(M.toarray(), lower=True, overwrite_a=True,
                         check_finite=False)
 
 
-def _sqrt_diagonal(M):
-    d = M.diagonal()
+def _sqrt_diagonal(d):
     if not np.all(d > 0):
         raise np.linalg.LinAlgError("pencil is not definite")
     return np.sqrt(d)

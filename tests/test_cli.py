@@ -180,6 +180,16 @@ BAD_RUNS = [("solve", f) for f in BAD_FLAGS] + [
     ("floating", ["--nref", "-1"]), ("cond-sweep", ["--nref", "-1"]),
     # a convergence rate needs two levels
     ("mms", ["--nref", "0"]),
+    # a deflation weight that overflows or underflows
+    ("solve", ["--case", "NE", "--deflate", "--gamma-mult", "1e308",
+               "--mu", "1e-4", "--K", "1e-4"]),
+    ("solve", ["--case", "NE", "--deflate", "--gamma-mult", "5e-324",
+               "--mu", "1e2", "--K", "1e2"]),
+    ("solve", ["--case", "NE", "--deflate", "--mu", "1e-200",
+               "--K", "1e-200"]),
+    # mu or K whose weights in A and N overflow
+    ("solve", ["--K", "1e-310"]),
+    ("cond-sweep", ["--case", "NN", "--mu", "1e-310", "--K", "1"]),
 ]
 COMMAND_ARGV = {"solve": ["solve", "--case", "EN"],
                 "cond-sweep": ["cond-sweep", "--case", "EN"],

@@ -4,7 +4,8 @@ import pytest
 
 from sdlab.assembly import PhysParams, assemble_system
 from sdlab.mesh import BcConfig, build_coupled_mesh, stacked_domain, tag_boundaries
-from sdlab.spectrum import generalized_eigs
+from sdlab.precond import build_deflation
+from sdlab.spectrum import deflated_pencil_eigs, generalized_eigs
 
 pytestmark = pytest.mark.deep
 
@@ -17,3 +18,12 @@ def test_exact_spectrum_at_nref_3():
     spec = generalized_eigs(system.A, system.N, len(system.essential))
     assert spec.kappa() == pytest.approx(2.306219e7, rel=1e-6)
     assert spec.kappa_eff(1) == pytest.approx(13.73354, rel=1e-6)
+
+
+def test_deflated_spectrum_at_nref_3():
+    # the deflated NE pencil at nref 3, its rank-m correction applied to
+    # the reduction as a congruence, inside the default dense budget
+    mesh = tag_boundaries(build_coupled_mesh(stacked_domain(4), 3), BcConfig.NE)
+    system = assemble_system(mesh, PhysParams(mu=1e-4, K=1e-4, alpha_bjs=0.5))
+    spec = deflated_pencil_eigs(system.A, system.N, build_deflation(system))
+    assert spec.kappa() == pytest.approx(15.80468, rel=1e-6)

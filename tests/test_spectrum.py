@@ -1,5 +1,7 @@
 """Dense spectral analysis of the preconditioned pencil."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -11,6 +13,7 @@ from sdlab.mesh import BcConfig, build_coupled_mesh, stacked_domain, tag_boundar
 from sdlab.precond import build_deflation
 from sdlab import spectrum
 from sdlab.spectrum import (
+    BudgetError,
     Spectrum,
     contraction_factor,
     deflated_pencil_eigs,
@@ -171,15 +174,19 @@ def _system(config, nref, mu=1e-4, K=1e-4, n0=4):
     return assemble_system(m, PhysParams(mu=mu, K=K, alpha_bjs=0.5))
 
 
-def _reduced(A, M, N=None):
-    """The saddle-point reduction's part of the spectrum of (A, M), or None
-    where it does not apply, on the coupled dofs as `_pencil_eigs` slices
-    them; N is the undeflated Riesz map (M itself by default)."""
-    A, M = sp.csr_matrix(A), sp.csr_matrix(M)
-    N = M if N is None else sp.csr_matrix(N)
-    keep = np.flatnonzero(spectrum._coupled(A) | spectrum._coupled(M))
-    return spectrum._saddle_eigs(A[keep][:, keep], M[keep][:, keep],
-                                 N[keep][:, keep], spectrum.DENSE_BUDGET)
+def _reduced(A, N, deflation=None):
+    """The saddle-point reduction's part of the spectrum of (A, N), or of
+    (A, B_W^{-1}) for a `deflation`, or None where it does not apply, on
+    the coupled dofs as `_pencil_eigs` slices them."""
+    A, N = sp.csr_matrix(A), sp.csr_matrix(N)
+    coupled = spectrum._coupled(A) | spectrum._coupled(N)
+    if deflation is not None:
+        coupled |= deflation.W.any(axis=1)
+    keep = np.flatnonzero(coupled)
+    defl = None if deflation is None else dataclasses.replace(
+        deflation, W=deflation.W[keep])
+    return spectrum._saddle_eigs(A[keep][:, keep], N[keep][:, keep], defl,
+                                 spectrum.DENSE_BUDGET)
 
 
 def _saddle_pencil(rng, n_u, n_p, rank, n_D=3):
@@ -257,6 +264,40 @@ def test_saddle_reduction_declines_a_perturbed_identity():
     assert np.abs(lam - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
+def test_declined_deflated_pencil_matches_dense_woodbury():
+    # the perturbed identity above, deflated: the rank-m update of the
+    # dense N that `sygv` then takes is B_W^{-1}; at mu*K = 1, because no
+    # dense reference holds 1e-12 far out in mu*K (see below)
+    s = _system(BcConfig.EN, 1, mu=1.0, K=1.0, n0=2)
+    u_D = s.layout.field_slice("u_D")
+    i = np.setdiff1d(np.arange(u_D.start, u_D.stop), s.essential)[0]
+    N = s.N.tolil()
+    N[i, i] *= 1.0 + 1e-10
+    N = N.tocsr()
+    defl = build_deflation(s)
+    assert _reduced(s.A, N, defl) is None
+    Nd = N.toarray()
+    NW = Nd @ defl.W
+    Bw_inv = Nd - NW @ np.linalg.solve(
+        (1.0 + defl.gamma) * (defl.W.T @ NW), NW.T)
+    ref = sla.eigh(s.A.toarray(), Bw_inv, eigvals_only=True)
+    lam = deflated_pencil_eigs(s.A, N, defl).eigenvalues
+    assert np.abs(lam - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("config", [BcConfig.NE, BcConfig.EN, BcConfig.MULTI],
+                         ids=lambda c: c.value)
+def test_deflated_pencil_budgets_as_the_plain_one(config):
+    # the rank-m correction adds nothing the estimate has to count
+    for nref in (1, 2):
+        s = _system(config, nref)
+        with pytest.raises(BudgetError) as plain:
+            generalized_eigs(s.A, s.N, budget=1)
+        with pytest.raises(BudgetError) as deflated:
+            deflated_pencil_eigs(s.A, s.N, build_deflation(s), budget=1)
+        assert str(deflated.value) == str(plain.value)
+
+
 @pytest.mark.parametrize("config", [BcConfig.EN, BcConfig.NN],
                          ids=lambda c: c.value)
 def test_saddle_reduction_matches_dense_at_nref_2(config):
@@ -283,7 +324,7 @@ def test_deflated_reduction_matches_dense_woodbury(config):
             Bw_inv = Nd - NW @ np.linalg.solve(
                 (1.0 + defl.gamma) * (defl.W.T @ NW), NW.T)
             ref = sla.eigh(s.A.toarray(), Bw_inv, eigvals_only=True)
-            assert _reduced(s.A, Bw_inv, s.N) is not None
+            assert _reduced(s.A, s.N, defl) is not None
             lam = deflated_pencil_eigs(s.A, s.N, defl).eigenvalues
             assert np.abs(lam - ref).max() <= 1e-12 * np.abs(ref).max()
 
