@@ -420,7 +420,7 @@ def assemble_riesz(mesh, layout, params, interface_matrix):
     return aff.N.matrix(values)
 
 
-def assemble_rhs(mesh, layout, params, loads):
+def assemble_rhs(mesh, layout, loads):
     """Load vector matching the operator's sign convention."""
     b = np.zeros(layout.total_dofs)
     if loads is None:
@@ -557,10 +557,10 @@ def assemble_system(mesh, params, loads=None):
 
     aff = _affine(mesh)
     layout, dofs = replace(aff.layout, mesh=mesh), aff.essential
-    iop = interface_operator(mesh, params, mesh.config)
+    iop = interface_operator(mesh, params)
     A = assemble_operator(mesh, layout, params)
     N = assemble_riesz(mesh, layout, params, iop.matrix)
-    b = assemble_rhs(mesh, layout, params, loads)
+    b = assemble_rhs(mesh, layout, loads)
     vals = essential_values(
         layout, dofs,
         None if loads is None else loads.u_S_essential,

@@ -71,15 +71,6 @@ def _fmt(x):
     return f"{x:g}".replace("+", "")
 
 
-def near_kernel_dim(config, mesh=None):
-    """Dimension of the parameter-degenerate subspace for kappa_eff."""
-    config = BcConfig(config)
-    if config is BcConfig.MULTI:
-        # inclusion components are numbered from zero
-        return int(mesh.cell_component.max()) + 1 if mesh is not None else 1
-    return 1
-
-
 def floating_domain(n_inclusions=2, n0=4):
     """Channel with unit-square porous inclusions along the midline."""
     if n_inclusions < 1:
@@ -140,7 +131,6 @@ def cmd_cond_sweep(args):
     for nref in args.nref:
         mesh = build_coupled_mesh(stacked_domain(args.n0), nref)
         tag_boundaries(mesh, config)
-        drop = near_kernel_dim(config, mesh)
         for mu in args.mu:
             for K in args.K:
                 t1 = time.perf_counter()
@@ -158,7 +148,7 @@ def cmd_cond_sweep(args):
                     "mu": mu, "K": K, "nref": nref, "h": mesh.h,
                     "ndof": system.A.shape[0],
                     "kappa": spec.kappa(),
-                    "kappa_eff": spec.kappa_eff(drop),
+                    "kappa_eff": spec.kappa_eff(),
                 })
                 timings[f"mu={_fmt(mu)}_K={_fmt(K)}_nref={nref}"] = (
                     time.perf_counter() - t1)
@@ -191,57 +181,81 @@ def cmd_cond_sweep(args):
 # --------------------------------------------------------------- solve
 
 
-def _run_minres(system, args, label, out, command, extra_config, assemble_s):
-    """Shared MINRES execution and reporting for solve/floating.
+def _run_config(args, case, mu, K, nref, deflate, **extra):
+    """The sidecar configuration of one solve or floating run."""
+    return {"case": case, "mu": mu, "K": K, "alpha_bjs": args.alpha,
+            "nref": nref, "n0": args.n0, "reduction": args.reduction,
+            "maxit": args.maxit, "deflate": deflate,
+            "gamma_mult": args.gamma_mult, "diagnostic": args.diagnostic,
+            **extra}
 
-    `assemble_s` is the time spent assembling `system`, recorded in the
-    sidecar next to the phases timed here."""
-    t1 = time.perf_counter()
+
+def _run_minres(system, args, command, runs, assemble_s):
+    """The MINRES runs of solve/floating on one assembled system.
+
+    `runs` is a list of (label, config) pairs whose config["deflate"]
+    picks the preconditioner.  The Riesz blocks are factored once and the
+    deflation is built once, before any run writes a file, so a bad
+    deflation weight leaves no partial result.  A --diagnostic run measures
+    F_k against the spectrum of its own preconditioner: the pencil (A, N)
+    for the plain one, (A, B_W^{-1}) for the deflated one.  `assemble_s` is
+    the time spent assembling `system`.  Returns the logs in `runs` order."""
+    t0 = time.perf_counter()
     base = build_preconditioner(system)
-    precond = base
-    if extra_config["deflate"]:
-        precond = DeflatedPreconditioner(
-            base, build_deflation(system, gamma_mult=args.gamma_mult))
+    t1 = time.perf_counter()
+    deflation = (build_deflation(system, gamma_mult=args.gamma_mult)
+                 if any(cfg["deflate"] for _, cfg in runs) else None)
     t2 = time.perf_counter()
-    eigenvalues = None
-    if args.diagnostic:
-        try:
-            eigenvalues = generalized_eigs(
-                system.A, system.N,
-                n_eliminated=len(system.essential)).eigenvalues
-        except BudgetError as err:
-            print(f"warning: {err}, F_k column left blank", file=sys.stderr)
-    t3 = time.perf_counter()
-    log = minres_solve(system.A, system.b, precond,
-                       reduction=args.reduction, maxit=args.maxit,
-                       diagnostic=args.diagnostic, eigenvalues=eigenvalues)
-    t4 = time.perf_counter()
-    path = out / f"{label}.csv"
-    log.to_csv(path)
-    rel = log.residuals[-1] / log.residuals[0] if log.residuals[0] > 0 else 0.0
-    results = {
-        "iterations": log.iterations,
-        "reason": log.reason,
-        "relative_residual": rel,
-        "plateau_windows": [list(w) for w in log.plateau_windows],
-        "plateau": bool(log.plateau_windows),
-        "lu_fill": base.lu_fill,
-    }
-    if log.ortho_max is not None:
-        results["ortho_max"] = log.ortho_max
-    timings = {"assemble": assemble_s, "precond": t2 - t1,
-               "spectrum": t3 - t2, "solve": t4 - t3,
-               "total": time.perf_counter() - t1}
-    write_sidecar(path, command, extra_config, timings, results)
-    flag = " plateau" if log.plateau_windows else ""
-    print(f"wrote {path} ({log.iterations} iterations, {log.reason}{flag})")
-    return log
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    logs = []
+    for label, cfg in runs:
+        d = deflation if cfg["deflate"] else None
+        precond = base if d is None else DeflatedPreconditioner(base, d)
+        precond_s = (t2 if cfg["deflate"] else t1) - t0
+        t3 = time.perf_counter()
+        eigenvalues = None
+        if args.diagnostic:
+            try:
+                eigenvalues = generalized_eigs(
+                    system.A, system.N, len(system.essential),
+                    deflation=d).eigenvalues
+            except BudgetError as err:
+                print(f"warning: {err}, F_k column left blank",
+                      file=sys.stderr)
+        t4 = time.perf_counter()
+        log = minres_solve(system.A, system.b, precond,
+                           reduction=args.reduction, maxit=args.maxit,
+                           diagnostic=args.diagnostic, eigenvalues=eigenvalues)
+        t5 = time.perf_counter()
+        path = out / f"{label}.csv"
+        log.to_csv(path)
+        r = log.residuals
+        results = {"iterations": log.iterations, "reason": log.reason,
+                   "relative_residual": r[-1] / r[0] if r[0] > 0 else 0.0,
+                   "plateau_windows": [list(w) for w in log.plateau_windows],
+                   "plateau": bool(log.plateau_windows),
+                   "lu_fill": base.lu_fill}
+        if log.ortho_max is not None:
+            results["ortho_max"] = log.ortho_max
+        timings = {"assemble": assemble_s, "precond": precond_s,
+                   "spectrum": t4 - t3, "solve": t5 - t4,
+                   "total": precond_s + time.perf_counter() - t3}
+        write_sidecar(path, command, cfg, timings, results)
+        flag = " plateau" if log.plateau_windows else ""
+        print(f"wrote {path} ({log.iterations} iterations, {log.reason}{flag})")
+        logs.append(log)
+    return logs
+
+
+def _missed(log, deflate):
+    """--check: a run misses its target unless it converged, and a
+    deflated run also unless it kept clear of plateaus."""
+    return log.reason != "converged" or bool(deflate and log.plateau_windows)
 
 
 def cmd_solve(args):
     config = BcConfig(args.case)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     status = 0
     for nref in args.nref:
         for mu in args.mu:
@@ -252,17 +266,12 @@ def cmd_solve(args):
                 assemble_s = time.perf_counter() - t0
                 label = (f"solve_{config.value}_mu{_fmt(mu)}_K{_fmt(K)}"
                          f"_nref{nref}")
-                cfg = {"case": config.value, "mu": mu, "K": K,
-                       "alpha_bjs": args.alpha, "nref": nref, "n0": args.n0,
-                       "reduction": args.reduction, "maxit": args.maxit,
-                       "deflate": args.deflate, "gamma_mult": args.gamma_mult,
-                       "diagnostic": args.diagnostic}
-                log = _run_minres(system, args, label, out, "solve", cfg,
-                                  assemble_s)
+                cfg = _run_config(args, config.value, mu, K, nref,
+                                  args.deflate)
+                log, = _run_minres(system, args, "solve", [(label, cfg)],
+                                   assemble_s)
                 if args.check:
-                    bad = log.reason != "converged" or (
-                        args.deflate and log.plateau_windows)
-                    status = max(status, 1 if bad else 0)
+                    status = max(status, int(_missed(log, args.deflate)))
     return status
 
 
@@ -270,8 +279,6 @@ def cmd_solve(args):
 
 
 def cmd_floating(args):
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     mesh = build_coupled_mesh(
         floating_domain(args.inclusions, args.n0), args.nref[0])
     tag_boundaries(mesh, BcConfig.MULTI)
@@ -281,20 +288,14 @@ def cmd_floating(args):
         t0 = time.perf_counter()
         system = assemble_system(mesh, params, channel_loads())
         assemble_s = time.perf_counter() - t0
-        for deflate in (False, True):
-            kind = "deflated" if deflate else "plain"
-            label = f"floating_{kind}_K{_fmt(K)}_m{args.inclusions}"
-            cfg = {"case": BcConfig.MULTI.value, "mu": args.mu[0], "K": K,
-                   "alpha_bjs": args.alpha, "nref": args.nref[0],
-                   "n0": args.n0, "inclusions": args.inclusions,
-                   "reduction": args.reduction, "maxit": args.maxit,
-                   "deflate": deflate, "gamma_mult": args.gamma_mult,
-                   "diagnostic": args.diagnostic}
-            log = _run_minres(system, args, label, out, "floating", cfg,
-                              assemble_s)
-            if args.check and deflate:
-                bad = log.reason != "converged" or bool(log.plateau_windows)
-                status = max(status, 1 if bad else 0)
+        runs = [(f"floating_{kind}_K{_fmt(K)}_m{args.inclusions}",
+                 _run_config(args, BcConfig.MULTI.value, args.mu[0], K,
+                             args.nref[0], deflate,
+                             inclusions=args.inclusions))
+                for kind, deflate in (("plain", False), ("deflated", True))]
+        _, log = _run_minres(system, args, "floating", runs, assemble_s)
+        if args.check:
+            status = max(status, int(_missed(log, True)))
     return status
 
 

@@ -125,13 +125,12 @@ def _fractional(mesh, endpoint, power):
                      lambda m: fractional_matrix(_basis(m, endpoint), power))
 
 
-def interface_operator(mesh, params, config=None):
+def interface_operator(mesh, params):
     """Build the multiplier block and its inverse for the mesh's layout.
 
     The bases and fractional powers are parameter-free and built once per
     tagged mesh; only their weights 1/mu and K change with `params`."""
-    config = BcConfig(config if config is not None else mesh.config)
-    ep_low, ep_high = ENDPOINTS[config]
+    ep_low, ep_high = ENDPOINTS[mesh.config]
     w = _weights(params)
     return InterfaceOperator(
         matrix=w["lam_low"] * _fractional(mesh, ep_low, -0.5)

@@ -5,8 +5,9 @@ SPD preconditioner B, minimizing and logging the B-norm of the residual.
 Per-iteration Lanczos coefficients are kept so the tridiagonal matrix can
 be re-examined afterwards.  In diagnostic mode the Lanczos basis is stored
 and re-orthogonalized twice per step against all earlier vectors (block
-classical Gram-Schmidt), and the harmonic Ritz values of the preconditioned
-operator are extracted per iteration.
+classical Gram-Schmidt).  After the loop the harmonic Ritz values of the
+preconditioned operator at every step are computed from the logged
+coefficients, one step at a time.
 
 The harmonic Ritz values at step k (Paige, Parlett & van der Vorst 1995)
 are the eigenvalues theta of the pencil (T_k' T_k + b^2 e_k e_k', T_k),
@@ -165,9 +166,10 @@ def minres_solve(A, b, precond, reduction=1e-12, maxit=1000, diagnostic=False,
     on a relative reduction (with the absolute floor ABS_FLOOR), at
     maxit, on Lanczos breakdown, or with reason "nonfinite" as soon as a
     NaN or inf reaches the recurrence (x is then the last finite iterate).
-    With `diagnostic` the Lanczos basis is re-orthogonalized and harmonic
-    Ritz values (plus F_k when the true `eigenvalues` are supplied) are
-    logged per iteration.
+    With `diagnostic` the Lanczos basis is re-orthogonalized, and the
+    harmonic Ritz values (plus F_k when the true `eigenvalues` are
+    supplied) of every iteration are computed from the logged Lanczos
+    coefficients after the loop.
     """
     apply_B = precond.apply if hasattr(precond, "apply") else precond
     n = len(b)
@@ -179,85 +181,91 @@ def minres_solve(A, b, precond, reduction=1e-12, maxit=1000, diagnostic=False,
     beta1 = np.sqrt(max(beta1sq, 0.0))
     residuals = [beta1]
     alphas, betas = [], []
-    theta_min, Fks = [np.nan], [np.nan]
+    basis = None
     if not np.isfinite(beta1):
-        return _finalize(x, residuals, alphas, betas, "nonfinite",
-                         diagnostic, theta_min, Fks, None)
-    if beta1 == 0.0:
+        reason = "nonfinite"
+    elif beta1 == 0.0:
         if np.linalg.norm(r1) > 0.0:
             raise PreconditionerError(
                 "preconditioner annihilated a nonzero residual; "
                 "it must be symmetric positive definite")
-        return _finalize(x, residuals, alphas, betas, "converged",
-                         diagnostic, theta_min, Fks, None)
-    target = max(reduction * beta1, ABS_FLOOR)
-
-    basis = _LanczosBasis(r1 / beta1, y / beta1) if diagnostic else None
-    oldb, beta = 0.0, beta1
-    dbar = epsln = sn = 0.0
-    cs = -1.0
-    phibar = beta1
-    w = np.zeros(n)
-    w2 = np.zeros(n)
-    r2 = r1
-    reason = "maxit"
-
-    for itn in range(1, maxit + 1):
-        v = y / beta
-        yv = A @ v
-        if itn >= 2:
-            yv = yv - (beta / oldb) * r1
-        alfa = float(v @ yv)
-        yv = yv - (alfa / beta) * r2
+        reason = "converged"
+    else:
+        reason = "maxit"
+        target = max(reduction * beta1, ABS_FLOOR)
         if diagnostic:
-            yv = basis.project_out(basis.project_out(yv))
-        r1 = r2
-        r2 = yv
-        y = apply_B(r2)
-        oldb = beta
-        betasq = float(r2 @ y)
-        _check_definite(betasq, r2, y)
-        beta = np.sqrt(max(betasq, 0.0))
+            basis = _LanczosBasis(r1 / beta1, y / beta1)
+        oldb, beta = 0.0, beta1
+        dbar = epsln = sn = 0.0
+        cs = -1.0
+        phibar = beta1
+        w = np.zeros(n)
+        w2 = np.zeros(n)
+        r2 = r1
 
-        oldeps = epsln
-        delta = cs * dbar + sn * alfa
-        gbar = sn * dbar - cs * alfa
-        epsln = sn * beta
-        dbar = -cs * beta
-        gamma = max(np.hypot(gbar, beta), 1e-300)
-        cs = gbar / gamma
-        sn = beta / gamma
-        phi = cs * phibar
-        phibar = sn * phibar
-        if not (np.isfinite(beta) and np.isfinite(phibar)):
-            reason = "nonfinite"      # the log ends at the last finite step
-            break
-        alphas.append(alfa)
-        betas.append(beta)
-        if diagnostic and beta > 0.0:
-            basis.append(r2 / beta, y / beta)
-        w1 = w2
-        w2 = w
-        w = (v - oldeps * w1 - delta * w2) / gamma
-        x = x + phi * w
-        residuals.append(abs(phibar))
+        for itn in range(1, maxit + 1):
+            v = y / beta
+            yv = A @ v
+            if itn >= 2:
+                yv = yv - (beta / oldb) * r1
+            alfa = float(v @ yv)
+            yv = yv - (alfa / beta) * r2
+            if diagnostic:
+                yv = basis.project_out(basis.project_out(yv))
+            r1 = r2
+            r2 = yv
+            y = apply_B(r2)
+            oldb = beta
+            betasq = float(r2 @ y)
+            _check_definite(betasq, r2, y)
+            beta = np.sqrt(max(betasq, 0.0))
 
-        if diagnostic:
-            theta = harmonic_ritz(alphas, betas, itn)
-            theta_min.append(theta[0] if len(theta) else np.nan)
-            Fks.append(compute_Fk(theta, eigenvalues)
-                       if eigenvalues is not None else np.nan)
+            oldeps = epsln
+            delta = cs * dbar + sn * alfa
+            gbar = sn * dbar - cs * alfa
+            epsln = sn * beta
+            dbar = -cs * beta
+            gamma = max(np.hypot(gbar, beta), 1e-300)
+            cs = gbar / gamma
+            sn = beta / gamma
+            phi = cs * phibar
+            phibar = sn * phibar
+            if not (np.isfinite(beta) and np.isfinite(phibar)):
+                reason = "nonfinite"      # the log ends at the last finite step
+                break
+            alphas.append(alfa)
+            betas.append(beta)
+            if diagnostic and beta > 0.0:
+                basis.append(r2 / beta, y / beta)
+            w1 = w2
+            w2 = w
+            w = (v - oldeps * w1 - delta * w2) / gamma
+            x = x + phi * w
+            residuals.append(abs(phibar))
 
-        if abs(phibar) <= target:
-            reason = "converged"
-            break
-        if beta <= 1e-14 * beta1:
-            reason = "breakdown"
-            break
+            if abs(phibar) <= target:
+                reason = "converged"
+                break
+            if beta <= 1e-14 * beta1:
+                reason = "breakdown"
+                break
 
-    ortho = basis.ortho_max() if diagnostic else None
-    return _finalize(x, residuals, alphas, betas, reason, diagnostic,
-                     theta_min, Fks, ortho)
+    residuals = np.array(residuals)
+    alphas, betas = np.array(alphas), np.array(betas)
+    theta_min = Fk = None
+    if diagnostic:
+        theta_min = np.full(len(residuals), np.nan)
+        Fk = theta_min.copy()
+        for k in range(1, len(residuals)):
+            theta = harmonic_ritz(alphas, betas, k)
+            if len(theta):
+                theta_min[k] = theta[0]
+            if eigenvalues is not None:
+                Fk[k] = compute_Fk(theta, eigenvalues)
+    return SolveLog(x=x, residuals=residuals, alphas=alphas, betas=betas,
+                    reason=reason, theta_min=theta_min, Fk=Fk,
+                    ortho_max=None if basis is None else basis.ortho_max(),
+                    plateau_windows=detect_plateaus(residuals))
 
 
 class _LanczosBasis:
@@ -296,19 +304,6 @@ def _check_definite(inner, r, y):
         raise PreconditionerError(
             "preconditioner produced a negative inner product "
             f"({inner:.3e}); it must be symmetric positive definite")
-
-
-def _finalize(x, residuals, alphas, betas, reason, diagnostic,
-              theta_min, Fks, ortho):
-    residuals = np.array(residuals)
-    log = SolveLog(x=x, residuals=residuals,
-                   alphas=np.array(alphas), betas=np.array(betas),
-                   reason=reason,
-                   theta_min=np.array(theta_min) if diagnostic else None,
-                   Fk=np.array(Fks) if diagnostic else None,
-                   ortho_max=ortho,
-                   plateau_windows=detect_plateaus(residuals))
-    return log
 
 
 def check_convergence_bound(log, rho):

@@ -172,9 +172,6 @@ class DeflatedPreconditioner:
         self.deflation = deflation
 
     def apply(self, r):
-        z = self.base.apply(r)
-        if self.deflation is not None:
-            z = z + self.deflation.correction(r)
-        return z
+        return self.base.apply(r) + self.deflation.correction(r)
 
     __call__ = apply

@@ -5,8 +5,8 @@ the deflated preconditioner B_W.  Condition numbers are magnitude ratios of
 extreme eigenvalues; the effective variant drops a given number of
 smallest-magnitude (near-kernel) eigenvalues.
 
-One helper, `_pencil_eigs`, solves every dense pencil (README, Spectrum,
-has the measurements):
+One entry point, `generalized_eigs`, solves every dense pencil (README,
+Spectrum, has the measurements):
 
 - An eliminated essential dof has a row and column holding only a diagonal
   entry in both A and N: its exact eigenvalue A_ii / N_ii (1 for the rows
@@ -98,31 +98,19 @@ class Spectrum:
         return float(lam[-1] / lam[drop])
 
 
-def generalized_eigs(A, N, n_eliminated=0, budget=DENSE_BUDGET):
-    """Full spectrum of the pencil (A, N); dense, guarded by `budget`
-    bytes (a BudgetError)."""
-    return Spectrum(_pencil_eigs(A, N, None, budget), n_eliminated)
-
-
-def deflated_pencil_eigs(A, N, deflation, budget=DENSE_BUDGET):
-    """Spectrum of B_W A, B_W = N^{-1} + W E^{-1} W' and E = gamma W' N W
-    (`deflation`): the pencil (A, B_W^{-1}), where by Woodbury B_W^{-1} =
-    N - N W ((1 + gamma) W' N W)^{-1} W' N.  A `deflation` of None (a
-    layout that needs none) gives the plain spectrum."""
-    return Spectrum(_pencil_eigs(A, N, deflation, budget))
-
-
 def _check_budget(nbytes, budget):
     if nbytes > budget:
         raise BudgetError(f"dense eigensolve would hold {nbytes:.3g} bytes, "
                           f"over the dense budget of {budget:.3g} bytes")
 
 
-def _pencil_eigs(A, N, deflation, budget):
-    """Eigenvalues of the symmetric-definite pencil (A, N), or (A, B_W^{-1})
-    for a `deflation`, ascending; A and N sparse or dense.  Decoupled dofs
-    are solved exactly, and a saddle-point pencil on its non-unit part only
-    (see the module docstring)."""
+def generalized_eigs(A, N, n_eliminated=0, budget=DENSE_BUDGET,
+                     deflation=None):
+    """Full spectrum of the pencil (A, N), A and N sparse or dense; with a
+    `deflation`, that of B_W A: the pencil (A, B_W^{-1}), B_W = N^{-1} + W
+    E^{-1} W' and E = gamma W'NW, by Woodbury B_W^{-1} = N - N W ((1 +
+    gamma) W'NW)^{-1} W'N.  Dense, guarded by `budget` bytes (a
+    BudgetError); see the module docstring for the paths."""
     A, N = sp.csr_matrix(A), sp.csr_matrix(N)
     coupled = _coupled(A) | _coupled(N)
     if deflation is not None:       # B_W^{-1} couples the rows of W
@@ -147,7 +135,7 @@ def _pencil_eigs(A, N, deflation, budget):
         lam = sla.eigh(A_c.toarray(order="F"), M, eigvals_only=True,
                        driver="gv", overwrite_a=True, overwrite_b=True)
     exact = A.diagonal()[free] / N.diagonal()[free]
-    return np.sort(np.concatenate([lam, exact]))
+    return Spectrum(np.sort(np.concatenate([lam, exact])), n_eliminated)
 
 
 def _saddle_eigs(A, N, deflation, budget):

@@ -107,7 +107,7 @@ def test_operator_exactly_symmetric(stack4):
 @pytest.mark.parametrize("params", PARAM_SETS, ids=["unit", "mixed"])
 def test_riesz_matches_oracle(params):
     m, lay = coupled(stacked_domain(1), 1, BcConfig.NE)
-    iop = interface_operator(m, params, m.config)
+    iop = interface_operator(m, params)
     N = assemble_riesz(m, lay, params, iop.matrix).toarray()
     N_ref = oracles.oracle_riesz(m, lay, params, iop.matrix)
     scale = np.abs(N_ref).max()
@@ -143,9 +143,8 @@ def test_constant_pressure_null_vector_ee():
 def test_mass_row_scaling():
     # unit mass source integrates to cell areas on the porous pressure rows
     m, lay = coupled(stacked_domain(4), 0, BcConfig.NE)
-    params = PhysParams(mu=1.0, K=1.0, alpha_bjs=0.5)
     loads = LoadData(g_D=lambda p: np.ones(len(p)))
-    b = assemble_rhs(m, lay, params, loads)
+    b = assemble_rhs(m, lay, loads)
     area = m.spacing**2 / 2.0
     rows = b[lay.field_slice("p_D")]
     assert np.allclose(rows, -area, atol=1e-14)
@@ -155,9 +154,8 @@ def test_mass_row_scaling():
 def test_flux_defect_row_scaling():
     # unit interface flux defect integrates to facet lengths on the lam rows
     m, lay = coupled(stacked_domain(4), 0, BcConfig.NE)
-    params = PhysParams(mu=1.0, K=1.0, alpha_bjs=0.5)
     loads = LoadData(g_gamma=lambda p, n: np.ones(len(p)))
-    b = assemble_rhs(m, lay, params, loads)
+    b = assemble_rhs(m, lay, loads)
     rows = b[lay.field_slice("lam")]
     assert np.allclose(rows, 0.25, atol=1e-14)
 
@@ -184,7 +182,7 @@ def test_rhs_matches_oracle(params, jitter):
     m, lay = coupled(stacked_domain(4), 1, BcConfig.NE, jitter)
     exact = ExactSolution(mu=params.mu, K=params.K, alpha_bjs=params.alpha_bjs)
     loads = exact.loads()
-    b = assemble_rhs(m, lay, params, loads)
+    b = assemble_rhs(m, lay, loads)
     b_ref = oracles.oracle_rhs(m, lay, params, loads)
     scale = np.abs(b_ref).max()
     assert np.abs(b - b_ref).max() <= 1e-10 * scale
@@ -212,7 +210,7 @@ def test_facet_rhs_matches_oracle(name, config, nref):
     domain = {"stacked": stacked_domain(), "side": side_by_side_domain(),
               "channel": floating_domain(2), "floating": floating_domain(2)}
     m, lay = coupled(domain[name], nref, config)
-    b = assemble_rhs(m, lay, params, loads)
+    b = assemble_rhs(m, lay, loads)
     b_ref = oracles.oracle_rhs(m, lay, params, loads)
     scale = np.abs(b_ref).max()
     assert scale > 0

@@ -7,7 +7,8 @@ import json
 import numpy as np
 import pytest
 
-from sdlab.cli import main, near_kernel_dim, version_string
+from sdlab import cli
+from sdlab.cli import main, version_string
 
 
 def read_csv(path):
@@ -22,16 +23,6 @@ def read_sidecar(csv_path):
 def test_version_string_nonempty():
     v = version_string()
     assert isinstance(v, str) and v
-
-
-def test_near_kernel_dim_counts_inclusions():
-    from sdlab.cli import floating_domain
-    from sdlab.mesh import BcConfig, build_coupled_mesh, tag_boundaries
-
-    m = build_coupled_mesh(floating_domain(2, 2), 0)
-    tag_boundaries(m, BcConfig.MULTI)
-    assert near_kernel_dim(BcConfig.MULTI, m) == 2
-    assert near_kernel_dim(BcConfig.EE) == 1
 
 
 def test_mms_subcommand(tmp_path):
@@ -131,6 +122,18 @@ def test_solve_subcommand_diagnostic(tmp_path):
     assert side["results"]["lu_fill"] > 0
 
 
+def test_deflated_diagnostic_measures_its_own_spectrum(tmp_path):
+    # F_k of a deflated run is measured against the spectrum of B_W A;
+    # against the plain pencil (A, N), which keeps the outlier that
+    # deflation removes, the last F_k reads 7.1e13
+    out = tmp_path / "defl_diag"
+    ret = main(["solve", "--case", "EN", "--mu", "1e-4", "--K", "1e-4",
+                "--nref", "0", "--out", str(out), "--deflate", "--diagnostic"])
+    assert ret == 0
+    rows = read_csv(out / "solve_EN_mu0.0001_K0.0001_nref0.csv")
+    assert abs(float(rows[-1][3]) - 1.0) <= 1e-6
+
+
 def test_solve_deflate_flag(tmp_path):
     out = tmp_path / "defl"
     ret = main([
@@ -187,6 +190,8 @@ BAD_RUNS = [("solve", f) for f in BAD_FLAGS] + [
                "--mu", "1e2", "--K", "1e2"]),
     ("solve", ["--case", "NE", "--deflate", "--mu", "1e-200",
                "--K", "1e-200"]),
+    # floating builds the deflation before its plain run writes a file
+    ("floating", ["--gamma-mult", "1e300", "--K", "1e-300"]),
     # mu or K whose weights in A and N overflow
     ("solve", ["--K", "1e-310"]),
     ("cond-sweep", ["--case", "NN", "--mu", "1e-310", "--K", "1"]),
@@ -211,11 +216,16 @@ def test_bad_parameters_exit_2(tmp_path, capsys, command, flags):
     assert not out.exists() or not any(out.iterdir())
 
 
-def test_floating_sidecar_phases(tmp_path):
+def test_floating_sidecar_phases(tmp_path, monkeypatch):
+    built, real = [], cli.build_preconditioner
+    monkeypatch.setattr(cli, "build_preconditioner",
+                        lambda system: built.append(system) or real(system))
     out = tmp_path / "float"
     ret = main(["floating", "--inclusions", "1", "--n0", "2", "--nref", "0",
                 "--K", "10", "--out", str(out)])
     assert ret == 0
+    # the plain and the deflated run share one factorization per K
+    assert len(built) == 1
     plain = read_sidecar(out / "floating_plain_K10_m1.csv")
     defl = read_sidecar(out / "floating_deflated_K10_m1.csv")
     for side in (plain, defl):

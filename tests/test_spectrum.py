@@ -16,7 +16,6 @@ from sdlab.spectrum import (
     BudgetError,
     Spectrum,
     contraction_factor,
-    deflated_pencil_eigs,
     generalized_eigs,
     two_interval_hull,
 )
@@ -64,8 +63,6 @@ def test_budget_guard(rng):
     A = np.eye(n)
     with pytest.raises(ValueError):
         generalized_eigs(A, A, budget=4)
-    with pytest.raises(ValueError):
-        deflated_pencil_eigs(A, A, None, budget=4)
 
 
 def test_kappa_and_effective():
@@ -115,7 +112,7 @@ def test_deflated_pencil_matches_similarity(rng):
     tag_boundaries(m, BcConfig.NE)
     system = assemble_system(m, PhysParams(mu=1.0, K=1e-3, alpha_bjs=0.5))
     defl = build_deflation(system)
-    spec = deflated_pencil_eigs(system.A, system.N, defl)
+    spec = generalized_eigs(system.A, system.N, deflation=defl)
     # reference: eigenvalues of B_W A via the (nonsymmetric) product
     Nd = system.N.toarray()
     Ad = system.A.toarray()
@@ -133,7 +130,8 @@ def test_deflation_moves_near_kernel_mode():
     tag_boundaries(m, BcConfig.NE)
     system = assemble_system(m, PhysParams(mu=1.0, K=1e4, alpha_bjs=0.5))
     plain = generalized_eigs(system.A, system.N)
-    defl = deflated_pencil_eigs(system.A, system.N, build_deflation(system))
+    defl = generalized_eigs(system.A, system.N,
+                            deflation=build_deflation(system))
     lam_plain = np.abs(plain.by_magnitude)
     lam_defl = np.abs(defl.by_magnitude)
     assert lam_plain[0] < 1e-4
@@ -177,7 +175,7 @@ def _system(config, nref, mu=1e-4, K=1e-4, n0=4):
 def _reduced(A, N, deflation=None):
     """The saddle-point reduction's part of the spectrum of (A, N), or of
     (A, B_W^{-1}) for a `deflation`, or None where it does not apply, on
-    the coupled dofs as `_pencil_eigs` slices them."""
+    the coupled dofs as `generalized_eigs` slices them."""
     A, N = sp.csr_matrix(A), sp.csr_matrix(N)
     coupled = spectrum._coupled(A) | spectrum._coupled(N)
     if deflation is not None:
@@ -281,7 +279,7 @@ def test_declined_deflated_pencil_matches_dense_woodbury():
     Bw_inv = Nd - NW @ np.linalg.solve(
         (1.0 + defl.gamma) * (defl.W.T @ NW), NW.T)
     ref = sla.eigh(s.A.toarray(), Bw_inv, eigvals_only=True)
-    lam = deflated_pencil_eigs(s.A, N, defl).eigenvalues
+    lam = generalized_eigs(s.A, N, deflation=defl).eigenvalues
     assert np.abs(lam - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
@@ -294,7 +292,8 @@ def test_deflated_pencil_budgets_as_the_plain_one(config):
         with pytest.raises(BudgetError) as plain:
             generalized_eigs(s.A, s.N, budget=1)
         with pytest.raises(BudgetError) as deflated:
-            deflated_pencil_eigs(s.A, s.N, build_deflation(s), budget=1)
+            generalized_eigs(s.A, s.N, budget=1,
+                             deflation=build_deflation(s))
         assert str(deflated.value) == str(plain.value)
 
 
@@ -325,7 +324,7 @@ def test_deflated_reduction_matches_dense_woodbury(config):
                 (1.0 + defl.gamma) * (defl.W.T @ NW), NW.T)
             ref = sla.eigh(s.A.toarray(), Bw_inv, eigvals_only=True)
             assert _reduced(s.A, s.N, defl) is not None
-            lam = deflated_pencil_eigs(s.A, s.N, defl).eigenvalues
+            lam = generalized_eigs(s.A, s.N, deflation=defl).eigenvalues
             assert np.abs(lam - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
