@@ -22,8 +22,8 @@ from .frac_interface import (InterfaceOperator, InterfaceSpectralBasis,
 from .precond import (BlockPreconditioner, DeflatedPreconditioner, Deflation,
                       build_deflation, build_preconditioner, deflation_gamma,
                       deflation_vectors)
-from .minres import (PreconditionerError, SolveLog, check_convergence_bound,
-                     compute_Fk, detect_plateaus, harmonic_ritz, minres_solve)
+from .minres import (SolveLog, check_convergence_bound, compute_Fk,
+                     detect_plateaus, harmonic_ritz, minres_solve)
 from .spectrum import (DENSE_BUDGET, BudgetError, Spectrum,
                        contraction_factor, generalized_eigs,
                        two_interval_hull)

@@ -196,15 +196,21 @@ def _run_minres(system, args, command, runs, assemble_s):
     `runs` is a list of (label, config) pairs whose config["deflate"]
     picks the preconditioner.  The Riesz blocks are factored once and the
     deflation is built once, before any run writes a file, so a bad
-    deflation weight leaves no partial result.  A --diagnostic run measures
-    F_k against the spectrum of its own preconditioner: the pencil (A, N)
-    for the plain one, (A, B_W^{-1}) for the deflated one.  `assemble_s` is
-    the time spent assembling `system`.  Returns the logs in `runs` order."""
+    deflation weight, or a layout with nothing to deflate, leaves no
+    partial result.  A --diagnostic run measures F_k against the spectrum
+    of its own preconditioner: the pencil (A, N) for the plain one,
+    (A, B_W^{-1}) for the deflated one.  `assemble_s` is the time spent
+    assembling `system`.  Returns the logs in `runs` order."""
     t0 = time.perf_counter()
     base = build_preconditioner(system)
     t1 = time.perf_counter()
-    deflation = (build_deflation(system, gamma_mult=args.gamma_mult)
-                 if any(cfg["deflate"] for _, cfg in runs) else None)
+    deflation = None
+    if any(cfg["deflate"] for _, cfg in runs):
+        deflation = build_deflation(system, gamma_mult=args.gamma_mult)
+        if deflation is None:
+            raise ConfigurationError(
+                f"--deflate: layout {system.config.value} has no "
+                f"near-kernel to deflate")
     t2 = time.perf_counter()
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

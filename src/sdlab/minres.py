@@ -5,9 +5,9 @@ SPD preconditioner B, minimizing and logging the B-norm of the residual.
 Per-iteration Lanczos coefficients are kept so the tridiagonal matrix can
 be re-examined afterwards.  In diagnostic mode the Lanczos basis is stored
 and re-orthogonalized twice per step against all earlier vectors (block
-classical Gram-Schmidt).  After the loop the harmonic Ritz values of the
-preconditioned operator at every step are computed from the logged
-coefficients, one step at a time.
+classical Gram-Schmidt), in place in two row buffers.  After the loop the
+harmonic Ritz values of the preconditioned operator at every step are
+computed from the logged coefficients, one step at a time.
 
 The harmonic Ritz values at step k (Paige, Parlett & van der Vorst 1995)
 are the eigenvalues theta of the pencil (T_k' T_k + b^2 e_k e_k', T_k),
@@ -16,13 +16,16 @@ b = beta_{k+1}.  They are computed as the nonzero eigenvalues of the
 
     T^ = [[T_k, b e_k], [b e_k', b^2 e_k' T_k^{-1} e_k]],
 
-which has one exact zero eigenvalue besides them: one banded solve and one
-tridiagonal eigensolve per step instead of a k x k dense pencil.  The
-pencil's right-hand side T_k'T_k + b^2 e_k e_k' squares the condition of
-T_k.  On the logged coefficients of the criterion-5 solve (EN, nref 2, mu =
-K = 1e-4; k = 84..110, theta_min down to 6.6e-8) the pencil's smallest
-harmonic Ritz value was off by 6.9e-7 to 7.3e-3 relative to a 50-digit
-reference, the tridiagonal by at most 1.2e-8.
+which has one exact zero eigenvalue besides them: one tridiagonal solve
+(LAPACK dgtsv) and one tridiagonal eigensolve (dstevd, eigenvalues only)
+per step instead of a k x k dense pencil.  They are called directly, the
+routines scipy's `solve_banded` and `eigvalsh_tridiagonal` reach after
+their argument checks, which cost more than the solves on these short
+tridiagonals.  The pencil's right-hand side T_k'T_k + b^2 e_k e_k' squares
+the condition of T_k.  On the logged coefficients of the criterion-5 solve
+(EN, nref 2, mu = K = 1e-4; k = 84..110, theta_min down to 6.6e-8) the
+pencil's smallest harmonic Ritz value was off by 6.9e-7 to 7.3e-3 relative
+to a 50-digit reference, the tridiagonal by at most 1.2e-8.
 
 Given the true generalized eigenvalues, the per-iteration quantity F_k
 measures how much the residual bound degrades while the harmonic Ritz
@@ -31,6 +34,10 @@ value closest to the smallest-magnitude eigenvalue has not yet converged:
     F = max_{k>=2} (|theta_1| / |lam_1|) * |lam_1 - lam_k| / |theta_1 - lam_k|
 
 with a +inf sentinel when theta_1 collides with another true eigenvalue.
+After the loop lam_1, the other eigenvalues and |lam_1 - lam_k| are taken
+once per solve, and F is evaluated for all steps at once, over blocks of
+steps of at most FK_BLOCK_BYTES each.
+
 Together with the two-interval contraction factor rho of the remaining
 spectrum this yields the a-posteriori residual bound checked by
 `check_convergence_bound`:  r_{m+j} <= 2 * F_m * rho^(j//2) * r_0.
@@ -42,16 +49,13 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
+from scipy.linalg import lapack
 
 COLLISION_TOL = 1e-14       # |theta_1 - lam_k| below this: F_k = inf
+FK_BLOCK_BYTES = 2 ** 21    # one (steps x eigenvalues) array of the F_k pass
 PLATEAU_LEN, PLATEAU_FACTOR = 10, 0.99  # a plateau: >= 10 steps of < 1%
 ABS_FLOOR = 1e-14           # residual floor against roundoff stagnation
 BOUND_SLACK = 1.0 + 1e-9    # roundoff allowance of check_convergence_bound
-
-
-class PreconditionerError(ValueError):
-    """The preconditioner turned out not to be positive definite."""
 
 
 @dataclass
@@ -90,27 +94,58 @@ def harmonic_ritz(alphas, betas, k):
 
     The nonzero eigenvalues of T^ (module docstring).  When T_k is singular
     its null direction has an infinite harmonic Ritz value, and the finite
-    ones are the nonzero eigenvalues of T_k.
+    ones are the nonzero eigenvalues of T_k; so too when b^2 e_k'T_k^{-1}e_k
+    overflows.  A 1 x 1 T_k is divided, not factored, and its eigenvalue is
+    its entry.
     """
     a = np.asarray(alphas[:k], dtype=float)
     b = np.asarray(betas[:k], dtype=float)
-    bands = np.zeros((3, k))
-    bands[0, 1:] = bands[2, :-1] = b[:-1]
-    bands[1] = a
-    e_k = np.zeros(k)
-    e_k[-1] = 1.0
-    try:
-        # for k == 1 scipy divides by alpha_1 instead of raising
+    if k == 1:
         with np.errstate(divide="ignore"):
-            t_kk = sla.solve_banded((1, 1), bands, e_k)[-1]
-    except np.linalg.LinAlgError:
-        t_kk = np.inf
-    if np.isfinite(t_kk):
-        theta = sla.eigvalsh_tridiagonal(np.append(a, b[-1] ** 2 * t_kk), b)
+            t_kk = 1.0 / a[0]
     else:
-        theta = sla.eigvalsh_tridiagonal(a, b[:-1])
+        e_k = np.zeros(k)
+        e_k[-1] = 1.0
+        x, info = lapack.dgtsv(b[:-1], a, b[:-1], e_k, overwrite_b=True)[3:]
+        t_kk = x[-1] if info == 0 else np.inf     # info > 0: T_k singular
+    corner = b[-1] ** 2 * t_kk if np.isfinite(t_kk) else np.inf
+    d, e = (np.append(a, corner), b) if np.isfinite(corner) else (a, b[:-1])
+    if len(d) == 1:
+        theta = d
+    else:
+        theta, _, info = lapack.dstevd(d, e, compute_v=False)
+        if info:
+            raise np.linalg.LinAlgError("dstevd did not converge")
     # drop the exact zero (of T^, or of a singular T_k)
     return theta[np.argsort(np.abs(theta))][1:]
+
+
+def _split_smallest(eigenvalues):
+    """lam_1, the eigenvalue of smallest magnitude, and the others."""
+    lams = np.asarray(eigenvalues)
+    first = np.argmin(np.abs(lams))
+    return lams[first], np.delete(lams, first)
+
+
+def _fk_rows(theta1, lam1, rest):
+    """F_k for each theta_1 in `theta1` (NaN where theta_1 is NaN), given
+    lam_1 and the other eigenvalues `rest`; evaluated over blocks of rows
+    of at most FK_BLOCK_BYTES per array."""
+    Fk = np.full(len(theta1), np.nan)
+    rows = np.flatnonzero(~np.isnan(theta1))
+    gap = np.abs(lam1 - rest)
+    step = max(1, FK_BLOCK_BYTES // (8 * len(rest)))
+    for s in range(0, len(rows), step):
+        i = rows[s:s + step]
+        t = theta1[i, None]
+        dens = t - rest
+        np.abs(dens, out=dens)
+        f = (np.abs(t) / np.abs(lam1)) * gap
+        with np.errstate(divide="ignore", invalid="ignore"):
+            f /= dens                   # a zero of dens is a collision
+        Fk[i] = f.max(axis=1)
+        Fk[i[(dens < COLLISION_TOL).any(axis=1)]] = np.inf
+    return Fk
 
 
 def compute_Fk(theta, eigenvalues):
@@ -120,19 +155,12 @@ def compute_Fk(theta, eigenvalues):
     operator; `theta` the harmonic Ritz values of one iteration.  Returns
     +inf when the relevant Ritz value collides with a true eigenvalue.
     """
-    lams = np.asarray(eigenvalues)
     finite = theta[np.isfinite(theta)]
-    if len(finite) == 0 or len(lams) < 2:
+    if len(finite) == 0 or len(eigenvalues) < 2:
         return np.nan
-    first = np.argmin(np.abs(lams))
-    lam1 = lams[first]
+    lam1, rest = _split_smallest(eigenvalues)
     theta1 = finite[np.argmin(np.abs(finite - lam1))]
-    rest = np.delete(lams, first)
-    dens = np.abs(theta1 - rest)
-    if np.any(dens < COLLISION_TOL):
-        return np.inf
-    return float(np.max((np.abs(theta1) / np.abs(lam1))
-                        * np.abs(lam1 - rest) / dens))
+    return float(_fk_rows(np.array([theta1]), lam1, rest)[0])
 
 
 def detect_plateaus(residuals):
@@ -164,37 +192,34 @@ def minres_solve(A, b, precond, reduction=1e-12, maxit=1000, diagnostic=False,
     `precond` is a callable applying the SPD preconditioner.  Residual
     norms are preconditioner norms; iteration starts from x = 0 and stops
     on a relative reduction (with the absolute floor ABS_FLOOR), at
-    maxit, on Lanczos breakdown, or with reason "nonfinite" as soon as a
-    NaN or inf reaches the recurrence (x is then the last finite iterate).
-    With `diagnostic` the Lanczos basis is re-orthogonalized, and the
-    harmonic Ritz values (plus F_k when the true `eigenvalues` are
-    supplied) of every iteration are computed from the logged Lanczos
-    coefficients after the loop.
+    maxit, on Lanczos breakdown, with reason "nonfinite" as soon as a NaN
+    or inf reaches the recurrence, or with reason "indefinite" when the
+    preconditioner shows it is not positive definite (a negative inner
+    product, or a nonzero residual mapped to zero); x and the log then
+    end at the last good step.  With `diagnostic` the Lanczos basis is
+    re-orthogonalized, and the harmonic Ritz values (plus F_k when the
+    true `eigenvalues` are supplied) of every iteration are computed from
+    the logged Lanczos coefficients after the loop.
     """
     apply_B = precond.apply if hasattr(precond, "apply") else precond
     n = len(b)
     x = np.zeros(n)
     r1 = np.asarray(b, dtype=float).copy()
     y = apply_B(r1)
-    beta1sq = float(r1 @ y)
-    _check_definite(beta1sq, r1, y)
-    beta1 = np.sqrt(max(beta1sq, 0.0))
+    beta1 = np.sqrt(max(float(r1 @ y), 0.0))
     residuals = [beta1]
     alphas, betas = [], []
     basis = None
     if not np.isfinite(beta1):
         reason = "nonfinite"
     elif beta1 == 0.0:
-        if np.linalg.norm(r1) > 0.0:
-            raise PreconditionerError(
-                "preconditioner annihilated a nonzero residual; "
-                "it must be symmetric positive definite")
-        reason = "converged"
+        # r1 @ y <= 0: only a zero residual may give that
+        reason = "indefinite" if np.linalg.norm(r1) > 0.0 else "converged"
     else:
         reason = "maxit"
         target = max(reduction * beta1, ABS_FLOOR)
         if diagnostic:
-            basis = _LanczosBasis(r1 / beta1, y / beta1)
+            basis = _LanczosBasis(r1, y, beta1)
         oldb, beta = 0.0, beta1
         dbar = epsln = sn = 0.0
         cs = -1.0
@@ -211,13 +236,16 @@ def minres_solve(A, b, precond, reduction=1e-12, maxit=1000, diagnostic=False,
             alfa = float(v @ yv)
             yv = yv - (alfa / beta) * r2
             if diagnostic:
-                yv = basis.project_out(basis.project_out(yv))
+                basis.project_out(yv)
+                basis.project_out(yv)
             r1 = r2
             r2 = yv
             y = apply_B(r2)
             oldb = beta
             betasq = float(r2 @ y)
-            _check_definite(betasq, r2, y)
+            if _negative(betasq, r2, y):
+                reason = "indefinite"     # the log ends at the last good step
+                break
             beta = np.sqrt(max(betasq, 0.0))
 
             oldeps = epsln
@@ -236,7 +264,7 @@ def minres_solve(A, b, precond, reduction=1e-12, maxit=1000, diagnostic=False,
             alphas.append(alfa)
             betas.append(beta)
             if diagnostic and beta > 0.0:
-                basis.append(r2 / beta, y / beta)
+                basis.append(r2, y, beta)
             w1 = w2
             w2 = w
             w = (v - oldeps * w1 - delta * w2) / gamma
@@ -255,13 +283,17 @@ def minres_solve(A, b, precond, reduction=1e-12, maxit=1000, diagnostic=False,
     theta_min = Fk = None
     if diagnostic:
         theta_min = np.full(len(residuals), np.nan)
-        Fk = theta_min.copy()
+        theta1 = theta_min.copy()       # the harmonic Ritz value nearest lam_1
+        split = (None if eigenvalues is None or len(eigenvalues) < 2
+                 else _split_smallest(eigenvalues))
         for k in range(1, len(residuals)):
             theta = harmonic_ritz(alphas, betas, k)
             if len(theta):
                 theta_min[k] = theta[0]
-            if eigenvalues is not None:
-                Fk[k] = compute_Fk(theta, eigenvalues)
+                if split is not None:
+                    theta1[k] = theta[np.argmin(np.abs(theta - split[0]))]
+        Fk = (np.full(len(residuals), np.nan) if split is None
+              else _fk_rows(theta1, *split))
     return SolveLog(x=x, residuals=residuals, alphas=alphas, betas=betas,
                     reason=reason, theta_min=theta_min, Fk=Fk,
                     ortho_max=None if basis is None else basis.ortho_max(),
@@ -272,23 +304,25 @@ class _LanczosBasis:
     """Lanczos vectors v_i = r_i / beta_i and z_i = B v_i, with z_i' v_j =
     delta_ij, stored as the rows of two buffers that double when full."""
 
-    def __init__(self, v, z):
-        self._V = np.empty((32, len(v)))
-        self._Z = np.empty((32, len(v)))
+    def __init__(self, r, z, beta):
+        self._V = np.empty((32, len(r)))
+        self._Z = np.empty((32, len(r)))
         self._m = 0
-        self.append(v, z)
+        self.append(r, z, beta)
 
-    def append(self, v, z):
+    def append(self, r, z, beta):
+        """Store v = r / beta and z / beta, divided into the buffers."""
         if self._m == len(self._V):
             self._V = np.concatenate([self._V, np.empty_like(self._V)])
             self._Z = np.concatenate([self._Z, np.empty_like(self._Z)])
-        self._V[self._m] = v
-        self._Z[self._m] = z
+        np.divide(r, beta, out=self._V[self._m])
+        np.divide(z, beta, out=self._Z[self._m])
         self._m += 1
 
     def project_out(self, y):
-        """y - sum_i v_i (z_i' y): one classical Gram-Schmidt sweep."""
-        return y - self._V[:self._m].T @ (self._Z[:self._m] @ y)
+        """y -= sum_i v_i (z_i' y) in place: one classical Gram-Schmidt
+        sweep."""
+        y -= self._V[:self._m].T @ (self._Z[:self._m] @ y)
 
     def ortho_max(self):
         """max |z_j' v_i - delta_ij| over the stored vectors."""
@@ -296,14 +330,13 @@ class _LanczosBasis:
         return float(np.abs(G - np.eye(self._m)).max())
 
 
-def _check_definite(inner, r, y):
+def _negative(inner, r, y):
+    """Whether r' B r = `inner` (y = B r) is negative beyond roundoff, which
+    an SPD preconditioner cannot give."""
     # the scale matters only for a negative inner product: skip its norms
     # on every other step
-    if inner < 0.0 and inner < -1e-12 * max(
-            np.linalg.norm(r) * np.linalg.norm(y), 1e-300):
-        raise PreconditionerError(
-            "preconditioner produced a negative inner product "
-            f"({inner:.3e}); it must be symmetric positive definite")
+    return inner < 0.0 and inner < -1e-12 * max(
+        np.linalg.norm(r) * np.linalg.norm(y), 1e-300)
 
 
 def check_convergence_bound(log, rho):

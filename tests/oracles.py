@@ -9,6 +9,7 @@ forms the 12 x 12 products of one point at once.  Slow but transparent.
 """
 
 import numpy as np
+import scipy.linalg as sla
 
 from sdlab.elements import LOCAL_EDGES
 from sdlab.mesh import (_EDGE_TAGS, _OPPOSITE, DARCY, STOKES,
@@ -750,3 +751,118 @@ def fd_sym_grad_div(vfunc, pts, h=1e-4):
     div = lambda p: fd_divergence(vfunc, p, h)
     grad_div = fd_gradient(div, pts, h)
     return lap + grad_div
+
+
+# ------------------------------------------------------ MINRES diagnostics
+#
+# The diagnostic MINRES as it ran before its post-processing called LAPACK
+# directly: the recurrence and the block classical Gram-Schmidt sweeps with
+# fresh arrays, harmonic Ritz values through scipy's checked
+# `solve_banded` and `eigvalsh_tridiagonal`, and one F_k evaluation per
+# step.  Only SPD preconditioners are passed to it, so it has no
+# definiteness checks.
+
+
+def reference_harmonic_ritz(alphas, betas, k):
+    a = np.asarray(alphas[:k], dtype=float)
+    b = np.asarray(betas[:k], dtype=float)
+    bands = np.zeros((3, k))
+    bands[0, 1:] = bands[2, :-1] = b[:-1]
+    bands[1] = a
+    e_k = np.zeros(k)
+    e_k[-1] = 1.0
+    try:
+        # for k == 1 scipy divides by alpha_1 instead of raising
+        with np.errstate(divide="ignore"):
+            t_kk = sla.solve_banded((1, 1), bands, e_k)[-1]
+    except np.linalg.LinAlgError:
+        t_kk = np.inf
+    if np.isfinite(t_kk):
+        theta = sla.eigvalsh_tridiagonal(np.append(a, b[-1] ** 2 * t_kk), b)
+    else:
+        theta = sla.eigvalsh_tridiagonal(a, b[:-1])
+    return theta[np.argsort(np.abs(theta))][1:]
+
+
+def reference_Fk(theta, eigenvalues, collision_tol=1e-14):
+    lams = np.asarray(eigenvalues)
+    finite = theta[np.isfinite(theta)]
+    if len(finite) == 0 or len(lams) < 2:
+        return np.nan
+    first = np.argmin(np.abs(lams))
+    lam1 = lams[first]
+    theta1 = finite[np.argmin(np.abs(finite - lam1))]
+    rest = np.delete(lams, first)
+    dens = np.abs(theta1 - rest)
+    if np.any(dens < collision_tol):
+        return np.inf
+    return float(np.max((np.abs(theta1) / np.abs(lam1))
+                        * np.abs(lam1 - rest) / dens))
+
+
+def reference_diagnostic_minres(A, b, precond, reduction=1e-12, maxit=1000,
+                                eigenvalues=None, abs_floor=1e-14):
+    """(x, residuals, theta_min, Fk, ortho_max) of a diagnostic solve."""
+    n = len(b)
+    x = np.zeros(n)
+    r1 = np.asarray(b, dtype=float).copy()
+    y = precond(r1)
+    beta1 = np.sqrt(max(float(r1 @ y), 0.0))
+    residuals, alphas, betas = [beta1], [], []
+    V, Z = [r1 / beta1], [y / beta1]
+    target = max(reduction * beta1, abs_floor)
+    oldb, beta = 0.0, beta1
+    dbar = epsln = sn = 0.0
+    cs = -1.0
+    phibar = beta1
+    w = np.zeros(n)
+    w2 = np.zeros(n)
+    r2 = r1
+    for itn in range(1, maxit + 1):
+        v = y / beta
+        yv = A @ v
+        if itn >= 2:
+            yv = yv - (beta / oldb) * r1
+        alfa = float(v @ yv)
+        yv = yv - (alfa / beta) * r2
+        Vm, Zm = np.array(V), np.array(Z)
+        for _ in range(2):
+            yv = yv - Vm.T @ (Zm @ yv)
+        r1 = r2
+        r2 = yv
+        y = precond(r2)
+        oldb = beta
+        beta = np.sqrt(max(float(r2 @ y), 0.0))
+        oldeps = epsln
+        delta = cs * dbar + sn * alfa
+        gbar = sn * dbar - cs * alfa
+        epsln = sn * beta
+        dbar = -cs * beta
+        gamma = max(np.hypot(gbar, beta), 1e-300)
+        cs = gbar / gamma
+        sn = beta / gamma
+        phi = cs * phibar
+        phibar = sn * phibar
+        alphas.append(alfa)
+        betas.append(beta)
+        if beta > 0.0:
+            V.append(r2 / beta)
+            Z.append(y / beta)
+        w1 = w2
+        w2 = w
+        w = (v - oldeps * w1 - delta * w2) / gamma
+        x = x + phi * w
+        residuals.append(abs(phibar))
+        if abs(phibar) <= target or beta <= 1e-14 * beta1:
+            break
+    theta_min = np.full(len(residuals), np.nan)
+    Fk = theta_min.copy()
+    for k in range(1, len(residuals)):
+        theta = reference_harmonic_ritz(alphas, betas, k)
+        if len(theta):
+            theta_min[k] = theta[0]
+        if eigenvalues is not None:
+            Fk[k] = reference_Fk(theta, eigenvalues)
+    G = np.array(V) @ np.array(Z).T
+    ortho_max = float(np.abs(G - np.eye(len(V))).max())
+    return x, np.array(residuals), theta_min, Fk, ortho_max

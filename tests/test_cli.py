@@ -190,6 +190,9 @@ BAD_RUNS = [("solve", f) for f in BAD_FLAGS] + [
                "--mu", "1e2", "--K", "1e2"]),
     ("solve", ["--case", "NE", "--deflate", "--mu", "1e-200",
                "--K", "1e-200"]),
+    # layouts without a near-kernel have nothing to deflate
+    ("solve", ["--case", "NN", "--deflate"]),
+    ("solve", ["--case", "ENstar", "--deflate"]),
     # floating builds the deflation before its plain run writes a file
     ("floating", ["--gamma-mult", "1e300", "--K", "1e-300"]),
     # mu or K whose weights in A and N overflow
@@ -234,6 +237,32 @@ def test_floating_sidecar_phases(tmp_path, monkeypatch):
     # both runs share one assembly and factor the same Riesz blocks
     assert plain["timings_sec"]["assemble"] == defl["timings_sec"]["assemble"]
     assert plain["results"]["lu_fill"] == defl["results"]["lu_fill"] > 0
+
+
+def test_indefinite_preconditioner_is_a_reason(tmp_path, monkeypatch):
+    # a negated preconditioner is not SPD: the run still writes its log and
+    # sidecar, reports the reason, and --check counts it as missed
+    real = cli.build_preconditioner
+
+    class Negated:
+        lu_fill = 1
+
+        def __init__(self, system):
+            self._B = real(system)
+
+        def apply(self, r):
+            return -self._B.apply(r)
+
+    monkeypatch.setattr(cli, "build_preconditioner", Negated)
+    out = tmp_path / "indef"
+    ret = main(["solve", "--case", "NE", "--mu", "1", "--K", "100",
+                "--nref", "0", "--n0", "2", "--out", str(out), "--check"])
+    assert ret == 1
+    table = out / "solve_NE_mu1_K100_nref0.csv"
+    assert len(read_csv(table)) == 2
+    side = read_sidecar(table)
+    assert side["results"]["reason"] == "indefinite"
+    assert side["results"]["iterations"] == 0
 
 
 def test_unknown_case_rejected(tmp_path):

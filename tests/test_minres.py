@@ -2,25 +2,31 @@
 the cluster-robust convergence-bound diagnostics."""
 
 import csv
+from functools import lru_cache
 
 import mpmath
 import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse.linalg as spla
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import oracles
 from sdlab.assembly import PhysParams, assemble_system
 from sdlab.mesh import BcConfig, build_coupled_mesh, stacked_domain, tag_boundaries
-from sdlab.mms import ExactSolution
+from sdlab.mms import ExactSolution, mms_case
+from sdlab import minres
 from sdlab.minres import (
-    PreconditionerError,
+    FK_BLOCK_BYTES,
     check_convergence_bound,
     compute_Fk,
     detect_plateaus,
     harmonic_ritz,
     minres_solve,
 )
-from sdlab.precond import build_preconditioner
+from sdlab.precond import DeflatedPreconditioner, build_deflation, build_preconditioner
+from sdlab.spectrum import generalized_eigs
 
 
 def small_system(mu=3.0, K=0.5):
@@ -67,20 +73,39 @@ def test_zero_rhs_short_circuits():
     assert np.abs(log.x).max() == 0.0
 
 
-def test_negative_inner_product_raises():
+def test_negative_inner_product_is_indefinite():
     A = np.diag([1.0, -1.0])
     b = np.array([0.3, 1.0])
-    with pytest.raises(PreconditionerError):
-        minres_solve(A, b, lambda r: -r)
+    log = minres_solve(A, b, lambda r: -r)
+    assert log.reason == "indefinite"
+    assert log.iterations == 0 and np.abs(log.x).max() == 0.0
 
 
-def test_annihilated_residual_raises():
+def test_annihilated_residual_is_indefinite():
     # sign-flipping map gives (z, r) = 0 with a nonzero residual
     A = np.eye(2)
     b = np.array([1.0, 1.0])
     flip = lambda r: np.array([-r[1], r[0]])
-    with pytest.raises(PreconditionerError):
-        minres_solve(A, b, flip)
+    log = minres_solve(A, b, flip)
+    assert log.reason == "indefinite"
+    assert log.iterations == 0 and np.abs(log.x).max() == 0.0
+
+
+def test_indefinite_preconditioner_ends_log_at_last_good_step():
+    # B = diag(1, 1, -1) is positive on b but not on every later residual:
+    # the log keeps the good steps, x their iterate
+    A = np.diag([1.0, 2.0, 3.0])
+    b = np.array([1.0, 1.0, 0.1])
+    sign = np.array([1.0, 1.0, -1.0])
+    log = minres_solve(A, b, lambda r: sign * r, diagnostic=True)
+    assert log.reason == "indefinite"
+    k = log.iterations
+    assert k >= 1
+    assert len(log.alphas) == len(log.betas) == len(log.theta_min) - 1 == k
+    ref = minres_solve(A, b, lambda r: sign * r, maxit=k)
+    assert ref.reason == "maxit"
+    assert np.array_equal(log.x, ref.x)
+    assert np.array_equal(log.residuals, ref.residuals)
 
 
 def test_harmonic_ritz_one_step_formula():
@@ -259,3 +284,106 @@ def test_nonfinite_preconditioner_stops():
     assert log.reason == "nonfinite"
     assert log.iterations <= 2
     assert np.all(np.isfinite(log.x)) and np.all(np.isfinite(log.residuals))
+
+
+@lru_cache(maxsize=None)
+def _system(case, nref, mu, K):
+    return mms_case(nref, n0=4, exact=ExactSolution(mu=mu, K=K, alpha_bjs=0.5),
+                    config=BcConfig(case))
+
+
+@pytest.mark.parametrize("case,nref,mu,K,deflate,spectrum", [
+    pytest.param("EN", 2, 1e-4, 1e-4, False, True, id="criterion5"),
+    pytest.param("NE", 1, 1e-2, 1e4, True, True, id="deflated-NE"),
+    pytest.param("NN", 1, 1.0, 1.0, False, False, id="NN-no-eigenvalues"),
+])
+def test_diagnostics_match_reference(case, nref, mu, K, deflate, spectrum):
+    # the post-processing in direct LAPACK calls with one blocked F_k pass,
+    # and the in-place Gram-Schmidt sweeps, must reproduce the scipy-wrapper
+    # loop with one F_k per step bit for bit
+    system = _system(case, nref, mu, K)
+    B = build_preconditioner(system)
+    d = build_deflation(system) if deflate else None
+    P = B if d is None else DeflatedPreconditioner(B, d)
+    eigenvalues = None
+    if spectrum:
+        eigenvalues = generalized_eigs(system.A, system.N, len(system.essential),
+                                       deflation=d).eigenvalues
+    log = minres_solve(system.A, system.b, P, reduction=1e-12, maxit=3000,
+                       diagnostic=True, eigenvalues=eigenvalues)
+    assert log.reason == "converged"
+    x, residuals, theta_min, Fk, ortho_max = oracles.reference_diagnostic_minres(
+        system.A, system.b, P.apply, reduction=1e-12, maxit=3000,
+        eigenvalues=eigenvalues)
+    for got, want in ((log.x, x), (log.residuals, residuals),
+                      (log.theta_min, theta_min), (log.Fk, Fk)):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert log.ortho_max == ortho_max
+    if case == "EN":
+        # F_k spans more than one block, and crosses from plateau to 1
+        assert len(log.Fk) > FK_BLOCK_BYTES // (8 * (len(eigenvalues) - 1))
+        assert np.nanmax(log.Fk) > 10.0 and np.nanmin(log.Fk) < 1.5
+    if not spectrum:
+        assert np.isnan(log.Fk).all()
+
+
+def test_Fk_blocks_match_per_step_reference(rng, monkeypatch):
+    # blocks of 7 steps, the last one short; steps without theta_1, with
+    # theta_1 on or within 1e-15 of an eigenvalue other than lam_1 (both
+    # collisions), and on lam_1 itself
+    lam = np.concatenate([[1e-3], rng.uniform(0.5, 2.0, 400),
+                          -rng.uniform(0.5, 2.0, 399)])
+    theta1 = rng.uniform(-2.5, 2.5, 40)
+    theta1[[0, 9, 23]] = np.nan
+    theta1[[4, 13]] = lam[[7, 500]]
+    theta1[[20, 30]] = lam[[9, 600]] * (1.0 + 2.0 ** -52)
+    theta1[35] = lam[0]
+    monkeypatch.setattr(minres, "FK_BLOCK_BYTES", 7 * 8 * (len(lam) - 1))
+    got = minres._fk_rows(theta1, *minres._split_smallest(lam))
+    want = [oracles.reference_Fk(np.array([t]), lam) for t in theta1]
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.isinf(got[[4, 13, 20, 30]]).all() and got[35] == 1.0
+    assert np.array_equal(
+        [compute_Fk(np.array([t]), lam) for t in theta1], want, equal_nan=True)
+
+
+def test_Fk_takes_the_ritz_value_nearest_lam1():
+    # lam_1 = -0.04 among two uneven clusters: on several steps the
+    # smallest harmonic Ritz value is not the one nearest lam_1, and F_k
+    # must be taken at the nearest one, as in the per-step reference
+    rng = np.random.default_rng(9)
+    lam = np.concatenate([[-0.04], rng.uniform(0.5, 2.0, 20),
+                          -rng.uniform(0.3, 3.0, 20)])
+    log = minres_solve(np.diag(lam), rng.standard_normal(len(lam)),
+                       lambda r: r, reduction=1e-12, diagnostic=True,
+                       eigenvalues=lam)
+    apart = 0
+    for k in range(1, log.iterations + 1):
+        theta = harmonic_ritz(log.alphas, log.betas, k)
+        apart += theta[0] != theta[np.argmin(np.abs(theta - lam[0]))]
+        assert np.array_equal(log.Fk[k], oracles.reference_Fk(theta, lam),
+                              equal_nan=True)
+    assert apart >= 5
+
+
+_COEFF = st.one_of(st.just(0.0), st.floats(1e-3, 1e2), st.floats(-1e2, -1e-3))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.integers(1, 24).flatmap(lambda k: st.tuples(
+    st.lists(_COEFF, min_size=k, max_size=k),
+    st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1e2)),
+             min_size=k, max_size=k))))
+@example(([0.0], [0.3]))
+@example(([0.7], [0.3]))
+@example(([1.0, 2.0, 1.0], [1.0, 1.0, 0.5]))
+@example(([0.0, 0.0], [1.0, 0.5]))
+def test_harmonic_ritz_matches_reference(coefficients):
+    # zero alphas make T_k singular; k = 1 takes the divide branch
+    alphas, betas = coefficients
+    k = len(alphas)
+    got = harmonic_ritz(alphas, betas, k)
+    want = oracles.reference_harmonic_ritz(alphas, betas, k)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert len(got) <= k
+    assert (np.diff(np.abs(got)) >= 0).all()
