@@ -238,7 +238,7 @@ def _run_minres(system, args, command, runs, assemble_s):
         log.to_csv(path)
         r = log.residuals
         results = {"iterations": log.iterations, "reason": log.reason,
-                   "relative_residual": r[-1] / r[0] if r[0] > 0 else 0.0,
+                   "relative_residual": r[-1] / r[0] if r[0] != 0 else 0.0,
                    "plateau_windows": [list(w) for w in log.plateau_windows],
                    "plateau": bool(log.plateau_windows),
                    "lu_fill": base.lu_fill}

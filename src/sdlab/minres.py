@@ -196,7 +196,8 @@ def minres_solve(A, b, precond, reduction=1e-12, maxit=1000, diagnostic=False,
     or inf reaches the recurrence, or with reason "indefinite" when the
     preconditioner shows it is not positive definite (a negative inner
     product, or a nonzero residual mapped to zero); x and the log then
-    end at the last good step.  With `diagnostic` the Lanczos basis is
+    end at the last good step, and a first residual without a B-norm is
+    logged as NaN.  With `diagnostic` the Lanczos basis is
     re-orthogonalized, and the harmonic Ritz values (plus F_k when the
     true `eigenvalues` are supplied) of every iteration are computed from
     the logged Lanczos coefficients after the loop.
@@ -213,8 +214,12 @@ def minres_solve(A, b, precond, reduction=1e-12, maxit=1000, diagnostic=False,
     if not np.isfinite(beta1):
         reason = "nonfinite"
     elif beta1 == 0.0:
-        # r1 @ y <= 0: only a zero residual may give that
-        reason = "indefinite" if np.linalg.norm(r1) > 0.0 else "converged"
+        if np.linalg.norm(r1) > 0.0:
+            # r1 @ y <= 0 for a nonzero r1: there is no B-norm to log
+            reason = "indefinite"
+            residuals = [np.nan]
+        else:
+            reason = "converged"
     else:
         reason = "maxit"
         target = max(reduction * beta1, ABS_FLOOR)

@@ -259,10 +259,12 @@ def test_indefinite_preconditioner_is_a_reason(tmp_path, monkeypatch):
                 "--nref", "0", "--n0", "2", "--out", str(out), "--check"])
     assert ret == 1
     table = out / "solve_NE_mu1_K100_nref0.csv"
-    assert len(read_csv(table)) == 2
+    # r'Br < 0 has no B-norm: the residual reads nan, not 0
+    assert read_csv(table)[1][:2] == ["0", "nan"]
     side = read_sidecar(table)
     assert side["results"]["reason"] == "indefinite"
     assert side["results"]["iterations"] == 0
+    assert np.isnan(side["results"]["relative_residual"])
 
 
 def test_unknown_case_rejected(tmp_path):

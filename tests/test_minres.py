@@ -79,6 +79,7 @@ def test_negative_inner_product_is_indefinite():
     log = minres_solve(A, b, lambda r: -r)
     assert log.reason == "indefinite"
     assert log.iterations == 0 and np.abs(log.x).max() == 0.0
+    assert np.isnan(log.residuals[0])
 
 
 def test_annihilated_residual_is_indefinite():
@@ -369,7 +370,7 @@ def test_Fk_takes_the_ritz_value_nearest_lam1():
 _COEFF = st.one_of(st.just(0.0), st.floats(1e-3, 1e2), st.floats(-1e2, -1e-3))
 
 
-@settings(derandomize=True, max_examples=300, deadline=None)
+@settings(derandomize=True, max_examples=100, deadline=None)
 @given(st.integers(1, 24).flatmap(lambda k: st.tuples(
     st.lists(_COEFF, min_size=k, max_size=k),
     st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1e2)),
