@@ -95,8 +95,9 @@ def harmonic_ritz(alphas, betas, k):
     The nonzero eigenvalues of T^ (module docstring).  When T_k is singular
     its null direction has an infinite harmonic Ritz value, and the finite
     ones are the nonzero eigenvalues of T_k; so too when b^2 e_k'T_k^{-1}e_k
-    overflows.  A 1 x 1 T_k is divided, not factored, and its eigenvalue is
-    its entry.
+    overflows.  A 1 x 1 T_k is divided, not factored, and a 1 x 1 matrix's
+    eigenvalue is its entry, as in scipy's `solve_banded` and
+    `eigvalsh_tridiagonal`, so the values stay bitwise equal to theirs.
     """
     a = np.asarray(alphas[:k], dtype=float)
     b = np.asarray(betas[:k], dtype=float)

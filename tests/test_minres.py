@@ -2,7 +2,6 @@
 the cluster-robust convergence-bound diagnostics."""
 
 import csv
-from functools import lru_cache
 
 import mpmath
 import numpy as np
@@ -287,12 +286,6 @@ def test_nonfinite_preconditioner_stops():
     assert np.all(np.isfinite(log.x)) and np.all(np.isfinite(log.residuals))
 
 
-@lru_cache(maxsize=None)
-def _system(case, nref, mu, K):
-    return mms_case(nref, n0=4, exact=ExactSolution(mu=mu, K=K, alpha_bjs=0.5),
-                    config=BcConfig(case))
-
-
 @pytest.mark.parametrize("case,nref,mu,K,deflate,spectrum", [
     pytest.param("EN", 2, 1e-4, 1e-4, False, True, id="criterion5"),
     pytest.param("NE", 1, 1e-2, 1e4, True, True, id="deflated-NE"),
@@ -302,7 +295,8 @@ def test_diagnostics_match_reference(case, nref, mu, K, deflate, spectrum):
     # the post-processing in direct LAPACK calls with one blocked F_k pass,
     # and the in-place Gram-Schmidt sweeps, must reproduce the scipy-wrapper
     # loop with one F_k per step bit for bit
-    system = _system(case, nref, mu, K)
+    system = mms_case(nref, n0=4, exact=ExactSolution(mu=mu, K=K, alpha_bjs=0.5),
+                      config=BcConfig(case))
     B = build_preconditioner(system)
     d = build_deflation(system) if deflate else None
     P = B if d is None else DeflatedPreconditioner(B, d)
