@@ -16,10 +16,12 @@ plus (1/K)*(div u, div v), the (1/(2*mu))-scaled P1 mass, the K-scaled P0
 mass, and a supplied interface multiplier matrix.
 
 Both are affine in a few scalar weights of the parameters (`_weights`).
-The parameter-free pieces, the dof layout, the essential dofs and the
-elimination pattern are built once per tagged mesh and kept on it (see
-`mesh._per_mesh`); a new (mu, K) only forms the weighted sums and the
-load vector.  tag_boundaries clears them.
+The parameter-free pieces, the dof layout, the essential dofs, the
+patterns with their elimination maps and the load's quadrature points,
+weights and trace tables are built once per tagged mesh and kept on it
+(see `mesh._per_mesh`); a new (mu, K) only forms the weighted sums,
+gathers them into the eliminated patterns and evaluates the loads.
+tag_boundaries clears them.
 
 Eliminated (essential) dofs keep unit diagonal rows in both matrices.
 """
@@ -88,6 +90,9 @@ def _weights(params):
 
 _A_PIECES = ("visc", "slip", "mass", "saddle")
 _N_PIECES = ("visc", "slip", "mass", "divdiv", "p1", "p0")
+# the blocks of N whose pieces share one weight: u_D is (1/K)(mass + divdiv)
+# and p_S is p1/(2 mu), apart from the unit rows of eliminated dofs
+SCALED_BLOCKS = {"u_D": ("mass", "divdiv"), "p_S": ("p1",)}
 
 
 @dataclass
@@ -275,16 +280,28 @@ def _keys(M):
     return rows * n + M.indices
 
 
+def _csr(data, indices, indptr):
+    """The CSR matrix with these arrays, on a canonical pattern whose index
+    arrays are read-only and shared, not copied."""
+    n = len(indptr) - 1
+    M = sp.csr_matrix((data, indices, indptr), shape=(n, n), copy=False)
+    M.has_canonical_format = True
+    return M
+
+
 @dataclass
 class _Elimination:
-    """The pattern side of `apply_essential` on one CSR pattern: entries
-    off the essential rows and columns are kept, and each essential dof
-    gets a unit diagonal inserted at `at` among the kept entries."""
+    """The pattern side of `apply_essential` on one canonical CSR pattern:
+    the entries off the essential rows and columns are kept, in order, and
+    each essential row keeps only its unit diagonal.  `keep` marks the
+    kept entries among the pattern's, `kept` their places among the
+    eliminated pattern's; the others are the units.  Boolean masks, at a
+    byte per entry, as the maps stay on the mesh."""
 
-    dofs: np.ndarray
-    keep: np.ndarray       # mask over the pattern's entries
-    at: np.ndarray
-    indptr: np.ndarray     # of the eliminated pattern
+    indptr: np.ndarray      # of the eliminated pattern
+    indices: np.ndarray
+    keep: np.ndarray
+    kept: np.ndarray
 
     @classmethod
     def of(cls, M, dofs):
@@ -293,20 +310,23 @@ class _Elimination:
         dofs = np.unique(dofs)
         drop = np.zeros(n, dtype=bool)
         drop[dofs] = True
-        rows = np.repeat(np.arange(n), np.diff(M.indptr))
-        keep = ~(drop[rows] | drop[M.indices])
-        kept = np.concatenate([[0], np.cumsum(np.bincount(rows[keep],
-                                                          minlength=n))])
-        indptr = kept + np.concatenate([[0], np.cumsum(drop)])
-        return cls(dofs=dofs, keep=keep, at=kept[dofs],
-                   indptr=indptr.astype(M.indptr.dtype))
+        keep = ~(drop[np.repeat(np.arange(n), np.diff(M.indptr))]
+                 | drop[M.indices])
+        kept_before = np.concatenate([[0], np.cumsum(keep)])[M.indptr]
+        indptr = kept_before + np.concatenate([[0], np.cumsum(drop)])
+        kept = np.ones(indptr[-1], dtype=bool)
+        kept[indptr[dofs]] = False  # an essential row holds just its unit
+        indices = np.empty(indptr[-1], dtype=M.indices.dtype)
+        indices[kept] = M.indices[keep]
+        indices[~kept] = dofs
+        return cls(*el.read_only(indptr.astype(M.indptr.dtype), indices,
+                                 keep, kept))
 
     def apply(self, M):
         """M eliminated; M must have the pattern this was made for."""
-        data = np.insert(M.data[self.keep], self.at, 1.0)
-        indices = np.insert(M.indices[self.keep], self.at, self.dofs)
-        return sp.csr_matrix((data, indices, self.indptr.copy()),
-                             shape=M.shape)
+        data = np.ones(len(self.indices))
+        data[self.kept] = M.data[self.keep]
+        return _csr(data, self.indices, self.indptr)
 
 
 # The pattern keeps the entries whose sum is zero (47,498 of N's 839,771 at
@@ -316,9 +336,9 @@ class _Elimination:
 @dataclass
 class _Pattern:
     """The fixed CSR pattern of a weighted sum of pieces: `pos[name]`
-    places the entries of piece `name` (in its own CSR order) in it."""
+    places the entries of piece `name` (in its own CSR order) in it.
+    Every matrix on it shares its read-only index arrays."""
 
-    n: int
     indptr: np.ndarray
     indices: np.ndarray
     pos: dict
@@ -335,16 +355,33 @@ class _Pattern:
         # positions fit the index dtype scipy chose for the pattern
         pos = {k: np.searchsorted(union, v).astype(pattern.indptr.dtype)
                for k, v in keys.items()}
-        return cls(n=n, indptr=pattern.indptr, indices=pattern.indices,
-                   pos=pos, elimination=_Elimination.of(pattern, dofs))
+        return cls(*el.read_only(pattern.indptr, pattern.indices), pos=pos,
+                   elimination=_Elimination.of(pattern, dofs))
 
     def matrix(self, values):
-        """The sum over pieces of `values[name]` placed at `pos[name]`."""
+        """The sum over the given pieces of `values[name]` placed at
+        `pos[name]`, in the order given."""
         data = np.zeros(len(self.indices))
-        for name, pos in self.pos.items():
-            data[pos] += values[name]
-        return sp.csr_matrix((data, self.indices.copy(), self.indptr.copy()),
-                             shape=(self.n, self.n))
+        for name, v in values.items():
+            data[self.pos[name]] += v
+        return _csr(data, self.indices, self.indptr)
+
+    def eliminated_block(self, values, s):
+        """Rows s of `matrix(values)` eliminated, as the CSC matrix of the
+        block (s, s), for pieces that touch no other rows or columns of a
+        symmetric pattern: only those rows are formed."""
+        e = self.elimination
+        lo, hi = self.indptr[s.start], self.indptr[s.stop]
+        e_lo, e_hi = e.indptr[s.start], e.indptr[s.stop]
+        data = np.zeros(hi - lo)
+        for name, v in values.items():
+            data[self.pos[name] - lo] += v
+        block = np.ones(e_hi - e_lo)
+        block[e.kept[e_lo:e_hi]] = data[e.keep[lo:hi]]
+        n = s.stop - s.start
+        return sp.csc_matrix((block, e.indices[e_lo:e_hi] - s.start,
+                              e.indptr[s.start:s.stop + 1] - e_lo),
+                             shape=(n, n))
 
 
 @dataclass
@@ -421,83 +458,125 @@ def assemble_riesz(mesh, layout, params, interface_matrix):
 
 
 def assemble_rhs(mesh, layout, loads):
-    """Load vector matching the operator's sign convention."""
+    """Load vector matching the operator's sign convention.  Its points,
+    weights and trace tables are kept per mesh (`_cell_rule`,
+    `_load_facets`); a call evaluates the loads and sums."""
     b = np.zeros(layout.total_dofs)
     if loads is None:
         return b
     cs = layout.stokes_cell_scalar
 
     if loads.f_S is not None:
-        pts, x, W = _load_quadrature(mesh, layout.stokes_cells)
-        fv = loads.f_S(x.reshape(-1, 2)).reshape(x.shape[0], x.shape[1], 2)
+        x, W = _cell_rule(mesh, layout, "stokes")
+        fv = loads.f_S(x.reshape(-1, 2)).reshape(x.shape)
         # load[c, i, a] = (f_i, phi_a) on cell c: one BLAS product
         fw = (fv * W[:, :, None]).transpose(0, 2, 1).reshape(-1, W.shape[1])
-        load = (fw @ el.p2_basis(pts).T).reshape(-1, 2, 6)
+        phi = el.p2_basis(el.triangle_rule(LOAD_TRI_DEGREE)[0])
+        load = (fw @ phi.T).reshape(-1, 2, 6)
         for alpha in range(2):
             np.add.at(b, layout.velocity_dof(alpha, cs), load[:, alpha])
 
     if loads.g_D is not None:
-        _, x, Wd = _load_quadrature(mesh, layout.darcy_cells)
-        g = loads.g_D(x.reshape(-1, 2)).reshape(x.shape[0], x.shape[1])
+        x, Wd = _cell_rule(mesh, layout, "darcy")
+        g = loads.g_D(x.reshape(-1, 2)).reshape(Wd.shape)
         vals = -np.einsum("cq,cq->c", g, Wd)
         np.add.at(b, layout.offsets["p_D"] + np.arange(len(layout.darcy_cells)), vals)
 
-    iface = layout.interface_facets
     if loads.g_gamma is not None or loads.t_n is not None or loads.t_t is not None:
-        x, ds, phi, cs_f = _facet_quadrature(layout, iface, LOAD_SEG_DEGREE,
-                                             trace=True)
-        pts, nq = x.reshape(-1, 2), ds.shape[1]
+        q = _load_facets(mesh, layout, "interface")
+        pts, ds = q.x.reshape(-1, 2), q.ds
         n_S = layout.interface_normals
         tau = np.column_stack([-n_S[:, 1], n_S[:, 0]])
-        n_q, tau_q = np.repeat(n_S, nq, axis=0), np.repeat(tau, nq, axis=0)
+        n_q, tau_q = q.per_point(n_S), q.per_point(tau)
         if loads.g_gamma is not None:
             g = loads.g_gamma(pts, n_q).reshape(ds.shape)
-            b[layout.offsets["lam"] + np.arange(len(iface))] += _dot(ds, g)
+            b[layout.offsets["lam"] + np.arange(len(q.facets))] += _dot(ds, g)
         # (t_n n_S + t_t tau, v) over each facet, one (nf, 2, 6) per load
         stress = []
         if loads.t_n is not None:
-            q = loads.t_n(pts, n_q).reshape(ds.shape) * ds
-            stress.append(n_S[:, :, None] * _dot(phi, q)[:, None, :])
+            w = loads.t_n(pts, n_q).reshape(ds.shape) * ds
+            stress.append(n_S[:, :, None] * _dot(q.phi, w)[:, None, :])
         if loads.t_t is not None:
-            q = loads.t_t(pts, n_q, tau_q).reshape(ds.shape) * ds
-            stress.append(tau[:, :, None] * _dot(phi, q)[:, None, :])
+            w = loads.t_t(pts, n_q, tau_q).reshape(ds.shape) * ds
+            stress.append(tau[:, :, None] * _dot(q.phi, w)[:, None, :])
         if stress:
-            _add_trace_load(b, layout, cs_f, np.stack(stress, axis=1))
+            _add_trace_load(b, layout, q.cs, np.stack(stress, axis=1))
 
-    boundary = np.nonzero(mesh.facet_cells[:, 1] < 0)[0]
-    tags = mesh.facet_tags[boundary]
-    on_natural = np.isin(tags, sorted(STOKES_NATURAL_TAGS))
-    natural, natural_tags = boundary[on_natural], tags[on_natural]
-    if loads.stokes_traction is not None and len(natural):
-        x, ds, phi, cs_f = _facet_quadrature(layout, natural, LOAD_SEG_DEGREE,
-                                             trace=True)
-        n_out = outward_normal(mesh, natural, mesh.facet_cells[natural, 0])
-        tr = np.empty_like(x)
-        for tag in sorted(set(natural_tags)):
-            on = natural_tags == tag
+    q = _load_facets(mesh, layout, "traction")
+    if loads.stokes_traction is not None and len(q.facets):
+        tr = np.empty_like(q.x)
+        for tag in sorted(set(q.tags)):
+            on = q.tags == tag
             tr[on] = loads.stokes_traction(
-                x[on].reshape(-1, 2), np.repeat(n_out[on], ds.shape[1], axis=0),
-                tag).reshape(-1, ds.shape[1], 2)
-        vals = np.stack([_dot(phi, tr[..., alpha] * ds) for alpha in range(2)],
-                        axis=1)
-        _add_trace_load(b, layout, cs_f, vals[:, None])
+                q.x[on].reshape(-1, 2), q.per_point(q.normals[on]),
+                tag).reshape(-1, q.ds.shape[1], 2)
+        vals = np.stack([_dot(q.phi, tr[..., alpha] * q.ds)
+                         for alpha in range(2)], axis=1)
+        _add_trace_load(b, layout, q.cs, vals[:, None])
 
-    natural = boundary[tags == TAG_DARCY_NATURAL]
-    if loads.darcy_pressure is not None and len(natural):
-        x, ds = _facet_quadrature(layout, natural, LOAD_SEG_DEGREE)
-        p = loads.darcy_pressure(x.reshape(-1, 2)).reshape(ds.shape)
+    q = _load_facets(mesh, layout, "pressure")
+    if loads.darcy_pressure is not None and len(q.facets):
+        p = loads.darcy_pressure(q.x.reshape(-1, 2)).reshape(q.ds.shape)
         flux = layout.offsets["u_D"] + np.searchsorted(layout.darcy_facets,
-                                                        natural)
-        b[flux] -= _dot(ds, p)
+                                                        q.facets)
+        b[flux] -= _dot(q.ds, p)
     return b
 
 
-def _load_quadrature(mesh, cells):
-    """Reference points, physical points and weights of the load rule."""
-    coords = mesh.cell_coords(cells)
-    pts, w = el.triangle_rule(LOAD_TRI_DEGREE)
-    _, _, det = el.affine_maps(coords)
-    return pts, el.physical_points(coords, pts), w[None, :] * np.abs(det)[:, None]
+def _cell_rule(mesh, layout, domain):
+    """Physical points (nc, nq, 2) and weights (nc, nq) of the degree
+    LOAD_TRI_DEGREE rule on the "stokes" or "darcy" cells, kept per mesh;
+    mms.compute_errors measures with them too."""
+    def build(mesh):
+        coords = mesh.cell_coords(getattr(layout, domain + "_cells"))
+        pts, w = el.triangle_rule(LOAD_TRI_DEGREE)
+        _, _, det = el.affine_maps(coords)
+        return el.read_only(el.physical_points(coords, pts),
+                            w[None, :] * np.abs(det)[:, None])
+    return _per_mesh(mesh, ("cell rule", domain), build)
+
+
+@dataclass
+class _FacetRule:
+    """The LOAD_SEG_DEGREE rule on some facets: points x (nf, nq, 2) and
+    weights ds (nf, nq); on facets of free-flow cells also the P2 basis phi
+    (nf, 6, nq) of the cell at the points and its scalar dofs cs (nf, 6);
+    on boundary facets their tags and outward normals."""
+
+    facets: np.ndarray
+    x: np.ndarray
+    ds: np.ndarray
+    phi: np.ndarray = None
+    cs: np.ndarray = None
+    tags: np.ndarray = None
+    normals: np.ndarray = None
+
+    def per_point(self, v):
+        """One row of v (nf, k) per quadrature point, (nf * nq, k)."""
+        return np.repeat(v, self.ds.shape[1], axis=0)
+
+
+def _load_facets(mesh, layout, part):
+    """The `_FacetRule` of the "interface", the natural free-flow boundary
+    ("traction") or the natural porous boundary ("pressure"), kept per
+    mesh."""
+    def build(mesh):
+        if part == "interface":
+            f = layout.interface_facets
+            return _FacetRule(f, *_facet_quadrature(layout, f, LOAD_SEG_DEGREE,
+                                                    trace=True))
+        boundary = np.nonzero(mesh.facet_cells[:, 1] < 0)[0]
+        tags = mesh.facet_tags[boundary]
+        if part == "pressure":
+            f = boundary[tags == TAG_DARCY_NATURAL]
+            return _FacetRule(f, *_facet_quadrature(layout, f, LOAD_SEG_DEGREE))
+        on = np.isin(tags, sorted(STOKES_NATURAL_TAGS))
+        f = boundary[on]
+        return _FacetRule(f, *_facet_quadrature(layout, f, LOAD_SEG_DEGREE,
+                                                trace=True),
+                          tags=tags[on],
+                          normals=outward_normal(mesh, f, mesh.facet_cells[f, 0]))
+    return _per_mesh(mesh, ("load facets", part), build)
 
 
 def _add_trace_load(b, layout, cs, vals):

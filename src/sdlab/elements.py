@@ -11,6 +11,8 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 from scipy.special import roots_jacobi, roots_legendre
 
@@ -18,18 +20,30 @@ LOCAL_EDGES = ((0, 1), (1, 2), (0, 2))
 OPPOSITE_VERTEX = (2, 0, 1)
 
 
+def read_only(*arrays):
+    """The arrays, made read-only: for data that several callers share."""
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
+@lru_cache(maxsize=None)
 def segment_rule(degree):
-    """Gauss-Legendre rule on [0, 1], exact for polynomials of `degree`."""
+    """Gauss-Legendre rule on [0, 1], exact for polynomials of `degree`;
+    memoized per degree, read-only."""
     n = degree // 2 + 1
     x, w = roots_legendre(n)
-    return 0.5 * (x + 1.0), 0.5 * w
+    return read_only(0.5 * (x + 1.0), 0.5 * w)
 
 
+@lru_cache(maxsize=None)
 def triangle_rule(degree):
     """Conical-product Gauss rule on the reference triangle.
 
     Tensorizes Gauss-Jacobi (weight 1-x) with Gauss-Legendre, mapped by
     (x, t) -> (x, t*(1-x)); exact for total polynomial degree <= `degree`.
+    Memoized per degree, as every assembly asks for the same few; the
+    arrays are read-only.
     """
     n = degree // 2 + 1
     xj, wj = roots_jacobi(n, 1.0, 0.0)
@@ -42,7 +56,7 @@ def triangle_rule(degree):
     t = np.tile(xl, n)
     pts = np.column_stack([x, t * (1.0 - x)])
     wts = np.repeat(wj, n) * np.tile(wl, n)
-    return pts, wts
+    return read_only(pts, wts)
 
 
 def p1_basis(pts):

@@ -99,6 +99,9 @@ def harmonic_ritz(alphas, betas, k):
     eigenvalue is its entry, as in scipy's `solve_banded` and
     `eigvalsh_tridiagonal`, so the values stay bitwise equal to theirs.
     """
+    if not 1 <= k <= len(alphas):
+        raise ValueError(f"step k = {k} is outside 1..{len(alphas)}, "
+                         f"the steps of the log")
     a = np.asarray(alphas[:k], dtype=float)
     b = np.asarray(betas[:k], dtype=float)
     if k == 1:
@@ -230,17 +233,22 @@ def minres_solve(A, b, precond, reduction=1e-12, maxit=1000, diagnostic=False,
         dbar = epsln = sn = 0.0
         cs = -1.0
         phibar = beta1
-        w = np.zeros(n)
-        w2 = np.zeros(n)
+        # the recurrences run in place, in these buffers and A @ v, one
+        # numpy ufunc per operation as in `x = x + phi * w`, so every value
+        # is rounded as there (no fused multiply-add)
+        v, tmp = np.empty(n), np.empty(n)
+        w, w1, w2 = np.zeros(n), np.zeros(n), np.zeros(n)
         r2 = r1
 
         for itn in range(1, maxit + 1):
-            v = y / beta
+            np.divide(y, beta, out=v)
             yv = A @ v
             if itn >= 2:
-                yv = yv - (beta / oldb) * r1
+                np.multiply(r1, beta / oldb, out=tmp)
+                yv -= tmp
             alfa = float(v @ yv)
-            yv = yv - (alfa / beta) * r2
+            np.multiply(r2, alfa / beta, out=tmp)
+            yv -= tmp
             if diagnostic:
                 basis.project_out(yv)
                 basis.project_out(yv)
@@ -271,10 +279,15 @@ def minres_solve(A, b, precond, reduction=1e-12, maxit=1000, diagnostic=False,
             betas.append(beta)
             if diagnostic and beta > 0.0:
                 basis.append(r2, y, beta)
-            w1 = w2
-            w2 = w
-            w = (v - oldeps * w1 - delta * w2) / gamma
-            x = x + phi * w
+            # w1, w2, w = w2, w, (v - oldeps * w1 - delta * w2) / gamma
+            w1, w2, w = w2, w, w1
+            np.multiply(w1, oldeps, out=tmp)
+            np.subtract(v, tmp, out=w)
+            np.multiply(w2, delta, out=tmp)
+            w -= tmp
+            w /= gamma
+            np.multiply(w, phi, out=tmp)
+            x += tmp
             residuals.append(abs(phibar))
 
             if abs(phibar) <= target:

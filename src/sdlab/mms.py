@@ -29,10 +29,11 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from . import elements as el
-from .assembly import LoadData, PhysParams, _rt_divergence, assemble_system
+from .assembly import (LOAD_TRI_DEGREE, LoadData, PhysParams, _cell_rule,
+                       _rt_divergence, assemble_system)
 from .mesh import BcConfig, build_coupled_mesh, stacked_domain, tag_boundaries
 
-ERROR_DEGREE = 8
+ERROR_DEGREE = LOAD_TRI_DEGREE      # errors are measured on the load's rule
 
 
 @dataclass(frozen=True)
@@ -135,24 +136,28 @@ class ExactSolution:
 
 
 def compute_errors(system, x, exact):
-    """(u_S H1-seminorm, p_S L2, div u_D L2, p_D L2) errors of a solution."""
+    """(u_S H1-seminorm, p_S L2, div u_D L2, p_D L2) errors of a solution,
+    with the per-mesh cell rule of the load vector."""
     mesh, layout = system.mesh, system.layout
-    pts, w = el.triangle_rule(ERROR_DEGREE)
+    pts, _ = el.triangle_rule(ERROR_DEGREE)
 
-    coords = mesh.cell_coords(layout.stokes_cells)
-    _, inv, det = el.affine_maps(coords)
-    W = w[None, :] * np.abs(det)[:, None]
-    flat = el.physical_points(coords, pts).reshape(-1, 2)
+    xq, W = _cell_rule(mesh, layout, "stokes")
+    flat = xq.reshape(-1, 2)
+    _, inv, _ = el.affine_maps(mesh.cell_coords(layout.stokes_cells))
     cs = layout.stokes_cell_scalar
     coef = np.stack([x[layout.velocity_dof(a, cs)] for a in range(2)], axis=1)
     # grad_h[c, i, q, j] = d_j u_i at point q: the reference gradients of
     # u_i for all cells in one BLAS product, then mapped by each cell's
     # inverse Jacobian, so that the (nc, 6, nq, 2) basis gradients are
-    # never formed
+    # never formed; the largest arrays here, so updated in place
     ref = coef.reshape(-1, 6) @ el.p2_grads(pts).reshape(6, -1)
     grad_h = (ref.reshape(len(W), -1, 2) @ inv).reshape(len(W), 2, -1, 2)
+    del ref
     grad_ex = exact.grad_u_S(flat).reshape(len(W), -1, 2, 2).transpose(0, 2, 1, 3)
-    e1 = np.sqrt(np.einsum("ciqj,cq->", (grad_h - grad_ex) ** 2, W))
+    grad_h -= grad_ex
+    del grad_ex
+    np.square(grad_h, out=grad_h)
+    e1 = np.sqrt(np.einsum("ciqj,cq->", grad_h, W))
 
     psi = el.p1_basis(pts)
     pcoef = x[layout.offsets["p_S"] + cs[:, :3]]
@@ -160,16 +165,16 @@ def compute_errors(system, x, exact):
     p_ex = exact.p_S(flat).reshape(p_h.shape)
     e2 = np.sqrt(np.einsum("cq,cq->", (p_h - p_ex) ** 2, W))
 
-    dcoords, area, div = _rt_divergence(mesh, layout)
-    Wd = w[None, :] * (2.0 * area)[:, None]
-    dxq = el.physical_points(dcoords, pts).reshape(-1, 2)
+    dxq, Wd = _cell_rule(mesh, layout, "darcy")
+    dxq = dxq.reshape(-1, 2)
+    _, _, div = _rt_divergence(mesh, layout)
     ucoef = x[layout.offsets["u_D"] + layout.darcy_cell_facets]
     div_h = np.einsum("ck,ck->c", ucoef, div)
-    dive = exact.div_u_D(dxq).reshape(len(area), -1) - div_h[:, None]
+    dive = exact.div_u_D(dxq).reshape(Wd.shape) - div_h[:, None]
     e3 = np.sqrt(np.einsum("cq,cq->", dive ** 2, Wd))
 
     pd = x[layout.field_slice("p_D")]
-    pde = exact.p_D(dxq).reshape(len(area), -1) - pd[:, None]
+    pde = exact.p_D(dxq).reshape(Wd.shape) - pd[:, None]
     e4 = np.sqrt(np.einsum("cq,cq->", pde ** 2, Wd))
     return float(e1), float(e2), float(e3), float(e4)
 

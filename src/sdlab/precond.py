@@ -6,7 +6,9 @@ blocks, a diagonal solve for the porous pressure block, and the interface
 operator's Cholesky solve for the multiplier block.  The LU blocks are
 SPD, so they are factored in symmetric mode: a minimum-degree ordering of
 A' + A and pivots taken from the diagonal, which keeps the ordering
-symmetric and roughly halves the fill of a default `splu`.
+symmetric and roughly halves the fill of a default `splu`.  The u_D and
+p_S blocks are one weight times a parameter-free matrix, factored once
+per mesh (see BlockPreconditioner); only u_S is factored per (mu, K).
 
 Deflation augments the preconditioner with a rank-m correction built from
 near-kernel indicator vectors W:
@@ -29,7 +31,9 @@ from scipy.linalg import lapack
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .mesh import BcConfig, ConfigurationError
+from .assembly import SCALED_BLOCKS, _affine, _weights
+from .mesh import BcConfig, ConfigurationError, _per_mesh
+from .spaces import FIELDS
 
 
 def symmetric_lu(M):
@@ -38,19 +42,64 @@ def symmetric_lu(M):
                      diag_pivot_thresh=0, options={"SymmetricMode": True})
 
 
-class BlockPreconditioner:
-    """Inverse of the block-diagonal Riesz map."""
+def _riesz_block(N, layout, name):
+    """Block `name` of the Riesz map N (CSR), as a CSC matrix.  N is block
+    diagonal and exactly symmetric, so the CSR arrays of the block's rows
+    are the block's CSC arrays: its values are a view of N's."""
+    s = layout.field_slice(name)
+    p = N.indptr[s.start:s.stop + 1]
+    n = s.stop - s.start
+    return sp.csc_matrix((N.data[p[0]:p[-1]], N.indices[p[0]:p[-1]] - s.start,
+                          p - p[0]), shape=(n, n))
 
-    def __init__(self, N, layout, interface_op):
-        self.N = sp.csr_matrix(N)
-        self.layout = layout
-        self.interface_op = interface_op
+
+def _unit_factors(mesh):
+    """For each block of SCALED_BLOCKS, the symmetric LU of its pieces at
+    unit weight, eliminated, and the mask of its eliminated dofs; built
+    once per tagged mesh."""
+    def build(mesh):
+        aff = _affine(mesh)
+        lay = aff.layout
+        out = {}
+        for name, pieces in SCALED_BLOCKS.items():
+            s = lay.field_slice(name)
+            if s.stop == s.start:
+                continue
+            M = aff.N.eliminated_block({k: aff.pieces[k] for k in pieces}, s)
+            out[name] = (symmetric_lu(M),
+                         np.isin(np.arange(s.start, s.stop), aff.essential))
+        return out
+    return _per_mesh(mesh, "unit riesz factors", build)
+
+
+class BlockPreconditioner:
+    """Inverse of the block-diagonal Riesz map N of an assembled system.
+
+    The u_S block weighs two pieces differently, so it is factored per
+    call.  Each block of SCALED_BLOCKS is its pieces times one weight w,
+    apart from the unit rows of its eliminated dofs: N's block is D M = M D
+    with M its unit-weight form and D = diag(d), d = w (1 at eliminated
+    dofs).  M is factored once per mesh (`_unit_factors`), and the block
+    is solved as M^{-1} r, then one in-place division by d.
+    """
+
+    def __init__(self, system):
+        N, lay = system.N, system.layout
+        self.interface_op = system.interface_op
+        self._blocks = [(name, lay.field_slice(name)) for name in FIELDS
+                        if lay.sizes[name]]
         self._solvers = {}
+        self._scales = {}
+        unit = _unit_factors(system.mesh)
+        w = _weights(system.params)
         for name in ("u_S", "u_D", "p_S"):
-            blk = self._block(name)
-            if blk.shape[0]:
-                self._solvers[name] = symmetric_lu(blk)
-        pd = self._block("p_D").diagonal()
+            if name in unit:
+                self._solvers[name], eliminated = unit[name]
+                self._scales[name] = np.where(
+                    eliminated, 1.0, w[SCALED_BLOCKS[name][0]])
+            elif lay.sizes[name]:
+                self._solvers[name] = symmetric_lu(_riesz_block(N, lay, name))
+        pd = _riesz_block(N, lay, "p_D").diagonal()
         if np.any(pd <= 0):
             raise ValueError("porous pressure block is not positive definite")
         self._pd_diag = pd
@@ -60,21 +109,22 @@ class BlockPreconditioner:
         """Stored entries of the sparse factors, summed over the blocks."""
         return sum(lu.L.nnz + lu.U.nnz for lu in self._solvers.values())
 
-    def _block(self, name):
-        s = self.layout.field_slice(name)
-        return self.N[s, :][:, s]
+    def solve_block(self, name, r):
+        """The inverse of N's block `name` applied to r (the block's rows
+        of a residual)."""
+        if name == "p_D":
+            return r / self._pd_diag
+        if name == "lam":
+            return self.interface_op.solve(r)
+        z = self._solvers[name].solve(r)
+        if name in self._scales:
+            z /= self._scales[name]
+        return z
 
     def apply(self, r):
         z = np.empty_like(r)
-        lay = self.layout
-        for name, solver in self._solvers.items():
-            s = lay.field_slice(name)
-            z[s] = solver.solve(r[s])
-        s = lay.field_slice("p_D")
-        z[s] = r[s] / self._pd_diag
-        s = lay.field_slice("lam")
-        if lay.sizes["lam"]:
-            z[s] = self.interface_op.solve(r[s])
+        for name, s in self._blocks:
+            z[s] = self.solve_block(name, r[s])
         return z
 
     __call__ = apply
@@ -84,7 +134,7 @@ def build_preconditioner(system):
     """Preconditioner for an assembled BlockSystem."""
     # eliminated multiplier dofs never occur, so the interface inverse is
     # valid whenever no essential dof falls inside the lam block
-    return BlockPreconditioner(system.N, system.layout, system.interface_op)
+    return BlockPreconditioner(system)
 
 
 @dataclass

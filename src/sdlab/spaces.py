@@ -20,7 +20,8 @@ import numpy as np
 
 from . import elements as el
 from .mesh import (DARCY, STOKES, STOKES_ESSENTIAL_TAGS, TAG_DARCY_ESSENTIAL,
-                   _edge_keys, interface_chains, outward_normal, stokes_cell)
+                   _edge_keys, _per_mesh, interface_chains, outward_normal,
+                   stokes_cell)
 
 FIELDS = ("u_S", "u_D", "p_S", "p_D", "lam")
 
@@ -182,29 +183,52 @@ def essential_values(layout, dofs, u_S=None, u_D=None):
     u_S maps points (n, 2) to velocities (n, 2) and is sampled at the P2
     nodes; u_D maps points to porous velocities and is reduced to facet-mean
     normal flux densities by Gauss quadrature.  Each is called once, on all
-    its points.  Missing fields give zeros.
+    its points.  Missing fields give zeros.  The points are kept per mesh
+    and set of dofs (`_essential_points`).
     """
-    dofs = np.asarray(dofs)
+    dofs = np.asarray(dofs, dtype=np.int64)
     vals = np.zeros(len(dofs))
+    at = _essential_points(layout, dofs)
+    if u_S is not None and len(at.u_S):
+        uv = u_S(at.nodes)
+        vals[at.u_S] = uv[np.arange(len(at.u_S)), at.component]
+    if u_D is not None and len(at.u_D):
+        u = u_D(at.gauss.reshape(-1, 2)).reshape(at.gauss.shape)
+        un = _dot(u, at.normals)
+        w = el.segment_rule(5)[1]          # sums to 1: the facet mean
+        vals[at.u_D] = _dot(un, np.broadcast_to(w, un.shape))
+    return vals
 
+
+@dataclass
+class _EssentialPoints:
+    """Where `essential_values` samples: the positions in `dofs` of the
+    u_S dofs, their components and P2 nodes; the positions of the u_D dofs,
+    the degree-5 Gauss points (n, nq, 2) and RT normals of their facets."""
+
+    u_S: np.ndarray
+    component: np.ndarray
+    nodes: np.ndarray
+    u_D: np.ndarray
+    gauss: np.ndarray
+    normals: np.ndarray
+
+
+def _essential_points(layout, dofs):
+    """The `_EssentialPoints` of `dofs`, kept per mesh and set of dofs:
+    assemble_system asks for those of the mesh's essential dofs."""
     def select(field):
         loc = dofs - layout.offsets[field]
         sel = np.nonzero((loc >= 0) & (loc < layout.sizes[field]))[0]
         return sel, loc[sel]
 
-    if u_S is not None:
-        sel, loc = select("u_S")
-        if len(sel):
-            comp, scal = np.divmod(loc, layout.num_scalar)
-            uv = u_S(layout.scalar_dof_points()[scal])
-            vals[sel] = uv[np.arange(len(sel)), comp]
-    if u_D is not None:
-        sel, loc = select("u_D")
-        if len(sel):
-            f = layout.darcy_facets[loc]
-            x, _ = _facet_quadrature(layout, f, 5)
-            u = u_D(x.reshape(-1, 2)).reshape(x.shape)
-            un = _dot(u, global_facet_normal(layout.mesh, f))
-            w = el.segment_rule(5)[1]          # sums to 1: the facet mean
-            vals[sel] = _dot(un, np.broadcast_to(w, un.shape))
-    return vals
+    def build(mesh):
+        s, loc = select("u_S")
+        comp, scal = np.divmod(loc, layout.num_scalar)
+        d, loc = select("u_D")
+        f = layout.darcy_facets[loc]
+        return _EssentialPoints(
+            u_S=s, component=comp, nodes=layout.scalar_dof_points()[scal],
+            u_D=d, gauss=_facet_quadrature(layout, f, 5)[0],
+            normals=global_facet_normal(mesh, f))
+    return _per_mesh(layout.mesh, ("essential points", dofs.tobytes()), build)

@@ -755,9 +755,10 @@ def fd_sym_grad_div(vfunc, pts, h=1e-4):
 
 # ------------------------------------------------------ MINRES diagnostics
 #
-# The diagnostic MINRES as it ran before its post-processing called LAPACK
-# directly: the recurrence and the block classical Gram-Schmidt sweeps with
-# fresh arrays, harmonic Ritz values through scipy's checked
+# MINRES as it ran before its recurrences were updated in place and its
+# post-processing called LAPACK directly: the recurrence (and, in
+# diagnostic mode, the block classical Gram-Schmidt sweeps) with a fresh
+# array per operation, harmonic Ritz values through scipy's checked
 # `solve_banded` and `eigvalsh_tridiagonal`, and one F_k evaluation per
 # step.  Only SPD preconditioners are passed to it, so it has no
 # definiteness checks.
@@ -800,9 +801,10 @@ def reference_Fk(theta, eigenvalues, collision_tol=1e-14):
                         * np.abs(lam1 - rest) / dens))
 
 
-def reference_diagnostic_minres(A, b, precond, reduction=1e-12, maxit=1000,
-                                eigenvalues=None, abs_floor=1e-14):
-    """(x, residuals, theta_min, Fk, ortho_max) of a diagnostic solve."""
+def reference_minres(A, b, precond, reduction=1e-12, maxit=1000,
+                     diagnostic=True, eigenvalues=None, abs_floor=1e-14):
+    """(x, residuals, alphas, betas, theta_min, Fk, ortho_max) of a solve;
+    the last three are None unless `diagnostic`."""
     n = len(b)
     x = np.zeros(n)
     r1 = np.asarray(b, dtype=float).copy()
@@ -825,9 +827,10 @@ def reference_diagnostic_minres(A, b, precond, reduction=1e-12, maxit=1000,
             yv = yv - (beta / oldb) * r1
         alfa = float(v @ yv)
         yv = yv - (alfa / beta) * r2
-        Vm, Zm = np.array(V), np.array(Z)
-        for _ in range(2):
-            yv = yv - Vm.T @ (Zm @ yv)
+        if diagnostic:
+            Vm, Zm = np.array(V), np.array(Z)
+            for _ in range(2):
+                yv = yv - Vm.T @ (Zm @ yv)
         r1 = r2
         r2 = yv
         y = precond(r2)
@@ -845,7 +848,7 @@ def reference_diagnostic_minres(A, b, precond, reduction=1e-12, maxit=1000,
         phibar = sn * phibar
         alphas.append(alfa)
         betas.append(beta)
-        if beta > 0.0:
+        if diagnostic and beta > 0.0:
             V.append(r2 / beta)
             Z.append(y / beta)
         w1 = w2
@@ -855,6 +858,10 @@ def reference_diagnostic_minres(A, b, precond, reduction=1e-12, maxit=1000,
         residuals.append(abs(phibar))
         if abs(phibar) <= target or beta <= 1e-14 * beta1:
             break
+    residuals = np.array(residuals)
+    alphas, betas = np.array(alphas), np.array(betas)
+    if not diagnostic:
+        return x, residuals, alphas, betas, None, None, None
     theta_min = np.full(len(residuals), np.nan)
     Fk = theta_min.copy()
     for k in range(1, len(residuals)):
@@ -865,4 +872,4 @@ def reference_diagnostic_minres(A, b, precond, reduction=1e-12, maxit=1000,
             Fk[k] = reference_Fk(theta, eigenvalues)
     G = np.array(V) @ np.array(Z).T
     ortho_max = float(np.abs(G - np.eye(len(V))).max())
-    return x, np.array(residuals), theta_min, Fk, ortho_max
+    return x, residuals, alphas, betas, theta_min, Fk, ortho_max

@@ -364,6 +364,31 @@ def test_reused_mesh_matches_fresh_mesh(config):
                            mms_system(tagged(config), mu, K))
 
 
+@pytest.mark.parametrize("config", CACHE_CONFIGS, ids=lambda c: c.value)
+def test_eliminated_system_matches_dense_elimination(config):
+    # the per-mesh index maps give the dense elimination of the full
+    # operator and Riesz map, keeping every stored entry (explicit zeros
+    # too) off the essential rows and columns
+    m = tagged(config)
+    params = PhysParams(mu=3.0, K=0.2, alpha_bjs=0.5)
+    system = assemble_system(m, params)
+    layout, dofs = system.layout, system.essential
+    assert len(dofs)
+    full = {"A": assemble_operator(m, layout, params),
+            "N": assemble_riesz(m, layout, params, system.interface_op.matrix)}
+    free = np.ones(layout.total_dofs, dtype=bool)
+    free[dofs] = False
+    for name, F in full.items():
+        D = F.toarray()
+        D[dofs, :] = 0.0
+        D[:, dofs] = 0.0
+        D[dofs, dofs] = 1.0
+        M = getattr(system, name)
+        assert np.array_equal(M.toarray(), D)
+        C = F.tocoo()
+        assert M.nnz == np.count_nonzero(free[C.row] & free[C.col]) + len(dofs)
+
+
 def test_retagged_mesh_matches_fresh_mesh():
     # tags decide the essential dofs and the interface endpoints, so
     # re-tagging must drop the pieces of the previous layout

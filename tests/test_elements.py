@@ -1,6 +1,7 @@
 """Reference-element and quadrature checks on the unit triangle."""
 
 import numpy as np
+import pytest
 
 from sdlab.elements import (
     LOCAL_EDGES,
@@ -61,6 +62,16 @@ def test_segment_rule_exactness():
     pts, wts = segment_rule(5)
     f = lambda x: 1.0 - 4.0 * x**3 + 7.0 * x**5
     assert abs((wts * f(pts)).sum() - (owts * f(opts)).sum()) < 1e-14
+
+
+@pytest.mark.parametrize("rule", [segment_rule, triangle_rule])
+def test_rules_are_memoized_and_read_only(rule):
+    # every caller shares one rule per degree, so none may change it
+    pts, wts = rule(5)
+    assert rule(5)[0] is pts and rule(5)[1] is wts
+    for a in (pts, wts):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0
 
 
 def test_p2_nodal_basis():

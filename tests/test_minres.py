@@ -158,6 +158,12 @@ def test_harmonic_ritz_matches_extended_precision():
     assert len(theta) == k and max(err) <= 1e-8
 
 
+@pytest.mark.parametrize("k", [0, -1, 4, 400])
+def test_harmonic_ritz_rejects_steps_outside_the_log(k):
+    with pytest.raises(ValueError, match=r"outside 1\.\.3"):
+        harmonic_ritz([1.0, 2.0, 1.0], [1.0, 1.0, 0.5], k)
+
+
 def test_harmonic_ritz_singular_tridiagonal():
     # T with diagonal (1, 2, 1) and off-diagonal (1, 1) has eigenvalues 0,
     # 1 and 3: its null direction has an infinite harmonic Ritz value, the
@@ -286,20 +292,29 @@ def test_nonfinite_preconditioner_stops():
     assert np.all(np.isfinite(log.x)) and np.all(np.isfinite(log.residuals))
 
 
+def _reference_case(case, nref, mu, K, deflate):
+    system = mms_case(nref, n0=4, exact=ExactSolution(mu=mu, K=K, alpha_bjs=0.5),
+                      config=BcConfig(case))
+    B = build_preconditioner(system)
+    d = build_deflation(system) if deflate else None
+    return system, d, (B if d is None else DeflatedPreconditioner(B, d))
+
+
+def _assert_bitwise(got, want):
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("case,nref,mu,K,deflate,spectrum", [
     pytest.param("EN", 2, 1e-4, 1e-4, False, True, id="criterion5"),
     pytest.param("NE", 1, 1e-2, 1e4, True, True, id="deflated-NE"),
     pytest.param("NN", 1, 1.0, 1.0, False, False, id="NN-no-eigenvalues"),
 ])
 def test_diagnostics_match_reference(case, nref, mu, K, deflate, spectrum):
-    # the post-processing in direct LAPACK calls with one blocked F_k pass,
-    # and the in-place Gram-Schmidt sweeps, must reproduce the scipy-wrapper
-    # loop with one F_k per step bit for bit
-    system = mms_case(nref, n0=4, exact=ExactSolution(mu=mu, K=K, alpha_bjs=0.5),
-                      config=BcConfig(case))
-    B = build_preconditioner(system)
-    d = build_deflation(system) if deflate else None
-    P = B if d is None else DeflatedPreconditioner(B, d)
+    # the recurrences in place, the post-processing in direct LAPACK calls
+    # with one blocked F_k pass, and the in-place Gram-Schmidt sweeps must
+    # reproduce the fresh-array, scipy-wrapper loop with one F_k per step
+    # bit for bit
+    system, d, P = _reference_case(case, nref, mu, K, deflate)
     eigenvalues = None
     if spectrum:
         eigenvalues = generalized_eigs(system.A, system.N, len(system.essential),
@@ -307,12 +322,13 @@ def test_diagnostics_match_reference(case, nref, mu, K, deflate, spectrum):
     log = minres_solve(system.A, system.b, P, reduction=1e-12, maxit=3000,
                        diagnostic=True, eigenvalues=eigenvalues)
     assert log.reason == "converged"
-    x, residuals, theta_min, Fk, ortho_max = oracles.reference_diagnostic_minres(
-        system.A, system.b, P.apply, reduction=1e-12, maxit=3000,
-        eigenvalues=eigenvalues)
+    x, residuals, alphas, betas, theta_min, Fk, ortho_max = (
+        oracles.reference_minres(system.A, system.b, P.apply, reduction=1e-12,
+                                 maxit=3000, eigenvalues=eigenvalues))
     for got, want in ((log.x, x), (log.residuals, residuals),
+                      (log.alphas, alphas), (log.betas, betas),
                       (log.theta_min, theta_min), (log.Fk, Fk)):
-        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        _assert_bitwise(got, want)
     assert log.ortho_max == ortho_max
     if case == "EN":
         # F_k spans more than one block, and crosses from plateau to 1
@@ -320,6 +336,24 @@ def test_diagnostics_match_reference(case, nref, mu, K, deflate, spectrum):
         assert np.nanmax(log.Fk) > 10.0 and np.nanmin(log.Fk) < 1.5
     if not spectrum:
         assert np.isnan(log.Fk).all()
+
+
+@pytest.mark.parametrize("case,nref,mu,K,deflate", [
+    pytest.param("EN", 2, 1e-4, 1e-4, False, id="criterion5"),
+    pytest.param("NE", 1, 1e-2, 1e4, True, id="deflated-NE"),
+])
+def test_plain_solve_matches_reference(case, nref, mu, K, deflate):
+    # without diagnostics, the in-place recurrences give the fresh-array
+    # loop's iterates and Lanczos coefficients bit for bit
+    system, _, P = _reference_case(case, nref, mu, K, deflate)
+    log = minres_solve(system.A, system.b, P, reduction=1e-12, maxit=3000)
+    assert log.reason == "converged"
+    x, residuals, alphas, betas = oracles.reference_minres(
+        system.A, system.b, P.apply, reduction=1e-12, maxit=3000,
+        diagnostic=False)[:4]
+    for got, want in ((log.x, x), (log.residuals, residuals),
+                      (log.alphas, alphas), (log.betas, betas)):
+        _assert_bitwise(got, want)
 
 
 def test_Fk_blocks_match_per_step_reference(rng, monkeypatch):

@@ -5,16 +5,18 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 
-from sdlab.assembly import PhysParams, assemble_system
+from sdlab.assembly import SCALED_BLOCKS, PhysParams, assemble_system
 from sdlab.mesh import BcConfig, build_coupled_mesh, stacked_domain, tag_boundaries
 from sdlab.precond import (
     DeflatedPreconditioner,
+    _riesz_block,
     build_deflation,
     build_preconditioner,
     deflation_gamma,
     deflation_vectors,
 )
 from sdlab.cli import floating_domain
+from sdlab.spaces import FIELDS
 
 
 def make_system(config=BcConfig.NE, nref=0, n0=2, mu=3.0, K=0.2, alpha=0.5,
@@ -46,20 +48,65 @@ def test_apply_parameter_extremes(rng):
 @pytest.mark.parametrize("config,mu,K", [
     (BcConfig.NE, 3.0, 0.2), (BcConfig.EN, 1e-4, 1e4), (BcConfig.NN, 1e4, 1e-4)])
 def test_block_factors_match_dense_solve(config, mu, K, rng):
-    # each symmetric-mode factor solves its block like a dense solve, with
-    # no more fill than a default-ordering splu of the same block
+    # each block solve of the preconditioner (scaled or not) matches a
+    # dense solve of its block of N, and each symmetric-mode factor has no
+    # more fill than a default-ordering splu of the same block
     system = make_system(config=config, nref=2, mu=mu, K=K)
     B = build_preconditioner(system)
     assert set(B._solvers) == {"u_S", "u_D", "p_S"}
     for name, lu in B._solvers.items():
-        blk = B._block(name)
+        s = system.layout.field_slice(name)
+        blk = system.N[s, :][:, s]
         r = rng.standard_normal(blk.shape[0])
         expect = np.linalg.solve(blk.toarray(), r)
-        got = lu.solve(r)
+        got = B.solve_block(name, r)
         assert np.linalg.norm(got - expect) <= 1e-12 * np.linalg.norm(expect)
         default = spla.splu(blk.tocsc())
         assert lu.L.nnz + lu.U.nnz <= default.L.nnz + default.U.nnz
     assert B.lu_fill == sum(lu.L.nnz + lu.U.nnz for lu in B._solvers.values())
+
+
+def tagged(config, nref=1):
+    domain = (floating_domain(2, 2) if config is BcConfig.MULTI
+              else stacked_domain(2))
+    return tag_boundaries(build_coupled_mesh(domain, nref), config)
+
+
+@pytest.mark.parametrize("config", list(BcConfig), ids=lambda c: c.value)
+def test_riesz_blocks_read_off_rows(config):
+    # N is exactly symmetric, in values and pattern, and block diagonal, so
+    # the CSR arrays of a block's rows are the block's CSC arrays
+    system = assemble_system(tagged(config), PhysParams(mu=3.0, K=0.2))
+    N, lay = system.N, system.layout
+    assert (N - N.T).nnz == 0
+    T = N.T.tocsr()
+    assert np.array_equal(T.indptr, N.indptr)
+    assert np.array_equal(T.indices, N.indices)
+    for name in FIELDS:
+        s = lay.field_slice(name)
+        got, want = _riesz_block(N, lay, name), N[s, :][:, s]
+        assert got.format == "csc" and got.shape == want.shape
+        assert got.nnz == want.nnz == N[s, :].nnz
+        assert (got - want).nnz == 0
+
+
+@pytest.mark.parametrize("config", [BcConfig.NE, BcConfig.EN, BcConfig.MULTI],
+                         ids=lambda c: c.value)
+def test_scaled_factors_solve_their_blocks(config, rng):
+    # the unit-weight factors are built once per mesh, at whichever (mu, K)
+    # comes first, and solve the scaled block of every other (mu, K)
+    m = tagged(config)
+    first = build_preconditioner(assemble_system(m, PhysParams(mu=1.0, K=1.0)))
+    for mu, K in [(1e-6, 1.0), (1.0, 1e-6), (1e6, 1.0), (1.0, 1e6)]:
+        system = assemble_system(m, PhysParams(mu=mu, K=K))
+        B = build_preconditioner(system)
+        for name in SCALED_BLOCKS:
+            assert B._solvers[name] is first._solvers[name]
+            s = system.layout.field_slice(name)
+            r = rng.standard_normal(s.stop - s.start)
+            expect = np.linalg.solve(system.N[s, :][:, s].toarray(), r)
+            got = B.solve_block(name, r)
+            assert np.linalg.norm(got - expect) <= 1e-12 * np.linalg.norm(expect)
 
 
 def test_preconditioner_is_spd_form(rng):

@@ -1,6 +1,7 @@
 """Property tests over random lattice domains: the interface order and the
 dof layout equal their loop references, the assembled operator and Riesz
-map are exactly symmetric, and the pencil spectrum equals its dense
+map are exactly symmetric, a mesh's per-mesh caches reproduce a fresh
+mesh's system at every (mu, K), and the pencil spectrum equals its dense
 reference and depends on (mu, K) only through mu*K.
 
 Domains are drawn in lattice units of 1/n0: a free-flow rectangle with one
@@ -17,6 +18,8 @@ import oracles
 from sdlab.assembly import PhysParams, assemble_system
 from sdlab.mesh import (BcConfig, DomainSpec, build_coupled_mesh,
                         interface_chains, tag_boundaries)
+from sdlab.mms import ExactSolution
+from sdlab.precond import build_preconditioner
 from sdlab.spaces import build_layout
 from sdlab.spectrum import generalized_eigs
 
@@ -87,6 +90,35 @@ def test_edge_sharing_domains_match_references(case, nref):
 @given(inclusions(), st.integers(0, 1))
 def test_inclusion_domains_match_references(case, nref):
     _check(case, nref)
+
+
+def _system(m, mu, K):
+    exact = ExactSolution(mu=mu, K=K, alpha_bjs=0.5)
+    system = assemble_system(m, exact.params(), exact.loads())
+    return system, build_preconditioner(system)
+
+
+@settings(derandomize=True, max_examples=16, deadline=None)
+@given(st.one_of(edge_sharing(), inclusions()), st.integers(0, 1),
+       st.sampled_from([(1e-3, 1e3), (1e3, 0.5), (0.2, 1e-3)]))
+def test_reused_mesh_assembles_like_a_fresh_mesh(case, nref, other):
+    # pieces, load geometry, elimination maps and Riesz factors are built
+    # at the first (mu, K) and serve the others: back at the first, the
+    # system is a fresh mesh's bit for bit and so is, to roundoff, B
+    domain, config = case
+    m = tag_boundaries(build_coupled_mesh(domain, nref), config)
+    for mu, K in ((3.0, 0.2), other, (3.0, 0.2)):
+        system, B = _system(m, mu, K)
+    fresh, B0 = _system(
+        tag_boundaries(build_coupled_mesh(domain, nref), config), 3.0, 0.2)
+    for name in ("A", "N"):
+        got, want = getattr(system, name), getattr(fresh, name)
+        for arr in ("indptr", "indices", "data"):
+            assert getattr(got, arr).tobytes() == getattr(want, arr).tobytes()
+    assert system.b.tobytes() == fresh.b.tobytes()
+    r = np.random.default_rng(nref).standard_normal(len(system.b))
+    z, z0 = B.apply(r), B0.apply(r)
+    assert np.abs(z - z0).max() <= 1e-14 * np.abs(z0).max()
 
 
 @settings(derandomize=True, max_examples=16, deadline=None)
