@@ -35,9 +35,9 @@ import scipy.sparse as sp
 
 from . import elements as el
 from .mesh import (STOKES, STOKES_NATURAL_TAGS, TAG_DARCY_NATURAL,
-                   ConfigurationError, _per_mesh, outward_normal)
+                   ConfigurationError, _per_mesh)
 from .spaces import (_dot, _facet_quadrature, build_layout, essential_dofs,
-                     essential_values)
+                     essential_values, global_facet_normal)
 
 OPERATOR_TRI_DEGREE = 4
 OPERATOR_SEG_DEGREE = 5    # P2 trace products are quartic along a facet
@@ -176,34 +176,33 @@ def _viscous_blocks(X, XW):
     return block
 
 
-def _velocity_entries(mesh, layout, X, XW):
+def _velocity_entries(mesh, layout, X, XW, iface):
     """2*(eps(u), eps(v)) over the free-flow cells and the interface slip
     mass (u.tau, v.tau)_Gamma: the pieces `visc` and `slip` that A and N
     share.  X, XW: the gradient rows of _stokes_geometry, plain and times
-    the quadrature weights."""
-    block = _viscous_blocks(X, XW)
-    cs = layout.stokes_cell_scalar
-    visc = _Acc(layout.total_dofs)
-    for beta in range(2):
-        rows = layout.velocity_dof(beta, cs)[:, None, :]       # (c, 1, b)
-        for alpha in range(2):
-            cols = layout.velocity_dof(alpha, cs)[:, :, None]  # (c, a, 1)
-            visc.add(rows, cols, block[beta, alpha])
-    return visc.matrix(), _slip_entries(layout)
-
-
-def _slip_entries(layout):
-    _, ds, phi, cs = _facet_quadrature(layout, layout.interface_facets,
-                                       OPERATOR_SEG_DEGREE, trace=True)
+    the quadrature weights; iface: the interface `_facet_quadrature` of
+    degree OPERATOR_SEG_DEGREE with its traces."""
+    _, ds, phi, cs = iface
     n_S = layout.interface_normals
     tau = np.column_stack([-n_S[:, 1], n_S[:, 0]])
     m = np.einsum("faq,fbq,fq->fab", phi, phi, ds)
+    slip = {(beta, alpha): (tau[:, alpha] * tau[:, beta])[:, None, None] * m
+            for beta in range(2) for alpha in range(2)}
+    return (_velocity_block(layout, layout.stokes_cell_scalar,
+                            _viscous_blocks(X, XW)),
+            _velocity_block(layout, cs, slip))
+
+
+def _velocity_block(layout, cs, block):
+    """The P2 component blocks block[beta, alpha] (n, a, b) of n cells or
+    facets with scalar dofs cs (n, 6), scattered at row component beta,
+    local dof b and column component alpha, local dof a."""
     acc = _Acc(layout.total_dofs)
     for beta in range(2):
-        rows = layout.velocity_dof(beta, cs)[:, None, :]        # (f, 1, b)
+        rows = layout.velocity_dof(beta, cs)[:, None, :]       # (n, 1, b)
         for alpha in range(2):
-            cols = layout.velocity_dof(alpha, cs)[:, :, None]   # (f, a, 1)
-            acc.add(rows, cols, (tau[:, alpha] * tau[:, beta])[:, None, None] * m)
+            cols = layout.velocity_dof(alpha, cs)[:, :, None]  # (n, a, 1)
+            acc.add(rows, cols, block[beta, alpha])
     return acc.matrix()
 
 
@@ -237,7 +236,9 @@ def _pieces(mesh, layout):
     n = layout.total_dofs
     pts, W, X = _stokes_geometry(mesh, layout, OPERATOR_TRI_DEGREE)
     XW = X * W[:, None, :]
-    visc, slip = _velocity_entries(mesh, layout, X, XW)
+    iface = _facet_quadrature(layout, layout.interface_facets,
+                              OPERATOR_SEG_DEGREE, trace=True)
+    visc, slip = _velocity_entries(mesh, layout, X, XW, iface)
     psi = el.p1_basis(pts)
     cs = layout.stokes_cell_scalar
     prow = layout.offsets["p_S"] + cs[:, :3]
@@ -256,7 +257,7 @@ def _pieces(mesh, layout):
     bd = -div * area[:, None]                                  # -(div psi_k, 1)
     saddle.add(pdr[:, None], rows, bd)
     saddle.add(rows, pdr[:, None], bd)
-    _coupling_entries(mesh, layout, saddle)
+    _coupling_entries(mesh, layout, iface, saddle)
 
     mass, divdiv, p1, p0 = (_Acc(n) for _ in range(4))
     mass.add(rows[:, None, :], rows[:, :, None],
@@ -366,23 +367,6 @@ class _Pattern:
             data[self.pos[name]] += v
         return _csr(data, self.indices, self.indptr)
 
-    def eliminated_block(self, values, s):
-        """Rows s of `matrix(values)` eliminated, as the CSC matrix of the
-        block (s, s), for pieces that touch no other rows or columns of a
-        symmetric pattern: only those rows are formed."""
-        e = self.elimination
-        lo, hi = self.indptr[s.start], self.indptr[s.stop]
-        e_lo, e_hi = e.indptr[s.start], e.indptr[s.stop]
-        data = np.zeros(hi - lo)
-        for name, v in values.items():
-            data[self.pos[name] - lo] += v
-        block = np.ones(e_hi - e_lo)
-        block[e.kept[e_lo:e_hi]] = data[e.keep[lo:hi]]
-        n = s.stop - s.start
-        return sp.csc_matrix((block, e.indices[e_lo:e_hi] - s.start,
-                              e.indptr[s.start:s.stop + 1] - e_lo),
-                             shape=(n, n))
-
 
 @dataclass
 class _Affine:
@@ -426,16 +410,17 @@ def assemble_operator(mesh, layout, params):
     return aff.A.matrix({k: w[k] * aff.pieces[k] for k in _A_PIECES})
 
 
-def _coupling_entries(mesh, layout, acc):
-    iface = layout.interface_facets
-    lam = layout.offsets["lam"] + np.arange(len(iface))
-    ud = layout.offsets["u_D"] + np.searchsorted(layout.darcy_facets, iface)
+def _coupling_entries(mesh, layout, iface, acc):
+    """The +-(v.n_S, lam) couplings, on the interface quadrature `iface`
+    of `_velocity_entries`."""
+    f = layout.interface_facets
+    lam = layout.offsets["lam"] + np.arange(len(f))
+    ud = layout.offsets["u_D"] + np.searchsorted(layout.darcy_facets, f)
     # n_S is the Stokes cell's outward normal and the global RT normal is
     # that of facet_cells[f, 0], so they agree iff the Stokes cell comes first
     sigmas = np.where(
-        mesh.cell_subdomain[mesh.facet_cells[iface, 0]] == STOKES, 1.0, -1.0)
-    _, ds, phi, cs = _facet_quadrature(layout, iface, OPERATOR_SEG_DEGREE,
-                                       trace=True)
+        mesh.cell_subdomain[mesh.facet_cells[f, 0]] == STOKES, 1.0, -1.0)
+    _, ds, phi, cs = iface
     ints = _dot(phi, ds)
     for alpha in range(2):
         cols = layout.velocity_dof(alpha, cs)
@@ -464,7 +449,6 @@ def assemble_rhs(mesh, layout, loads):
     b = np.zeros(layout.total_dofs)
     if loads is None:
         return b
-    cs = layout.stokes_cell_scalar
 
     if loads.f_S is not None:
         x, W = _cell_rule(mesh, layout, "stokes")
@@ -472,9 +456,8 @@ def assemble_rhs(mesh, layout, loads):
         # load[c, i, a] = (f_i, phi_a) on cell c: one BLAS product
         fw = (fv * W[:, :, None]).transpose(0, 2, 1).reshape(-1, W.shape[1])
         phi = el.p2_basis(el.triangle_rule(LOAD_TRI_DEGREE)[0])
-        load = (fw @ phi.T).reshape(-1, 2, 6)
-        for alpha in range(2):
-            np.add.at(b, layout.velocity_dof(alpha, cs), load[:, alpha])
+        load = (fw @ phi.T).reshape(-1, 1, 2, 6)
+        _add_trace_load(b, layout, layout.stokes_cell_scalar, load)
 
     if loads.g_D is not None:
         x, Wd = _cell_rule(mesh, layout, "darcy")
@@ -575,13 +558,14 @@ def _load_facets(mesh, layout, part):
         return _FacetRule(f, *_facet_quadrature(layout, f, LOAD_SEG_DEGREE,
                                                 trace=True),
                           tags=tags[on],
-                          normals=outward_normal(mesh, f, mesh.facet_cells[f, 0]))
+                          normals=global_facet_normal(mesh, f))
     return _per_mesh(mesh, ("load facets", part), build)
 
 
 def _add_trace_load(b, layout, cs, vals):
-    """Add vals (nf, loads, 2, 6) at the velocity dofs (component, local
-    dof) of each facet's free-flow cell, facet by facet."""
+    """Add vals (n, loads, 2, 6) at the velocity dofs (component, local
+    dof) of n free-flow cells with scalar dofs cs (n, 6), such as the cells
+    of the facets of a `_FacetRule`, row by row."""
     dofs = np.stack([layout.velocity_dof(alpha, cs) for alpha in range(2)],
                     axis=1)
     np.add.at(b, np.broadcast_to(dofs[:, None], vals.shape), vals)

@@ -122,7 +122,6 @@ def cmd_mms(args):
 def cmd_cond_sweep(args):
     t0 = time.perf_counter()
     config = BcConfig(args.case)
-    exact = ExactSolution(alpha_bjs=args.alpha)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"cond_sweep_{config.value}.csv"
@@ -135,7 +134,7 @@ def cmd_cond_sweep(args):
             for K in args.K:
                 t1 = time.perf_counter()
                 params = PhysParams(mu=mu, K=K, alpha_bjs=args.alpha)
-                system = assemble_system(mesh, params, exact.loads())
+                system = assemble_system(mesh, params)
                 try:
                     spec = generalized_eigs(system.A, system.N,
                                             n_eliminated=len(system.essential))

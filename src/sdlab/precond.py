@@ -24,6 +24,7 @@ pressure does (EN).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
@@ -56,18 +57,19 @@ def _riesz_block(N, layout, name):
 def _unit_factors(mesh):
     """For each block of SCALED_BLOCKS, the symmetric LU of its pieces at
     unit weight, eliminated, and the mask of its eliminated dofs; built
-    once per tagged mesh."""
+    once per tagged mesh from one unit-weight N of all their pieces."""
     def build(mesh):
         aff = _affine(mesh)
         lay = aff.layout
+        N = aff.N.elimination.apply(aff.N.matrix(
+            {k: aff.pieces[k] for pieces in SCALED_BLOCKS.values()
+             for k in pieces}))
         out = {}
-        for name, pieces in SCALED_BLOCKS.items():
+        for name in SCALED_BLOCKS:
             s = lay.field_slice(name)
-            if s.stop == s.start:
-                continue
-            M = aff.N.eliminated_block({k: aff.pieces[k] for k in pieces}, s)
-            out[name] = (symmetric_lu(M),
-                         np.isin(np.arange(s.start, s.stop), aff.essential))
+            if s.stop > s.start:
+                out[name] = (symmetric_lu(_riesz_block(N, lay, name)),
+                             np.isin(np.arange(s.start, s.stop), aff.essential))
         return out
     return _per_mesh(mesh, "unit riesz factors", build)
 
@@ -88,25 +90,23 @@ class BlockPreconditioner:
         self.interface_op = system.interface_op
         self._blocks = [(name, lay.field_slice(name)) for name in FIELDS
                         if lay.sizes[name]]
-        self._solvers = {}
-        self._scales = {}
         unit = _unit_factors(system.mesh)
+        self._solvers = {"u_S": symmetric_lu(_riesz_block(N, lay, "u_S"))}
+        self._scales = {}
         w = _weights(system.params)
-        for name in ("u_S", "u_D", "p_S"):
-            if name in unit:
-                self._solvers[name], eliminated = unit[name]
-                self._scales[name] = np.where(
-                    eliminated, 1.0, w[SCALED_BLOCKS[name][0]])
-            elif lay.sizes[name]:
-                self._solvers[name] = symmetric_lu(_riesz_block(N, lay, name))
+        for name, (lu, eliminated) in unit.items():
+            self._solvers[name] = lu
+            self._scales[name] = np.where(eliminated, 1.0,
+                                          w[SCALED_BLOCKS[name][0]])
         pd = _riesz_block(N, lay, "p_D").diagonal()
         if np.any(pd <= 0):
             raise ValueError("porous pressure block is not positive definite")
         self._pd_diag = pd
 
-    @property
+    @cached_property
     def lu_fill(self):
-        """Stored entries of the sparse factors, summed over the blocks."""
+        """Stored entries of the sparse factors, summed over the blocks;
+        counted once, as it builds SuperLU's L and U as scipy matrices."""
         return sum(lu.L.nnz + lu.U.nnz for lu in self._solvers.values())
 
     def solve_block(self, name, r):
@@ -164,14 +164,9 @@ def deflation_vectors(layout, config):
     """
     config = BcConfig(config)
     n = layout.total_dofs
-    if config == BcConfig.NE:
+    if config in (BcConfig.NE, BcConfig.EN):
         w = np.zeros((n, 1))
-        w[layout.field_slice("p_D")] = 1.0
-        w[layout.field_slice("lam")] = 1.0
-        return w
-    if config == BcConfig.EN:
-        w = np.zeros((n, 1))
-        w[layout.field_slice("p_S")] = 1.0
+        w[layout.field_slice("p_D" if config == BcConfig.NE else "p_S")] = 1.0
         w[layout.field_slice("lam")] = 1.0
         return w
     if config == BcConfig.MULTI:

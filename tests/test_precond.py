@@ -66,6 +66,15 @@ def test_block_factors_match_dense_solve(config, mu, K, rng):
     assert B.lu_fill == sum(lu.L.nnz + lu.U.nnz for lu in B._solvers.values())
 
 
+def test_lu_fill_is_counted_once():
+    # counting builds SuperLU's L and U as scipy matrices; the runs that
+    # share a preconditioner read the first count, not the factors again
+    B = build_preconditioner(make_system())
+    fill = B.lu_fill
+    B._solvers = {}
+    assert B.lu_fill == fill > 0
+
+
 def tagged(config, nref=1):
     domain = (floating_domain(2, 2) if config is BcConfig.MULTI
               else stacked_domain(2))

@@ -1,8 +1,10 @@
 """Property tests over random lattice domains: the interface order and the
-dof layout equal their loop references, the assembled operator and Riesz
-map are exactly symmetric, a mesh's per-mesh caches reproduce a fresh
-mesh's system at every (mu, K), and the pencil spectrum equals its dense
-reference and depends on (mu, K) only through mu*K.
+dof layout equal their loop references, the dof counts equal their
+closed-form lattice counts, the assembled operator and Riesz map are
+exactly symmetric, the pure-essential operator annihilates the constant
+pressures, a mesh's per-mesh caches reproduce a fresh mesh's system at
+every (mu, K), and the pencil spectrum equals its dense reference and
+depends on (mu, K) only through mu*K.
 
 Domains are drawn in lattice units of 1/n0: a free-flow rectangle with one
 porous rectangle on any of its four sides, or with one to three porous
@@ -90,6 +92,47 @@ def test_edge_sharing_domains_match_references(case, nref):
 @given(inclusions(), st.integers(0, 1))
 def test_inclusion_domains_match_references(case, nref):
     _check(case, nref)
+
+
+def _squares(domain, nref):
+    """The free-flow and porous rectangles of an edge-sharing domain in
+    squares of the mesh at nref."""
+    k = domain.base_divisions * 2 ** nref
+    return [tuple(round(v * k) for v in r)
+            for r in (domain.stokes_rect, domain.darcy_rects[0])]
+
+
+@PROPERTIES
+@given(edge_sharing(), st.integers(0, 2))
+def test_edge_sharing_dof_counts_are_the_lattice_counts(case, nref):
+    # a W x H rectangle of squares, each cut in two triangles, has
+    # (W+1)(H+1) vertices and W(H+1) + H(W+1) + WH edges
+    domain, config = case
+    (sx0, sy0, sx1, sy1), (dx0, dy0, dx1, dy1) = _squares(domain, nref)
+    W, H, Wd, Hd = sx1 - sx0, sy1 - sy0, dx1 - dx0, dy1 - dy0
+    nv = (W + 1) * (H + 1)
+    ne = W * (H + 1) + H * (W + 1) + W * H
+    # the rectangles touch along one side: one overlap is 0, the other
+    # is that side
+    shared = (min(sx1, dx1) - max(sx0, dx0)) + (min(sy1, dy1) - max(sy0, dy0))
+    lay = build_layout(tag_boundaries(build_coupled_mesh(domain, nref), config))
+    assert lay.sizes == {"u_S": 2 * (nv + ne),
+                         "u_D": Wd * (Hd + 1) + Hd * (Wd + 1) + Wd * Hd,
+                         "p_S": nv, "p_D": 2 * Wd * Hd, "lam": shared}
+
+
+@PROPERTIES
+@given(edge_sharing(), st.integers(0, 1))
+def test_ee_operator_annihilates_constant_pressures(case, nref):
+    # criterion 7(v) on any edge-sharing domain: with every boundary
+    # essential, z = 1 on p_S, p_D and lam is a null vector of A
+    domain, _ = case
+    m = tag_boundaries(build_coupled_mesh(domain, nref), BcConfig.EE)
+    system = assemble_system(m, PhysParams(mu=3.0, K=0.2, alpha_bjs=0.7))
+    z = np.zeros(system.layout.total_dofs)
+    for name in ("p_S", "p_D", "lam"):
+        z[system.layout.field_slice(name)] = 1.0
+    assert np.abs(system.A @ z).max() <= 1e-12
 
 
 def _system(m, mu, K):
