@@ -16,14 +16,14 @@ from .spaces import BlockLayout, build_layout, essential_dofs, essential_values
 from .assembly import (BlockSystem, LoadData, PhysParams, apply_essential,
                        assemble_operator, assemble_rhs, assemble_riesz,
                        assemble_system, save_matrix_coo)
-from .frac_interface import (InterfaceOperator, InterfaceSpectralBasis,
-                             build_interface_basis, facet_laplacian,
-                             fractional_matrix, interface_operator)
+from .frac_interface import (InterfaceSpectralBasis, build_interface_basis,
+                             facet_laplacian, fractional_matrix,
+                             interface_operator)
 from .precond import (BlockPreconditioner, DeflatedPreconditioner, Deflation,
                       build_deflation, build_preconditioner, deflation_gamma,
                       deflation_vectors)
-from .minres import (SolveLog, check_convergence_bound, compute_Fk,
-                     detect_plateaus, harmonic_ritz, minres_solve)
+from .minres import (SolveLog, check_convergence_bound, detect_plateaus,
+                     harmonic_ritz, minres_solve)
 from .spectrum import (DENSE_BUDGET, BudgetError, Spectrum,
                        contraction_factor, generalized_eigs,
                        two_interval_hull)

@@ -508,15 +508,18 @@ def assemble_rhs(mesh, layout, loads):
 
 def _cell_rule(mesh, layout, domain):
     """Physical points (nc, nq, 2) and weights (nc, nq) of the degree
-    LOAD_TRI_DEGREE rule on the "stokes" or "darcy" cells, kept per mesh;
-    mms.compute_errors measures with them too."""
+    LOAD_TRI_DEGREE rule on the "stokes" or "darcy" cells;
+    mms.compute_errors measures with them too.  The points and each cell's
+    |det| are kept per mesh, and the weights formed per call: kept, they
+    would add half the points' bytes."""
+    pts, w = el.triangle_rule(LOAD_TRI_DEGREE)
+
     def build(mesh):
         coords = mesh.cell_coords(getattr(layout, domain + "_cells"))
-        pts, w = el.triangle_rule(LOAD_TRI_DEGREE)
         _, _, det = el.affine_maps(coords)
-        return el.read_only(el.physical_points(coords, pts),
-                            w[None, :] * np.abs(det)[:, None])
-    return _per_mesh(mesh, ("cell rule", domain), build)
+        return el.read_only(el.physical_points(coords, pts), np.abs(det))
+    x, absdet = _per_mesh(mesh, ("cell rule", domain), build)
+    return x, w[None, :] * absdet[:, None]
 
 
 @dataclass
@@ -604,7 +607,6 @@ class BlockSystem:
     A: object
     N: object
     b: np.ndarray
-    interface_op: object
     essential: np.ndarray
     essential_vals: np.ndarray
 
@@ -620,9 +622,8 @@ def assemble_system(mesh, params, loads=None):
 
     aff = _affine(mesh)
     layout, dofs = replace(aff.layout, mesh=mesh), aff.essential
-    iop = interface_operator(mesh, params)
     A = assemble_operator(mesh, layout, params)
-    N = assemble_riesz(mesh, layout, params, iop.matrix)
+    N = assemble_riesz(mesh, layout, params, interface_operator(mesh, params))
     b = assemble_rhs(mesh, layout, loads)
     vals = essential_values(
         layout, dofs,
@@ -632,7 +633,7 @@ def assemble_system(mesh, params, loads=None):
     return BlockSystem(mesh=mesh, layout=layout, params=params,
                        A=aff.A.elimination.apply(A),
                        N=aff.N.elimination.apply(N), b=b,
-                       interface_op=iop, essential=dofs, essential_vals=vals)
+                       essential=dofs, essential_vals=vals)
 
 
 def save_matrix_coo(M, path):

@@ -31,7 +31,7 @@ from . import __version__
 from .mesh import (BcConfig, ConfigurationError, DomainSpec,
                    build_coupled_mesh, stacked_domain, tag_boundaries)
 from .assembly import LoadData, PhysParams, assemble_system
-from .mms import ExactSolution, mms_case, run_convergence
+from .mms import ExactSolution, run_convergence
 from .minres import minres_solve
 from .precond import DeflatedPreconditioner, build_deflation, build_preconditioner
 from .spectrum import BudgetError, generalized_eigs
@@ -39,6 +39,8 @@ from .spectrum import BudgetError, generalized_eigs
 SCHEMA = "sdlab-1"
 DEFAULT_SWEEP = (1e-4, 1e-2, 1.0, 1e2, 1e4)
 DEFAULT_NREFS = (0, 1, 2)
+# the sweep flags each subcommand reads as one value, not as a sweep
+SINGLE_VALUED = {"mms": ("mu", "K"), "floating": ("mu", "nref")}
 
 
 def version_string():
@@ -263,11 +265,14 @@ def cmd_solve(args):
     config = BcConfig(args.case)
     status = 0
     for nref in args.nref:
+        # one mesh per nref: its per-mesh pieces serve every (mu, K)
+        mesh = build_coupled_mesh(stacked_domain(args.n0), nref)
+        tag_boundaries(mesh, config)
         for mu in args.mu:
             for K in args.K:
                 exact = ExactSolution(mu=mu, K=K, alpha_bjs=args.alpha)
                 t0 = time.perf_counter()
-                system = mms_case(nref, n0=args.n0, exact=exact, config=config)
+                system = assemble_system(mesh, exact.params(), exact.loads())
                 assemble_s = time.perf_counter() - t0
                 label = (f"solve_{config.value}_mu{_fmt(mu)}_K{_fmt(K)}"
                          f"_nref{nref}")
@@ -379,6 +384,12 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
+        for flag in SINGLE_VALUED.get(args.command, ()):
+            values = getattr(args, flag)
+            if len(values) > 1:
+                raise ConfigurationError(
+                    f"{args.command} takes one --{flag} value, got "
+                    f"{len(values)}")
         gamma_mult = getattr(args, "gamma_mult", 1.0)
         if not (np.isfinite(gamma_mult) and gamma_mult > 0):
             raise ConfigurationError(
@@ -387,6 +398,10 @@ def main(argv=None):
         if not (np.isfinite(reduction) and reduction > 0):
             raise ConfigurationError(
                 f"--reduction must be positive and finite, got {reduction:g}")
+        if args.command == "mms" and min(args.nref) < 0:
+            # mms builds levels 0..max(--nref) and no mesh at a smaller value
+            raise ConfigurationError(
+                f"nref must be non-negative, got {min(args.nref)}")
         if args.command == "mms" and max(args.nref) < 1:
             raise ConfigurationError("mms needs --nref >= 1: a rate needs two levels")
         return args.func(args)

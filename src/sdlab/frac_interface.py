@@ -13,18 +13,19 @@ behaviour of the underlying Laplacian depends on the boundary layout:
 `free` endpoints get no extra term, `zero` endpoints add the Dirichlet
 ghost coupling 2/|F_end| on the end facet's diagonal.  Closed interface
 loops have no endpoints.  When the two fractional terms use different
-endpoint conditions, two eigenbases are built.  The block is inverted by
-dense Cholesky factorization.  The bases and the two fractional powers do
-not depend on (mu, K), so they are built once per tagged mesh.
+endpoint conditions, two eigenbases are built.  The block is dense:
+`interface_operator` returns it for the Riesz map N, and the
+preconditioner reads it off N and factors it by dense Cholesky.  The
+bases and the two fractional powers do not depend on (mu, K), so they are
+built once per tagged mesh.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.linalg import lapack
 
 from .assembly import _weights
 from .mesh import BcConfig, _per_mesh, interface_chains
@@ -98,23 +99,6 @@ def fractional_matrix(basis, power):
     return 0.5 * (S + S.T)
 
 
-@dataclass
-class InterfaceOperator:
-    """The SPD multiplier block and its upper Cholesky factor."""
-
-    matrix: np.ndarray
-    _chol: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self._chol = sla.cholesky(self.matrix)
-
-    def solve(self, r):
-        """Apply the inverse of the multiplier block.  Called once per
-        preconditioner apply, so LAPACK's potrs is called directly: the
-        checks of `cho_solve` cost several times the solve itself."""
-        return lapack.dpotrs(self._chol, r)[0]
-
-
 def _basis(mesh, endpoint):
     return _per_mesh(mesh, ("interface basis", endpoint),
                      lambda m: build_interface_basis(m, endpoint))
@@ -126,12 +110,11 @@ def _fractional(mesh, endpoint, power):
 
 
 def interface_operator(mesh, params):
-    """Build the multiplier block and its inverse for the mesh's layout.
+    """The dense SPD multiplier block for the mesh's layout.
 
     The bases and fractional powers are parameter-free and built once per
     tagged mesh; only their weights 1/mu and K change with `params`."""
     ep_low, ep_high = ENDPOINTS[mesh.config]
     w = _weights(params)
-    return InterfaceOperator(
-        matrix=w["lam_low"] * _fractional(mesh, ep_low, -0.5)
-        + w["lam_high"] * _fractional(mesh, ep_high, +0.5))
+    return (w["lam_low"] * _fractional(mesh, ep_low, -0.5)
+            + w["lam_high"] * _fractional(mesh, ep_high, +0.5))

@@ -152,21 +152,6 @@ def _fk_rows(theta1, lam1, rest):
     return Fk
 
 
-def compute_Fk(theta, eigenvalues):
-    """Residual-bound degradation factor from harmonic Ritz values.
-
-    `eigenvalues` is the true (nonzero) spectrum of the preconditioned
-    operator; `theta` the harmonic Ritz values of one iteration.  Returns
-    +inf when the relevant Ritz value collides with a true eigenvalue.
-    """
-    finite = theta[np.isfinite(theta)]
-    if len(finite) == 0 or len(eigenvalues) < 2:
-        return np.nan
-    lam1, rest = _split_smallest(eigenvalues)
-    theta1 = finite[np.argmin(np.abs(finite - lam1))]
-    return float(_fk_rows(np.array([theta1]), lam1, rest)[0])
-
-
 def detect_plateaus(residuals):
     """Windows of >= PLATEAU_LEN consecutive iterations with < 1% reduction.
 

@@ -1,9 +1,10 @@
 """Block-diagonal Riesz-map preconditioner and near-kernel deflation.
 
 The preconditioner applies the inverse of the assembled block-diagonal
-Riesz map: sparse LU solves for the velocity and free-flow pressure
-blocks, a diagonal solve for the porous pressure block, and the interface
-operator's Cholesky solve for the multiplier block.  The LU blocks are
+Riesz map N, each of its five blocks read off N: sparse LU solves for the
+velocity and free-flow pressure blocks, a diagonal solve for the porous
+pressure block, and a dense Cholesky solve for the multiplier block,
+which is dense in N (see frac_interface).  The LU blocks are
 SPD, so they are factored in symmetric mode: a minimum-degree ordering of
 A' + A and pivots taken from the diagonal, which keeps the ordering
 symmetric and roughly halves the fill of a default `splu`.  The u_D and
@@ -78,16 +79,16 @@ class BlockPreconditioner:
     """Inverse of the block-diagonal Riesz map N of an assembled system.
 
     The u_S block weighs two pieces differently, so it is factored per
-    call.  Each block of SCALED_BLOCKS is its pieces times one weight w,
-    apart from the unit rows of its eliminated dofs: N's block is D M = M D
-    with M its unit-weight form and D = diag(d), d = w (1 at eliminated
-    dofs).  M is factored once per mesh (`_unit_factors`), and the block
-    is solved as M^{-1} r, then one in-place division by d.
+    call, and so is the dense multiplier block, by Cholesky.  Each block
+    of SCALED_BLOCKS is its pieces times one weight w, apart from the unit
+    rows of its eliminated dofs: N's block is D M = M D with M its
+    unit-weight form and D = diag(d), d = w (1 at eliminated dofs).  M is
+    factored once per mesh (`_unit_factors`), and the block is solved as
+    M^{-1} r, then one in-place division by d.
     """
 
     def __init__(self, system):
         N, lay = system.N, system.layout
-        self.interface_op = system.interface_op
         self._blocks = [(name, lay.field_slice(name)) for name in FIELDS
                         if lay.sizes[name]]
         unit = _unit_factors(system.mesh)
@@ -102,6 +103,8 @@ class BlockPreconditioner:
         if np.any(pd <= 0):
             raise ValueError("porous pressure block is not positive definite")
         self._pd_diag = pd
+        # dense, so kept out of _solvers, whose SuperLU factors lu_fill counts
+        self._lam_chol = sla.cholesky(_riesz_block(N, lay, "lam").toarray())
 
     @cached_property
     def lu_fill(self):
@@ -115,7 +118,9 @@ class BlockPreconditioner:
         if name == "p_D":
             return r / self._pd_diag
         if name == "lam":
-            return self.interface_op.solve(r)
+            # called once per apply, so LAPACK's potrs is called directly:
+            # the checks of `cho_solve` cost several times the solve itself
+            return lapack.dpotrs(self._lam_chol, r)[0]
         z = self._solvers[name].solve(r)
         if name in self._scales:
             z /= self._scales[name]
@@ -132,8 +137,6 @@ class BlockPreconditioner:
 
 def build_preconditioner(system):
     """Preconditioner for an assembled BlockSystem."""
-    # eliminated multiplier dofs never occur, so the interface inverse is
-    # valid whenever no essential dof falls inside the lam block
     return BlockPreconditioner(system)
 
 
@@ -148,7 +151,7 @@ class Deflation:
         return self.W.shape[1]
 
     def correction(self, r):
-        # dpotrs directly, as in InterfaceOperator.solve: cho_solve's
+        # dpotrs directly, as in BlockPreconditioner.solve_block: cho_solve's
         # checks cost more than the m x m solve
         return self.W @ lapack.dpotrs(self.E[0], self.W.T @ r,
                                       lower=self.E[1])[0]

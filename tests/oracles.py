@@ -265,6 +265,20 @@ def reference_tag_boundaries(mesh, config):
     return mesh
 
 
+# the Mesh arrays that reference_mesh and reference_tag_boundaries build
+# independently
+MESH_TABLES = ("vertices", "cells", "cell_subdomain", "cell_component",
+               "facets", "facet_cells", "facet_tags", "facet_component")
+
+
+def assert_same_tables(got, want):
+    """The MESH_TABLES of two meshes are equal, dtypes included."""
+    for name in MESH_TABLES:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        assert np.array_equal(a, b), name
+
+
 def reference_interface_chains(mesh):
     """Facet-graph walk over each interface component: from the end vertex
     with the smallest (y, x) along an open chain, from the facet with the

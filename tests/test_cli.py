@@ -198,6 +198,13 @@ BAD_RUNS = [("solve", f) for f in BAD_FLAGS] + [
     # mu or K whose weights in A and N overflow
     ("solve", ["--K", "1e-310"]),
     ("cond-sweep", ["--case", "NN", "--mu", "1e-310", "--K", "1"]),
+    # a flag read as one value rejects a sweep, whose extra values would
+    # otherwise be dropped unchecked
+    ("mms", ["--nref", "1", "--mu", "3,-1"]),
+    ("mms", ["--nref", "1", "--K", "1,nan"]),
+    # mms reads only the largest --nref, so it checks the others itself
+    ("mms", ["--nref", "2,-1"]),
+    ("floating", ["--nref", "0,-1"]), ("floating", ["--mu", "1,-5"]),
 ]
 COMMAND_ARGV = {"solve": ["solve", "--case", "EN"],
                 "cond-sweep": ["cond-sweep", "--case", "EN"],
@@ -289,3 +296,15 @@ def test_reproducible_outputs(tmp_path):
     sa.pop("timings_sec")
     sb.pop("timings_sec")
     assert sa == sb
+
+
+def test_solve_sweep_matches_single_point_runs(tmp_path):
+    # a sweep assembles every (mu, K) on one mesh per nref; its logs equal
+    # those of runs that each build their own mesh, byte for byte
+    argv = ["solve", "--case", "EN", "--nref", "1", "--n0", "2", "--mu", "1"]
+    assert main(argv + ["--K", "1e-2,1e2", "--out", str(tmp_path / "sweep")]) == 0
+    for K in ("1e-2", "1e2"):
+        assert main(argv + ["--K", K, "--out", str(tmp_path / K)]) == 0
+        name = f"solve_EN_mu1_K{float(K):g}_nref1.csv"
+        assert ((tmp_path / "sweep" / name).read_bytes()
+                == (tmp_path / K / name).read_bytes())

@@ -1,12 +1,13 @@
 """Fractional interface operator: facet Laplacian, discrete eigenbasis and the
-weighted sum of the -1/2 and +1/2 powers with its inverse."""
+weighted sum of the -1/2 and +1/2 powers, and the preconditioner's inverse
+of it."""
 
 import itertools
 
 import numpy as np
 import pytest
 
-from sdlab.assembly import PhysParams
+from sdlab.assembly import PhysParams, assemble_system
 from sdlab.frac_interface import (
     ENDPOINTS,
     build_interface_basis,
@@ -16,6 +17,7 @@ from sdlab.frac_interface import (
 )
 from sdlab.mesh import BcConfig, build_coupled_mesh, stacked_domain, tag_boundaries
 from sdlab.cli import floating_domain
+from sdlab.precond import build_preconditioner
 
 
 def iface_mesh(nref, config=BcConfig.NE, n0=1):
@@ -46,7 +48,7 @@ def test_two_facet_hand_values():
     basis = build_interface_basis(m, "free")
     assert np.allclose(np.sort(basis.eigenvalues), [1.0, 9.0], atol=1e-12)
     # mu = K = 1: entries (d^-1/2 + d^1/2) weighted by the mass matrix
-    S = interface_operator(m, PhysParams(1.0, 1.0, 0.5)).matrix
+    S = interface_operator(m, PhysParams(1.0, 1.0, 0.5))
     expect = [[4.0 / 3.0, -1.0 / 3.0], [-1.0 / 3.0, 4.0 / 3.0]]
     assert np.allclose(S, expect, atol=1e-12)
 
@@ -54,7 +56,7 @@ def test_two_facet_hand_values():
 def test_single_facet_values():
     m = iface_mesh(0)
     # free endpoints: L = 0, single eigenvalue 1, S = 1/mu + K
-    S = interface_operator(m, PhysParams(2.0, 5.0, 0.5)).matrix
+    S = interface_operator(m, PhysParams(2.0, 5.0, 0.5))
     assert np.allclose(S, [[0.5 + 5.0]], atol=1e-14)
     # zero endpoints add 2/|F| at each end
     Lz, _ = facet_laplacian(m, "zero")
@@ -115,10 +117,11 @@ def test_inverse_round_trip(config, rng):
     else:
         m = iface_mesh(2, config=config, n0=2)
     for mu, K in itertools.product((1e-6, 1e-4, 1.0, 1e4, 1e6), repeat=2):
-        op = interface_operator(m, PhysParams(mu, K, 0.5))
-        S = op.matrix
+        params = PhysParams(mu, K, 0.5)
+        S = interface_operator(m, params)
         r = rng.standard_normal(S.shape[0])
-        x = op.solve(r)
+        x = build_preconditioner(assemble_system(m, params)).solve_block(
+            "lam", r)
         assert np.abs(S @ x - r).max() <= 1e-10 * np.abs(r).max()
         # S is symmetric positive definite at every parameter pair
         assert np.abs(S - S.T).max() == 0.0
@@ -129,7 +132,7 @@ def test_mixed_endpoints_sum():
     # NN combines a free-endpoint -1/2 power with a zero-endpoint +1/2 power
     m = iface_mesh(2, config=BcConfig.NN)
     params = PhysParams(3.0, 0.2, 0.5)
-    S = interface_operator(m, params).matrix
+    S = interface_operator(m, params)
     a = fractional_matrix(build_interface_basis(m, "free"), -0.5) / 3.0
     b = 0.2 * fractional_matrix(build_interface_basis(m, "zero"), 0.5)
     assert np.abs(S - (a + b)).max() < 1e-13
@@ -138,9 +141,9 @@ def test_mixed_endpoints_sum():
 def test_parameter_scaling():
     # the two terms scale independently in 1/mu and K
     m = iface_mesh(1)
-    S1 = interface_operator(m, PhysParams(1.0, 1.0, 0.5)).matrix
-    Sa = interface_operator(m, PhysParams(10.0, 1.0, 0.5)).matrix
-    Sb = interface_operator(m, PhysParams(1.0, 7.0, 0.5)).matrix
+    S1 = interface_operator(m, PhysParams(1.0, 1.0, 0.5))
+    Sa = interface_operator(m, PhysParams(10.0, 1.0, 0.5))
+    Sb = interface_operator(m, PhysParams(1.0, 7.0, 0.5))
     basis = build_interface_basis(m, "free")
     neg = fractional_matrix(basis, -0.5)
     pos = fractional_matrix(basis, 0.5)

@@ -242,8 +242,6 @@ def test_bad_configs_raise(stack4):
         build_coupled_mesh(DomainSpec((0, 0, 3, 3), ((1, 0, 2, 1),), 2), 0)
 
 
-MESH_TABLES = ("vertices", "cells", "cell_subdomain", "cell_component",
-               "facets", "facet_cells", "facet_tags", "facet_component")
 REFERENCE_DOMAINS = {
     "stacked": stacked_domain(),
     "side": side_by_side_domain(),
@@ -253,19 +251,12 @@ REFERENCE_DOMAINS = {
 }
 
 
-def assert_same_tables(got, want):
-    for name in MESH_TABLES:
-        a, b = getattr(got, name), getattr(want, name)
-        assert a.dtype == b.dtype, name
-        assert np.array_equal(a, b), name
-
-
 @pytest.mark.parametrize("nref", [0, 1, 2])
 @pytest.mark.parametrize("name", REFERENCE_DOMAINS)
 def test_mesh_matches_loop_reference(name, nref):
     domain = REFERENCE_DOMAINS[name]
     m, ref = build_coupled_mesh(domain, nref), oracles.reference_mesh(domain, nref)
-    assert_same_tables(m, ref)
+    oracles.assert_same_tables(m, ref)
     assert m.spacing == ref.spacing
     assert m._lattice == ref._lattice and m._modes == ref._modes
     configs = ([BcConfig.MULTI] if name == "floating"
@@ -273,6 +264,6 @@ def test_mesh_matches_loop_reference(name, nref):
     for config in configs:
         tag_boundaries(m, config)
         oracles.reference_tag_boundaries(ref, config)
-        assert_same_tables(m, ref)
+        oracles.assert_same_tables(m, ref)
         assert oracles.same_chains(interface_chains(m),
                                    oracles.reference_interface_chains(ref))

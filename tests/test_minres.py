@@ -19,7 +19,6 @@ from sdlab import minres
 from sdlab.minres import (
     FK_BLOCK_BYTES,
     check_convergence_bound,
-    compute_Fk,
     detect_plateaus,
     harmonic_ritz,
     minres_solve,
@@ -179,30 +178,35 @@ def test_harmonic_ritz_singular_tridiagonal():
     assert len(harmonic_ritz([0.0], [0.3], 1)) == 0
 
 
+def _fk(theta1, lam):
+    """F_k at one theta_1, as the post-pass of minres_solve computes it."""
+    return minres._fk_rows(np.array([theta1]),
+                           *minres._split_smallest(np.asarray(lam)))[0]
+
+
 def test_Fk_product_value():
-    theta = np.array([0.02])
     lam = np.array([0.01, 1.0, 2.0])
     # (|theta1| / |lam1|) * max_i |lam1 - lam_i| / |theta1 - lam_i|
-    assert compute_Fk(theta, lam) == pytest.approx(2.0 * 0.99 / 0.98, rel=1e-12)
+    assert _fk(0.02, lam) == pytest.approx(2.0 * 0.99 / 0.98, rel=1e-12)
 
 
 def test_Fk_exact_ritz_value_is_neutral():
     # theta_1 landing on lam_1 means no degradation at all
-    theta = np.array([0.01])
-    lam = np.array([0.01, 1.0, 2.0])
-    assert compute_Fk(theta, lam) == pytest.approx(1.0, rel=1e-10)
+    assert _fk(0.01, [0.01, 1.0, 2.0]) == pytest.approx(1.0, rel=1e-10)
 
 
 def test_Fk_collision_is_infinite():
     # theta_1 colliding with a different true eigenvalue blows the bound up
-    theta = np.array([1.0])
-    lam = np.array([0.01, 1.0, 2.0])
-    assert np.isinf(compute_Fk(theta, lam))
+    assert np.isinf(_fk(1.0, [0.01, 1.0, 2.0]))
 
 
 def test_Fk_needs_enough_data():
-    assert np.isnan(compute_Fk(np.array([]), np.array([1.0, 2.0])))
-    assert np.isnan(compute_Fk(np.array([0.5]), np.array([1.0])))
+    # a step without a harmonic Ritz value has no F_k
+    assert np.isnan(_fk(np.nan, [1.0, 2.0]))
+    # nor has any step when fewer than two eigenvalues are known
+    log = minres_solve(np.diag([1.0, 2.0]), np.ones(2), lambda r: r,
+                       diagnostic=True, eigenvalues=np.array([1.0]))
+    assert len(log.Fk) == len(log.residuals) and np.isnan(log.Fk).all()
 
 
 def test_detect_plateaus_synthetic():
@@ -372,8 +376,8 @@ def test_Fk_blocks_match_per_step_reference(rng, monkeypatch):
     want = [oracles.reference_Fk(np.array([t]), lam) for t in theta1]
     assert np.array_equal(got, want, equal_nan=True)
     assert np.isinf(got[[4, 13, 20, 30]]).all() and got[35] == 1.0
-    assert np.array_equal(
-        [compute_Fk(np.array([t]), lam) for t in theta1], want, equal_nan=True)
+    # one row at a time, as in a block of one step
+    assert np.array_equal([_fk(t, lam) for t in theta1], want, equal_nan=True)
 
 
 def test_Fk_takes_the_ritz_value_nearest_lam1():

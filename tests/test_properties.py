@@ -1,5 +1,6 @@
-"""Property tests over random lattice domains: the interface order and the
-dof layout equal their loop references, the dof counts equal their
+"""Property tests over random lattice domains: the mesh, its tags, the
+interface order and the dof layout equal their loop references, the
+operator and Riesz map equal the quadrature oracle, the dof counts equal their
 closed-form lattice counts, the assembled operator and Riesz map are
 exactly symmetric, the pure-essential operator annihilates the constant
 pressures, a mesh's per-mesh caches reproduce a fresh mesh's system at
@@ -17,7 +18,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from sdlab.assembly import PhysParams, assemble_system
+from sdlab.assembly import (PhysParams, assemble_operator, assemble_riesz,
+                            assemble_system)
+from sdlab.frac_interface import interface_operator
 from sdlab.mesh import (BcConfig, DomainSpec, build_coupled_mesh,
                         interface_chains, tag_boundaries)
 from sdlab.mms import ExactSolution
@@ -27,6 +30,9 @@ from sdlab.spectrum import generalized_eigs
 
 EDGE_CONFIGS = [c for c in BcConfig if c is not BcConfig.MULTI]
 PROPERTIES = settings(derandomize=True, max_examples=40, deadline=None)
+# Gauss points per direction of the oracle's rules: exact up to degree 6,
+# above the degree-4 integrands of A and N, at a sixth of its default cost
+ORACLE_NQUAD = 4
 
 
 def _domain(n0, stokes, porous):
@@ -68,6 +74,8 @@ def inclusions(draw):
 def _check(case, nref):
     domain, config = case
     m = tag_boundaries(build_coupled_mesh(domain, nref), config)
+    oracles.assert_same_tables(m, oracles.reference_tag_boundaries(
+        oracles.reference_mesh(domain, nref), config))
 
     assert oracles.same_chains(interface_chains(m),
                                oracles.reference_interface_chains(m))
@@ -77,9 +85,20 @@ def _check(case, nref):
         assert np.array_equal(getattr(lay, name), getattr(ref, name)), name
     assert lay.sizes == ref.sizes and lay.offsets == ref.offsets
 
-    system = assemble_system(m, PhysParams(mu=3.0, K=0.2, alpha_bjs=0.7))
+    params = PhysParams(mu=3.0, K=0.2, alpha_bjs=0.7)
+    system = assemble_system(m, params)
     for M in (system.A, system.N):
         assert abs(M - M.T).max() == 0.0
+
+    if nref == 0:       # the oracle loops over cells and points in Python
+        S = interface_operator(m, params)
+        for got, want in (
+                (assemble_operator(m, lay, params),
+                 oracles.oracle_operator(m, lay, params, ORACLE_NQUAD)),
+                (assemble_riesz(m, lay, params, S),
+                 oracles.oracle_riesz(m, lay, params, S, ORACLE_NQUAD))):
+            scale = np.abs(want).max()
+            assert np.abs(got.toarray() - want).max() <= 1e-12 * scale
 
 
 @PROPERTIES
