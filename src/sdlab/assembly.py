@@ -36,8 +36,8 @@ import scipy.sparse as sp
 from . import elements as el
 from .mesh import (STOKES, STOKES_NATURAL_TAGS, TAG_DARCY_NATURAL,
                    ConfigurationError, _per_mesh)
-from .spaces import (_dot, _facet_quadrature, build_layout, essential_dofs,
-                     essential_values, global_facet_normal)
+from .spaces import (FIELDS, _dot, _facet_quadrature, build_layout,
+                     essential_dofs, essential_values, global_facet_normal)
 
 OPERATOR_TRI_DEGREE = 4
 OPERATOR_SEG_DEGREE = 5    # P2 trace products are quartic along a facet
@@ -90,6 +90,11 @@ def _weights(params):
 
 _A_PIECES = ("visc", "slip", "mass", "saddle")
 _N_PIECES = ("visc", "slip", "mass", "divdiv", "p1", "p0")
+# the pieces whose rows, joined in this order, are the rows of A and of N
+# (see _affine), and the piece whose pattern holds each of the others
+_A_ROWS = ("visc", "mass", "saddle")
+_N_ROWS = ("visc", "mass", "p1", "p0", "lam")
+_WITHIN = {"slip": "visc", "divdiv": "mass"}
 # the blocks of N whose pieces share one weight: u_D is (1/K)(mass + divdiv)
 # and p_S is p1/(2 mu), apart from the unit rows of eliminated dofs
 SCALED_BLOCKS = {"u_D": ("mass", "divdiv"), "p_S": ("p1",)}
@@ -121,24 +126,33 @@ class LoadData:
     u_D_essential: object = None       # (pts) -> (n, 2)
 
 
+def _index_dtype(count):
+    """The index dtype scipy gives a CSR matrix with `count` entries or
+    rows: int32 where it fits."""
+    return np.int32 if count <= np.iinfo(np.int32).max else np.int64
+
+
 class _Acc:
-    """Sparse COO accumulator."""
+    """Sparse COO accumulator.  `matrix` copies each added block once into
+    index arrays of the CSR index dtype; scipy sums the duplicates."""
 
     def __init__(self, n):
         self.n = n
-        self.rows = []
-        self.cols = []
-        self.vals = []
+        self.parts = []
 
     def add(self, rows, cols, vals):
-        self.rows.append(np.broadcast_to(rows, vals.shape).ravel())
-        self.cols.append(np.broadcast_to(cols, vals.shape).ravel())
-        self.vals.append(np.asarray(vals, dtype=float).ravel())
+        """Entries vals at rows and cols, each broadcast to vals.shape."""
+        self.parts.append((rows, cols, np.asarray(vals, dtype=float)))
 
     def matrix(self):
-        r = np.concatenate(self.rows) if self.rows else np.empty(0, dtype=int)
-        c = np.concatenate(self.cols) if self.cols else np.empty(0, dtype=int)
-        v = np.concatenate(self.vals) if self.vals else np.empty(0)
+        total = sum(v.size for _, _, v in self.parts)
+        idx = _index_dtype(max(total, self.n))
+        r, c, v = np.empty(total, idx), np.empty(total, idx), np.empty(total)
+        end = 0
+        for rows, cols, vals in self.parts:
+            start, end = end, end + vals.size
+            for out, x in ((r, rows), (c, cols), (v, vals)):
+                out[start:end].reshape(vals.shape)[...] = x
         return sp.coo_matrix((v, (r, c)), shape=(self.n, self.n)).tocsr()
 
 
@@ -274,13 +288,6 @@ def _pieces(mesh, layout):
             "p1": p1.matrix(), "p0": p0.matrix()}
 
 
-def _keys(M):
-    """Row-major key row*n + col of each entry of canonical CSR M."""
-    n = M.shape[0]
-    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(M.indptr))
-    return rows * n + M.indices
-
-
 def _csr(data, indices, indptr):
     """The CSR matrix with these arrays, on a canonical pattern whose index
     arrays are read-only and shared, not copied."""
@@ -305,29 +312,95 @@ class _Elimination:
     kept: np.ndarray
 
     @classmethod
-    def of(cls, M, dofs):
-        """For canonical CSR M and the essential `dofs`."""
-        n = M.shape[0]
+    def of(cls, indptr, indices, dofs):
+        """For the canonical CSR pattern (indptr, indices) and the
+        essential `dofs`; every index array has the pattern's dtype."""
+        idx = indptr.dtype
         dofs = np.unique(dofs)
-        drop = np.zeros(n, dtype=bool)
+        drop = np.zeros(len(indptr) - 1, dtype=bool)
         drop[dofs] = True
-        keep = ~(drop[np.repeat(np.arange(n), np.diff(M.indptr))]
-                 | drop[M.indices])
-        kept_before = np.concatenate([[0], np.cumsum(keep)])[M.indptr]
-        indptr = kept_before + np.concatenate([[0], np.cumsum(drop)])
-        kept = np.ones(indptr[-1], dtype=bool)
-        kept[indptr[dofs]] = False  # an essential row holds just its unit
-        indices = np.empty(indptr[-1], dtype=M.indices.dtype)
-        indices[kept] = M.indices[keep]
-        indices[~kept] = dofs
-        return cls(*el.read_only(indptr.astype(M.indptr.dtype), indices,
-                                 keep, kept))
+        keep = drop.take(indices)
+        keep |= np.repeat(drop, np.diff(indptr))
+        np.logical_not(keep, out=keep)
+        kept_before = np.zeros(len(keep) + 1, dtype=idx)
+        np.cumsum(keep, dtype=idx, out=kept_before[1:])
+        units_before = np.zeros(len(drop) + 1, dtype=idx)
+        np.cumsum(drop, dtype=idx, out=units_before[1:])
+        out_ptr = kept_before[indptr] + units_before
+        kept = np.ones(out_ptr[-1], dtype=bool)
+        kept[out_ptr[dofs]] = False  # an essential row holds just its unit
+        out_idx = np.empty(out_ptr[-1], dtype=indices.dtype)
+        out_idx[kept] = indices[keep]
+        out_idx[~kept] = dofs
+        return cls(*el.read_only(out_ptr, out_idx, keep, kept))
 
     def apply(self, M):
         """M eliminated; M must have the pattern this was made for."""
         data = np.ones(len(self.indices))
         data[self.kept] = M.data[self.keep]
         return _csr(data, self.indices, self.indptr)
+
+
+def _joined(segments):
+    """The canonical CSR pattern (indptr, indices) each of whose rows is
+    the same row of every CSR matrix in `segments` ({name: matrix}), joined
+    in the order given, and the places `pos[name]` of each one's entries
+    in it.  Raises ValueError unless every joined row is strictly
+    increasing, which is what makes it the sorted union of the segments."""
+    ptrs = [P.indptr.astype(np.int64) for P in segments.values()]
+    indptr = np.sum(ptrs, axis=0)
+    idx = _index_dtype(max(indptr[-1], len(indptr)))
+    indptr = indptr.astype(idx)
+    indices = np.empty(indptr[-1], dtype=idx)
+    fill = indptr[:-1].copy()       # where the next segment starts in a row
+    pos = {}
+    for (name, P), ptr in zip(segments.items(), ptrs):
+        count = np.diff(ptr)
+        p = np.repeat((fill - ptr[:-1]).astype(idx), count)
+        p += np.arange(len(p), dtype=idx)
+        indices[p] = P.indices
+        pos[name] = p
+        fill += count.astype(idx)
+    rising = np.diff(indices) > 0
+    starts = indptr[1:-1]
+    rising[starts[(starts > 0) & (starts < len(indices))] - 1] = True
+    if not rising.all():
+        row = np.count_nonzero(indptr[1:] <= np.argmin(rising) + 1)
+        raise ValueError(
+            f"row {row} of the pieces {', '.join(segments)}, joined in "
+            f"this order, is not strictly increasing")
+    return indptr, indices, pos
+
+
+def _places(host, piece):
+    """The place of each entry of canonical CSR `piece` among those of
+    canonical CSR `host`, whose pattern must hold piece's: the same places
+    where the patterns are equal, else each entry is compared with its row
+    of host.  Raises ValueError where host lacks an entry."""
+    idx = host.indptr.dtype
+    if (np.array_equal(host.indptr, piece.indptr)
+            and np.array_equal(host.indices, piece.indices)):
+        return np.arange(len(piece.indices), dtype=idx)
+    rows = np.repeat(np.arange(len(piece.indptr) - 1, dtype=idx),
+                     np.diff(piece.indptr))
+    start = host.indptr[rows]
+    length = host.indptr[rows + 1] - start
+    slot = np.arange(length.max(initial=0), dtype=idx)
+    inside = slot < length[:, None]
+    at = np.where(inside, start[:, None] + slot, 0)
+    hit = inside & (host.indices[at] == piece.indices[:, None])
+    if not hit.any(axis=1).all():
+        raise ValueError("a piece has entries outside its host's pattern")
+    return start + hit.argmax(axis=1).astype(idx)
+
+
+def _full_block(layout, name):
+    """Block `name` of the layout with every entry present, in row-major
+    order like a dense matrix's ravel, as a CSR matrix."""
+    s = layout.field_slice(name)
+    k = s.stop - s.start
+    indptr = np.clip(np.arange(layout.total_dofs + 1) - s.start, 0, k) * k
+    return _csr(np.ones(k * k), np.tile(np.arange(s.start, s.stop), k), indptr)
 
 
 # The pattern keeps the entries whose sum is zero (47,498 of N's 839,771 at
@@ -346,18 +419,15 @@ class _Pattern:
     elimination: _Elimination
 
     @classmethod
-    def of(cls, n, keys, dofs):
-        """From the `_keys` of each piece."""
-        union = np.sort(np.concatenate(list(keys.values())))
-        union = union[np.concatenate([[True], union[1:] != union[:-1]])]
-        indptr = np.searchsorted(union, np.arange(n + 1, dtype=np.int64) * n)
-        pattern = sp.csr_matrix((np.zeros(len(union)), union % n, indptr),
-                                shape=(n, n))
-        # positions fit the index dtype scipy chose for the pattern
-        pos = {k: np.searchsorted(union, v).astype(pattern.indptr.dtype)
-               for k, v in keys.items()}
-        return cls(*el.read_only(pattern.indptr, pattern.indices), pos=pos,
-                   elimination=_Elimination.of(pattern, dofs))
+    def of(cls, segments, within, dofs):
+        """The pattern whose rows join the rows of the pieces `segments`
+        (see `_joined`); `within[name] = (host, places)` places the entries
+        of a further piece among those of the segment `host`."""
+        indptr, indices, pos = _joined(segments)
+        for name, (host, places) in within.items():
+            pos[name] = pos[host][places]
+        return cls(*el.read_only(indptr, indices), pos=pos,
+                   elimination=_Elimination.of(indptr, indices, dofs))
 
     def matrix(self, values):
         """The sum over the given pieces of `values[name]` placed at
@@ -366,6 +436,19 @@ class _Pattern:
         for name, v in values.items():
             data[self.pos[name]] += v
         return _csr(data, self.indices, self.indptr)
+
+
+def _block_diagonal(pattern, layout):
+    """Raise ValueError unless every row of `pattern` (canonical) has its
+    columns in its own block of the layout."""
+    sizes = [layout.sizes[f] for f in FIELDS]
+    start = np.repeat([layout.offsets[f] for f in FIELDS], sizes)
+    end = start + np.repeat(sizes, sizes)
+    full = np.diff(pattern.indptr) > 0
+    first = pattern.indices[pattern.indptr[:-1][full]]
+    last = pattern.indices[pattern.indptr[1:][full] - 1]
+    if not ((first >= start[full]).all() and (last < end[full]).all()):
+        raise ValueError("the Riesz map is not block diagonal")
 
 
 @dataclass
@@ -383,23 +466,32 @@ class _Affine:
 
 def _affine(mesh, layout=None):
     """The mesh's `_Affine`, built on first use from `layout` (which must
-    be build_layout(mesh)) or from a fresh layout."""
+    be build_layout(mesh)) or from a fresh layout.
+
+    The patterns come from the block order of the layout: N is block
+    diagonal, each of its rows one of visc, mass, p1, p0 or the full lam
+    block; each row of A is its diagonal piece, visc or mass, followed by
+    saddle, whose columns in those rows lie in later blocks.  slip lies on
+    visc's pattern and divdiv on mass's.  So the patterns are the pieces'
+    rows joined, with no sort and no search.  Each fact is checked in time
+    linear in the entries (`_joined`, `_places`, `_block_diagonal`), and a
+    mesh that breaks one raises ValueError."""
     def build(mesh):
         lay = build_layout(mesh) if layout is None else layout
         pieces = _pieces(mesh, lay)
-        keys = {name: _keys(P) for name, P in pieces.items()}
-        n = lay.total_dofs
-        lam = lay.offsets["lam"] + np.arange(lay.sizes["lam"])
-        keys["lam"] = (lam[:, None] * n + lam[None, :]).ravel()
         dofs = essential_dofs(lay)
+        within = {name: (host, _places(pieces[host], pieces[name]))
+                  for name, host in _WITHIN.items()}
+        rows = {**pieces, "lam": _full_block(lay, "lam")}
+        A = _Pattern.of({k: rows[k] for k in _A_ROWS},
+                        {"slip": within["slip"]}, dofs)
+        N = _Pattern.of({k: rows[k] for k in _N_ROWS}, within, dofs)
+        _block_diagonal(N, lay)
         # a mesh that reached itself through this layout would outlive its
         # last reference until the cyclic collector ran, pieces and all
         return _Affine(
             layout=replace(lay, mesh=None), essential=dofs,
-            pieces={name: P.data for name, P in pieces.items()},
-            A=_Pattern.of(n, {k: keys[k] for k in _A_PIECES}, dofs),
-            N=_Pattern.of(n, {k: keys[k] for k in _N_PIECES + ("lam",)},
-                          dofs))
+            pieces={name: P.data for name, P in pieces.items()}, A=A, N=N)
     return _per_mesh(mesh, "affine operator", build)
 
 
@@ -587,7 +679,7 @@ def apply_essential(A, b, dofs, values=None):
     A = A.tocoo().tocsr()                  # canonical: sorted, no duplicates
     if b is not None:
         b = _lift(A, b, dofs, values)
-    return _Elimination.of(A, dofs).apply(A), b
+    return _Elimination.of(A.indptr, A.indices, dofs).apply(A), b
 
 
 def _lift(A, b, dofs, values):

@@ -32,7 +32,7 @@ from .mesh import (BcConfig, ConfigurationError, DomainSpec,
                    build_coupled_mesh, stacked_domain, tag_boundaries)
 from .assembly import LoadData, PhysParams, assemble_system
 from .mms import ExactSolution, run_convergence
-from .minres import minres_solve
+from .minres import minres_solve, true_residual
 from .precond import DeflatedPreconditioner, build_deflation, build_preconditioner
 from .spectrum import BudgetError, generalized_eigs
 
@@ -240,6 +240,10 @@ def _run_minres(system, args, command, runs, assemble_s):
         r = log.residuals
         results = {"iterations": log.iterations, "reason": log.reason,
                    "relative_residual": r[-1] / r[0] if r[0] != 0 else 0.0,
+                   "residual_B": float(r[-1]),
+                   "true_residual_B": true_residual(system.A, system.b,
+                                                    log.x, precond),
+                   "a_matvecs": log.a_matvecs, "b_applies": log.b_applies,
                    "plateau_windows": [list(w) for w in log.plateau_windows],
                    "plateau": bool(log.plateau_windows),
                    "lu_fill": base.lu_fill}

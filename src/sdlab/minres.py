@@ -69,6 +69,8 @@ class SolveLog:
     Fk: np.ndarray = None
     ortho_max: float = None
     plateau_windows: list = None
+    a_matvecs: int = 0             # products with A
+    b_applies: int = 0             # preconditioner applications
 
     @property
     def iterations(self):
@@ -191,11 +193,12 @@ def minres_solve(A, b, precond, reduction=1e-12, maxit=1000, diagnostic=False,
     true `eigenvalues` are supplied) of every iteration are computed from
     the logged Lanczos coefficients after the loop.
     """
-    apply_B = precond.apply if hasattr(precond, "apply") else precond
+    apply_B = _applier(precond)
     n = len(b)
     x = np.zeros(n)
     r1 = np.asarray(b, dtype=float).copy()
     y = apply_B(r1)
+    a_matvecs, b_applies = 0, 1
     beta1 = np.sqrt(max(float(r1 @ y), 0.0))
     residuals = [beta1]
     alphas, betas = [], []
@@ -228,6 +231,7 @@ def minres_solve(A, b, precond, reduction=1e-12, maxit=1000, diagnostic=False,
         for itn in range(1, maxit + 1):
             np.divide(y, beta, out=v)
             yv = A @ v
+            a_matvecs += 1
             if itn >= 2:
                 np.multiply(r1, beta / oldb, out=tmp)
                 yv -= tmp
@@ -240,6 +244,7 @@ def minres_solve(A, b, precond, reduction=1e-12, maxit=1000, diagnostic=False,
             r1 = r2
             r2 = yv
             y = apply_B(r2)
+            b_applies += 1
             oldb = beta
             betasq = float(r2 @ y)
             if _negative(betasq, r2, y):
@@ -301,7 +306,22 @@ def minres_solve(A, b, precond, reduction=1e-12, maxit=1000, diagnostic=False,
     return SolveLog(x=x, residuals=residuals, alphas=alphas, betas=betas,
                     reason=reason, theta_min=theta_min, Fk=Fk,
                     ortho_max=None if basis is None else basis.ortho_max(),
-                    plateau_windows=detect_plateaus(residuals))
+                    plateau_windows=detect_plateaus(residuals),
+                    a_matvecs=a_matvecs, b_applies=b_applies)
+
+
+def true_residual(A, b, x, precond):
+    """||b - A x||_B, the preconditioner norm of the true residual, which
+    the recursive residual of `minres_solve` tracks up to roundoff; NaN
+    where r'Br < 0 (B not positive definite)."""
+    r = b - A @ x
+    inner = float(r @ _applier(precond)(r))
+    return np.sqrt(inner) if inner >= 0.0 else np.nan
+
+
+def _applier(precond):
+    """The function that applies `precond`: its `apply`, or itself."""
+    return precond.apply if hasattr(precond, "apply") else precond
 
 
 class _LanczosBasis:

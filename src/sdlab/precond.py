@@ -46,8 +46,9 @@ def symmetric_lu(M):
 
 def _riesz_block(N, layout, name):
     """Block `name` of the Riesz map N (CSR), as a CSC matrix.  N is block
-    diagonal and exactly symmetric, so the CSR arrays of the block's rows
-    are the block's CSC arrays: its values are a view of N's."""
+    diagonal (checked where its pattern is built, see assembly._affine)
+    and exactly symmetric, so the CSR arrays of the block's rows are the
+    block's CSC arrays: its values are a view of N's."""
     s = layout.field_slice(name)
     p = N.indptr[s.start:s.stop + 1]
     n = s.stop - s.start

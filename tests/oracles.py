@@ -10,6 +10,7 @@ forms the 12 x 12 products of one point at once.  Slow but transparent.
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse as sp
 
 from sdlab.elements import LOCAL_EDGES
 from sdlab.mesh import (_EDGE_TAGS, _OPPOSITE, DARCY, STOKES,
@@ -38,6 +39,20 @@ def duffy_rule(n):
 def segment_rule_1d(n):
     x, w = np.polynomial.legendre.leggauss(n)
     return 0.5 * (x + 1.0), 0.5 * w
+
+
+def exact_nquad(degree):
+    """The fewest Gauss points per direction for which `duffy_rule` and
+    `segment_rule_1d` integrate every polynomial of `degree` exactly: n
+    points are exact to degree 2n - 1, and the Duffy map's Jacobian adds
+    one degree along the collapsed direction."""
+    return degree // 2 + 1
+
+
+# A and N integrate polynomials of degree at most 4: products of P2
+# traces along a facet; on cells, products of P2 gradients, P1 and RT0
+# functions are of degree 2
+ORACLE_NQUAD = exact_nquad(4)
 
 
 def barycentric(tri, pts):
@@ -462,7 +477,7 @@ def _stokes_interface_cell(mesh, layout, f):
     return cell, layout.stokes_cell_scalar[srow]
 
 
-def _velocity_block(mesh, layout, params, M, nquad=10):
+def _velocity_block(mesh, layout, params, M, nquad=ORACLE_NQUAD):
     """Add the free-flow velocity block, which the operator and the Riesz
     map share, to the dense matrix M: the viscous term 2 mu eps(u):eps(v)
     and the tangential friction beta_tau (u.tau)(v.tau) on the interface."""
@@ -507,7 +522,7 @@ def _velocity_block(mesh, layout, params, M, nquad=10):
                               layout.velocity_dof(ca, cs[a_])] += val
 
 
-def oracle_operator(mesh, layout, params, nquad=10):
+def oracle_operator(mesh, layout, params, nquad=ORACLE_NQUAD):
     """Dense saddle-point matrix assembled the slow way."""
     n = layout.total_dofs
     A = np.zeros((n, n))
@@ -578,7 +593,8 @@ def oracle_operator(mesh, layout, params, nquad=10):
     return A
 
 
-def oracle_riesz(mesh, layout, params, interface_matrix, nquad=10):
+def oracle_riesz(mesh, layout, params, interface_matrix,
+                 nquad=ORACLE_NQUAD):
     """Dense preconditioner-defining matrix assembled the slow way."""
     n = layout.total_dofs
     N = np.zeros((n, n))
@@ -723,6 +739,69 @@ def oracle_rhs(mesh, layout, params, loads, nquad=14):
             b[layout.offsets["u_D"] + fmap[f]] += -np.dot(
                 ds, loads.darcy_pressure(pts))
     return b
+
+
+def _entry_keys(M):
+    """Row-major key row*n + col of each entry of canonical CSR M."""
+    n = M.shape[0]
+    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(M.indptr))
+    return rows * n + M.indices
+
+
+class ReferencePattern:
+    """The CSR pattern of a weighted sum of pieces by sort and search: the
+    row-major keys row*n + col of every entry of every piece (canonical
+    CSR), and of the dense block on the dofs `dense`, sorted and made
+    unique; each piece's entries are found among them by binary search.
+    The essential elimination of the pattern keeps the entries off the rows
+    and columns of `dofs`, in order, and a unit diagonal on each of those
+    rows: `keep` marks the kept entries among the pattern's, `kept` their
+    places in the eliminated pattern."""
+
+    def __init__(self, pieces, dofs, dense=()):
+        n = next(iter(pieces.values())).shape[0]
+        keys = {name: _entry_keys(P) for name, P in pieces.items()}
+        if len(dense):
+            d = np.asarray(dense, dtype=np.int64)
+            keys["lam"] = (d[:, None] * n + d[None, :]).ravel()
+        union = np.sort(np.concatenate(list(keys.values())))
+        union = union[np.concatenate([[True], union[1:] != union[:-1]])]
+        indptr = np.searchsorted(union, np.arange(n + 1, dtype=np.int64) * n)
+        pattern = sp.csr_matrix((np.zeros(len(union)), union % n, indptr),
+                                shape=(n, n))
+        self.indptr, self.indices = pattern.indptr, pattern.indices
+        self.pos = {k: np.searchsorted(union, v).astype(pattern.indptr.dtype)
+                    for k, v in keys.items()}
+
+        dofs = np.unique(dofs)
+        drop = np.zeros(n, dtype=bool)
+        drop[dofs] = True
+        self.keep = ~(drop[np.repeat(np.arange(n), np.diff(self.indptr))]
+                      | drop[self.indices])
+        kept_before = np.concatenate([[0], np.cumsum(self.keep)])[self.indptr]
+        self.elim_indptr = (kept_before + np.concatenate(
+            [[0], np.cumsum(drop)])).astype(self.indptr.dtype)
+        self.kept = np.ones(self.elim_indptr[-1], dtype=bool)
+        self.kept[self.elim_indptr[dofs]] = False
+        self.elim_indices = np.empty(self.elim_indptr[-1],
+                                     dtype=self.indices.dtype)
+        self.elim_indices[self.kept] = self.indices[self.keep]
+        self.elim_indices[~self.kept] = dofs
+
+    def matrix(self, values):
+        """The sum of the `values` of each named piece, on the pattern."""
+        data = np.zeros(len(self.indices))
+        for name, v in values.items():
+            data[self.pos[name]] += v
+        return sp.csr_matrix((data, self.indices, self.indptr),
+                             shape=(len(self.indptr) - 1,) * 2)
+
+    def eliminated(self, M):
+        """M, on this pattern, eliminated."""
+        data = np.ones(len(self.elim_indices))
+        data[self.kept] = M.data[self.keep]
+        return sp.csr_matrix((data, self.elim_indices, self.elim_indptr),
+                             shape=M.shape)
 
 
 def fd_gradient(func, pts, h=1e-6):

@@ -97,6 +97,20 @@ def test_operator_matches_oracle(domain, config, nrefs, params, jitter):
         assert np.abs(A - A_ref).max() <= 1e-12 * scale
 
 
+def test_oracle_default_rule_is_exact():
+    # the oracles' default rule integrates their degree-4 integrands
+    # exactly, so a 10-point rule moves nothing beyond roundoff; the
+    # jittered cells have general Jacobians
+    m, lay = coupled(stacked_domain(1), 1, BcConfig.NE, 0.2)
+    params = PARAM_SETS[1]
+    S = interface_operator(m, params)
+    for oracle, args in ((oracles.oracle_operator, (m, lay, params)),
+                         (oracles.oracle_riesz, (m, lay, params, S))):
+        fine = oracle(*args, nquad=10)
+        default = oracle(*args)
+        assert np.abs(default - fine).max() <= 1e-13 * np.abs(fine).max()
+
+
 def test_operator_exactly_symmetric(stack4):
     tag_boundaries(stack4, BcConfig.NN)
     lay = build_layout(stack4)
@@ -432,3 +446,100 @@ def test_mesh_freed_without_cyclic_collector():
         assert ref() is None
     finally:
         gc.enable()
+
+
+# every layout at nref 0-2, and the inclusion layout with one and three
+# inclusions at nref 0-1
+PATTERN_CASES = (
+    [pytest.param(stacked_domain(4), c, nref, id=f"{c.value}-{nref}")
+     for c in BcConfig if c is not BcConfig.MULTI for nref in (0, 1, 2)]
+    + [pytest.param(floating_domain(m, 4), BcConfig.MULTI, nref,
+                    id=f"multi{m}-{nref}")
+       for m in (1, 3) for nref in (0, 1)])
+
+
+def assert_bitwise(got, want):
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
+def assert_same_csr(got, want):
+    for name in ("indptr", "indices", "data"):
+        assert_bitwise(getattr(got, name), getattr(want, name))
+
+
+@pytest.mark.parametrize("domain,config,nref", PATTERN_CASES)
+def test_patterns_match_sort_and_search(domain, config, nref):
+    # the patterns joined from the block layout equal the sorted union of
+    # the pieces' entries, array for array, and so do the systems on them
+    m = build_coupled_mesh(domain, nref)
+    tag_boundaries(m, config)
+    exact = ExactSolution(mu=3.0, K=0.2, alpha_bjs=0.7)
+    params = exact.params()
+    system = assemble_system(m, params, exact.loads())
+    aff = assembly._affine(m)
+    lay, dofs = system.layout, system.essential
+    pieces = assembly._pieces(m, lay)
+    w = assembly._weights(params)
+    lam = np.arange(lay.total_dofs)[lay.field_slice("lam")]
+    for name, pattern, names, dense in (
+            ("A", aff.A, assembly._A_PIECES, ()),
+            ("N", aff.N, assembly._N_PIECES, lam)):
+        ref = oracles.ReferencePattern({k: pieces[k] for k in names}, dofs,
+                                       dense)
+        assert_bitwise(pattern.indptr, ref.indptr)
+        assert_bitwise(pattern.indices, ref.indices)
+        assert pattern.pos.keys() == ref.pos.keys()
+        for k in ref.pos:
+            assert_bitwise(pattern.pos[k], ref.pos[k])
+        e = pattern.elimination
+        for got, want in ((e.indptr, ref.elim_indptr),
+                          (e.indices, ref.elim_indices),
+                          (e.keep, ref.keep), (e.kept, ref.kept)):
+            assert_bitwise(got, want)
+        values = {k: w[k] * pieces[k].data for k in names}
+        if len(dense):
+            values["lam"] = interface_operator(m, params).ravel()
+        full = ref.matrix(values)
+        assert_same_csr(getattr(system, name), ref.eliminated(full))
+        if name == "A":
+            x = np.zeros(lay.total_dofs)
+            x[dofs] = system.essential_vals
+            b = assemble_rhs(m, lay, exact.loads()) - full @ x
+            b[dofs] = system.essential_vals
+            assert_bitwise(system.b, b)
+
+
+def test_pattern_rejects_piece_out_of_block_order():
+    # a saddle entry in a porous-velocity row whose column precedes that
+    # row's diagonal block breaks the joined row's order
+    m = tagged(BcConfig.EN)
+    lay = build_layout(m)
+    pieces = assembly._pieces(m, lay)
+    saddle = pieces["saddle"].tolil()
+    saddle[lay.offsets["u_D"], lay.offsets["u_S"]] = 1.0
+    segments = {"visc": pieces["visc"], "mass": pieces["mass"],
+                "saddle": saddle.tocsr()}
+    with pytest.raises(ValueError, match="not strictly increasing"):
+        assembly._Pattern.of(segments, {}, assembly.essential_dofs(lay))
+
+
+def test_pattern_rejects_piece_off_its_host():
+    m = tagged(BcConfig.EN)
+    lay = build_layout(m)
+    pieces = assembly._pieces(m, lay)
+    slip = pieces["slip"].tolil()
+    slip[0, lay.offsets["u_D"] - 1] = 1.0
+    with pytest.raises(ValueError, match="outside its host"):
+        assembly._places(pieces["visc"], slip.tocsr())
+
+
+def test_riesz_pattern_must_be_block_diagonal():
+    m = tagged(BcConfig.EN)
+    lay = build_layout(m)
+    pieces = assembly._pieces(m, lay)
+    coupled_N = assembly._Pattern.of(
+        {"visc": pieces["visc"], "mass": pieces["mass"],
+         "saddle": pieces["saddle"]}, {}, assembly.essential_dofs(lay))
+    with pytest.raises(ValueError, match="not block diagonal"):
+        assembly._block_diagonal(coupled_N, lay)

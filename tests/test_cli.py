@@ -122,6 +122,21 @@ def test_solve_subcommand_diagnostic(tmp_path):
     assert side["results"]["lu_fill"] > 0
 
 
+def test_solve_sidecar_counts_and_true_residual(tmp_path):
+    # a converged solve records its products with A, its preconditioner
+    # applies, and the B-norm of its true residual next to the recursive one
+    out = tmp_path / "counts"
+    ret = main(["solve", "--case", "EN", "--mu", "1e-4", "--K", "1e-4",
+                "--nref", "1", "--out", str(out)])
+    assert ret == 0
+    res = read_sidecar(out / "solve_EN_mu0.0001_K0.0001_nref1.csv")["results"]
+    assert res["reason"] == "converged"
+    assert res["a_matvecs"] == res["iterations"] > 0
+    assert res["b_applies"] == res["iterations"] + 1
+    r0 = res["residual_B"] / res["relative_residual"]
+    assert abs(res["true_residual_B"] - res["residual_B"]) <= 1e-12 * r0
+
+
 def test_deflated_diagnostic_measures_its_own_spectrum(tmp_path):
     # F_k of a deflated run is measured against the spectrum of B_W A;
     # against the plain pencil (A, N), which keeps the outlier that
@@ -272,6 +287,7 @@ def test_indefinite_preconditioner_is_a_reason(tmp_path, monkeypatch):
     assert side["results"]["reason"] == "indefinite"
     assert side["results"]["iterations"] == 0
     assert np.isnan(side["results"]["relative_residual"])
+    assert np.isnan(side["results"]["true_residual_B"])
 
 
 def test_unknown_case_rejected(tmp_path):

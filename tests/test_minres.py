@@ -53,6 +53,34 @@ def test_residual_log_monotone_and_relative_target():
     assert log.iterations == len(r) - 1
 
 
+class Counted:
+    """An operator or preconditioner that counts its applications."""
+
+    def __init__(self, apply):
+        self.calls = 0
+        self._apply = apply
+
+    def __call__(self, v):
+        self.calls += 1
+        return self._apply(v)
+
+    __matmul__ = __call__
+
+
+@pytest.mark.parametrize("B", [None, lambda r: -r], ids=["spd", "negated"])
+def test_log_counts_products_and_applies(B):
+    # every product with A and every preconditioner apply, up to the last
+    # one of an indefinite run's rejected step
+    system = small_system()
+    A = Counted(lambda v: system.A @ v)
+    B = Counted(build_preconditioner(system).apply if B is None else B)
+    log = minres_solve(A, system.b, B, reduction=1e-12, maxit=500)
+    assert (log.a_matvecs, log.b_applies) == (A.calls, B.calls)
+    if log.reason == "converged":
+        assert log.a_matvecs == log.iterations
+        assert log.b_applies == log.iterations + 1
+
+
 def test_indefinite_two_step():
     # one distinct eigenvalue pair: exact convergence in two steps
     A = np.diag([1.0, -1.0])

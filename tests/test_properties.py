@@ -30,9 +30,6 @@ from sdlab.spectrum import generalized_eigs
 
 EDGE_CONFIGS = [c for c in BcConfig if c is not BcConfig.MULTI]
 PROPERTIES = settings(derandomize=True, max_examples=40, deadline=None)
-# Gauss points per direction of the oracle's rules: exact up to degree 6,
-# above the degree-4 integrands of A and N, at a sixth of its default cost
-ORACLE_NQUAD = 4
 
 
 def _domain(n0, stokes, porous):
@@ -94,9 +91,9 @@ def _check(case, nref):
         S = interface_operator(m, params)
         for got, want in (
                 (assemble_operator(m, lay, params),
-                 oracles.oracle_operator(m, lay, params, ORACLE_NQUAD)),
+                 oracles.oracle_operator(m, lay, params)),
                 (assemble_riesz(m, lay, params, S),
-                 oracles.oracle_riesz(m, lay, params, S, ORACLE_NQUAD))):
+                 oracles.oracle_riesz(m, lay, params, S))):
             scale = np.abs(want).max()
             assert np.abs(got.toarray() - want).max() <= 1e-12 * scale
 
