@@ -13,7 +13,8 @@ enters the rhs as -(g, q) while an interface mass defect enters as +(g, phi).
 
 The Riesz map (block-diagonal norm operator) uses the same velocity blocks
 plus (1/K)*(div u, div v), the (1/(2*mu))-scaled P1 mass, the K-scaled P0
-mass, and a supplied interface multiplier matrix.
+mass, and the interface multiplier block, the (1/mu)- and K-scaled
+fractional powers of frac_interface.
 
 Both are affine in a few scalar weights of the parameters (`_weights`).
 The parameter-free pieces, the dof layout, the essential dofs, the
@@ -28,12 +29,13 @@ Eliminated (essential) dofs keep unit diagonal rows in both matrices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
 
 from . import elements as el
+from .frac_interface import fractional_pieces
 from .mesh import (STOKES, STOKES_NATURAL_TAGS, TAG_DARCY_NATURAL,
                    ConfigurationError, _per_mesh)
 from .spaces import (FIELDS, _dot, _facet_quadrature, build_layout,
@@ -75,12 +77,14 @@ class PhysParams:
 
 def _weights(params):
     """The weight of each parameter-free piece: the one place that knows
-    how the parameters enter A, N and the multiplier block,
+    how the parameters enter A and N,
 
         A = mu*visc + beta_tau*slip + (1/K)*mass + saddle
         N = mu*visc + beta_tau*slip + (1/K)*(mass + divdiv)
-            + (1/(2*mu))*p1 + K*p0 + lam,
-        lam = (1/mu)*P(-1/2) + K*P(+1/2)   (see frac_interface).
+            + (1/(2*mu))*p1 + K*p0 + (1/mu)*lam_low + K*lam_high,
+
+    with lam_low = P(-1/2) and lam_high = P(+1/2) the multiplier block's
+    fractional powers (see frac_interface).
     """
     mu, K = params.mu, params.K
     return {"visc": mu, "slip": params.beta_tau, "mass": 1.0 / K,
@@ -89,12 +93,13 @@ def _weights(params):
 
 
 _A_PIECES = ("visc", "slip", "mass", "saddle")
-_N_PIECES = ("visc", "slip", "mass", "divdiv", "p1", "p0")
+_N_PIECES = ("visc", "slip", "mass", "divdiv", "p1", "p0", "lam_low",
+             "lam_high")
 # the pieces whose rows, joined in this order, are the rows of A and of N
 # (see _affine), and the piece whose pattern holds each of the others
 _A_ROWS = ("visc", "mass", "saddle")
-_N_ROWS = ("visc", "mass", "p1", "p0", "lam")
-_WITHIN = {"slip": "visc", "divdiv": "mass"}
+_N_ROWS = ("visc", "mass", "p1", "p0", "lam_low")
+_WITHIN = {"slip": "visc", "divdiv": "mass", "lam_high": "lam_low"}
 # the blocks of N whose pieces share one weight: u_D is (1/K)(mass + divdiv)
 # and p_S is p1/(2 mu), apart from the unit rows of eliminated dofs
 SCALED_BLOCKS = {"u_D": ("mass", "divdiv"), "p_S": ("p1",)}
@@ -283,9 +288,11 @@ def _pieces(mesh, layout):
     p1.add(prow[:, None, :], prow[:, :, None],
            0.5 * (pm + pm.transpose(0, 2, 1)))
     p0.add(pdr, pdr, area)
+    lam = {name: _full_block(layout, "lam", F)
+           for name, F in fractional_pieces(mesh).items()}
     return {"visc": visc, "slip": slip, "saddle": saddle.matrix(),
             "mass": mass.matrix(), "divdiv": divdiv.matrix(),
-            "p1": p1.matrix(), "p0": p0.matrix()}
+            "p1": p1.matrix(), "p0": p0.matrix(), **lam}
 
 
 def _csr(data, indices, indptr):
@@ -394,13 +401,13 @@ def _places(host, piece):
     return start + hit.argmax(axis=1).astype(idx)
 
 
-def _full_block(layout, name):
-    """Block `name` of the layout with every entry present, in row-major
-    order like a dense matrix's ravel, as a CSR matrix."""
+def _full_block(layout, name, dense):
+    """The dense matrix on block `name` of the layout, every entry kept
+    (in row-major order, like its ravel), as a CSR matrix."""
     s = layout.field_slice(name)
     k = s.stop - s.start
     indptr = np.clip(np.arange(layout.total_dofs + 1) - s.start, 0, k) * k
-    return _csr(np.ones(k * k), np.tile(np.arange(s.start, s.stop), k), indptr)
+    return _csr(dense.ravel(), np.tile(np.arange(s.start, s.stop), k), indptr)
 
 
 # The pattern keeps the entries whose sum is zero (47,498 of N's 839,771 at
@@ -454,8 +461,7 @@ def _block_diagonal(pattern, layout):
 @dataclass
 class _Affine:
     """Everything about A and N that does not depend on the parameters,
-    for one tagged mesh: the pieces' values and their patterns in A and N
-    (the multiplier block `lam` of N is dense and supplied per call)."""
+    for one tagged mesh: the pieces' values and their patterns in A and N."""
 
     layout: object          # without its mesh, see _affine
     essential: np.ndarray
@@ -464,28 +470,27 @@ class _Affine:
     N: _Pattern
 
 
-def _affine(mesh, layout=None):
-    """The mesh's `_Affine`, built on first use from `layout` (which must
-    be build_layout(mesh)) or from a fresh layout.
+def _affine(mesh):
+    """The mesh's `_Affine`, built on first use.
 
     The patterns come from the block order of the layout: N is block
-    diagonal, each of its rows one of visc, mass, p1, p0 or the full lam
-    block; each row of A is its diagonal piece, visc or mass, followed by
-    saddle, whose columns in those rows lie in later blocks.  slip lies on
-    visc's pattern and divdiv on mass's.  So the patterns are the pieces'
-    rows joined, with no sort and no search.  Each fact is checked in time
-    linear in the entries (`_joined`, `_places`, `_block_diagonal`), and a
-    mesh that breaks one raises ValueError."""
+    diagonal, each of its rows one of visc, mass, p1, p0 or lam_low (the
+    full lam block); each row of A is its diagonal piece, visc or mass,
+    followed by saddle, whose columns in those rows lie in later blocks.
+    slip lies on visc's pattern, divdiv on mass's and lam_high on
+    lam_low's.  So the patterns are the pieces' rows joined, with no sort
+    and no search.  Each fact is checked in time linear in the entries
+    (`_joined`, `_places`, `_block_diagonal`), and a mesh that breaks one
+    raises ValueError."""
     def build(mesh):
-        lay = build_layout(mesh) if layout is None else layout
+        lay = build_layout(mesh)
         pieces = _pieces(mesh, lay)
         dofs = essential_dofs(lay)
         within = {name: (host, _places(pieces[host], pieces[name]))
                   for name, host in _WITHIN.items()}
-        rows = {**pieces, "lam": _full_block(lay, "lam")}
-        A = _Pattern.of({k: rows[k] for k in _A_ROWS},
+        A = _Pattern.of({k: pieces[k] for k in _A_ROWS},
                         {"slip": within["slip"]}, dofs)
-        N = _Pattern.of({k: rows[k] for k in _N_ROWS}, within, dofs)
+        N = _Pattern.of({k: pieces[k] for k in _N_ROWS}, within, dofs)
         _block_diagonal(N, lay)
         # a mesh that reached itself through this layout would outlive its
         # last reference until the cyclic collector ran, pieces and all
@@ -495,9 +500,9 @@ def _affine(mesh, layout=None):
     return _per_mesh(mesh, "affine operator", build)
 
 
-def assemble_operator(mesh, layout, params):
+def assemble_operator(mesh, params):
     """The indefinite coupled operator (without essential elimination)."""
-    aff = _affine(mesh, layout)
+    aff = _affine(mesh)
     w = _weights(params)
     return aff.A.matrix({k: w[k] * aff.pieces[k] for k in _A_PIECES})
 
@@ -524,14 +529,11 @@ def _coupling_entries(mesh, layout, iface, acc):
     acc.add(ud, lam, val)
 
 
-def assemble_riesz(mesh, layout, params, interface_matrix):
-    """Block-diagonal Riesz map; `interface_matrix` is the dense multiplier
-    block (see frac_interface)."""
-    aff = _affine(mesh, layout)
+def assemble_riesz(mesh, params):
+    """Block-diagonal Riesz map (without essential elimination)."""
+    aff = _affine(mesh)
     w = _weights(params)
-    values = {k: w[k] * aff.pieces[k] for k in _N_PIECES}
-    values["lam"] = np.asarray(interface_matrix).ravel()
-    return aff.N.matrix(values)
+    return aff.N.matrix({k: w[k] * aff.pieces[k] for k in _N_PIECES})
 
 
 def assemble_rhs(mesh, layout, loads):
@@ -710,12 +712,10 @@ class BlockSystem:
 def assemble_system(mesh, params, loads=None):
     """Facade: operator, Riesz map, rhs and essential elimination; all but
     the weights and the rhs come from the mesh's per-mesh pieces."""
-    from .frac_interface import interface_operator
-
     aff = _affine(mesh)
     layout, dofs = replace(aff.layout, mesh=mesh), aff.essential
-    A = assemble_operator(mesh, layout, params)
-    N = assemble_riesz(mesh, layout, params, interface_operator(mesh, params))
+    A = assemble_operator(mesh, params)
+    N = assemble_riesz(mesh, params)
     b = assemble_rhs(mesh, layout, loads)
     vals = essential_values(
         layout, dofs,

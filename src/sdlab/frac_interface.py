@@ -13,11 +13,11 @@ behaviour of the underlying Laplacian depends on the boundary layout:
 `free` endpoints get no extra term, `zero` endpoints add the Dirichlet
 ghost coupling 2/|F_end| on the end facet's diagonal.  Closed interface
 loops have no endpoints.  When the two fractional terms use different
-endpoint conditions, two eigenbases are built.  The block is dense:
-`interface_operator` returns it for the Riesz map N, and the
-preconditioner reads it off N and factors it by dense Cholesky.  The
-bases and the two fractional powers do not depend on (mu, K), so they are
-built once per tagged mesh.
+endpoint conditions, two eigenbases are built.  The two powers are
+parameter-free pieces of the Riesz map N, `lam_low` and `lam_high`
+(`fractional_pieces`), built with the other pieces once per tagged mesh
+and weighted like them (see assembly).  The block is dense; the
+preconditioner reads it off N and factors it by dense Cholesky.
 """
 
 from __future__ import annotations
@@ -27,8 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .assembly import _weights
-from .mesh import BcConfig, _per_mesh, interface_chains
+from .mesh import BcConfig, interface_chains
 
 # endpoint condition for (the (-1/2)-power term, the (+1/2)-power term)
 ENDPOINTS = {
@@ -99,22 +98,21 @@ def fractional_matrix(basis, power):
     return 0.5 * (S + S.T)
 
 
-def _basis(mesh, endpoint):
-    return _per_mesh(mesh, ("interface basis", endpoint),
-                     lambda m: build_interface_basis(m, endpoint))
-
-
-def _fractional(mesh, endpoint, power):
-    return _per_mesh(mesh, ("fractional", endpoint, power),
-                     lambda m: fractional_matrix(_basis(m, endpoint), power))
+def fractional_pieces(mesh):
+    """The pieces lam_low = power(-1/2) and lam_high = power(+1/2) of the
+    mesh's layout, dense; one basis per distinct endpoint condition."""
+    ep_low, ep_high = ENDPOINTS[mesh.config]
+    bases = {ep: build_interface_basis(mesh, ep) for ep in {ep_low, ep_high}}
+    return {"lam_low": fractional_matrix(bases[ep_low], -0.5),
+            "lam_high": fractional_matrix(bases[ep_high], +0.5)}
 
 
 def interface_operator(mesh, params):
-    """The dense SPD multiplier block for the mesh's layout.
+    """The dense SPD multiplier block for the mesh's layout: its pieces
+    lam_low and lam_high weighted and summed as in N."""
+    from .assembly import _affine, _weights
 
-    The bases and fractional powers are parameter-free and built once per
-    tagged mesh; only their weights 1/mu and K change with `params`."""
-    ep_low, ep_high = ENDPOINTS[mesh.config]
-    w = _weights(params)
-    return (w["lam_low"] * _fractional(mesh, ep_low, -0.5)
-            + w["lam_high"] * _fractional(mesh, ep_high, +0.5))
+    aff, w = _affine(mesh), _weights(params)
+    k = aff.layout.sizes["lam"]
+    return (w["lam_low"] * aff.pieces["lam_low"].reshape(k, k)
+            + w["lam_high"] * aff.pieces["lam_high"].reshape(k, k))

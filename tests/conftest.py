@@ -7,7 +7,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 import numpy as np
 import pytest
 
-from sdlab.mesh import BcConfig, build_coupled_mesh, stacked_domain, side_by_side_domain
+from sdlab.mesh import build_coupled_mesh, stacked_domain, side_by_side_domain
 
 
 @pytest.fixture

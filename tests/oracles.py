@@ -751,19 +751,15 @@ def _entry_keys(M):
 class ReferencePattern:
     """The CSR pattern of a weighted sum of pieces by sort and search: the
     row-major keys row*n + col of every entry of every piece (canonical
-    CSR), and of the dense block on the dofs `dense`, sorted and made
-    unique; each piece's entries are found among them by binary search.
+    CSR), sorted and made unique; each piece's entries are found among them by binary search.
     The essential elimination of the pattern keeps the entries off the rows
     and columns of `dofs`, in order, and a unit diagonal on each of those
     rows: `keep` marks the kept entries among the pattern's, `kept` their
     places in the eliminated pattern."""
 
-    def __init__(self, pieces, dofs, dense=()):
+    def __init__(self, pieces, dofs):
         n = next(iter(pieces.values())).shape[0]
         keys = {name: _entry_keys(P) for name, P in pieces.items()}
-        if len(dense):
-            d = np.asarray(dense, dtype=np.int64)
-            keys["lam"] = (d[:, None] * n + d[None, :]).ravel()
         union = np.sort(np.concatenate(list(keys.values())))
         union = union[np.concatenate([[True], union[1:] != union[:-1]])]
         indptr = np.searchsorted(union, np.arange(n + 1, dtype=np.int64) * n)

@@ -285,14 +285,14 @@ def test_criterion_7_verification_bundle(capsys):
             mesh = build_coupled_mesh(domain, nref)
             tag_boundaries(mesh, config)
             lay = build_layout(mesh)
-            A = assemble_operator(mesh, lay, params)
+            A = assemble_operator(mesh, params)
             sym_ok = sym_ok and abs(A - A.T).max() == 0.0
             A_ref = oracles.oracle_operator(mesh, lay, params)
             oracle_err = max(oracle_err,
                              np.abs(A.toarray() - A_ref).max() / np.abs(A_ref).max())
             if nref == 0:
                 S = interface_operator(mesh, params)
-                N = assemble_riesz(mesh, lay, params, S)
+                N = assemble_riesz(mesh, params)
                 N_ref = oracles.oracle_riesz(mesh, lay, params, S)
                 oracle_err = max(oracle_err,
                                  np.abs(N.toarray() - N_ref).max()

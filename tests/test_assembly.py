@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from sdlab import assembly
+from sdlab import assembly, frac_interface
 from sdlab.assembly import (
     LoadData,
     PhysParams,
@@ -91,7 +91,7 @@ OPERATOR_ORACLE_CASES = [
 def test_operator_matches_oracle(domain, config, nrefs, params, jitter):
     for nref in nrefs:
         m, lay = coupled(domain, nref, config, jitter)
-        A = assemble_operator(m, lay, params).toarray()
+        A = assemble_operator(m, params).toarray()
         A_ref = oracles.oracle_operator(m, lay, params)
         scale = np.abs(A_ref).max()
         assert np.abs(A - A_ref).max() <= 1e-12 * scale
@@ -113,9 +113,8 @@ def test_oracle_default_rule_is_exact():
 
 def test_operator_exactly_symmetric(stack4):
     tag_boundaries(stack4, BcConfig.NN)
-    lay = build_layout(stack4)
     params = PhysParams(mu=3.0, K=0.5, alpha_bjs=0.5)
-    A = assemble_operator(stack4, lay, params)
+    A = assemble_operator(stack4, params)
     assert abs(A - A.T).max() == 0.0
 
 
@@ -123,7 +122,7 @@ def test_operator_exactly_symmetric(stack4):
 def test_riesz_matches_oracle(params):
     m, lay = coupled(stacked_domain(1), 1, BcConfig.NE)
     S = interface_operator(m, params)
-    N = assemble_riesz(m, lay, params, S).toarray()
+    N = assemble_riesz(m, params).toarray()
     N_ref = oracles.oracle_riesz(m, lay, params, S)
     scale = np.abs(N_ref).max()
     assert np.abs(N - N_ref).max() <= 1e-12 * scale
@@ -179,7 +178,7 @@ def test_interface_coupling_entries():
     # porous-side coupling column carries +/- the facet length
     m, lay = coupled(stacked_domain(4), 0, BcConfig.NE)
     params = PhysParams(mu=1.0, K=1.0, alpha_bjs=0.5)
-    A = assemble_operator(m, lay, params).tocsc()
+    A = assemble_operator(m, params).tocsc()
     for j, f in enumerate(lay.interface_facets):
         col = A[:, lay.offsets["lam"] + j]
         block = col.toarray()[lay.field_slice("u_D")].ravel()
@@ -389,9 +388,8 @@ def test_eliminated_system_matches_dense_elimination(config):
     system = assemble_system(m, params)
     layout, dofs = system.layout, system.essential
     assert len(dofs)
-    full = {"A": assemble_operator(m, layout, params),
-            "N": assemble_riesz(m, layout, params,
-                                interface_operator(m, params))}
+    full = {"A": assemble_operator(m, params),
+            "N": assemble_riesz(m, params)}
     free = np.ones(layout.total_dofs, dtype=bool)
     free[dofs] = False
     for name, F in full.items():
@@ -432,6 +430,33 @@ def test_velocity_block_assembled_once_per_tagged_mesh(monkeypatch):
     for mu, K in CACHE_PARAMS:
         mms_system(m, mu, K)
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("config", CACHE_CONFIGS, ids=lambda c: c.value)
+def test_multiplier_bases_built_once_per_tagged_mesh(config, monkeypatch):
+    # the multiplier block's two powers are per-mesh pieces of N: a system
+    # needs no separate multiplier matrix, and each endpoint condition's
+    # basis is built once per tagged mesh, not once per (mu, K)
+    bases = []
+    real = frac_interface.build_interface_basis
+
+    def counted(mesh, endpoint="free"):
+        bases.append(endpoint)
+        return real(mesh, endpoint)
+
+    def apart(*args):
+        raise AssertionError("the multiplier block was formed apart from N")
+
+    monkeypatch.setattr(frac_interface, "build_interface_basis", counted)
+    monkeypatch.setattr(frac_interface, "interface_operator", apart)
+    endpoints = set(frac_interface.ENDPOINTS[config])
+    assert len(endpoints) == (2 if config in (BcConfig.NN, BcConfig.EE) else 1)
+    m = tagged(config)
+    for tags in (1, 2):
+        for mu, K in CACHE_PARAMS:
+            mms_system(m, mu, K)
+        assert sorted(bases) == sorted(tags * list(endpoints))
+        tag_boundaries(m, config)
 
 
 def test_mesh_freed_without_cyclic_collector():
@@ -481,12 +506,9 @@ def test_patterns_match_sort_and_search(domain, config, nref):
     lay, dofs = system.layout, system.essential
     pieces = assembly._pieces(m, lay)
     w = assembly._weights(params)
-    lam = np.arange(lay.total_dofs)[lay.field_slice("lam")]
-    for name, pattern, names, dense in (
-            ("A", aff.A, assembly._A_PIECES, ()),
-            ("N", aff.N, assembly._N_PIECES, lam)):
-        ref = oracles.ReferencePattern({k: pieces[k] for k in names}, dofs,
-                                       dense)
+    for name, pattern, names in (("A", aff.A, assembly._A_PIECES),
+                                 ("N", aff.N, assembly._N_PIECES)):
+        ref = oracles.ReferencePattern({k: pieces[k] for k in names}, dofs)
         assert_bitwise(pattern.indptr, ref.indptr)
         assert_bitwise(pattern.indices, ref.indices)
         assert pattern.pos.keys() == ref.pos.keys()
@@ -497,10 +519,7 @@ def test_patterns_match_sort_and_search(domain, config, nref):
                           (e.indices, ref.elim_indices),
                           (e.keep, ref.keep), (e.kept, ref.kept)):
             assert_bitwise(got, want)
-        values = {k: w[k] * pieces[k].data for k in names}
-        if len(dense):
-            values["lam"] = interface_operator(m, params).ravel()
-        full = ref.matrix(values)
+        full = ref.matrix({k: w[k] * pieces[k].data for k in names})
         assert_same_csr(getattr(system, name), ref.eliminated(full))
         if name == "A":
             x = np.zeros(lay.total_dofs)

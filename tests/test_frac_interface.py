@@ -7,7 +7,8 @@ import itertools
 import numpy as np
 import pytest
 
-from sdlab.assembly import PhysParams, assemble_system
+from sdlab.assembly import (PhysParams, assemble_riesz, assemble_system,
+                            build_layout)
 from sdlab.frac_interface import (
     ENDPOINTS,
     build_interface_basis,
@@ -128,14 +129,25 @@ def test_inverse_round_trip(config, rng):
         assert np.linalg.eigvalsh(S).min() > 0
 
 
-def test_mixed_endpoints_sum():
-    # NN combines a free-endpoint -1/2 power with a zero-endpoint +1/2 power
-    m = iface_mesh(2, config=BcConfig.NN)
-    params = PhysParams(3.0, 0.2, 0.5)
-    S = interface_operator(m, params)
-    a = fractional_matrix(build_interface_basis(m, "free"), -0.5) / 3.0
-    b = 0.2 * fractional_matrix(build_interface_basis(m, "zero"), 0.5)
-    assert np.abs(S - (a + b)).max() < 1e-13
+@pytest.mark.parametrize("config", list(BcConfig), ids=lambda c: c.value)
+def test_mixed_endpoints_sum(config):
+    # each power from the basis of its own endpoint condition (NN and EE
+    # mix a free and a zero one), weighted 1/mu and K: interface_operator
+    # and the lam block of N hold exactly this sum
+    if config is BcConfig.MULTI:
+        m = tag_boundaries(build_coupled_mesh(floating_domain(2, 2), 0), config)
+    else:
+        m = iface_mesh(2, config=config)
+    mu, K = 3.0, 0.2
+    params = PhysParams(mu, K, 0.5)
+    lo, hi = ENDPOINTS[config]
+    want = ((1.0 / mu) * fractional_matrix(build_interface_basis(m, lo), -0.5)
+            + K * fractional_matrix(build_interface_basis(m, hi), 0.5))
+    lam = build_layout(m).field_slice("lam")
+    for got in (interface_operator(m, params),
+                assemble_riesz(m, params)[lam, lam].toarray()):
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
 
 
 def test_parameter_scaling():

@@ -90,9 +90,9 @@ def _check(case, nref):
     if nref == 0:       # the oracle loops over cells and points in Python
         S = interface_operator(m, params)
         for got, want in (
-                (assemble_operator(m, lay, params),
+                (assemble_operator(m, params),
                  oracles.oracle_operator(m, lay, params)),
-                (assemble_riesz(m, lay, params, S),
+                (assemble_riesz(m, params),
                  oracles.oracle_riesz(m, lay, params, S))):
             scale = np.abs(want).max()
             assert np.abs(got.toarray() - want).max() <= 1e-12 * scale
