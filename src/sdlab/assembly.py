@@ -92,9 +92,6 @@ def _weights(params):
             "p0": K, "lam_low": 1.0 / mu, "lam_high": K}
 
 
-_A_PIECES = ("visc", "slip", "mass", "saddle")
-_N_PIECES = ("visc", "slip", "mass", "divdiv", "p1", "p0", "lam_low",
-             "lam_high")
 # the pieces whose rows, joined in this order, are the rows of A and of N
 # (see _affine), and the piece whose pattern holds each of the others
 _A_ROWS = ("visc", "mass", "saddle")
@@ -161,10 +158,10 @@ class _Acc:
         return sp.coo_matrix((v, (r, c)), shape=(self.n, self.n)).tocsr()
 
 
-def _stokes_geometry(mesh, layout, degree):
+def _stokes_geometry(layout, degree):
     """Reference points, weights (nc, nq) and gradient rows X (nc, 12, nq)
     of the free-flow cells: X[c, 6*i + a, q] = d(phi_a)/dx_i at point q."""
-    coords = mesh.cell_coords(layout.stokes_cells)
+    coords = layout.mesh.cell_coords(layout.stokes_cells)
     pts, w = el.triangle_rule(degree)
     _, inv, det = el.affine_maps(coords)
     grads = el.physical_grads(inv, el.p2_grads(pts))
@@ -195,7 +192,7 @@ def _viscous_blocks(X, XW):
     return block
 
 
-def _velocity_entries(mesh, layout, X, XW, iface):
+def _velocity_entries(layout, X, XW, iface):
     """2*(eps(u), eps(v)) over the free-flow cells and the interface slip
     mass (u.tau, v.tau)_Gamma: the pieces `visc` and `slip` that A and N
     share.  X, XW: the gradient rows of _stokes_geometry, plain and times
@@ -225,10 +222,10 @@ def _velocity_block(layout, cs, block):
     return acc.matrix()
 
 
-def _rt_divergence(mesh, layout):
+def _rt_divergence(layout):
     """Vertex coordinates, areas and RT basis divergences of the porous
     cells; div psi_k = sign_k * |e_k| / area is constant on a cell."""
-    coords = mesh.cell_coords(layout.darcy_cells)
+    coords = layout.mesh.cell_coords(layout.darcy_cells)
     _, _, det = el.affine_maps(coords)
     area = 0.5 * np.abs(det)
     edge_len = np.stack([
@@ -237,10 +234,10 @@ def _rt_divergence(mesh, layout):
     return coords, area, layout.darcy_cell_signs * edge_len / area[:, None]
 
 
-def _rt_basis(mesh, layout, degree):
+def _rt_basis(layout, degree):
     """RT basis values psi_k(x) = (div psi_k / 2) * (x - opposite vertex),
     divergences, areas and weights on the porous cells."""
-    coords, area, div = _rt_divergence(mesh, layout)
+    coords, area, div = _rt_divergence(layout)
     pts, w = el.triangle_rule(degree)
     x = el.physical_points(coords, pts)
     opp = coords[:, list(el.OPPOSITE_VERTEX)]
@@ -249,19 +246,19 @@ def _rt_basis(mesh, layout, degree):
     return vals, div, area, weights
 
 
-def _pieces(mesh, layout):
+def _pieces(layout):
     """Every parameter-free piece of A and N (see `_weights`), each a CSR
     matrix on its own block's pattern."""
     n = layout.total_dofs
-    pts, W, X = _stokes_geometry(mesh, layout, OPERATOR_TRI_DEGREE)
+    pts, W, X = _stokes_geometry(layout, OPERATOR_TRI_DEGREE)
     XW = X * W[:, None, :]
     iface = _facet_quadrature(layout, layout.interface_facets,
                               OPERATOR_SEG_DEGREE, trace=True)
-    visc, slip = _velocity_entries(mesh, layout, X, XW, iface)
+    visc, slip = _velocity_entries(layout, X, XW, iface)
     psi = el.p1_basis(pts)
     cs = layout.stokes_cell_scalar
     prow = layout.offsets["p_S"] + cs[:, :3]
-    rt, div, area, Wd = _rt_basis(mesh, layout, OPERATOR_TRI_DEGREE)
+    rt, div, area, Wd = _rt_basis(layout, OPERATOR_TRI_DEGREE)
     rows = layout.offsets["u_D"] + layout.darcy_cell_facets
     pdr = layout.offsets["p_D"] + np.arange(len(layout.darcy_cells))
 
@@ -276,7 +273,7 @@ def _pieces(mesh, layout):
     bd = -div * area[:, None]                                  # -(div psi_k, 1)
     saddle.add(pdr[:, None], rows, bd)
     saddle.add(rows, pdr[:, None], bd)
-    _coupling_entries(mesh, layout, iface, saddle)
+    _coupling_entries(layout, iface, saddle)
 
     mass, divdiv, p1, p0 = (_Acc(n) for _ in range(4))
     mass.add(rows[:, None, :], rows[:, :, None],
@@ -289,7 +286,7 @@ def _pieces(mesh, layout):
            0.5 * (pm + pm.transpose(0, 2, 1)))
     p0.add(pdr, pdr, area)
     lam = {name: _full_block(layout, "lam", F)
-           for name, F in fractional_pieces(mesh).items()}
+           for name, F in fractional_pieces(layout.mesh).items()}
     return {"visc": visc, "slip": slip, "saddle": saddle.matrix(),
             "mass": mass.matrix(), "divdiv": divdiv.matrix(),
             "p1": p1.matrix(), "p0": p0.matrix(), **lam}
@@ -417,31 +414,37 @@ def _full_block(layout, name, dense):
 @dataclass
 class _Pattern:
     """The fixed CSR pattern of a weighted sum of pieces: `pos[name]`
-    places the entries of piece `name` (in its own CSR order) in it.
-    Every matrix on it shares its read-only index arrays."""
+    places the entries of piece `name` (in its own CSR order) in it, and
+    `values[name]` holds them.  Every matrix on it shares its read-only
+    index arrays."""
 
     indptr: np.ndarray
     indices: np.ndarray
     pos: dict
+    values: dict
     elimination: _Elimination
 
     @classmethod
-    def of(cls, segments, within, dofs):
-        """The pattern whose rows join the rows of the pieces `segments`
+    def of(cls, pieces, rows, within, dofs):
+        """The pattern whose rows join the rows of the pieces named `rows`
         (see `_joined`); `within[name] = (host, places)` places the entries
-        of a further piece among those of the segment `host`."""
-        indptr, indices, pos = _joined(segments)
+        of a further piece among those of the row piece `host`.  It holds
+        the values of the pieces it places."""
+        indptr, indices, pos = _joined({k: pieces[k] for k in rows})
         for name, (host, places) in within.items():
             pos[name] = pos[host][places]
         return cls(*el.read_only(indptr, indices), pos=pos,
+                   values={k: pieces[k].data for k in pos},
                    elimination=_Elimination.of(indptr, indices, dofs))
 
-    def matrix(self, values):
-        """The sum over the given pieces of `values[name]` placed at
-        `pos[name]`, in the order given."""
+    def matrix(self, weights):
+        """The sum of each piece placed here that has a weight, times that
+        weight, in `pos` order: segments before the pieces within them, so
+        each entry sums its host's value first."""
         data = np.zeros(len(self.indices))
-        for name, v in values.items():
-            data[self.pos[name]] += v
+        for name, p in self.pos.items():
+            if name in weights:
+                data[p] += weights[name] * self.values[name]
         return _csr(data, self.indices, self.indptr)
 
 
@@ -461,11 +464,10 @@ def _block_diagonal(pattern, layout):
 @dataclass
 class _Affine:
     """Everything about A and N that does not depend on the parameters,
-    for one tagged mesh: the pieces' values and their patterns in A and N."""
+    for one tagged mesh: their patterns, holding the pieces' values."""
 
     layout: object          # without its mesh, see _affine
     essential: np.ndarray
-    pieces: dict
     A: _Pattern
     N: _Pattern
 
@@ -484,30 +486,31 @@ def _affine(mesh):
     raises ValueError."""
     def build(mesh):
         lay = build_layout(mesh)
-        pieces = _pieces(mesh, lay)
+        pieces = _pieces(lay)
         dofs = essential_dofs(lay)
         within = {name: (host, _places(pieces[host], pieces[name]))
                   for name, host in _WITHIN.items()}
-        A = _Pattern.of({k: pieces[k] for k in _A_ROWS},
-                        {"slip": within["slip"]}, dofs)
-        N = _Pattern.of({k: pieces[k] for k in _N_ROWS}, within, dofs)
+        A = _Pattern.of(pieces, _A_ROWS, {"slip": within["slip"]}, dofs)
+        N = _Pattern.of(pieces, _N_ROWS, within, dofs)
         _block_diagonal(N, lay)
         # a mesh that reached itself through this layout would outlive its
         # last reference until the cyclic collector ran, pieces and all
-        return _Affine(
-            layout=replace(lay, mesh=None), essential=dofs,
-            pieces={name: P.data for name, P in pieces.items()}, A=A, N=N)
+        return _Affine(layout=replace(lay, mesh=None), essential=dofs,
+                       A=A, N=N)
     return _per_mesh(mesh, "affine operator", build)
+
+
+def _layout(mesh):
+    """The mesh's layout, kept in its `_Affine`, joined to the mesh."""
+    return replace(_affine(mesh).layout, mesh=mesh)
 
 
 def assemble_operator(mesh, params):
     """The indefinite coupled operator (without essential elimination)."""
-    aff = _affine(mesh)
-    w = _weights(params)
-    return aff.A.matrix({k: w[k] * aff.pieces[k] for k in _A_PIECES})
+    return _affine(mesh).A.matrix(_weights(params))
 
 
-def _coupling_entries(mesh, layout, iface, acc):
+def _coupling_entries(layout, iface, acc):
     """The +-(v.n_S, lam) couplings, on the interface quadrature `iface`
     of `_velocity_entries`."""
     f = layout.interface_facets
@@ -515,6 +518,7 @@ def _coupling_entries(mesh, layout, iface, acc):
     ud = layout.offsets["u_D"] + np.searchsorted(layout.darcy_facets, f)
     # n_S is the Stokes cell's outward normal and the global RT normal is
     # that of facet_cells[f, 0], so they agree iff the Stokes cell comes first
+    mesh = layout.mesh
     sigmas = np.where(
         mesh.cell_subdomain[mesh.facet_cells[f, 0]] == STOKES, 1.0, -1.0)
     _, ds, phi, cs = iface
@@ -531,21 +535,20 @@ def _coupling_entries(mesh, layout, iface, acc):
 
 def assemble_riesz(mesh, params):
     """Block-diagonal Riesz map (without essential elimination)."""
-    aff = _affine(mesh)
-    w = _weights(params)
-    return aff.N.matrix({k: w[k] * aff.pieces[k] for k in _N_PIECES})
+    return _affine(mesh).N.matrix(_weights(params))
 
 
-def assemble_rhs(mesh, layout, loads):
-    """Load vector matching the operator's sign convention.  Its points,
-    weights and trace tables are kept per mesh (`_cell_rule`,
-    `_load_facets`); a call evaluates the loads and sums."""
+def assemble_rhs(mesh, loads):
+    """Load vector matching the operator's sign convention, indexed by the
+    mesh's layout.  Its points, weights and trace tables are kept per mesh
+    (`_cell_rule`, `_load_facets`); a call evaluates the loads and sums."""
+    layout = _affine(mesh).layout
     b = np.zeros(layout.total_dofs)
     if loads is None:
         return b
 
     if loads.f_S is not None:
-        x, W = _cell_rule(mesh, layout, "stokes")
+        x, W = _cell_rule(mesh, "stokes")
         fv = loads.f_S(x.reshape(-1, 2)).reshape(x.shape)
         # load[c, i, a] = (f_i, phi_a) on cell c: one BLAS product
         fw = (fv * W[:, :, None]).transpose(0, 2, 1).reshape(-1, W.shape[1])
@@ -554,13 +557,13 @@ def assemble_rhs(mesh, layout, loads):
         _add_trace_load(b, layout, layout.stokes_cell_scalar, load)
 
     if loads.g_D is not None:
-        x, Wd = _cell_rule(mesh, layout, "darcy")
+        x, Wd = _cell_rule(mesh, "darcy")
         g = loads.g_D(x.reshape(-1, 2)).reshape(Wd.shape)
         vals = -np.einsum("cq,cq->c", g, Wd)
         np.add.at(b, layout.offsets["p_D"] + np.arange(len(layout.darcy_cells)), vals)
 
     if loads.g_gamma is not None or loads.t_n is not None or loads.t_t is not None:
-        q = _load_facets(mesh, layout, "interface")
+        q = _load_facets(mesh, "interface")
         pts, ds = q.x.reshape(-1, 2), q.ds
         n_S = layout.interface_normals
         tau = np.column_stack([-n_S[:, 1], n_S[:, 0]])
@@ -579,7 +582,7 @@ def assemble_rhs(mesh, layout, loads):
         if stress:
             _add_trace_load(b, layout, q.cs, np.stack(stress, axis=1))
 
-    q = _load_facets(mesh, layout, "traction")
+    q = _load_facets(mesh, "traction")
     if loads.stokes_traction is not None and len(q.facets):
         tr = np.empty_like(q.x)
         for tag in sorted(set(q.tags)):
@@ -591,7 +594,7 @@ def assemble_rhs(mesh, layout, loads):
                          for alpha in range(2)], axis=1)
         _add_trace_load(b, layout, q.cs, vals[:, None])
 
-    q = _load_facets(mesh, layout, "pressure")
+    q = _load_facets(mesh, "pressure")
     if loads.darcy_pressure is not None and len(q.facets):
         p = loads.darcy_pressure(q.x.reshape(-1, 2)).reshape(q.ds.shape)
         flux = layout.offsets["u_D"] + np.searchsorted(layout.darcy_facets,
@@ -600,7 +603,7 @@ def assemble_rhs(mesh, layout, loads):
     return b
 
 
-def _cell_rule(mesh, layout, domain):
+def _cell_rule(mesh, domain):
     """Physical points (nc, nq, 2) and weights (nc, nq) of the degree
     LOAD_TRI_DEGREE rule on the "stokes" or "darcy" cells;
     mms.compute_errors measures with them too.  The points and each cell's
@@ -609,7 +612,8 @@ def _cell_rule(mesh, layout, domain):
     pts, w = el.triangle_rule(LOAD_TRI_DEGREE)
 
     def build(mesh):
-        coords = mesh.cell_coords(getattr(layout, domain + "_cells"))
+        cells = getattr(_affine(mesh).layout, domain + "_cells")
+        coords = mesh.cell_coords(cells)
         _, _, det = el.affine_maps(coords)
         return el.read_only(el.physical_points(coords, pts), np.abs(det))
     x, absdet = _per_mesh(mesh, ("cell rule", domain), build)
@@ -636,11 +640,12 @@ class _FacetRule:
         return np.repeat(v, self.ds.shape[1], axis=0)
 
 
-def _load_facets(mesh, layout, part):
+def _load_facets(mesh, part):
     """The `_FacetRule` of the "interface", the natural free-flow boundary
     ("traction") or the natural porous boundary ("pressure"), kept per
     mesh."""
     def build(mesh):
+        layout = _layout(mesh)
         if part == "interface":
             f = layout.interface_facets
             return _FacetRule(f, *_facet_quadrature(layout, f, LOAD_SEG_DEGREE,
@@ -713,10 +718,10 @@ def assemble_system(mesh, params, loads=None):
     """Facade: operator, Riesz map, rhs and essential elimination; all but
     the weights and the rhs come from the mesh's per-mesh pieces."""
     aff = _affine(mesh)
-    layout, dofs = replace(aff.layout, mesh=mesh), aff.essential
+    layout, dofs = _layout(mesh), aff.essential
     A = assemble_operator(mesh, params)
     N = assemble_riesz(mesh, params)
-    b = assemble_rhs(mesh, layout, loads)
+    b = assemble_rhs(mesh, loads)
     vals = essential_values(
         layout, dofs,
         None if loads is None else loads.u_S_essential,

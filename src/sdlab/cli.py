@@ -83,10 +83,11 @@ def floating_domain(n_inclusions=2, n0=4):
     return DomainSpec((0.0, 0.0, width, 3.0), incl, n0)
 
 
-def channel_loads(p_in=1.0, p_out=0.0):
-    """Pressure-drop traction on the inflow/outflow edges, no body force."""
+def channel_loads():
+    """Pressure-drop traction, pressure 1 on the inflow and 0 on the
+    outflow edge; no body force."""
     def traction(pts, n_out, tag):
-        p = {"inflow": p_in, "outflow": p_out}.get(tag, 0.0)
+        p = {"inflow": 1.0, "outflow": 0.0}.get(tag, 0.0)
         return -p * np.broadcast_to(n_out, (len(pts), 2))
     return LoadData(stokes_traction=traction)
 

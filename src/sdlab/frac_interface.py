@@ -108,11 +108,11 @@ def fractional_pieces(mesh):
 
 
 def interface_operator(mesh, params):
-    """The dense SPD multiplier block for the mesh's layout: its pieces
-    lam_low and lam_high weighted and summed as in N."""
+    """The dense SPD multiplier block for the mesh's layout: the lam block
+    of N's sum of its weighted pieces lam_low and lam_high."""
     from .assembly import _affine, _weights
 
     aff, w = _affine(mesh), _weights(params)
-    k = aff.layout.sizes["lam"]
-    return (w["lam_low"] * aff.pieces["lam_low"].reshape(k, k)
-            + w["lam_high"] * aff.pieces["lam_high"].reshape(k, k))
+    M = aff.N.matrix({k: w[k] for k in ("lam_low", "lam_high")})
+    s = aff.layout.field_slice("lam")
+    return M[s, s].toarray()

@@ -431,65 +431,49 @@ def _interface_chains(mesh):
     return chains
 
 
-def mesh_to_dict(mesh):
-    d = {
-        "spacing": mesh.spacing,
-        "nref": mesh.nref,
-        "config": mesh.config.value if mesh.config else None,
-        "domain": {
-            "stokes_rect": list(mesh.domain.stokes_rect),
-            "darcy_rects": [list(r) for r in mesh.domain.darcy_rects],
-            "base_divisions": mesh.domain.base_divisions,
-        },
-        "vertices": mesh.vertices.tolist(),
-        "cells": mesh.cells.tolist(),
-        "cell_subdomain": mesh.cell_subdomain.tolist(),
-        "cell_component": mesh.cell_component.tolist(),
-        "facets": mesh.facets.tolist(),
-        "facet_cells": mesh.facet_cells.tolist(),
-        "facet_tags": mesh.facet_tags.tolist(),
-        "facet_component": mesh.facet_component.tolist(),
-        "interface": [
-            {
-                "facets": c.facets.tolist(),
-                "normals": c.normals.tolist(),
-                "closed": c.closed,
-                "component": c.component,
-            }
-            for c in interface_chains(mesh)
-        ],
-    }
-    return d
+# the Mesh arrays a mesh file holds, as nested lists
+_FILE_ARRAYS = ("vertices", "cells", "cell_subdomain", "cell_component",
+                "facets", "facet_cells", "facet_tags", "facet_component")
+
+
+def _chain_records(mesh):
+    """The mesh's interface chains as `save_mesh` writes them."""
+    return [{"facets": c.facets.tolist(), "normals": c.normals.tolist(),
+             "closed": c.closed, "component": c.component}
+            for c in interface_chains(mesh)]
 
 
 def save_mesh(mesh, path):
     """Write the mesh as JSON (schema documented in the README)."""
+    dom = mesh.domain
+    doc = {"spacing": mesh.spacing, "nref": mesh.nref,
+           "config": mesh.config.value if mesh.config else None,
+           "domain": {"stokes_rect": list(dom.stokes_rect),
+                      "darcy_rects": [list(r) for r in dom.darcy_rects],
+                      "base_divisions": dom.base_divisions},
+           **{name: getattr(mesh, name).tolist() for name in _FILE_ARRAYS},
+           "interface": _chain_records(mesh)}
     with open(path, "w") as fh:
-        json.dump(mesh_to_dict(mesh), fh)
+        json.dump(doc, fh)
 
 
 def load_mesh(path):
+    """Read a mesh written by `save_mesh`.  Its interface chains are
+    derived as on a fresh mesh; a ConfigurationError if the file's stored
+    chains differ from them."""
     with open(path) as fh:
         d = json.load(fh)
     dom = DomainSpec(tuple(d["domain"]["stokes_rect"]),
                      tuple(tuple(r) for r in d["domain"]["darcy_rects"]),
                      d["domain"]["base_divisions"])
     lattice, modes = _domain_lattice(dom, d["nref"])
-    mesh = Mesh(vertices=np.array(d["vertices"]),
-                cells=np.array(d["cells"]),
-                cell_subdomain=np.array(d["cell_subdomain"]),
-                cell_component=np.array(d["cell_component"]),
-                facets=np.array(d["facets"]),
-                facet_cells=np.array(d["facet_cells"]),
-                facet_tags=np.array(d["facet_tags"], dtype=object),
-                facet_component=np.array(d["facet_component"]),
-                spacing=d["spacing"], domain=dom, nref=d["nref"],
+    # tags stay Python strings, so that re-tagging may write longer ones
+    arrays = {name: np.array(d[name], dtype=object if name == "facet_tags"
+                             else None) for name in _FILE_ARRAYS}
+    mesh = Mesh(**arrays, spacing=d["spacing"], domain=dom, nref=d["nref"],
                 config=BcConfig(d["config"]) if d["config"] else None,
                 _lattice=lattice, _modes=modes)
-    mesh._derived["interface chains"] = [
-        InterfaceChain(facets=np.array(c["facets"]),
-                       normals=np.array(c["normals"]),
-                       closed=c["closed"], component=c["component"])
-        for c in d["interface"]
-    ]
+    if _chain_records(mesh) != d["interface"]:
+        raise ConfigurationError(
+            f"{path}: the stored interface chains differ from the mesh's")
     return mesh

@@ -47,11 +47,13 @@ class ExactSolution:
         return self.params().beta_tau
 
     # free-flow fields -------------------------------------------------
-    def u_S(self, pts):
+    @staticmethod
+    def u_S(pts):
         s = np.sin(np.pi * (pts[:, 0] + pts[:, 1]))
         return np.pi * np.column_stack([-s, s])
 
-    def grad_u_S(self, pts):
+    @staticmethod
+    def grad_u_S(pts):
         """grad[i, j] = d u_i / d x_j, shape (n, 2, 2)."""
         c = np.pi ** 2 * np.cos(np.pi * (pts[:, 0] + pts[:, 1]))
         g = np.empty((len(pts), 2, 2))
@@ -65,7 +67,8 @@ class ExactSolution:
         g = self.grad_u_S(pts)
         return 0.5 * (g + np.swapaxes(g, 1, 2))
 
-    def p_S(self, pts):
+    @staticmethod
+    def p_S(pts):
         return np.sin(2.0 * np.pi * (pts[:, 0] - pts[:, 1]))
 
     def f_S(self, pts):
@@ -83,10 +86,12 @@ class ExactSolution:
         return sn - self.p_S(pts)[:, None] * n
 
     # porous fields ----------------------------------------------------
-    def p_D(self, pts):
+    @staticmethod
+    def p_D(pts):
         return np.sin(2.0 * np.pi * (pts[:, 0] - 2.0 * pts[:, 1]))
 
-    def grad_p_D(self, pts):
+    @staticmethod
+    def grad_p_D(pts):
         c = np.cos(2.0 * np.pi * (pts[:, 0] - 2.0 * pts[:, 1]))
         return 2.0 * np.pi * np.column_stack([c, -2.0 * c])
 
@@ -128,7 +133,7 @@ class ExactSolution:
             g_gamma=self.mass_defect,
             t_n=self.normal_stress_defect,
             t_t=self.slip_defect,
-            stokes_traction=lambda pts, n, tag: self.stokes_stress_n(pts, n),
+            stokes_traction=lambda pts, n, _tag: self.stokes_stress_n(pts, n),
             darcy_pressure=self.p_D,
             u_S_essential=self.u_S,
             u_D_essential=self.u_D,
@@ -141,7 +146,7 @@ def compute_errors(system, x, exact):
     mesh, layout = system.mesh, system.layout
     pts, _ = el.triangle_rule(ERROR_DEGREE)
 
-    xq, W = _cell_rule(mesh, layout, "stokes")
+    xq, W = _cell_rule(mesh, "stokes")
     flat = xq.reshape(-1, 2)
     _, inv, _ = el.affine_maps(mesh.cell_coords(layout.stokes_cells))
     cs = layout.stokes_cell_scalar
@@ -165,9 +170,9 @@ def compute_errors(system, x, exact):
     p_ex = exact.p_S(flat).reshape(p_h.shape)
     e2 = np.sqrt(np.einsum("cq,cq->", (p_h - p_ex) ** 2, W))
 
-    dxq, Wd = _cell_rule(mesh, layout, "darcy")
+    dxq, Wd = _cell_rule(mesh, "darcy")
     dxq = dxq.reshape(-1, 2)
-    _, _, div = _rt_divergence(mesh, layout)
+    _, _, div = _rt_divergence(layout)
     ucoef = x[layout.offsets["u_D"] + layout.darcy_cell_facets]
     div_h = np.einsum("ck,ck->c", ucoef, div)
     dive = exact.div_u_D(dxq).reshape(Wd.shape) - div_h[:, None]

@@ -19,7 +19,7 @@ near-kernel indicator vectors W:
 where N is the assembled Riesz matrix (the inverse of the preconditioner)
 and gamma scales like 1/(mu*K) when the porous pressure block carries the
 near-kernel (NE and floating inclusions) and like mu*K when the free-flow
-pressure does (EN).
+pressure does (EN); `NEAR_KERNEL` holds both facts per layout.
 """
 
 from __future__ import annotations
@@ -64,8 +64,7 @@ def _unit_factors(mesh):
         aff = _affine(mesh)
         lay = aff.layout
         N = aff.N.elimination.apply(aff.N.matrix(
-            {k: aff.pieces[k] for pieces in SCALED_BLOCKS.values()
-             for k in pieces}))
+            {k: 1.0 for pieces in SCALED_BLOCKS.values() for k in pieces}))
         out = {}
         for name in SCALED_BLOCKS:
             s = lay.field_slice(name)
@@ -158,47 +157,49 @@ class Deflation:
                                       lower=self.E[1])[0]
 
 
-def deflation_vectors(layout, config):
-    """Constant near-kernel indicator vectors for the given layout.
+# per layout with a near-kernel: the pressure block whose constant, with
+# the multiplier's, spans it, and whether gamma is 1/(mu*K) (else mu*K)
+NEAR_KERNEL = {BcConfig.NE: ("p_D", True), BcConfig.EN: ("p_S", False),
+               BcConfig.MULTI: ("p_D", True)}
 
-    NE: ones on the porous pressure and multiplier; EN: ones on the
-    free-flow pressure and multiplier; MultiInclusion: one vector per
-    inclusion (porous pressure of its cells plus its interface loop).
-    Other layouts have no near-kernel and return None.
+
+def deflation_vectors(mesh):
+    """Constant near-kernel indicator vectors of the tagged mesh, one per
+    interface component: ones on its multiplier dofs and on the pressure
+    block of `NEAR_KERNEL`, restricted to the component's cells where that
+    is p_D.  NE and EN have one component, each MultiInclusion inclusion
+    its own.  Layouts without a near-kernel return None.
     """
-    config = BcConfig(config)
-    n = layout.total_dofs
-    if config in (BcConfig.NE, BcConfig.EN):
-        w = np.zeros((n, 1))
-        w[layout.field_slice("p_D" if config == BcConfig.NE else "p_S")] = 1.0
-        w[layout.field_slice("lam")] = 1.0
-        return w
-    if config == BcConfig.MULTI:
-        mesh = layout.mesh
-        lam_comp = mesh.facet_component[layout.interface_facets]
-        comps = np.unique(lam_comp)
-        w = np.zeros((n, len(comps)))
-        w[layout.field_slice("p_D")] = (
+    if mesh.config not in NEAR_KERNEL:
+        return None
+    block = NEAR_KERNEL[mesh.config][0]
+    layout = _affine(mesh).layout
+    lam_comp = mesh.facet_component[layout.interface_facets]
+    comps = np.unique(lam_comp)
+    w = np.zeros((layout.total_dofs, len(comps)))
+    w[layout.field_slice("lam")] = lam_comp[:, None] == comps
+    if block == "p_D":
+        w[layout.field_slice(block)] = (
             mesh.cell_component[layout.darcy_cells, None] == comps)
-        w[layout.field_slice("lam")] = lam_comp[:, None] == comps
-        return w
-    return None
+    else:
+        w[layout.field_slice(block)] = 1.0
+    return w
 
 
 def deflation_gamma(params, config):
     config = BcConfig(config)
+    if config not in NEAR_KERNEL:
+        raise ValueError(f"layout {config.value} has no deflation space")
     muK = params.mu * params.K
-    if config in (BcConfig.NE, BcConfig.MULTI):
+    if NEAR_KERNEL[config][1]:
         return 1.0 / muK if muK else np.inf     # muK may underflow
-    if config == BcConfig.EN:
-        return muK
-    raise ValueError(f"layout {config.value} has no deflation space")
+    return muK
 
 
 def build_deflation(system, gamma_mult=1.0):
     """Deflation data for a BlockSystem, or None if the layout needs none;
     a ConfigurationError where gamma or E is not positive and finite."""
-    W = deflation_vectors(system.layout, system.config)
+    W = deflation_vectors(system.mesh)
     if W is None:
         return None
     gamma = gamma_mult * deflation_gamma(system.params, system.config)

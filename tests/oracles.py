@@ -593,8 +593,67 @@ def oracle_operator(mesh, layout, params, nquad=ORACLE_NQUAD):
     return A
 
 
-def oracle_riesz(mesh, layout, params, interface_matrix,
-                 nquad=ORACLE_NQUAD):
+# endpoint condition of the facet Laplacian under (the (-1/2) power, the
+# (+1/2) power), per layout: the table of README § Boundary-condition cases
+ORACLE_ENDPOINTS = {
+    BcConfig.NN: ("free", "zero"),
+    BcConfig.EE: ("zero", "free"),
+    BcConfig.NESTAR: ("free", "free"),
+    BcConfig.ENSTAR: ("zero", "zero"),
+    BcConfig.NE: ("free", "free"),
+    BcConfig.EN: ("zero", "zero"),
+    BcConfig.MULTI: ("free", "free"),
+}
+
+
+def oracle_facet_laplacian(mesh, layout, endpoint):
+    """The multiplier's finite-volume Laplacian L, in the layout's interface
+    order, and the facet lengths, by a loop over the facets of each
+    `reference_interface_chains` chain: 1/distance between neighbouring
+    midpoints, the last and first facet of a loop included, and 2/|F| on
+    the diagonal of each end facet of an open chain if `endpoint` is
+    "zero"."""
+    at = {f: i for i, f in enumerate(layout.interface_facets)}
+    n = len(at)
+    L = np.zeros((n, n))
+    ends = mesh.vertices[mesh.facets[layout.interface_facets]]
+    mids = 0.5 * (ends[:, 0] + ends[:, 1])
+    lengths = np.linalg.norm(ends[:, 1] - ends[:, 0], axis=1)
+    for chain in reference_interface_chains(mesh):
+        idx = [at[f] for f in chain.facets]
+        pairs = list(zip(idx[:-1], idx[1:]))
+        if chain.closed:
+            pairs.append((idx[-1], idx[0]))
+        for i, j in pairs:
+            w = 1.0 / np.linalg.norm(mids[i] - mids[j])
+            L[i, i] += w
+            L[j, j] += w
+            L[i, j] -= w
+            L[j, i] -= w
+        if not chain.closed and endpoint == "zero":
+            for i in (idx[0], idx[-1]):
+                L[i, i] += 2.0 / lengths[i]
+    return L, lengths
+
+
+def oracle_fractional_power(mesh, layout, endpoint, power):
+    """P(power) = M^(1/2) S^power M^(1/2) with S = M^(-1/2) (L + M) M^(-1/2)
+    and M = diag(|F|), by `scipy.linalg.fractional_matrix_power`."""
+    L, lengths = oracle_facet_laplacian(mesh, layout, endpoint)
+    root = np.sqrt(lengths)
+    S = (L + np.diag(lengths)) / np.outer(root, root)
+    return np.outer(root, root) * sla.fractional_matrix_power(S, power)
+
+
+def oracle_multiplier_block(mesh, layout, params):
+    """The lam block of the Riesz map, (1/mu) P(-1/2) + K P(+1/2), each
+    power with its endpoint condition of ORACLE_ENDPOINTS."""
+    low, high = ORACLE_ENDPOINTS[mesh.config]
+    return (oracle_fractional_power(mesh, layout, low, -0.5) / params.mu
+            + params.K * oracle_fractional_power(mesh, layout, high, 0.5))
+
+
+def oracle_riesz(mesh, layout, params, nquad=ORACLE_NQUAD):
     """Dense preconditioner-defining matrix assembled the slow way."""
     n = layout.total_dofs
     N = np.zeros((n, n))
@@ -637,7 +696,7 @@ def oracle_riesz(mesh, layout, params, interface_matrix,
         N[off + row, off + row] += K * triangle_area(tri)
 
     sl = layout.field_slice("lam")
-    N[sl, sl] = interface_matrix
+    N[sl, sl] = oracle_multiplier_block(mesh, layout, params)
     return N
 
 

@@ -24,7 +24,6 @@ from sdlab.assembly import (
 )
 from sdlab.cli import channel_loads, floating_domain
 from sdlab.elements import affine_maps
-from sdlab.frac_interface import interface_operator
 from sdlab.mesh import (
     STOKES_NATURAL_TAGS,
     TAG_DARCY_ESSENTIAL,
@@ -103,9 +102,8 @@ def test_oracle_default_rule_is_exact():
     # jittered cells have general Jacobians
     m, lay = coupled(stacked_domain(1), 1, BcConfig.NE, 0.2)
     params = PARAM_SETS[1]
-    S = interface_operator(m, params)
     for oracle, args in ((oracles.oracle_operator, (m, lay, params)),
-                         (oracles.oracle_riesz, (m, lay, params, S))):
+                         (oracles.oracle_riesz, (m, lay, params))):
         fine = oracle(*args, nquad=10)
         default = oracle(*args)
         assert np.abs(default - fine).max() <= 1e-13 * np.abs(fine).max()
@@ -120,10 +118,21 @@ def test_operator_exactly_symmetric(stack4):
 
 @pytest.mark.parametrize("params", PARAM_SETS, ids=["unit", "mixed"])
 def test_riesz_matches_oracle(params):
+    # the oracle's multiplier block is its own: the facet Laplacian by a
+    # loop over the chains, its endpoint table, scipy's fractional powers;
+    # checked on every layout, as each has its own endpoint conditions
+    for config in BcConfig:
+        domain = (floating_domain(2, n0=2) if config is BcConfig.MULTI
+                  else stacked_domain())
+        m, lay = coupled(domain, 1, config)
+        s = lay.field_slice("lam")
+        block = assemble_riesz(m, params)[s, s].toarray()
+        ref = oracles.oracle_multiplier_block(m, lay, params)
+        assert np.abs(block - ref).max() <= 1e-12 * np.abs(ref).max()
+
     m, lay = coupled(stacked_domain(1), 1, BcConfig.NE)
-    S = interface_operator(m, params)
     N = assemble_riesz(m, params).toarray()
-    N_ref = oracles.oracle_riesz(m, lay, params, S)
+    N_ref = oracles.oracle_riesz(m, lay, params)
     scale = np.abs(N_ref).max()
     assert np.abs(N - N_ref).max() <= 1e-12 * scale
     assert np.abs(N - N.T).max() == 0.0
@@ -158,7 +167,7 @@ def test_mass_row_scaling():
     # unit mass source integrates to cell areas on the porous pressure rows
     m, lay = coupled(stacked_domain(4), 0, BcConfig.NE)
     loads = LoadData(g_D=lambda p: np.ones(len(p)))
-    b = assemble_rhs(m, lay, loads)
+    b = assemble_rhs(m, loads)
     area = m.spacing**2 / 2.0
     rows = b[lay.field_slice("p_D")]
     assert np.allclose(rows, -area, atol=1e-14)
@@ -169,7 +178,7 @@ def test_flux_defect_row_scaling():
     # unit interface flux defect integrates to facet lengths on the lam rows
     m, lay = coupled(stacked_domain(4), 0, BcConfig.NE)
     loads = LoadData(g_gamma=lambda p, n: np.ones(len(p)))
-    b = assemble_rhs(m, lay, loads)
+    b = assemble_rhs(m, loads)
     rows = b[lay.field_slice("lam")]
     assert np.allclose(rows, 0.25, atol=1e-14)
 
@@ -196,7 +205,7 @@ def test_rhs_matches_oracle(params, jitter):
     m, lay = coupled(stacked_domain(4), 1, BcConfig.NE, jitter)
     exact = ExactSolution(mu=params.mu, K=params.K, alpha_bjs=params.alpha_bjs)
     loads = exact.loads()
-    b = assemble_rhs(m, lay, loads)
+    b = assemble_rhs(m, loads)
     b_ref = oracles.oracle_rhs(m, lay, params, loads)
     scale = np.abs(b_ref).max()
     assert np.abs(b - b_ref).max() <= 1e-10 * scale
@@ -224,7 +233,7 @@ def test_facet_rhs_matches_oracle(name, config, nref):
     domain = {"stacked": stacked_domain(), "side": side_by_side_domain(),
               "channel": floating_domain(2), "floating": floating_domain(2)}
     m, lay = coupled(domain[name], nref, config)
-    b = assemble_rhs(m, lay, loads)
+    b = assemble_rhs(m, loads)
     b_ref = oracles.oracle_rhs(m, lay, params, loads)
     scale = np.abs(b_ref).max()
     assert scale > 0
@@ -473,6 +482,10 @@ def test_mesh_freed_without_cyclic_collector():
         gc.enable()
 
 
+# the pieces of A and of N, as assembly._weights states the two sums
+A_PIECES = ("visc", "slip", "mass", "saddle")
+N_PIECES = ("visc", "slip", "mass", "divdiv", "p1", "p0", "lam_low",
+            "lam_high")
 # every layout at nref 0-2, and the inclusion layout with one and three
 # inclusions at nref 0-1
 PATTERN_CASES = (
@@ -504,10 +517,10 @@ def test_patterns_match_sort_and_search(domain, config, nref):
     system = assemble_system(m, params, exact.loads())
     aff = assembly._affine(m)
     lay, dofs = system.layout, system.essential
-    pieces = assembly._pieces(m, lay)
+    pieces = assembly._pieces(lay)
     w = assembly._weights(params)
-    for name, pattern, names in (("A", aff.A, assembly._A_PIECES),
-                                 ("N", aff.N, assembly._N_PIECES)):
+    for name, pattern, names in (("A", aff.A, A_PIECES),
+                                 ("N", aff.N, N_PIECES)):
         ref = oracles.ReferencePattern({k: pieces[k] for k in names}, dofs)
         assert_bitwise(pattern.indptr, ref.indptr)
         assert_bitwise(pattern.indices, ref.indices)
@@ -524,7 +537,7 @@ def test_patterns_match_sort_and_search(domain, config, nref):
         if name == "A":
             x = np.zeros(lay.total_dofs)
             x[dofs] = system.essential_vals
-            b = assemble_rhs(m, lay, exact.loads()) - full @ x
+            b = assemble_rhs(m, exact.loads()) - full @ x
             b[dofs] = system.essential_vals
             assert_bitwise(system.b, b)
 
@@ -534,19 +547,20 @@ def test_pattern_rejects_piece_out_of_block_order():
     # row's diagonal block breaks the joined row's order
     m = tagged(BcConfig.EN)
     lay = build_layout(m)
-    pieces = assembly._pieces(m, lay)
+    pieces = assembly._pieces(lay)
     saddle = pieces["saddle"].tolil()
     saddle[lay.offsets["u_D"], lay.offsets["u_S"]] = 1.0
     segments = {"visc": pieces["visc"], "mass": pieces["mass"],
                 "saddle": saddle.tocsr()}
     with pytest.raises(ValueError, match="not strictly increasing"):
-        assembly._Pattern.of(segments, {}, assembly.essential_dofs(lay))
+        assembly._Pattern.of(segments, segments, {},
+                             assembly.essential_dofs(lay))
 
 
 def test_pattern_rejects_piece_off_its_host():
     m = tagged(BcConfig.EN)
     lay = build_layout(m)
-    pieces = assembly._pieces(m, lay)
+    pieces = assembly._pieces(lay)
     slip = pieces["slip"].tolil()
     slip[0, lay.offsets["u_D"] - 1] = 1.0
     with pytest.raises(ValueError, match="outside its host"):
@@ -556,9 +570,8 @@ def test_pattern_rejects_piece_off_its_host():
 def test_riesz_pattern_must_be_block_diagonal():
     m = tagged(BcConfig.EN)
     lay = build_layout(m)
-    pieces = assembly._pieces(m, lay)
-    coupled_N = assembly._Pattern.of(
-        {"visc": pieces["visc"], "mass": pieces["mass"],
-         "saddle": pieces["saddle"]}, {}, assembly.essential_dofs(lay))
+    pieces = assembly._pieces(lay)
+    coupled_N = assembly._Pattern.of(pieces, ("visc", "mass", "saddle"), {},
+                                     assembly.essential_dofs(lay))
     with pytest.raises(ValueError, match="not block diagonal"):
         assembly._block_diagonal(coupled_N, lay)

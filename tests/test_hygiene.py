@@ -1,5 +1,6 @@
 """Source hygiene: every name a module of sdlab imports is used in that
-module.  `__init__.py` is left out, as its imports are the re-exports."""
+module (`__init__.py` is left out, as its imports are the re-exports), and
+every parameter of a function is read by it."""
 
 import ast
 from pathlib import Path
@@ -8,8 +9,8 @@ import pytest
 
 import sdlab
 
-MODULES = sorted(p for p in Path(sdlab.__file__).resolve().parent.glob("*.py")
-                 if p.name != "__init__.py")
+SOURCES = sorted(Path(sdlab.__file__).resolve().parent.glob("*.py"))
+MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 
 
 def unused_imports(source):
@@ -44,3 +45,44 @@ def test_checker_finds_unused_imports():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unused_parameters(source):
+    """(line, function, name) of each parameter of a function or lambda in
+    `source` that its body never reads.  A name that starts with "_" says
+    the parameter is there for a callback's signature only."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda)):
+            continue
+        args = node.args
+        params = args.posonlyargs + args.args + args.kwonlyargs + [
+            a for a in (args.vararg, args.kwarg) if a is not None]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {n.id for stmt in body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        found += [(node.lineno, getattr(node, "name", "<lambda>"), a.arg)
+                  for a in params
+                  if a.arg not in read and not a.arg.startswith("_")]
+    return sorted(found)
+
+
+def test_checker_finds_unused_parameters():
+    source = ("def f(a, b, *args, c=1, **kw):\n"
+              "    def g(d):\n"
+              "        return a + c\n"
+              "    b = 2\n"
+              "    return g, lambda x, _y, z: x, kw\n"
+              "class C:\n"
+              "    def m(self, e):\n"
+              "        return e\n")
+    assert unused_parameters(source) == [(1, "f", "args"), (1, "f", "b"),
+                                         (2, "g", "d"),
+                                         (5, "<lambda>", "z"),
+                                         (7, "m", "self")]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_unused_parameters(path):
+    assert unused_parameters(path.read_text()) == []

@@ -1,6 +1,7 @@
 """Mesh construction, boundary tagging, interface chains, serialization."""
 
 import collections
+import json
 
 import numpy as np
 import pytest
@@ -196,6 +197,25 @@ def test_save_load_round_trip(tmp_path, stack4):
     assert np.array_equal(c1.facets, c2.facets)
     assert np.array_equal(c1.normals, c2.normals)
     assert m2._lattice == stack4._lattice and m2._modes == stack4._modes
+
+
+@pytest.mark.parametrize("config", [BcConfig.NE, BcConfig.MULTI],
+                         ids=lambda c: c.value)
+def test_load_rejects_reversed_stored_chains(tmp_path, config):
+    # load_mesh derives the chains as a fresh mesh does; a file whose
+    # stored chains run the other way disagrees with them
+    m = build_coupled_mesh(floating_domain(2, 2) if config is BcConfig.MULTI
+                           else stacked_domain(4), 0)
+    tag_boundaries(m, config)
+    path = tmp_path / "mesh.json"
+    save_mesh(m, path)
+    doc = json.loads(path.read_text())
+    for chain in doc["interface"]:
+        chain["facets"].reverse()
+        chain["normals"].reverse()
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigurationError, match="interface chains"):
+        load_mesh(path)
 
 
 def test_refinement_nests_tags():

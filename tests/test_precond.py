@@ -134,28 +134,46 @@ def test_preconditioner_is_spd_form(rng):
 def test_deflation_vectors_ne_en():
     system = make_system(config=BcConfig.NE)
     lay = system.layout
-    W = deflation_vectors(lay, BcConfig.NE)
+    W = deflation_vectors(system.mesh)
     assert W.shape == (lay.total_dofs, 1)
     w = W[:, 0]
     assert (w[lay.field_slice("p_D")] == 1.0).all()
     assert (w[lay.field_slice("lam")] == 1.0).all()
     assert (w[lay.field_slice("u_S")] == 0.0).all()
     assert (w[lay.field_slice("p_S")] == 0.0).all()
+    assert (w[lay.field_slice("u_D")] == 0.0).all()
 
-    W = deflation_vectors(lay, BcConfig.EN)
+    system = make_system(config=BcConfig.EN)
+    lay = system.layout
+    W = deflation_vectors(system.mesh)
+    assert W.shape == (lay.total_dofs, 1)
     w = W[:, 0]
     assert (w[lay.field_slice("p_S")] == 1.0).all()
     assert (w[lay.field_slice("lam")] == 1.0).all()
     assert (w[lay.field_slice("p_D")] == 0.0).all()
+    assert (w[lay.field_slice("u_S")] == 0.0).all()
+    assert (w[lay.field_slice("u_D")] == 0.0).all()
 
-    assert deflation_vectors(lay, BcConfig.NN) is None
-    assert deflation_vectors(lay, BcConfig.EE) is None
+
+@pytest.mark.parametrize("config", list(BcConfig), ids=lambda c: c.value)
+def test_deflation_vectors_exactly_where_gamma_defined(config):
+    # one table decides both: a layout has indicator vectors exactly when
+    # it has a deflation weight
+    domain = floating_domain(2, 2) if config is BcConfig.MULTI else None
+    system = make_system(config=config, domain=domain)
+    W = deflation_vectors(system.mesh)
+    try:
+        gamma = deflation_gamma(system.params, config)
+    except ValueError:
+        gamma = None
+    assert (W is None) == (gamma is None)
+    assert (build_deflation(system) is None) == (gamma is None)
 
 
 def test_deflation_vectors_multi_disjoint():
     system = make_system(config=BcConfig.MULTI, domain=floating_domain(2, 2))
     lay = system.layout
-    W = deflation_vectors(lay, BcConfig.MULTI)
+    W = deflation_vectors(system.mesh)
     assert W.shape[1] == 2
     # inclusion indicators cover disjoint dof sets
     assert np.abs(W[:, 0] * W[:, 1]).max() == 0.0

@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 import oracles
 from sdlab.assembly import (PhysParams, assemble_operator, assemble_riesz,
                             assemble_system)
-from sdlab.frac_interface import interface_operator
 from sdlab.mesh import (BcConfig, DomainSpec, build_coupled_mesh,
                         interface_chains, tag_boundaries)
 from sdlab.mms import ExactSolution
@@ -88,12 +87,11 @@ def _check(case, nref):
         assert abs(M - M.T).max() == 0.0
 
     if nref == 0:       # the oracle loops over cells and points in Python
-        S = interface_operator(m, params)
         for got, want in (
                 (assemble_operator(m, params),
                  oracles.oracle_operator(m, lay, params)),
                 (assemble_riesz(m, params),
-                 oracles.oracle_riesz(m, lay, params, S))):
+                 oracles.oracle_riesz(m, lay, params))):
             scale = np.abs(want).max()
             assert np.abs(got.toarray() - want).max() <= 1e-12 * scale
 
