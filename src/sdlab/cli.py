@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .mesh import (BcConfig, ConfigurationError, DomainSpec,
+from .mesh import (LAYOUTS, BcConfig, ConfigurationError, DomainSpec,
                    build_coupled_mesh, stacked_domain, tag_boundaries)
 from .assembly import LoadData, PhysParams, assemble_system
 from .mms import ExactSolution, run_convergence
@@ -39,6 +39,8 @@ from .spectrum import BudgetError, generalized_eigs
 SCHEMA = "sdlab-1"
 DEFAULT_SWEEP = (1e-4, 1e-2, 1.0, 1e2, 1e4)
 DEFAULT_NREFS = (0, 1, 2)
+# the --case choices: the layouts with edge tags (MultiInclusion has none)
+EDGE_CASES = [c.value for c, row in LAYOUTS.items() if row.edge_tags]
 # the sweep flags each subcommand reads as one value, not as a sweep
 SINGLE_VALUED = {"mms": ("mu", "K"), "floating": ("mu", "nref")}
 
@@ -161,8 +163,8 @@ def cmd_cond_sweep(args):
             fh.write(f"{r['mu']:g},{r['K']:g},{r['nref']},{r['h']!r},"
                      f"{r['ndof']},{r['kappa']!r},{r['kappa_eff']!r}\n")
 
-    key = "kappa_eff" if config in (BcConfig.EE, BcConfig.NE, BcConfig.EN,
-                                    BcConfig.MULTI) else "kappa"
+    row = LAYOUTS[config]
+    key = "kappa_eff" if row.near_kernel or row.null_vector else "kappa"
     vals = [r[key] for r in rows]
     ratio = max(vals) / min(vals) if vals else float("nan")
     write_sidecar(
@@ -353,8 +355,7 @@ def build_parser():
     q.set_defaults(func=cmd_mms)
 
     q = sub.add_parser("cond-sweep", help="condition-number parameter sweep")
-    q.add_argument("--case", required=True,
-                   choices=[c.value for c in BcConfig if c is not BcConfig.MULTI])
+    q.add_argument("--case", required=True, choices=EDGE_CASES)
     common(q, DEFAULT_NREFS, DEFAULT_SWEEP, DEFAULT_SWEEP)
     q.set_defaults(func=cmd_cond_sweep)
 
@@ -369,8 +370,7 @@ def build_parser():
 
     q = sub.add_parser("solve", help="preconditioned MINRES on the "
                                      "manufactured system")
-    q.add_argument("--case", required=True,
-                   choices=[c.value for c in BcConfig if c is not BcConfig.MULTI])
+    q.add_argument("--case", required=True, choices=EDGE_CASES)
     common(q, (2,), (3.0,), (1.0,))
     solver_flags(q)
     q.add_argument("--deflate", action="store_true",

@@ -9,15 +9,15 @@ U' M U = I, a power s of the shifted Laplacian is the matrix
 M U diag(d**s) U' M (s = 0 gives M, s = 1 gives L + M).
 
 The multiplier block is (1/mu) * power(-1/2) + K * power(+1/2).  Endpoint
-behaviour of the underlying Laplacian depends on the boundary layout:
-`free` endpoints get no extra term, `zero` endpoints add the Dirichlet
-ghost coupling 2/|F_end| on the end facet's diagonal.  Closed interface
-loops have no endpoints.  When the two fractional terms use different
-endpoint conditions, two eigenbases are built.  The two powers are
-parameter-free pieces of the Riesz map N, `lam_low` and `lam_high`
-(`fractional_pieces`), built with the other pieces once per tagged mesh
-and weighted like them (see assembly).  The block is dense; the
-preconditioner reads it off N and factors it by dense Cholesky.
+behaviour of the underlying Laplacian is one pair of conditions per row of
+`mesh.LAYOUTS`: `free` endpoints get no extra term, `zero` endpoints add
+the Dirichlet ghost coupling 2/|F_end| on the end facet's diagonal.
+Closed interface loops have no endpoints.  When the two fractional terms
+use different endpoint conditions, two eigenbases are built.  The two
+powers are parameter-free pieces of the Riesz map N, `lam_low` and
+`lam_high` (`fractional_pieces`), built with the other pieces once per
+tagged mesh and weighted like them (see assembly).  The block is dense;
+the preconditioner reads it off N and factors it by dense Cholesky.
 """
 
 from __future__ import annotations
@@ -27,18 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .mesh import BcConfig, interface_chains
-
-# endpoint condition for (the (-1/2)-power term, the (+1/2)-power term)
-ENDPOINTS = {
-    BcConfig.NN: ("free", "zero"),
-    BcConfig.EE: ("zero", "free"),
-    BcConfig.NESTAR: ("free", "free"),
-    BcConfig.NE: ("free", "free"),
-    BcConfig.ENSTAR: ("zero", "zero"),
-    BcConfig.EN: ("zero", "zero"),
-    BcConfig.MULTI: ("free", "free"),
-}
+from .mesh import LAYOUTS, interface_chains
 
 
 @dataclass
@@ -101,7 +90,7 @@ def fractional_matrix(basis, power):
 def fractional_pieces(mesh):
     """The pieces lam_low = power(-1/2) and lam_high = power(+1/2) of the
     mesh's layout, dense; one basis per distinct endpoint condition."""
-    ep_low, ep_high = ENDPOINTS[mesh.config]
+    ep_low, ep_high = LAYOUTS[mesh.config].endpoints
     bases = {ep: build_interface_basis(mesh, ep) for ep in {ep_low, ep_high}}
     return {"lam_low": fractional_matrix(bases[ep_low], -0.5),
             "lam_high": fractional_matrix(bases[ep_high], +0.5)}

@@ -59,22 +59,34 @@ class BcConfig(str, Enum):
     MULTI = "MultiInclusion"
 
 
-# per config: tag applied to (stokes adjacent-to-interface edges, stokes far
-# edge, darcy adjacent edges, darcy far edge).  "Adjacent" edges touch the
-# endpoints of the interface, the "far" edge is opposite it.
-_EDGE_TAGS = {
-    BcConfig.NN: (TAG_STOKES_NATURAL, TAG_STOKES_ESSENTIAL,
-                  TAG_DARCY_NATURAL, TAG_DARCY_ESSENTIAL),
-    BcConfig.EE: (TAG_STOKES_ESSENTIAL, TAG_STOKES_ESSENTIAL,
-                  TAG_DARCY_ESSENTIAL, TAG_DARCY_ESSENTIAL),
-    BcConfig.NESTAR: (TAG_STOKES_NATURAL, TAG_STOKES_ESSENTIAL,
-                      TAG_DARCY_ESSENTIAL, TAG_DARCY_NATURAL),
-    BcConfig.ENSTAR: (TAG_STOKES_ESSENTIAL, TAG_STOKES_NATURAL,
-                      TAG_DARCY_NATURAL, TAG_DARCY_ESSENTIAL),
-    BcConfig.NE: (TAG_STOKES_NATURAL, TAG_STOKES_ESSENTIAL,
-                  TAG_DARCY_ESSENTIAL, TAG_DARCY_ESSENTIAL),
-    BcConfig.EN: (TAG_STOKES_ESSENTIAL, TAG_STOKES_ESSENTIAL,
-                  TAG_DARCY_NATURAL, TAG_DARCY_ESSENTIAL),
+@dataclass(frozen=True)
+class BoundaryLayout:
+    """One row of README's layout table.  `edge_tags`: the tags of the
+    free-flow edges adjacent to the interface, the free-flow far edge, the
+    porous adjacent and far edges; None for a channel with inclusions
+    (inflow, outflow, wall).  `endpoints`: the facet Laplacian's condition
+    under P(-1/2) and P(+1/2).  `near_kernel`: the pressure block whose
+    constant, with the multiplier's, spans a near-kernel.  `null_vector`:
+    an exact constant-pressure null vector."""
+
+    edge_tags: tuple | None
+    endpoints: tuple
+    near_kernel: str | None = None
+    null_vector: bool = False
+
+
+_SN, _SE = TAG_STOKES_NATURAL, TAG_STOKES_ESSENTIAL
+_DN, _DE = TAG_DARCY_NATURAL, TAG_DARCY_ESSENTIAL
+
+LAYOUTS = {
+    BcConfig.NN: BoundaryLayout((_SN, _SE, _DN, _DE), ("free", "zero")),
+    BcConfig.EE: BoundaryLayout((_SE, _SE, _DE, _DE), ("zero", "free"),
+                                null_vector=True),
+    BcConfig.NESTAR: BoundaryLayout((_SN, _SE, _DE, _DN), ("free", "free")),
+    BcConfig.ENSTAR: BoundaryLayout((_SE, _SN, _DN, _DE), ("zero", "zero")),
+    BcConfig.NE: BoundaryLayout((_SN, _SE, _DE, _DE), ("free", "free"), "p_D"),
+    BcConfig.EN: BoundaryLayout((_SE, _SE, _DN, _DE), ("zero", "zero"), "p_S"),
+    BcConfig.MULTI: BoundaryLayout(None, ("free", "free"), "p_D"),
 }
 
 _LATTICE_TOL = 1e-9
@@ -323,16 +335,17 @@ def tag_boundaries(mesh, config):
     Mutates and returns the mesh.  Interface facets keep their tag.
     """
     config = BcConfig(config)
+    edge_tags = LAYOUTS[config].edge_tags
     srect, drects = mesh._lattice
     modes = mesh._modes
     boundary = np.nonzero(mesh.facet_cells[:, 1] < 0)[0]
     darcy = mesh.cell_subdomain[mesh.facet_cells[boundary, 0]] == DARCY
     mids = mesh.facet_midpoints(boundary)
 
-    if config is BcConfig.MULTI:
+    if edge_tags is None:
         if any(m != "inclusion" for m in modes):
             raise ConfigurationError(
-                "MultiInclusion layout requires all porous rectangles to be inclusions")
+                f"{config.value} layout requires all porous rectangles to be inclusions")
         if darcy.any():
             raise ConfigurationError("inclusion touches the outer boundary")
         side = _boundary_side(srect, mids, mesh.spacing)
@@ -345,7 +358,7 @@ def tag_boundaries(mesh, config):
         shared = modes[0]                      # darcy side seen from stokes rect
         s_far = _OPPOSITE[shared]
         d_far = shared
-        s_adj_tag, s_far_tag, d_adj_tag, d_far_tag = _EDGE_TAGS[config]
+        s_adj_tag, s_far_tag, d_adj_tag, d_far_tag = edge_tags
         s_side = _boundary_side(srect, mids, mesh.spacing)
         d_side = _boundary_side(drects[0], mids, mesh.spacing)
         tags = np.where(darcy,

@@ -19,7 +19,8 @@ near-kernel indicator vectors W:
 where N is the assembled Riesz matrix (the inverse of the preconditioner)
 and gamma scales like 1/(mu*K) when the porous pressure block carries the
 near-kernel (NE and floating inclusions) and like mu*K when the free-flow
-pressure does (EN); `NEAR_KERNEL` holds both facts per layout.
+pressure does (EN).  `mesh.LAYOUTS` names the block per layout; gamma's
+direction follows from it.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .assembly import SCALED_BLOCKS, _affine, _weights
-from .mesh import BcConfig, ConfigurationError, _per_mesh
+from .mesh import LAYOUTS, BcConfig, ConfigurationError, _per_mesh
 from .spaces import FIELDS
 
 
@@ -157,22 +158,17 @@ class Deflation:
                                       lower=self.E[1])[0]
 
 
-# per layout with a near-kernel: the pressure block whose constant, with
-# the multiplier's, spans it, and whether gamma is 1/(mu*K) (else mu*K)
-NEAR_KERNEL = {BcConfig.NE: ("p_D", True), BcConfig.EN: ("p_S", False),
-               BcConfig.MULTI: ("p_D", True)}
-
-
 def deflation_vectors(mesh):
     """Constant near-kernel indicator vectors of the tagged mesh, one per
-    interface component: ones on its multiplier dofs and on the pressure
-    block of `NEAR_KERNEL`, restricted to the component's cells where that
-    is p_D.  NE and EN have one component, each MultiInclusion inclusion
-    its own.  Layouts without a near-kernel return None.
+    interface component: ones on its multiplier dofs and on the layout's
+    near-kernel pressure block (`mesh.LAYOUTS`), restricted to the
+    component's cells where that is p_D.  NE and EN have one component,
+    each MultiInclusion inclusion its own.  Layouts without a near-kernel
+    return None.
     """
-    if mesh.config not in NEAR_KERNEL:
+    block = LAYOUTS[mesh.config].near_kernel
+    if block is None:
         return None
-    block = NEAR_KERNEL[mesh.config][0]
     layout = _affine(mesh).layout
     lam_comp = mesh.facet_component[layout.interface_facets]
     comps = np.unique(lam_comp)
@@ -187,11 +183,13 @@ def deflation_vectors(mesh):
 
 
 def deflation_gamma(params, config):
+    """1/(mu*K) where the near-kernel is on p_D, mu*K where it is on p_S."""
     config = BcConfig(config)
-    if config not in NEAR_KERNEL:
+    block = LAYOUTS[config].near_kernel
+    if block is None:
         raise ValueError(f"layout {config.value} has no deflation space")
     muK = params.mu * params.K
-    if NEAR_KERNEL[config][1]:
+    if block == "p_D":
         return 1.0 / muK if muK else np.inf     # muK may underflow
     return muK
 

@@ -13,10 +13,11 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from sdlab.elements import LOCAL_EDGES
-from sdlab.mesh import (_EDGE_TAGS, _OPPOSITE, DARCY, STOKES,
-                        STOKES_ESSENTIAL_TAGS, STOKES_NATURAL_TAGS,
-                        TAG_DARCY_ESSENTIAL, TAG_DARCY_NATURAL, TAG_INFLOW,
-                        TAG_INTERFACE, TAG_NONE, TAG_OUTFLOW, TAG_WALL,
+from sdlab.mesh import (DARCY, STOKES, STOKES_ESSENTIAL_TAGS,
+                        STOKES_NATURAL_TAGS, TAG_DARCY_ESSENTIAL,
+                        TAG_DARCY_NATURAL, TAG_INFLOW, TAG_INTERFACE,
+                        TAG_NONE, TAG_OUTFLOW, TAG_STOKES_ESSENTIAL,
+                        TAG_STOKES_NATURAL, TAG_WALL,
                         BcConfig, ConfigurationError, InterfaceChain, Mesh,
                         _classify_darcy, _lattice_rect, _rects_conflict,
                         outward_normal, stokes_cell)
@@ -258,9 +259,9 @@ def reference_tag_boundaries(mesh, config):
             raise ConfigurationError(
                 f"layout {config.value} requires exactly one edge-sharing porous rectangle")
         shared = modes[0]                      # darcy side seen from stokes rect
-        s_far = _OPPOSITE[shared]
+        s_far = ORACLE_OPPOSITE[shared]
         d_far = shared
-        s_adj_tag, s_far_tag, d_adj_tag, d_far_tag = _EDGE_TAGS[config]
+        s_adj_tag, s_far_tag, d_adj_tag, d_far_tag = ORACLE_EDGE_TAGS[config]
         for f in boundary:
             cell = mesh.facet_cells[f, 0]
             fmid = mesh.facet_midpoints([f])[0]
@@ -592,6 +593,28 @@ def oracle_operator(mesh, layout, params, nquad=ORACLE_NQUAD):
         A[c, r] += -sigma_rel * length
     return A
 
+
+# the side opposite each side of a rectangle
+ORACLE_OPPOSITE = {"left": "right", "right": "left",
+                   "bottom": "top", "top": "bottom"}
+
+# tags of (free-flow edges adjacent to the interface, free-flow far edge,
+# porous adjacent edges, porous far edge) per edge-sharing layout: the
+# table of README § Boundary-condition cases
+ORACLE_EDGE_TAGS = {
+    BcConfig.NN: (TAG_STOKES_NATURAL, TAG_STOKES_ESSENTIAL,
+                  TAG_DARCY_NATURAL, TAG_DARCY_ESSENTIAL),
+    BcConfig.EE: (TAG_STOKES_ESSENTIAL, TAG_STOKES_ESSENTIAL,
+                  TAG_DARCY_ESSENTIAL, TAG_DARCY_ESSENTIAL),
+    BcConfig.NESTAR: (TAG_STOKES_NATURAL, TAG_STOKES_ESSENTIAL,
+                      TAG_DARCY_ESSENTIAL, TAG_DARCY_NATURAL),
+    BcConfig.ENSTAR: (TAG_STOKES_ESSENTIAL, TAG_STOKES_NATURAL,
+                      TAG_DARCY_NATURAL, TAG_DARCY_ESSENTIAL),
+    BcConfig.NE: (TAG_STOKES_NATURAL, TAG_STOKES_ESSENTIAL,
+                  TAG_DARCY_ESSENTIAL, TAG_DARCY_ESSENTIAL),
+    BcConfig.EN: (TAG_STOKES_ESSENTIAL, TAG_STOKES_ESSENTIAL,
+                  TAG_DARCY_NATURAL, TAG_DARCY_ESSENTIAL),
+}
 
 # endpoint condition of the facet Laplacian under (the (-1/2) power, the
 # (+1/2) power), per layout: the table of README § Boundary-condition cases

@@ -25,6 +25,7 @@ from sdlab.assembly import (
 from sdlab.cli import channel_loads, floating_domain
 from sdlab.elements import affine_maps
 from sdlab.mesh import (
+    LAYOUTS,
     STOKES_NATURAL_TAGS,
     TAG_DARCY_ESSENTIAL,
     TAG_DARCY_NATURAL,
@@ -458,7 +459,7 @@ def test_multiplier_bases_built_once_per_tagged_mesh(config, monkeypatch):
 
     monkeypatch.setattr(frac_interface, "build_interface_basis", counted)
     monkeypatch.setattr(frac_interface, "interface_operator", apart)
-    endpoints = set(frac_interface.ENDPOINTS[config])
+    endpoints = set(LAYOUTS[config].endpoints)
     assert len(endpoints) == (2 if config in (BcConfig.NN, BcConfig.EE) else 1)
     m = tagged(config)
     for tags in (1, 2):

@@ -78,6 +78,20 @@ def test_cond_sweep_check_exit_codes(tmp_path):
     assert side["results"]["max_over_min"] > 2.0
 
 
+@pytest.mark.parametrize("case, key", [
+    ("NN", "kappa"), ("NEstar", "kappa"), ("ENstar", "kappa"),
+    ("EE", "kappa_eff"), ("NE", "kappa_eff"), ("EN", "kappa_eff")])
+def test_cond_sweep_check_key_per_case(tmp_path, case, key):
+    # the --check spread leaves out the near-kernel of NE and EN and the
+    # constant-pressure null vector of EE
+    ret = main(["cond-sweep", "--case", case, "--mu", "1", "--K", "1",
+                "--nref", "0", "--n0", "2", "--out", str(tmp_path)])
+    assert ret == 0
+    side = read_sidecar(tmp_path / f"cond_sweep_{case}.csv")
+    assert side["results"]["check_key"] == key
+    assert side["results"]["rows"] == 1
+
+
 def test_cond_sweep_budget_skip(tmp_path, capsys):
     # nref=4 at n0=4 exceeds the dense eigensolve budget
     ret = main([
@@ -293,6 +307,14 @@ def test_indefinite_preconditioner_is_a_reason(tmp_path, monkeypatch):
 def test_unknown_case_rejected(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["cond-sweep", "--case", "bogus", "--out", str(tmp_path / "y")])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["cond-sweep", "solve"])
+def test_multi_inclusion_case_rejected(tmp_path, command):
+    # MultiInclusion has no edge tags: its geometry is built by `floating`
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--case", "MultiInclusion", "--out", str(tmp_path)])
     assert exc.value.code == 2
 
 

@@ -10,13 +10,13 @@ import pytest
 from sdlab.assembly import (PhysParams, assemble_riesz, assemble_system,
                             build_layout)
 from sdlab.frac_interface import (
-    ENDPOINTS,
     build_interface_basis,
     facet_laplacian,
     fractional_matrix,
     interface_operator,
 )
-from sdlab.mesh import BcConfig, build_coupled_mesh, stacked_domain, tag_boundaries
+from sdlab.mesh import (LAYOUTS, BcConfig, build_coupled_mesh, stacked_domain,
+                        tag_boundaries)
 from sdlab.cli import floating_domain
 from sdlab.precond import build_preconditioner
 
@@ -30,13 +30,13 @@ def iface_mesh(nref, config=BcConfig.NE, n0=1):
 def test_endpoint_table():
     free = {"NEstar", "NE", "MultiInclusion"}
     zero = {"ENstar", "EN"}
-    for cfg, (lo, hi) in ENDPOINTS.items():
+    for cfg, row in LAYOUTS.items():
         if cfg.value in free:
-            assert (lo, hi) == ("free", "free")
+            assert row.endpoints == ("free", "free")
         elif cfg.value in zero:
-            assert (lo, hi) == ("zero", "zero")
-    assert ENDPOINTS[BcConfig.NN] == ("free", "zero")
-    assert ENDPOINTS[BcConfig.EE] == ("zero", "free")
+            assert row.endpoints == ("zero", "zero")
+    assert LAYOUTS[BcConfig.NN].endpoints == ("free", "zero")
+    assert LAYOUTS[BcConfig.EE].endpoints == ("zero", "free")
 
 
 def test_two_facet_hand_values():
@@ -140,7 +140,7 @@ def test_mixed_endpoints_sum(config):
         m = iface_mesh(2, config=config)
     mu, K = 3.0, 0.2
     params = PhysParams(mu, K, 0.5)
-    lo, hi = ENDPOINTS[config]
+    lo, hi = LAYOUTS[config].endpoints
     want = ((1.0 / mu) * fractional_matrix(build_interface_basis(m, lo), -0.5)
             + K * fractional_matrix(build_interface_basis(m, hi), 0.5))
     lam = build_layout(m).field_slice("lam")

@@ -1,6 +1,7 @@
 """Source hygiene: every name a module of sdlab imports is used in that
-module (`__init__.py` is left out, as its imports are the re-exports), and
-every parameter of a function is read by it."""
+module (`__init__.py` is left out, as its imports are the re-exports),
+every parameter of a function is read by it, and no module but mesh
+switches on the boundary layout."""
 
 import ast
 from pathlib import Path
@@ -86,3 +87,53 @@ def test_checker_finds_unused_parameters():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_parameters(path):
     assert unused_parameters(path.read_text()) == []
+
+
+def layout_switches(source):
+    """(line, member) of each `BcConfig.<member>`, or its `.value`, that
+    `source` compares against (`is`, `==`, `in` and their negations; a
+    member in a tuple, list or set compared against counts) or keys a dict
+    literal by.  Passing a member as an argument is no switch."""
+    def members(node):
+        items = (node.elts if isinstance(node, (ast.Tuple, ast.List, ast.Set))
+                 else [node])
+        for n in items:
+            if isinstance(n, ast.Attribute) and n.attr == "value":
+                n = n.value
+            if (isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)
+                    and n.value.id == "BcConfig"):
+                yield n.attr
+
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+        elif isinstance(node, ast.Dict):
+            operands = [k for k in node.keys if k is not None]
+        else:
+            continue
+        found += [(node.lineno, m) for op in operands for m in members(op)]
+    return sorted(found)
+
+
+def test_checker_finds_layout_switches():
+    source = ("def f(config, mesh, table):\n"
+              "    if config is BcConfig.MULTI:\n"
+              "        return 1\n"
+              "    key = 1 if config in (BcConfig.EE, BcConfig.NE) else 2\n"
+              "    names = [c for c in BcConfig if c is not BcConfig.MULTI]\n"
+              "    rows = {BcConfig.NN: 1, 'x': 2, **table}\n"
+              "    same = mesh.config.value != BcConfig.EN.value\n"
+              "    tag_boundaries(mesh, BcConfig.MULTI)\n"
+              "    return key, names, rows, same, BcConfig.NE.value\n"
+              "def g(config=BcConfig.NESTAR):\n"
+              "    return config == 'NN'\n")
+    assert layout_switches(source) == [(2, "MULTI"), (4, "EE"), (4, "NE"),
+                                       (5, "MULTI"), (6, "NN"), (7, "EN")]
+
+
+# mesh.LAYOUTS is the one place that decides per layout
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "mesh.py"],
+                         ids=lambda p: p.name)
+def test_no_layout_switches(path):
+    assert layout_switches(path.read_text()) == []
