@@ -12,10 +12,10 @@ __version__ = "0.1.0"
 from .mesh import (BcConfig, ConfigurationError, DomainSpec, Mesh,
                    build_coupled_mesh, interface_chains, load_mesh, save_mesh,
                    side_by_side_domain, stacked_domain, tag_boundaries)
-from .spaces import BlockLayout, build_layout, essential_dofs, essential_values
+from .spaces import BlockLayout, build_layout, essential_dofs
 from .assembly import (BlockSystem, LoadData, PhysParams, apply_essential,
                        assemble_operator, assemble_rhs, assemble_riesz,
-                       assemble_system, save_matrix_coo)
+                       assemble_system, essential_values, save_matrix_coo)
 from .frac_interface import (InterfaceSpectralBasis, build_interface_basis,
                              facet_laplacian, fractional_matrix,
                              interface_operator)

@@ -18,10 +18,11 @@ fractional powers of frac_interface.
 
 Both are affine in a few scalar weights of the parameters (`_weights`).
 The parameter-free pieces, the dof layout, the essential dofs, the
-patterns with their elimination maps and the load's quadrature points,
-weights and trace tables are built once per tagged mesh and kept on it
-(see `mesh._per_mesh`); a new (mu, K) only forms the weighted sums,
-gathers them into the eliminated patterns and evaluates the loads.
+patterns with their elimination maps and the points, weights and trace
+tables where the loads and the essential data (`essential_values`) are
+sampled are built once per tagged mesh and kept on it (see
+`mesh._per_mesh`); a new (mu, K) only forms the weighted sums, gathers
+them into the eliminated patterns and evaluates the loads.
 tag_boundaries clears them.
 
 Eliminated (essential) dofs keep unit diagonal rows in both matrices.
@@ -36,15 +37,16 @@ import scipy.sparse as sp
 
 from . import elements as el
 from .frac_interface import fractional_pieces
-from .mesh import (STOKES, STOKES_NATURAL_TAGS, TAG_DARCY_NATURAL,
-                   ConfigurationError, _per_mesh)
-from .spaces import (FIELDS, _dot, _facet_quadrature, build_layout,
-                     essential_dofs, essential_values, global_facet_normal)
+from .mesh import (STOKES, STOKES_NATURAL_TAGS, TAG_DARCY_ESSENTIAL,
+                   TAG_DARCY_NATURAL, ConfigurationError, _per_mesh,
+                   stokes_cell)
+from .spaces import FIELDS, build_layout, essential_dofs, global_facet_normal
 
 OPERATOR_TRI_DEGREE = 4
 OPERATOR_SEG_DEGREE = 5    # P2 trace products are quartic along a facet
 LOAD_TRI_DEGREE = 8
 LOAD_SEG_DEGREE = 9
+FLUX_SEG_DEGREE = 5        # the facet-mean flux of essential porous data
 
 
 @dataclass(frozen=True)
@@ -167,6 +169,35 @@ def _stokes_geometry(layout, degree):
     grads = el.physical_grads(inv, el.p2_grads(pts))
     weights = w[None, :] * np.abs(det)[:, None]
     return pts, weights, grads.transpose(0, 3, 1, 2).reshape(len(coords), 12, -1)
+
+
+def _facet_quadrature(layout, facets, degree, trace=False):
+    """Gauss points (nf, nq, 2) and weights (nf, nq) of the segment rule of
+    `degree` on each facet; with `trace`, also the P2 basis (nf, 6, nq) of
+    each facet's free-flow cell at those points and that cell's scalar dofs
+    (nf, 6)."""
+    mesh = layout.mesh
+    t, w = el.segment_rule(degree)
+    p = mesh.vertices[mesh.facets[facets]]
+    a, d = p[:, 0], p[:, 1] - p[:, 0]
+    x = a[:, None, :] + t[None, :, None] * d[:, None, :]
+    ds = w[None, :] * np.linalg.norm(d, axis=1)[:, None]
+    if not trace:
+        return x, ds
+    cells = stokes_cell(mesh, facets)
+    coords = mesh.cell_coords(cells)
+    _, inv, _ = el.affine_maps(coords)
+    ref = (x - coords[:, None, 0]) @ np.swapaxes(inv, 1, 2)
+    phi = el.p2_basis(ref.reshape(-1, 2)).reshape(6, *ds.shape)
+    cs = layout.stokes_cell_scalar[np.searchsorted(layout.stokes_cells, cells)]
+    return x, ds, phi.transpose(1, 0, 2), cs
+
+
+def _dot(a, q):
+    """a @ q facet by facet: a (nf, n) or (nf, k, n), q (nf, n)."""
+    if a.ndim == 2:
+        return (a[:, None, :] @ q[:, :, None])[:, 0, 0]
+    return (a @ q[:, :, None])[..., 0]
 
 
 def _viscous_blocks(X, XW):
@@ -515,7 +546,7 @@ def _coupling_entries(layout, iface, acc):
     of `_velocity_entries`."""
     f = layout.interface_facets
     lam = layout.offsets["lam"] + np.arange(len(f))
-    ud = layout.offsets["u_D"] + np.searchsorted(layout.darcy_facets, f)
+    ud = layout.flux_dof(f)
     # n_S is the Stokes cell's outward normal and the global RT normal is
     # that of facet_cells[f, 0], so they agree iff the Stokes cell comes first
     mesh = layout.mesh
@@ -597,9 +628,7 @@ def assemble_rhs(mesh, loads):
     q = _load_facets(mesh, "pressure")
     if loads.darcy_pressure is not None and len(q.facets):
         p = loads.darcy_pressure(q.x.reshape(-1, 2)).reshape(q.ds.shape)
-        flux = layout.offsets["u_D"] + np.searchsorted(layout.darcy_facets,
-                                                        q.facets)
-        b[flux] -= _dot(q.ds, p)
+        b[layout.flux_dof(q.facets)] -= _dot(q.ds, p)
     return b
 
 
@@ -622,10 +651,10 @@ def _cell_rule(mesh, domain):
 
 @dataclass
 class _FacetRule:
-    """The LOAD_SEG_DEGREE rule on some facets: points x (nf, nq, 2) and
-    weights ds (nf, nq); on facets of free-flow cells also the P2 basis phi
-    (nf, 6, nq) of the cell at the points and its scalar dofs cs (nf, 6);
-    on boundary facets their tags and outward normals."""
+    """A segment rule on some facets: points x (nf, nq, 2) and weights ds
+    (nf, nq); on facets of free-flow cells also the P2 basis phi (nf, 6,
+    nq) of the cell at the points and its scalar dofs cs (nf, 6); on
+    boundary facets their outward normals and, for traction, their tags."""
 
     facets: np.ndarray
     x: np.ndarray
@@ -642,8 +671,9 @@ class _FacetRule:
 
 def _load_facets(mesh, part):
     """The `_FacetRule` of the "interface", the natural free-flow boundary
-    ("traction") or the natural porous boundary ("pressure"), kept per
-    mesh."""
+    ("traction") or the natural porous boundary ("pressure"), of degree
+    LOAD_SEG_DEGREE, or of the essential porous boundary ("flux", of degree
+    FLUX_SEG_DEGREE); kept per mesh.  Boundary facets ascend."""
     def build(mesh):
         layout = _layout(mesh)
         if part == "interface":
@@ -655,6 +685,10 @@ def _load_facets(mesh, part):
         if part == "pressure":
             f = boundary[tags == TAG_DARCY_NATURAL]
             return _FacetRule(f, *_facet_quadrature(layout, f, LOAD_SEG_DEGREE))
+        if part == "flux":
+            f = boundary[tags == TAG_DARCY_ESSENTIAL]
+            return _FacetRule(f, *_facet_quadrature(layout, f, FLUX_SEG_DEGREE),
+                              normals=global_facet_normal(mesh, f))
         on = np.isin(tags, sorted(STOKES_NATURAL_TAGS))
         f = boundary[on]
         return _FacetRule(f, *_facet_quadrature(layout, f, LOAD_SEG_DEGREE,
@@ -662,6 +696,39 @@ def _load_facets(mesh, part):
                           tags=tags[on],
                           normals=global_facet_normal(mesh, f))
     return _per_mesh(mesh, ("load facets", part), build)
+
+
+def essential_values(mesh, u_S=None, u_D=None):
+    """The values of the mesh's essential dofs (`_affine`), in their order.
+
+    u_S maps points (n, 2) to velocities (n, 2), sampled at the P2 nodes
+    of the u_S dofs, which come first (`_essential_nodes`); u_D maps points
+    to porous velocities, reduced to the facet-mean normal flux densities
+    of the u_D dofs, the rest, in the order of the "flux" facets.  Each is
+    called once, on all its points, and not at all where it has none.
+    Missing fields give zeros."""
+    vals = np.zeros(len(_affine(mesh).essential))
+    component, nodes = _essential_nodes(mesh)
+    if u_S is not None and len(nodes):
+        vals[:len(nodes)] = u_S(nodes)[np.arange(len(nodes)), component]
+    q = _load_facets(mesh, "flux")
+    if u_D is not None and len(q.facets):
+        u = u_D(q.x.reshape(-1, 2)).reshape(q.x.shape)
+        un = _dot(u, q.normals)
+        w = el.segment_rule(FLUX_SEG_DEGREE)[1]     # sums to 1: the facet mean
+        vals[len(vals) - len(q.facets):] = _dot(un, np.broadcast_to(w, un.shape))
+    return vals
+
+
+def _essential_nodes(mesh):
+    """The component and P2 node (n, 2) of each essential u_S dof, the
+    sorted prefix of the mesh's essential dofs; kept per mesh."""
+    def build(mesh):
+        layout, dofs = _layout(mesh), _affine(mesh).essential
+        u_S = dofs[dofs < layout.offsets["u_D"]] - layout.offsets["u_S"]
+        component, scalar = np.divmod(u_S, layout.num_scalar)
+        return component, layout.scalar_dof_points()[scalar]
+    return _per_mesh(mesh, "essential nodes", build)
 
 
 def _add_trace_load(b, layout, cs, vals):
@@ -723,8 +790,7 @@ def assemble_system(mesh, params, loads=None):
     N = assemble_riesz(mesh, params)
     b = assemble_rhs(mesh, loads)
     vals = essential_values(
-        layout, dofs,
-        None if loads is None else loads.u_S_essential,
+        mesh, None if loads is None else loads.u_S_essential,
         None if loads is None else loads.u_D_essential)
     b = _lift(A, b, dofs, vals)
     return BlockSystem(mesh=mesh, layout=layout, params=params,

@@ -142,10 +142,6 @@ class Mesh:
     domain: DomainSpec
     nref: int
     config: BcConfig | None = None
-    # lattice rectangles (free flow, porous list) and how each porous one
-    # meets the free-flow one, see _domain_lattice
-    _lattice: tuple = field(default=None, repr=False)
-    _modes: list = field(default=None, repr=False)
     # parameter-free data derived from the tagged mesh, see `_per_mesh`
     _derived: dict = field(default_factory=dict, init=False, repr=False,
                            compare=False)
@@ -256,8 +252,7 @@ def build_coupled_mesh(domain, nref=0):
 
     Vertices are numbered by (y, x), cells square by square in the same
     order, facets by their sorted vertex pair."""
-    lattice, modes = _domain_lattice(domain, nref)
-    srect, drects = lattice
+    (srect, drects), _ = _domain_lattice(domain, nref)
     spacing = 1.0 / (domain.base_divisions * 2 ** nref)
 
     # owner of each lattice square of the bounding box: -2 outside the
@@ -311,8 +306,7 @@ def build_coupled_mesh(domain, nref=0):
     return Mesh(vertices=vertices, cells=cells, cell_subdomain=subdom,
                 cell_component=comp_ids, facets=facets, facet_cells=facet_cells,
                 facet_tags=facet_tags, facet_component=facet_component,
-                spacing=spacing, domain=domain, nref=nref,
-                _lattice=lattice, _modes=modes)
+                spacing=spacing, domain=domain, nref=nref)
 
 
 def _boundary_side(rect, mids, spacing):
@@ -336,8 +330,7 @@ def tag_boundaries(mesh, config):
     """
     config = BcConfig(config)
     edge_tags = LAYOUTS[config].edge_tags
-    srect, drects = mesh._lattice
-    modes = mesh._modes
+    (srect, drects), modes = _domain_lattice(mesh.domain, mesh.nref)
     boundary = np.nonzero(mesh.facet_cells[:, 1] < 0)[0]
     darcy = mesh.cell_subdomain[mesh.facet_cells[boundary, 0]] == DARCY
     mids = mesh.facet_midpoints(boundary)
@@ -479,13 +472,12 @@ def load_mesh(path):
     dom = DomainSpec(tuple(d["domain"]["stokes_rect"]),
                      tuple(tuple(r) for r in d["domain"]["darcy_rects"]),
                      d["domain"]["base_divisions"])
-    lattice, modes = _domain_lattice(dom, d["nref"])
+    _domain_lattice(dom, d["nref"])         # raises for an invalid domain
     # tags stay Python strings, so that re-tagging may write longer ones
     arrays = {name: np.array(d[name], dtype=object if name == "facet_tags"
                              else None) for name in _FILE_ARRAYS}
     mesh = Mesh(**arrays, spacing=d["spacing"], domain=dom, nref=d["nref"],
-                config=BcConfig(d["config"]) if d["config"] else None,
-                _lattice=lattice, _modes=modes)
+                config=BcConfig(d["config"]) if d["config"] else None)
     if _chain_records(mesh) != d["interface"]:
         raise ConfigurationError(
             f"{path}: the stored interface chains differ from the mesh's")

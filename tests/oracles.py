@@ -19,7 +19,6 @@ from sdlab.mesh import (DARCY, STOKES, STOKES_ESSENTIAL_TAGS,
                         TAG_NONE, TAG_OUTFLOW, TAG_STOKES_ESSENTIAL,
                         TAG_STOKES_NATURAL, TAG_WALL,
                         BcConfig, ConfigurationError, InterfaceChain, Mesh,
-                        _classify_darcy, _lattice_rect, _rects_conflict,
                         outward_normal, stokes_cell)
 from sdlab.spaces import FIELDS, BlockLayout, global_facet_normal
 
@@ -121,26 +120,29 @@ def rt0_data(mesh, layout, cell_row, cell):
     return out
 
 
-def reference_mesh(domain, nref=0):
-    """Loop-based mesh building: dicts keyed by lattice square, vertex and
-    vertex pair.  Reference for `mesh.build_coupled_mesh`."""
-    n0 = domain.base_divisions
-    if n0 < 1:
-        raise ConfigurationError("base_divisions must be >= 1")
-    if not domain.darcy_rects:
-        raise ConfigurationError("no porous rectangle given, interface is empty")
-    scale = 2 ** nref
-    spacing = 1.0 / (n0 * scale)
+def _reference_lattice(domain, nref):
+    """The free-flow and porous rectangles of a valid domain in squares of
+    the mesh at nref, each coordinate times n0 * 2^nref rounded, and per
+    porous one the side of the free-flow rectangle it shares, or
+    "inclusion"."""
+    k = domain.base_divisions * 2 ** nref
+    srect, *drects = [tuple(int(round(v * k)) for v in r)
+                      for r in (domain.stokes_rect, *domain.darcy_rects)]
+    I0, J0, I1, J1 = srect
+    sides = []
+    for i0, j0, i1, j1 in drects:
+        touches = {"right": i0 == I1, "left": i1 == I0,
+                   "top": j0 == J1, "bottom": j1 == J0}
+        sides.append(next((s for s, t in touches.items() if t), "inclusion"))
+    return srect, drects, sides
 
-    srect = _lattice_rect(domain.stokes_rect, n0, scale, "free-flow")
-    drects = [_lattice_rect(r, n0, scale, "porous") for r in domain.darcy_rects]
-    modes = [_classify_darcy(srect, r) for r in drects]
-    for a in range(len(drects)):
-        for b in range(a + 1, len(drects)):
-            strict = modes[a] == "inclusion" or modes[b] == "inclusion"
-            if _rects_conflict(drects[a], drects[b], strict):
-                raise ConfigurationError(
-                    f"porous rectangles {a} and {b} overlap or touch")
+
+def reference_mesh(domain, nref=0):
+    """Loop-based mesh building for a valid domain: dicts keyed by lattice
+    square, vertex and vertex pair.  Reference for
+    `mesh.build_coupled_mesh`."""
+    spacing = 1.0 / (domain.base_divisions * 2 ** nref)
+    srect, drects, _ = _reference_lattice(domain, nref)
 
     squares = {}
     for comp, (i0, j0, i1, j1) in enumerate(drects):
@@ -214,8 +216,6 @@ def reference_mesh(domain, nref=0):
                 cell_component=comp_ids, facets=facets, facet_cells=facet_cells,
                 facet_tags=facet_tags, facet_component=facet_component,
                 spacing=spacing, domain=domain, nref=nref)
-    mesh._modes = modes
-    mesh._lattice = (srect, drects)
     return mesh
 
 
@@ -238,8 +238,7 @@ def reference_tag_boundaries(mesh, config):
     """Loop-based boundary tagging, one side test per facet.  Reference for
     `mesh.tag_boundaries`."""
     config = BcConfig(config)
-    srect, drects = mesh._lattice
-    modes = mesh._modes
+    srect, drects, modes = _reference_lattice(mesh.domain, mesh.nref)
     boundary = np.nonzero(mesh.facet_cells[:, 1] < 0)[0]
 
     if config is BcConfig.MULTI:
@@ -466,6 +465,47 @@ def reference_essential_dofs(layout):
         elif tag == TAG_DARCY_ESSENTIAL:
             idx.append(layout.offsets["u_D"] + fmap[f])
     return np.unique(np.array(idx, dtype=int))
+
+
+def _outward(mesh, f):
+    """Unit normal of boundary facet f out of its cell: the tangent turned
+    clockwise, flipped where it points towards the cell's centroid."""
+    pa, pb = mesh.vertices[mesh.facets[f]]
+    t = (pb - pa) / np.linalg.norm(pb - pa)
+    n = np.array([t[1], -t[0]])
+    centroid = mesh.vertices[mesh.cells[mesh.facet_cells[f, 0]]].mean(axis=0)
+    return -n if np.dot(n, 0.5 * (pa + pb) - centroid) < 0 else n
+
+
+def reference_essential_values(layout, u_S, u_D):
+    """Loop over the essential facets: u_S at the two vertices and the
+    midpoint of each essential free-flow facet, read from mesh.vertices;
+    u_D as the mean of u.n over three Gauss points of each essential
+    porous facet, n its `_outward` normal.  Returns the dofs, sorted, and
+    their values.  Reference for `assembly.essential_values`."""
+    mesh = layout.mesh
+    vmap = {v: i for i, v in enumerate(layout.stokes_vertices)}
+    emap = {tuple(e): i for i, e in enumerate(layout.stokes_edges)}
+    fmap = {f: i for i, f in enumerate(layout.darcy_facets)}
+    nv = len(layout.stokes_vertices)
+    t, w = segment_rule_1d(3)
+    value = {}
+    for f in range(len(mesh.facets)):
+        tag = mesh.facet_tags[f]
+        a, b = mesh.facets[f]
+        pa, pb = mesh.vertices[a], mesh.vertices[b]
+        if tag in STOKES_ESSENTIAL_TAGS:
+            for s, x in ((vmap[a], pa), (vmap[b], pb),
+                         (nv + emap[(a, b)], 0.5 * (pa + pb))):
+                u = u_S(np.array([x]))[0]
+                for c in range(2):
+                    value[layout.velocity_dof(c, s)] = u[c]
+        elif tag == TAG_DARCY_ESSENTIAL:
+            pts = np.array([pa + ti * (pb - pa) for ti in t])
+            value[layout.offsets["u_D"] + fmap[f]] = np.dot(
+                w, u_D(pts) @ _outward(mesh, f))
+    dofs = sorted(value)
+    return np.array(dofs), np.array([value[d] for d in dofs])
 
 
 def _stokes_interface_cell(mesh, layout, f):
@@ -801,11 +841,7 @@ def oracle_rhs(mesh, layout, params, loads, nquad=14):
         pts = np.array([pa + t * (pb - pa) for t in x1d])
         ds = length * w1d
         cell = mesh.facet_cells[f, 0]
-        t_vec = (pb - pa) / length
-        n_out = np.array([t_vec[1], -t_vec[0]])
-        centroid = mesh.vertices[mesh.cells[cell]].mean(axis=0)
-        if np.dot(n_out, 0.5 * (pa + pb) - centroid) < 0:
-            n_out = -n_out
+        n_out = _outward(mesh, f)
         if tag in STOKES_NATURAL_TAGS and loads.stokes_traction is not None:
             srow = list(layout.stokes_cells).index(cell)
             tri = mesh.vertices[mesh.cells[cell]]

@@ -196,7 +196,12 @@ def test_save_load_round_trip(tmp_path, stack4):
     c1, c2 = interface_chains(stack4)[0], interface_chains(m2)[0]
     assert np.array_equal(c1.facets, c2.facets)
     assert np.array_equal(c1.normals, c2.normals)
-    assert m2._lattice == stack4._lattice and m2._modes == stack4._modes
+    # the loaded mesh tags every layout as the original does
+    for config in BcConfig:
+        if config is not BcConfig.MULTI:
+            tag_boundaries(stack4, config)
+            tag_boundaries(m2, config)
+            assert list(m2.facet_tags) == list(stack4.facet_tags)
 
 
 @pytest.mark.parametrize("config", [BcConfig.NE, BcConfig.MULTI],
@@ -278,7 +283,6 @@ def test_mesh_matches_loop_reference(name, nref):
     m, ref = build_coupled_mesh(domain, nref), oracles.reference_mesh(domain, nref)
     oracles.assert_same_tables(m, ref)
     assert m.spacing == ref.spacing
-    assert m._lattice == ref._lattice and m._modes == ref._modes
     configs = ([BcConfig.MULTI] if name == "floating"
                else [c for c in BcConfig if c is not BcConfig.MULTI])
     for config in configs:

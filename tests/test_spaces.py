@@ -4,15 +4,17 @@ multiplier, essential dof selection, boundary interpolation."""
 import numpy as np
 import pytest
 
-from oracles import LAYOUT_TABLES, reference_essential_dofs, reference_layout
+from oracles import (LAYOUT_TABLES, reference_essential_dofs,
+                     reference_essential_values, reference_layout)
+from sdlab.assembly import _load_facets, essential_values
 from sdlab.cli import floating_domain
 from sdlab.mesh import (BcConfig, build_coupled_mesh, side_by_side_domain,
                         stacked_domain, tag_boundaries)
+from sdlab.mms import ExactSolution
 from sdlab.spaces import (
     FIELDS,
     build_layout,
     essential_dofs,
-    essential_values,
     global_facet_normal,
 )
 
@@ -131,7 +133,7 @@ def test_essential_values_nodal():
     m, lay = make_layout(config=BcConfig.NN)
     dofs = np.asarray(essential_dofs(lay))
     f = lambda p: np.stack([p[:, 0] ** 2, p[:, 0] * p[:, 1]], axis=-1)
-    vals = essential_values(lay, dofs, u_S=f, u_D=lambda p: 0 * p)
+    vals = essential_values(m, u_S=f, u_D=lambda p: 0 * p)
     pts = lay.scalar_dof_points()
     for d, v in zip(dofs, vals):
         if d >= lay.offsets["u_D"]:
@@ -145,7 +147,7 @@ def test_essential_values_facet_mean_flux():
     m, lay = make_layout(config=BcConfig.NN)
     dofs = np.asarray(essential_dofs(lay))
     g = lambda p: np.stack([p[:, 1], 2.0 * p[:, 0]], axis=-1)
-    vals = essential_values(lay, dofs, u_S=lambda p: 0 * p, u_D=g)
+    vals = essential_values(m, u_S=lambda p: 0 * p, u_D=g)
     for d, v in zip(dofs, vals):
         if d < lay.offsets["u_D"]:
             continue
@@ -153,3 +155,27 @@ def test_essential_values_facet_mean_flux():
         n = global_facet_normal(m, gf)
         mid = m.facet_midpoints([gf])[0]
         assert abs(v - np.dot(g(mid[None])[0], n)) < 1e-13
+
+
+def test_flux_dofs_follow_the_flux_facets():
+    # essential_values writes the u_D data, in the order of the "flux"
+    # facets, after the u_S data: the dofs of those facets, in that order,
+    # must be the essential dofs from the first u_D one on
+    for m in layout_meshes("stacked", 1) + layout_meshes("side", 0):
+        lay = build_layout(m)
+        dofs = essential_dofs(lay)
+        flux = lay.flux_dof(_load_facets(m, "flux").facets)
+        assert np.array_equal(flux, dofs[dofs >= lay.offsets["u_D"]])
+
+
+@pytest.mark.parametrize("nref", [0, 1])
+@pytest.mark.parametrize("domain", ["stacked", "floating"])
+def test_essential_values_match_loop_reference(domain, nref):
+    # worst difference measured: 2.8e-16 of the largest |value| (EN, nref 1)
+    exact = ExactSolution(mu=3.0, K=0.2)
+    for m in layout_meshes(domain, nref):
+        dofs, want = reference_essential_values(reference_layout(m),
+                                                exact.u_S, exact.u_D)
+        got = essential_values(m, exact.u_S, exact.u_D)
+        assert np.array_equal(dofs, essential_dofs(build_layout(m)))
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
