@@ -16,9 +16,7 @@ from .spaces import BlockLayout, build_layout, essential_dofs
 from .assembly import (BlockSystem, LoadData, PhysParams, apply_essential,
                        assemble_operator, assemble_rhs, assemble_riesz,
                        assemble_system, essential_values, save_matrix_coo)
-from .frac_interface import (InterfaceSpectralBasis, build_interface_basis,
-                             facet_laplacian, fractional_matrix,
-                             interface_operator)
+from .frac_interface import facet_laplacian, interface_operator
 from .precond import (BlockPreconditioner, DeflatedPreconditioner, Deflation,
                       build_deflation, build_preconditioner, deflation_gamma,
                       deflation_vectors)

@@ -403,6 +403,9 @@ def main(argv=None):
         if not (np.isfinite(reduction) and reduction > 0):
             raise ConfigurationError(
                 f"--reduction must be positive and finite, got {reduction:g}")
+        if getattr(args, "maxit", 1) < 1:
+            raise ConfigurationError(
+                f"--maxit must be at least 1, got {args.maxit}")
         if args.command == "mms" and min(args.nref) < 0:
             # mms builds levels 0..max(--nref) and no mesh at a smaller value
             raise ConfigurationError(

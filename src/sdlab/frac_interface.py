@@ -12,17 +12,16 @@ The multiplier block is (1/mu) * power(-1/2) + K * power(+1/2).  Endpoint
 behaviour of the underlying Laplacian is one pair of conditions per row of
 `mesh.LAYOUTS`: `free` endpoints get no extra term, `zero` endpoints add
 the Dirichlet ghost coupling 2/|F_end| on the end facet's diagonal.
-Closed interface loops have no endpoints.  When the two fractional terms
-use different endpoint conditions, two eigenbases are built.  The two
-powers are parameter-free pieces of the Riesz map N, `lam_low` and
-`lam_high` (`fractional_pieces`), built with the other pieces once per
-tagged mesh and weighted like them (see assembly).  The block is dense;
-the preconditioner reads it off N and factors it by dense Cholesky.
+Closed interface loops have no endpoints.  The two powers are
+parameter-free pieces of the Riesz map N, `lam_low` and `lam_high`;
+`fractional_pieces` builds them with one eigensolve per distinct endpoint
+condition of the layout (two when the terms use different ones).  Assembly
+builds them once per tagged mesh with the other pieces and weights them
+like the rest.  The block is dense; the preconditioner reads it off N and
+factors it by dense Cholesky.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
@@ -30,17 +29,7 @@ import scipy.linalg as sla
 from .mesh import LAYOUTS, interface_chains
 
 
-@dataclass
-class InterfaceSpectralBasis:
-    """Eigenpairs of the shifted facet Laplacian against the facet mass."""
-
-    eigenvalues: np.ndarray      # d, ascending, all >= 1
-    vectors: np.ndarray          # columns U with U' M U = I
-    lengths: np.ndarray          # facet lengths |F_i|
-    endpoint: str
-
-
-def facet_laplacian(mesh, endpoint="free"):
+def facet_laplacian(mesh, endpoint):
     """Finite-volume graph Laplacian L and facet lengths on the interface."""
     if endpoint not in ("free", "zero"):
         raise ValueError(f"unknown endpoint condition {endpoint!r}")
@@ -70,30 +59,24 @@ def facet_laplacian(mesh, endpoint="free"):
     return L, lengths
 
 
-def build_interface_basis(mesh, endpoint="free"):
-    """Generalized eigendecomposition of (L + M, M) on the interface."""
-    L, lengths = facet_laplacian(mesh, endpoint)
-    M = np.diag(lengths)
-    d, U = sla.eigh(L + M, M)
-    return InterfaceSpectralBasis(eigenvalues=d, vectors=U, lengths=lengths,
-                                  endpoint=endpoint)
-
-
-def fractional_matrix(basis, power):
-    """M U diag(d**power) U' M."""
-    MU = basis.lengths[:, None] * basis.vectors
-    S = (MU * basis.eigenvalues[None, :] ** power) @ MU.T
-    # gemm rounding is not symmetric; make the certificate exact
-    return 0.5 * (S + S.T)
-
-
 def fractional_pieces(mesh):
     """The pieces lam_low = power(-1/2) and lam_high = power(+1/2) of the
-    mesh's layout, dense; one basis per distinct endpoint condition."""
+    mesh's layout, dense; one eigensolve per distinct endpoint condition."""
     ep_low, ep_high = LAYOUTS[mesh.config].endpoints
-    bases = {ep: build_interface_basis(mesh, ep) for ep in {ep_low, ep_high}}
-    return {"lam_low": fractional_matrix(bases[ep_low], -0.5),
-            "lam_high": fractional_matrix(bases[ep_high], +0.5)}
+    eig = {}
+    for ep in {ep_low, ep_high}:
+        L, lengths = facet_laplacian(mesh, ep)
+        M = np.diag(lengths)
+        d, U = sla.eigh(L + M, M)
+        eig[ep] = d, lengths[:, None] * U
+
+    def power(ep, s):
+        d, MU = eig[ep]
+        S = (MU * d[None, :] ** s) @ MU.T
+        # gemm rounding is not symmetric; make the certificate exact
+        return 0.5 * (S + S.T)
+
+    return {"lam_low": power(ep_low, -0.5), "lam_high": power(ep_high, +0.5)}
 
 
 def interface_operator(mesh, params):

@@ -193,11 +193,10 @@ def minres_solve(A, b, precond, reduction=1e-12, maxit=1000, diagnostic=False,
     true `eigenvalues` are supplied) of every iteration are computed from
     the logged Lanczos coefficients after the loop.
     """
-    apply_B = _applier(precond)
     n = len(b)
     x = np.zeros(n)
     r1 = np.asarray(b, dtype=float).copy()
-    y = apply_B(r1)
+    y = precond(r1)
     a_matvecs, b_applies = 0, 1
     beta1 = np.sqrt(max(float(r1 @ y), 0.0))
     residuals = [beta1]
@@ -243,7 +242,7 @@ def minres_solve(A, b, precond, reduction=1e-12, maxit=1000, diagnostic=False,
                 basis.project_out(yv)
             r1 = r2
             r2 = yv
-            y = apply_B(r2)
+            y = precond(r2)
             b_applies += 1
             oldb = beta
             betasq = float(r2 @ y)
@@ -315,13 +314,8 @@ def true_residual(A, b, x, precond):
     the recursive residual of `minres_solve` tracks up to roundoff; NaN
     where r'Br < 0 (B not positive definite)."""
     r = b - A @ x
-    inner = float(r @ _applier(precond)(r))
+    inner = float(r @ precond(r))
     return np.sqrt(inner) if inner >= 0.0 else np.nan
-
-
-def _applier(precond):
-    """The function that applies `precond`: its `apply`, or itself."""
-    return precond.apply if hasattr(precond, "apply") else precond
 
 
 class _LanczosBasis:

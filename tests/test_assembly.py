@@ -446,18 +446,19 @@ def test_velocity_block_assembled_once_per_tagged_mesh(monkeypatch):
 def test_multiplier_bases_built_once_per_tagged_mesh(config, monkeypatch):
     # the multiplier block's two powers are per-mesh pieces of N: a system
     # needs no separate multiplier matrix, and each endpoint condition's
-    # basis is built once per tagged mesh, not once per (mu, K)
+    # facet Laplacian (and its eigensolve) is built once per tagged mesh,
+    # not once per (mu, K)
     bases = []
-    real = frac_interface.build_interface_basis
+    real = frac_interface.facet_laplacian
 
-    def counted(mesh, endpoint="free"):
+    def counted(mesh, endpoint):
         bases.append(endpoint)
         return real(mesh, endpoint)
 
     def apart(*args):
         raise AssertionError("the multiplier block was formed apart from N")
 
-    monkeypatch.setattr(frac_interface, "build_interface_basis", counted)
+    monkeypatch.setattr(frac_interface, "facet_laplacian", counted)
     monkeypatch.setattr(frac_interface, "interface_operator", apart)
     endpoints = set(LAYOUTS[config].endpoints)
     assert len(endpoints) == (2 if config in (BcConfig.NN, BcConfig.EE) else 1)

@@ -207,6 +207,7 @@ BAD_FLAGS = [
     ["--alpha", "-0.5"], ["--alpha", "nan"],
     ["--gamma-mult", "0"], ["--gamma-mult", "-1"], ["--gamma-mult", "nan"],
     ["--reduction", "nan"], ["--reduction", "-1"], ["--nref", "-1"],
+    ["--maxit", "0"], ["--maxit", "-3"],
 ]
 BAD_RUNS = [("solve", f) for f in BAD_FLAGS] + [
     ("floating", ["--nref", "-1"]), ("cond-sweep", ["--nref", "-1"]),
@@ -288,6 +289,8 @@ def test_indefinite_preconditioner_is_a_reason(tmp_path, monkeypatch):
 
         def apply(self, r):
             return -self._B.apply(r)
+
+        __call__ = apply
 
     monkeypatch.setattr(cli, "build_preconditioner", Negated)
     out = tmp_path / "indef"
