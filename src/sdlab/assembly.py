@@ -23,14 +23,15 @@ tables where the loads and the essential data (`essential_values`) are
 sampled are built once per tagged mesh and kept on it (see
 `mesh._per_mesh`); a new (mu, K) only forms the weighted sums, gathers
 them into the eliminated patterns and evaluates the loads.
-tag_boundaries clears them.
+tag_boundaries clears them.  The layout holds no mesh: `_affine(mesh).layout`
+is the mesh's one layout, which every `BlockSystem` on the mesh shares.
 
 Eliminated (essential) dofs keep unit diagonal rows in both matrices.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -160,10 +161,10 @@ class _Acc:
         return sp.coo_matrix((v, (r, c)), shape=(self.n, self.n)).tocsr()
 
 
-def _stokes_geometry(layout, degree):
+def _stokes_geometry(mesh, layout, degree):
     """Reference points, weights (nc, nq) and gradient rows X (nc, 12, nq)
     of the free-flow cells: X[c, 6*i + a, q] = d(phi_a)/dx_i at point q."""
-    coords = layout.mesh.cell_coords(layout.stokes_cells)
+    coords = mesh.cell_coords(layout.stokes_cells)
     pts, w = el.triangle_rule(degree)
     _, inv, det = el.affine_maps(coords)
     grads = el.physical_grads(inv, el.p2_grads(pts))
@@ -171,26 +172,44 @@ def _stokes_geometry(layout, degree):
     return pts, weights, grads.transpose(0, 3, 1, 2).reshape(len(coords), 12, -1)
 
 
-def _facet_quadrature(layout, facets, degree, trace=False):
-    """Gauss points (nf, nq, 2) and weights (nf, nq) of the segment rule of
-    `degree` on each facet; with `trace`, also the P2 basis (nf, 6, nq) of
-    each facet's free-flow cell at those points and that cell's scalar dofs
-    (nf, 6)."""
-    mesh = layout.mesh
+@dataclass
+class _FacetRule:
+    """A segment rule on some facets: points x (nf, nq, 2) and weights ds
+    (nf, nq); on facets of free-flow cells also the P2 basis phi (nf, 6,
+    nq) of the cell at the points and its scalar dofs cs (nf, 6); on
+    boundary facets their outward normals and, for traction, their tags."""
+
+    facets: np.ndarray
+    x: np.ndarray
+    ds: np.ndarray
+    phi: np.ndarray = None
+    cs: np.ndarray = None
+    tags: np.ndarray = None
+    normals: np.ndarray = None
+
+    def per_point(self, v):
+        """One row of v (nf, k) per quadrature point, (nf * nq, k)."""
+        return np.repeat(v, self.ds.shape[1], axis=0)
+
+
+def _facet_quadrature(mesh, layout, facets, degree, trace=False, **fields):
+    """The `_FacetRule` of the segment rule of `degree` on each of the
+    `facets`; with `trace`, with the P2 basis and scalar dofs of each
+    facet's free-flow cell.  `fields` are its further fields."""
     t, w = el.segment_rule(degree)
     p = mesh.vertices[mesh.facets[facets]]
     a, d = p[:, 0], p[:, 1] - p[:, 0]
     x = a[:, None, :] + t[None, :, None] * d[:, None, :]
     ds = w[None, :] * np.linalg.norm(d, axis=1)[:, None]
     if not trace:
-        return x, ds
+        return _FacetRule(facets, x, ds, **fields)
     cells = stokes_cell(mesh, facets)
     coords = mesh.cell_coords(cells)
     _, inv, _ = el.affine_maps(coords)
     ref = (x - coords[:, None, 0]) @ np.swapaxes(inv, 1, 2)
     phi = el.p2_basis(ref.reshape(-1, 2)).reshape(6, *ds.shape)
     cs = layout.stokes_cell_scalar[np.searchsorted(layout.stokes_cells, cells)]
-    return x, ds, phi.transpose(1, 0, 2), cs
+    return _FacetRule(facets, x, ds, phi.transpose(1, 0, 2), cs, **fields)
 
 
 def _dot(a, q):
@@ -229,15 +248,14 @@ def _velocity_entries(layout, X, XW, iface):
     share.  X, XW: the gradient rows of _stokes_geometry, plain and times
     the quadrature weights; iface: the interface `_facet_quadrature` of
     degree OPERATOR_SEG_DEGREE with its traces."""
-    _, ds, phi, cs = iface
     n_S = layout.interface_normals
     tau = np.column_stack([-n_S[:, 1], n_S[:, 0]])
-    m = np.einsum("faq,fbq,fq->fab", phi, phi, ds)
+    m = np.einsum("faq,fbq,fq->fab", iface.phi, iface.phi, iface.ds)
     slip = {(beta, alpha): (tau[:, alpha] * tau[:, beta])[:, None, None] * m
             for beta in range(2) for alpha in range(2)}
     return (_velocity_block(layout, layout.stokes_cell_scalar,
                             _viscous_blocks(X, XW)),
-            _velocity_block(layout, cs, slip))
+            _velocity_block(layout, iface.cs, slip))
 
 
 def _velocity_block(layout, cs, block):
@@ -253,10 +271,10 @@ def _velocity_block(layout, cs, block):
     return acc.matrix()
 
 
-def _rt_divergence(layout):
+def _rt_divergence(mesh, layout):
     """Vertex coordinates, areas and RT basis divergences of the porous
     cells; div psi_k = sign_k * |e_k| / area is constant on a cell."""
-    coords = layout.mesh.cell_coords(layout.darcy_cells)
+    coords = mesh.cell_coords(layout.darcy_cells)
     _, _, det = el.affine_maps(coords)
     area = 0.5 * np.abs(det)
     edge_len = np.stack([
@@ -265,10 +283,10 @@ def _rt_divergence(layout):
     return coords, area, layout.darcy_cell_signs * edge_len / area[:, None]
 
 
-def _rt_basis(layout, degree):
+def _rt_basis(mesh, layout, degree):
     """RT basis values psi_k(x) = (div psi_k / 2) * (x - opposite vertex),
     divergences, areas and weights on the porous cells."""
-    coords, area, div = _rt_divergence(layout)
+    coords, area, div = _rt_divergence(mesh, layout)
     pts, w = el.triangle_rule(degree)
     x = el.physical_points(coords, pts)
     opp = coords[:, list(el.OPPOSITE_VERTEX)]
@@ -277,19 +295,19 @@ def _rt_basis(layout, degree):
     return vals, div, area, weights
 
 
-def _pieces(layout):
-    """Every parameter-free piece of A and N (see `_weights`), each a CSR
-    matrix on its own block's pattern."""
+def _pieces(mesh, layout):
+    """Every parameter-free piece of A and N (see `_weights`) on the
+    mesh's layout, each a CSR matrix on its own block's pattern."""
     n = layout.total_dofs
-    pts, W, X = _stokes_geometry(layout, OPERATOR_TRI_DEGREE)
+    pts, W, X = _stokes_geometry(mesh, layout, OPERATOR_TRI_DEGREE)
     XW = X * W[:, None, :]
-    iface = _facet_quadrature(layout, layout.interface_facets,
+    iface = _facet_quadrature(mesh, layout, layout.interface_facets,
                               OPERATOR_SEG_DEGREE, trace=True)
     visc, slip = _velocity_entries(layout, X, XW, iface)
     psi = el.p1_basis(pts)
     cs = layout.stokes_cell_scalar
     prow = layout.offsets["p_S"] + cs[:, :3]
-    rt, div, area, Wd = _rt_basis(layout, OPERATOR_TRI_DEGREE)
+    rt, div, area, Wd = _rt_basis(mesh, layout, OPERATOR_TRI_DEGREE)
     rows = layout.offsets["u_D"] + layout.darcy_cell_facets
     pdr = layout.offsets["p_D"] + np.arange(len(layout.darcy_cells))
 
@@ -304,7 +322,7 @@ def _pieces(layout):
     bd = -div * area[:, None]                                  # -(div psi_k, 1)
     saddle.add(pdr[:, None], rows, bd)
     saddle.add(rows, pdr[:, None], bd)
-    _coupling_entries(layout, iface, saddle)
+    _coupling_entries(mesh, layout, iface, saddle)
 
     mass, divdiv, p1, p0 = (_Acc(n) for _ in range(4))
     mass.add(rows[:, None, :], rows[:, :, None],
@@ -317,7 +335,7 @@ def _pieces(layout):
            0.5 * (pm + pm.transpose(0, 2, 1)))
     p0.add(pdr, pdr, area)
     lam = {name: _full_block(layout, "lam", F)
-           for name, F in fractional_pieces(layout.mesh).items()}
+           for name, F in fractional_pieces(mesh).items()}
     return {"visc": visc, "slip": slip, "saddle": saddle.matrix(),
             "mass": mass.matrix(), "divdiv": divdiv.matrix(),
             "p1": p1.matrix(), "p0": p0.matrix(), **lam}
@@ -497,7 +515,7 @@ class _Affine:
     """Everything about A and N that does not depend on the parameters,
     for one tagged mesh: their patterns, holding the pieces' values."""
 
-    layout: object          # without its mesh, see _affine
+    layout: object
     essential: np.ndarray
     A: _Pattern
     N: _Pattern
@@ -517,23 +535,15 @@ def _affine(mesh):
     raises ValueError."""
     def build(mesh):
         lay = build_layout(mesh)
-        pieces = _pieces(lay)
-        dofs = essential_dofs(lay)
+        pieces = _pieces(mesh, lay)
+        dofs = essential_dofs(mesh, lay)
         within = {name: (host, _places(pieces[host], pieces[name]))
                   for name, host in _WITHIN.items()}
         A = _Pattern.of(pieces, _A_ROWS, {"slip": within["slip"]}, dofs)
         N = _Pattern.of(pieces, _N_ROWS, within, dofs)
         _block_diagonal(N, lay)
-        # a mesh that reached itself through this layout would outlive its
-        # last reference until the cyclic collector ran, pieces and all
-        return _Affine(layout=replace(lay, mesh=None), essential=dofs,
-                       A=A, N=N)
+        return _Affine(layout=lay, essential=dofs, A=A, N=N)
     return _per_mesh(mesh, "affine operator", build)
-
-
-def _layout(mesh):
-    """The mesh's layout, kept in its `_Affine`, joined to the mesh."""
-    return replace(_affine(mesh).layout, mesh=mesh)
 
 
 def assemble_operator(mesh, params):
@@ -541,7 +551,7 @@ def assemble_operator(mesh, params):
     return _affine(mesh).A.matrix(_weights(params))
 
 
-def _coupling_entries(layout, iface, acc):
+def _coupling_entries(mesh, layout, iface, acc):
     """The +-(v.n_S, lam) couplings, on the interface quadrature `iface`
     of `_velocity_entries`."""
     f = layout.interface_facets
@@ -549,17 +559,15 @@ def _coupling_entries(layout, iface, acc):
     ud = layout.flux_dof(f)
     # n_S is the Stokes cell's outward normal and the global RT normal is
     # that of facet_cells[f, 0], so they agree iff the Stokes cell comes first
-    mesh = layout.mesh
     sigmas = np.where(
         mesh.cell_subdomain[mesh.facet_cells[f, 0]] == STOKES, 1.0, -1.0)
-    _, ds, phi, cs = iface
-    ints = _dot(phi, ds)
+    ints = _dot(iface.phi, iface.ds)
     for alpha in range(2):
-        cols = layout.velocity_dof(alpha, cs)
+        cols = layout.velocity_dof(alpha, iface.cs)
         vals = layout.interface_normals[:, alpha, None] * ints
         acc.add(lam[:, None], cols, vals)
         acc.add(cols, lam[:, None], vals)
-    val = -sigmas * ds.sum(axis=1)
+    val = -sigmas * iface.ds.sum(axis=1)
     acc.add(lam, ud, val)
     acc.add(ud, lam, val)
 
@@ -649,52 +657,30 @@ def _cell_rule(mesh, domain):
     return x, w[None, :] * absdet[:, None]
 
 
-@dataclass
-class _FacetRule:
-    """A segment rule on some facets: points x (nf, nq, 2) and weights ds
-    (nf, nq); on facets of free-flow cells also the P2 basis phi (nf, 6,
-    nq) of the cell at the points and its scalar dofs cs (nf, 6); on
-    boundary facets their outward normals and, for traction, their tags."""
-
-    facets: np.ndarray
-    x: np.ndarray
-    ds: np.ndarray
-    phi: np.ndarray = None
-    cs: np.ndarray = None
-    tags: np.ndarray = None
-    normals: np.ndarray = None
-
-    def per_point(self, v):
-        """One row of v (nf, k) per quadrature point, (nf * nq, k)."""
-        return np.repeat(v, self.ds.shape[1], axis=0)
-
-
 def _load_facets(mesh, part):
     """The `_FacetRule` of the "interface", the natural free-flow boundary
     ("traction") or the natural porous boundary ("pressure"), of degree
     LOAD_SEG_DEGREE, or of the essential porous boundary ("flux", of degree
     FLUX_SEG_DEGREE); kept per mesh.  Boundary facets ascend."""
     def build(mesh):
-        layout = _layout(mesh)
+        layout = _affine(mesh).layout
         if part == "interface":
-            f = layout.interface_facets
-            return _FacetRule(f, *_facet_quadrature(layout, f, LOAD_SEG_DEGREE,
-                                                    trace=True))
+            return _facet_quadrature(mesh, layout, layout.interface_facets,
+                                     LOAD_SEG_DEGREE, trace=True)
         boundary = np.nonzero(mesh.facet_cells[:, 1] < 0)[0]
         tags = mesh.facet_tags[boundary]
         if part == "pressure":
             f = boundary[tags == TAG_DARCY_NATURAL]
-            return _FacetRule(f, *_facet_quadrature(layout, f, LOAD_SEG_DEGREE))
+            return _facet_quadrature(mesh, layout, f, LOAD_SEG_DEGREE)
         if part == "flux":
             f = boundary[tags == TAG_DARCY_ESSENTIAL]
-            return _FacetRule(f, *_facet_quadrature(layout, f, FLUX_SEG_DEGREE),
-                              normals=global_facet_normal(mesh, f))
+            return _facet_quadrature(mesh, layout, f, FLUX_SEG_DEGREE,
+                                     normals=global_facet_normal(mesh, f))
         on = np.isin(tags, sorted(STOKES_NATURAL_TAGS))
         f = boundary[on]
-        return _FacetRule(f, *_facet_quadrature(layout, f, LOAD_SEG_DEGREE,
-                                                trace=True),
-                          tags=tags[on],
-                          normals=global_facet_normal(mesh, f))
+        return _facet_quadrature(mesh, layout, f, LOAD_SEG_DEGREE, trace=True,
+                                 tags=tags[on],
+                                 normals=global_facet_normal(mesh, f))
     return _per_mesh(mesh, ("load facets", part), build)
 
 
@@ -724,10 +710,11 @@ def _essential_nodes(mesh):
     """The component and P2 node (n, 2) of each essential u_S dof, the
     sorted prefix of the mesh's essential dofs; kept per mesh."""
     def build(mesh):
-        layout, dofs = _layout(mesh), _affine(mesh).essential
+        aff = _affine(mesh)
+        layout, dofs = aff.layout, aff.essential
         u_S = dofs[dofs < layout.offsets["u_D"]] - layout.offsets["u_S"]
         component, scalar = np.divmod(u_S, layout.num_scalar)
-        return component, layout.scalar_dof_points()[scalar]
+        return component, layout.scalar_dof_points(mesh)[scalar]
     return _per_mesh(mesh, "essential nodes", build)
 
 
@@ -785,18 +772,17 @@ def assemble_system(mesh, params, loads=None):
     """Facade: operator, Riesz map, rhs and essential elimination; all but
     the weights and the rhs come from the mesh's per-mesh pieces."""
     aff = _affine(mesh)
-    layout, dofs = _layout(mesh), aff.essential
     A = assemble_operator(mesh, params)
     N = assemble_riesz(mesh, params)
     b = assemble_rhs(mesh, loads)
     vals = essential_values(
         mesh, None if loads is None else loads.u_S_essential,
         None if loads is None else loads.u_D_essential)
-    b = _lift(A, b, dofs, vals)
-    return BlockSystem(mesh=mesh, layout=layout, params=params,
+    b = _lift(A, b, aff.essential, vals)
+    return BlockSystem(mesh=mesh, layout=aff.layout, params=params,
                        A=aff.A.elimination.apply(A),
                        N=aff.N.elimination.apply(N), b=b,
-                       essential=dofs, essential_vals=vals)
+                       essential=aff.essential, essential_vals=vals)
 
 
 def save_matrix_coo(M, path):

@@ -406,10 +406,13 @@ def main(argv=None):
         if getattr(args, "maxit", 1) < 1:
             raise ConfigurationError(
                 f"--maxit must be at least 1, got {args.maxit}")
-        if args.command == "mms" and min(args.nref) < 0:
-            # mms builds levels 0..max(--nref) and no mesh at a smaller value
+        # every point of a sweep, before the first run writes a file
+        if min(args.nref) < 0:
             raise ConfigurationError(
                 f"nref must be non-negative, got {min(args.nref)}")
+        for mu in args.mu:
+            for K in args.K:
+                PhysParams(mu, K, args.alpha)
         if args.command == "mms" and max(args.nref) < 1:
             raise ConfigurationError("mms needs --nref >= 1: a rate needs two levels")
         return args.func(args)

@@ -466,13 +466,16 @@ def save_mesh(mesh, path):
 def load_mesh(path):
     """Read a mesh written by `save_mesh`.  Its interface chains are
     derived as on a fresh mesh; a ConfigurationError if the file's stored
-    chains differ from them."""
+    chains differ from them, or its spacing from 1/(n0 * 2**nref)."""
     with open(path) as fh:
         d = json.load(fh)
     dom = DomainSpec(tuple(d["domain"]["stokes_rect"]),
                      tuple(tuple(r) for r in d["domain"]["darcy_rects"]),
                      d["domain"]["base_divisions"])
     _domain_lattice(dom, d["nref"])         # raises for an invalid domain
+    if d["spacing"] != 1.0 / (dom.base_divisions * 2 ** d["nref"]):
+        raise ConfigurationError(
+            f"{path}: the stored spacing is not 1/(n0 * 2**nref)")
     # tags stay Python strings, so that re-tagging may write longer ones
     arrays = {name: np.array(d[name], dtype=object if name == "facet_tags"
                              else None) for name in _FILE_ARRAYS}

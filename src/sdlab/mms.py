@@ -172,7 +172,7 @@ def compute_errors(system, x, exact):
 
     dxq, Wd = _cell_rule(mesh, "darcy")
     dxq = dxq.reshape(-1, 2)
-    _, _, div = _rt_divergence(layout)
+    _, _, div = _rt_divergence(mesh, layout)
     ucoef = x[layout.offsets["u_D"] + layout.darcy_cell_facets]
     div_h = np.einsum("ck,ck->c", ucoef, div)
     dive = exact.div_u_D(dxq).reshape(Wd.shape) - div_h[:, None]

@@ -127,13 +127,11 @@ class BlockPreconditioner:
             z /= self._scales[name]
         return z
 
-    def apply(self, r):
+    def __call__(self, r):
         z = np.empty_like(r)
         for name, s in self._blocks:
             z[s] = self.solve_block(name, r[s])
         return z
-
-    __call__ = apply
 
 
 def build_preconditioner(system):
@@ -146,10 +144,6 @@ class Deflation:
     W: np.ndarray            # (n, m) near-kernel indicator vectors
     gamma: float
     E: object                # Cholesky factor of W' (gamma N) W
-
-    @property
-    def m(self):
-        return self.W.shape[1]
 
     def correction(self, r):
         # dpotrs directly, as in BlockPreconditioner.solve_block: cho_solve's
@@ -219,7 +213,5 @@ class DeflatedPreconditioner:
         self.base = base
         self.deflation = deflation
 
-    def apply(self, r):
-        return self.base.apply(r) + self.deflation.correction(r)
-
-    __call__ = apply
+    def __call__(self, r):
+        return self.base(r) + self.deflation.correction(r)

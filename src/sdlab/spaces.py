@@ -13,6 +13,8 @@ higher-indexed one (outward on boundary facets).
 
 This module numbers the dofs and picks the essential ones; it evaluates
 no load data.  Sampling the essential data is `assembly.essential_values`.
+A `BlockLayout` is only the numbering and holds no mesh: what needs the
+geometry takes the mesh next to the layout.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ FIELDS = ("u_S", "u_D", "p_S", "p_D", "lam")
 
 @dataclass
 class BlockLayout:
-    mesh: object
     stokes_cells: np.ndarray          # global cell ids
     darcy_cells: np.ndarray
     stokes_vertices: np.ndarray       # global vertex ids, ascending
@@ -63,12 +64,12 @@ class BlockLayout:
         """The RT dof of each of the porous `facets` (global facet ids)."""
         return self.offsets["u_D"] + np.searchsorted(self.darcy_facets, facets)
 
-    def scalar_dof_points(self):
-        """Coordinates of the P2 scalar dofs (vertices then edge midpoints)."""
-        verts = self.mesh.vertices[self.stokes_vertices]
-        mids = 0.5 * (self.mesh.vertices[self.stokes_edges[:, 0]]
-                      + self.mesh.vertices[self.stokes_edges[:, 1]])
-        return np.vstack([verts, mids])
+    def scalar_dof_points(self, mesh):
+        """Coordinates of the P2 scalar dofs (vertices then edge midpoints)
+        on the mesh the layout numbers."""
+        v = mesh.vertices
+        mids = 0.5 * (v[self.stokes_edges[:, 0]] + v[self.stokes_edges[:, 1]])
+        return np.vstack([v[self.stokes_vertices], mids])
 
 
 def build_layout(mesh):
@@ -111,8 +112,7 @@ def build_layout(mesh):
         offsets[name] = off
         off += sizes[name]
 
-    return BlockLayout(mesh=mesh, stokes_cells=stokes_cells,
-                       darcy_cells=darcy_cells,
+    return BlockLayout(stokes_cells=stokes_cells, darcy_cells=darcy_cells,
                        stokes_vertices=stokes_vertices,
                        stokes_edges=stokes_edges,
                        stokes_cell_scalar=cell_scalar,
@@ -130,14 +130,13 @@ def global_facet_normal(mesh, f):
     return outward_normal(mesh, f, mesh.facet_cells[f, 0])
 
 
-def essential_dofs(layout):
+def essential_dofs(mesh, layout):
     """Indices of essentially constrained dofs (sorted, unique).
 
     P2 velocity dofs (both components) on essentially tagged free-flow
     facets, then RT normal-flux dofs on essentially tagged porous facets,
     in facet order.  Interface facets are never constrained.
     """
-    mesh = layout.mesh
     tags = mesh.facet_tags
     nvert = len(mesh.vertices)
     a, b = mesh.facets[np.isin(tags, sorted(STOKES_ESSENTIAL_TAGS))].T

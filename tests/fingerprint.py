@@ -103,12 +103,12 @@ def system_outputs(mesh, mu, K):
     yield "essential_dofs", digest(system.essential)
     yield "essential_values", digest(system.essential_vals)
     yield "interface_operator", digest(interface_operator(mesh, params))
-    yield "B_apply", digest(B.apply(r))
+    yield "B_apply", digest(B(r))
     deflation = build_deflation(system)
     if deflation is not None:
         yield "deflation_W", digest(deflation.W)
         yield "deflation_gamma", digest(np.float64(deflation.gamma))
-    log = minres_solve(system.A, system.b, B.apply, maxit=MINRES_STEPS)
+    log = minres_solve(system.A, system.b, B, maxit=MINRES_STEPS)
     yield "minres_log", digest(log.x, np.asarray(log.residuals),
                                np.asarray(log.alphas), np.asarray(log.betas),
                                np.frombuffer(log.reason.encode(), np.uint8))

@@ -426,8 +426,7 @@ def reference_layout(mesh):
         offsets[name] = off
         off += sizes[name]
 
-    return BlockLayout(mesh=mesh, stokes_cells=stokes_cells,
-                       darcy_cells=darcy_cells,
+    return BlockLayout(stokes_cells=stokes_cells, darcy_cells=darcy_cells,
                        stokes_vertices=stokes_vertices,
                        stokes_edges=stokes_edges,
                        stokes_cell_scalar=cell_scalar,
@@ -445,10 +444,9 @@ def _orientation_sign(mesh, f, cell):
     return 1 if np.dot(n_glob, n_out) > 0 else -1
 
 
-def reference_essential_dofs(layout):
+def reference_essential_dofs(mesh, layout):
     """Loop-based essential dof selection, one dict lookup per facet.
     Reference for `spaces.essential_dofs`."""
-    mesh = layout.mesh
     vmap = {v: i for i, v in enumerate(layout.stokes_vertices)}
     emap = {tuple(e): i for i, e in enumerate(layout.stokes_edges)}
     fmap = {f: i for i, f in enumerate(layout.darcy_facets)}
@@ -477,13 +475,12 @@ def _outward(mesh, f):
     return -n if np.dot(n, 0.5 * (pa + pb) - centroid) < 0 else n
 
 
-def reference_essential_values(layout, u_S, u_D):
+def reference_essential_values(mesh, layout, u_S, u_D):
     """Loop over the essential facets: u_S at the two vertices and the
     midpoint of each essential free-flow facet, read from mesh.vertices;
     u_D as the mean of u.n over three Gauss points of each essential
     porous facet, n its `_outward` normal.  Returns the dofs, sorted, and
     their values.  Reference for `assembly.essential_values`."""
-    mesh = layout.mesh
     vmap = {v: i for i, v in enumerate(layout.stokes_vertices)}
     emap = {tuple(e): i for i, e in enumerate(layout.stokes_edges)}
     fmap = {f: i for i, f in enumerate(layout.darcy_facets)}

@@ -35,8 +35,10 @@ from sdlab.mesh import (
     stacked_domain,
     tag_boundaries,
 )
-from sdlab.mms import ExactSolution
-from sdlab.precond import build_preconditioner
+from sdlab.minres import minres_solve
+from sdlab.mms import ExactSolution, compute_errors
+from sdlab.precond import (DeflatedPreconditioner, build_deflation,
+                           build_preconditioner)
 
 import oracles
 
@@ -143,7 +145,7 @@ def test_riesz_matches_oracle(params):
     assert w.min() >= -1e-12 * scale
     from sdlab.assembly import essential_dofs
 
-    Ne, _ = apply_essential(sp.csr_matrix(N), None, essential_dofs(lay))
+    Ne, _ = apply_essential(sp.csr_matrix(N), None, essential_dofs(m, lay))
     we = np.linalg.eigvalsh(Ne.toarray())
     assert we.min() > 1e-8
 
@@ -484,6 +486,27 @@ def test_mesh_freed_without_cyclic_collector():
         gc.enable()
 
 
+def test_mesh_freed_after_a_full_solve():
+    # nor may anything that a solve keeps on the mesh or hands back: the
+    # layout, the factors, the deflation, the load and error geometry
+    gc.disable()
+    try:
+        m = tagged(BcConfig.NE)
+        exact = ExactSolution(mu=3.0, K=0.2)
+        system = assemble_system(m, exact.params(), exact.loads())
+        # every system on the mesh shares its one layout
+        assert system.layout is assembly._affine(m).layout
+        B = DeflatedPreconditioner(build_preconditioner(system),
+                                   build_deflation(system))
+        log = minres_solve(system.A, system.b, B, maxit=50)
+        compute_errors(system, log.x, exact)
+        ref = weakref.ref(m)
+        del m, system, B, log
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
 # the pieces of A and of N, as assembly._weights states the two sums
 A_PIECES = ("visc", "slip", "mass", "saddle")
 N_PIECES = ("visc", "slip", "mass", "divdiv", "p1", "p0", "lam_low",
@@ -519,7 +542,7 @@ def test_patterns_match_sort_and_search(domain, config, nref):
     system = assemble_system(m, params, exact.loads())
     aff = assembly._affine(m)
     lay, dofs = system.layout, system.essential
-    pieces = assembly._pieces(lay)
+    pieces = assembly._pieces(m, lay)
     w = assembly._weights(params)
     for name, pattern, names in (("A", aff.A, A_PIECES),
                                  ("N", aff.N, N_PIECES)):
@@ -549,20 +572,20 @@ def test_pattern_rejects_piece_out_of_block_order():
     # row's diagonal block breaks the joined row's order
     m = tagged(BcConfig.EN)
     lay = build_layout(m)
-    pieces = assembly._pieces(lay)
+    pieces = assembly._pieces(m, lay)
     saddle = pieces["saddle"].tolil()
     saddle[lay.offsets["u_D"], lay.offsets["u_S"]] = 1.0
     segments = {"visc": pieces["visc"], "mass": pieces["mass"],
                 "saddle": saddle.tocsr()}
     with pytest.raises(ValueError, match="not strictly increasing"):
         assembly._Pattern.of(segments, segments, {},
-                             assembly.essential_dofs(lay))
+                             assembly.essential_dofs(m, lay))
 
 
 def test_pattern_rejects_piece_off_its_host():
     m = tagged(BcConfig.EN)
     lay = build_layout(m)
-    pieces = assembly._pieces(lay)
+    pieces = assembly._pieces(m, lay)
     slip = pieces["slip"].tolil()
     slip[0, lay.offsets["u_D"] - 1] = 1.0
     with pytest.raises(ValueError, match="outside its host"):
@@ -572,8 +595,8 @@ def test_pattern_rejects_piece_off_its_host():
 def test_riesz_pattern_must_be_block_diagonal():
     m = tagged(BcConfig.EN)
     lay = build_layout(m)
-    pieces = assembly._pieces(lay)
+    pieces = assembly._pieces(m, lay)
     coupled_N = assembly._Pattern.of(pieces, ("visc", "mass", "saddle"), {},
-                                     assembly.essential_dofs(lay))
+                                     assembly.essential_dofs(m, lay))
     with pytest.raises(ValueError, match="not block diagonal"):
         assembly._block_diagonal(coupled_N, lay)

@@ -232,9 +232,12 @@ BAD_RUNS = [("solve", f) for f in BAD_FLAGS] + [
     # otherwise be dropped unchecked
     ("mms", ["--nref", "1", "--mu", "3,-1"]),
     ("mms", ["--nref", "1", "--K", "1,nan"]),
-    # mms reads only the largest --nref, so it checks the others itself
+    # mms reads only the largest --nref; the others are checked all the same
     ("mms", ["--nref", "2,-1"]),
     ("floating", ["--nref", "0,-1"]), ("floating", ["--mu", "1,-5"]),
+    # a bad value late in a sweep fails before the first run writes a file
+    ("solve", ["--mu", "1,-1"]), ("solve", ["--nref", "0,-1"]),
+    ("solve", ["--K", "1,1e-310"]), ("floating", ["--K", "1,-1"]),
 ]
 COMMAND_ARGV = {"solve": ["solve", "--case", "EN"],
                 "cond-sweep": ["cond-sweep", "--case", "EN"],
@@ -287,10 +290,8 @@ def test_indefinite_preconditioner_is_a_reason(tmp_path, monkeypatch):
         def __init__(self, system):
             self._B = real(system)
 
-        def apply(self, r):
-            return -self._B.apply(r)
-
-        __call__ = apply
+        def __call__(self, r):
+            return -self._B(r)
 
     monkeypatch.setattr(cli, "build_preconditioner", Negated)
     out = tmp_path / "indef"

@@ -223,6 +223,19 @@ def test_load_rejects_reversed_stored_chains(tmp_path, config):
         load_mesh(path)
 
 
+def test_load_rejects_tampered_spacing(tmp_path, stack4):
+    # h and the boundary tags follow from the spacing, so a file whose
+    # spacing disagrees with its domain and nref is rejected
+    tag_boundaries(stack4, BcConfig.NN)
+    path = tmp_path / "mesh.json"
+    save_mesh(stack4, path)
+    doc = json.loads(path.read_text())
+    doc["spacing"] *= 2
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigurationError, match="spacing"):
+        load_mesh(path)
+
+
 def test_refinement_nests_tags():
     # tagging commutes with refinement: same counts scale with 2^nref
     m = build_coupled_mesh(stacked_domain(2), 2)

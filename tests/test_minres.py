@@ -37,7 +37,7 @@ def small_system(mu=3.0, K=0.5):
 def test_matches_direct_solve():
     system = small_system()
     B = build_preconditioner(system)
-    log = minres_solve(system.A, system.b, B.apply, reduction=1e-12, maxit=500)
+    log = minres_solve(system.A, system.b, B, reduction=1e-12, maxit=500)
     assert log.reason == "converged"
     x_ref = spla.spsolve(system.A.tocsc(), system.b)
     assert np.abs(log.x - x_ref).max() <= 1e-8 * np.abs(x_ref).max()
@@ -46,7 +46,7 @@ def test_matches_direct_solve():
 def test_residual_log_monotone_and_relative_target():
     system = small_system(mu=1.0, K=1e-3)
     B = build_preconditioner(system)
-    log = minres_solve(system.A, system.b, B.apply, reduction=1e-10, maxit=500)
+    log = minres_solve(system.A, system.b, B, reduction=1e-10, maxit=500)
     r = log.residuals
     assert (np.diff(r) <= 1e-13 * r[0]).all()
     assert r[-1] <= 1e-10 * r[0]
@@ -73,7 +73,7 @@ def test_log_counts_products_and_applies(B):
     # one of an indefinite run's rejected step
     system = small_system()
     A = Counted(lambda v: system.A @ v)
-    B = Counted(build_preconditioner(system).apply if B is None else B)
+    B = Counted(build_preconditioner(system) if B is None else B)
     log = minres_solve(A, system.b, B, reduction=1e-12, maxit=500)
     assert (log.a_matvecs, log.b_applies) == (A.calls, B.calls)
     if log.reason == "converged":
@@ -260,7 +260,7 @@ def test_detect_plateaus_synthetic():
 def test_diagnostic_reorthogonalization():
     system = small_system(mu=1.0, K=1e-2)
     B = build_preconditioner(system)
-    log = minres_solve(system.A, system.b, B.apply, reduction=1e-10,
+    log = minres_solve(system.A, system.b, B, reduction=1e-10,
                        diagnostic=True, maxit=500)
     assert log.ortho_max is not None
     assert log.ortho_max <= 1e-8
@@ -315,7 +315,7 @@ def test_nonfinite_preconditioner_stops():
 
     def poisoned(r):
         applies.append(1)
-        z = B.apply(r)
+        z = B(r)
         return z * np.nan if len(applies) == 2 else z
 
     log = minres_solve(system.A, system.b, poisoned, maxit=500)
@@ -355,7 +355,7 @@ def test_diagnostics_match_reference(case, nref, mu, K, deflate, spectrum):
                        diagnostic=True, eigenvalues=eigenvalues)
     assert log.reason == "converged"
     x, residuals, alphas, betas, theta_min, Fk, ortho_max = (
-        oracles.reference_minres(system.A, system.b, P.apply, reduction=1e-12,
+        oracles.reference_minres(system.A, system.b, P, reduction=1e-12,
                                  maxit=3000, eigenvalues=eigenvalues))
     for got, want in ((log.x, x), (log.residuals, residuals),
                       (log.alphas, alphas), (log.betas, betas),
@@ -381,7 +381,7 @@ def test_plain_solve_matches_reference(case, nref, mu, K, deflate):
     log = minres_solve(system.A, system.b, P, reduction=1e-12, maxit=3000)
     assert log.reason == "converged"
     x, residuals, alphas, betas = oracles.reference_minres(
-        system.A, system.b, P.apply, reduction=1e-12, maxit=3000,
+        system.A, system.b, P, reduction=1e-12, maxit=3000,
         diagnostic=False)[:4]
     for got, want in ((log.x, x), (log.residuals, residuals),
                       (log.alphas, alphas), (log.betas, betas)):

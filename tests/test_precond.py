@@ -33,7 +33,7 @@ def test_apply_inverts_riesz(config, rng):
     B = build_preconditioner(system)
     x = rng.standard_normal(system.layout.total_dofs)
     r = system.N @ x
-    z = B.apply(r)
+    z = B(r)
     assert np.abs(z - x).max() <= 1e-10 * np.abs(x).max()
 
 
@@ -42,7 +42,7 @@ def test_apply_parameter_extremes(rng):
         system = make_system(mu=mu, K=K)
         B = build_preconditioner(system)
         x = rng.standard_normal(system.layout.total_dofs)
-        assert np.abs(B.apply(system.N @ x) - x).max() <= 1e-8 * np.abs(x).max()
+        assert np.abs(B(system.N @ x) - x).max() <= 1e-8 * np.abs(x).max()
 
 
 @pytest.mark.parametrize("config,mu,K", [
@@ -125,10 +125,10 @@ def test_preconditioner_is_spd_form(rng):
     for _ in range(5):
         r1 = rng.standard_normal(system.layout.total_dofs)
         r2 = rng.standard_normal(system.layout.total_dofs)
-        assert abs(r1 @ B.apply(r2) - r2 @ B.apply(r1)) < 1e-10 * (
+        assert abs(r1 @ B(r2) - r2 @ B(r1)) < 1e-10 * (
             np.abs(r1).max() * np.abs(r2).max()
         )
-        assert r1 @ B.apply(r1) > 0
+        assert r1 @ B(r1) > 0
 
 
 def test_deflation_vectors_ne_en():
@@ -201,14 +201,14 @@ def test_deflation_gamma_scaling():
 def test_build_deflation_matches_dense(rng):
     system = make_system(config=BcConfig.NE, mu=1.0, K=1e-4)
     defl = build_deflation(system)
-    assert defl.m == 1
+    assert defl.W.shape[1] == 1
     B = build_preconditioner(system)
     BW = DeflatedPreconditioner(B, defl)
     W, gamma = defl.W, defl.gamma
     E = W.T @ (system.N @ W) * gamma
     r = rng.standard_normal(system.layout.total_dofs)
-    expect = B.apply(r) + (W @ np.linalg.solve(E, W.T @ r))
-    got = BW.apply(r)
+    expect = B(r) + (W @ np.linalg.solve(E, W.T @ r))
+    got = BW(r)
     assert np.abs(got - expect).max() <= 1e-12 * np.abs(expect).max()
 
 
@@ -221,8 +221,8 @@ def test_deflated_form_symmetric_positive(rng):
         r1 = rng.standard_normal(n)
         r2 = rng.standard_normal(n)
         s = np.abs(r1).max() * np.abs(r2).max()
-        assert abs(r1 @ BW.apply(r2) - r2 @ BW.apply(r1)) < 1e-9 * s
-        assert r1 @ BW.apply(r1) > 0
+        assert abs(r1 @ BW(r2) - r2 @ BW(r1)) < 1e-9 * s
+        assert r1 @ BW(r1) > 0
 
 
 def test_build_deflation_none_for_uniform_configs():
@@ -242,7 +242,7 @@ def test_gamma_mult_scales_correction(rng):
 def test_deflation_correction_equals_cho_solve(rng):
     system = make_system(config=BcConfig.MULTI, domain=floating_domain(2, n0=1))
     defl = build_deflation(system)
-    assert defl.m == 2
+    assert defl.W.shape[1] == 2
     r = rng.standard_normal(system.layout.total_dofs)
     expect = defl.W @ sla.cho_solve(defl.E, defl.W.T @ r)
     assert np.array_equal(defl.correction(r), expect)

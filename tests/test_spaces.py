@@ -86,7 +86,7 @@ def test_layout_matches_loop_reference(domain, nref):
             assert got.dtype == want.dtype, name
             assert np.array_equal(got, want), name
         assert lay.sizes == ref.sizes and lay.offsets == ref.offsets
-        got, want = essential_dofs(lay), reference_essential_dofs(ref)
+        got, want = essential_dofs(m, lay), reference_essential_dofs(m, ref)
         assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
@@ -109,7 +109,7 @@ def test_darcy_cell_tables():
 
 def test_essential_dofs_nn():
     m, lay = make_layout(config=BcConfig.NN)
-    dofs = np.asarray(essential_dofs(lay))
+    dofs = np.asarray(essential_dofs(m, lay))
     u_s = dofs[dofs < lay.offsets["u_D"]]
     u_d = dofs[(dofs >= lay.offsets["u_D"]) & (dofs < lay.offsets["p_S"])]
     assert len(u_s) == 18 and len(u_d) == 4 and len(dofs) == 22
@@ -119,7 +119,7 @@ def test_essential_dofs_nn():
 def test_essential_dofs_ee():
     # every outer facet constrained: 12 facets each side
     m, lay = make_layout(config=BcConfig.EE)
-    dofs = np.asarray(essential_dofs(lay))
+    dofs = np.asarray(essential_dofs(m, lay))
     u_s = dofs[dofs < lay.offsets["u_D"]]
     u_d = dofs[(dofs >= lay.offsets["u_D"]) & (dofs < lay.offsets["p_S"])]
     # 12 boundary facets touch 13 vertices (incl. the two interface corner
@@ -131,10 +131,10 @@ def test_essential_dofs_ee():
 def test_essential_values_nodal():
     # P2 boundary interpolation is exact for quadratic data
     m, lay = make_layout(config=BcConfig.NN)
-    dofs = np.asarray(essential_dofs(lay))
+    dofs = np.asarray(essential_dofs(m, lay))
     f = lambda p: np.stack([p[:, 0] ** 2, p[:, 0] * p[:, 1]], axis=-1)
     vals = essential_values(m, u_S=f, u_D=lambda p: 0 * p)
-    pts = lay.scalar_dof_points()
+    pts = lay.scalar_dof_points(m)
     for d, v in zip(dofs, vals):
         if d >= lay.offsets["u_D"]:
             continue
@@ -145,7 +145,7 @@ def test_essential_values_nodal():
 def test_essential_values_facet_mean_flux():
     # RT dof = mean normal flux; for linear fields the midpoint value is exact
     m, lay = make_layout(config=BcConfig.NN)
-    dofs = np.asarray(essential_dofs(lay))
+    dofs = np.asarray(essential_dofs(m, lay))
     g = lambda p: np.stack([p[:, 1], 2.0 * p[:, 0]], axis=-1)
     vals = essential_values(m, u_S=lambda p: 0 * p, u_D=g)
     for d, v in zip(dofs, vals):
@@ -163,7 +163,7 @@ def test_flux_dofs_follow_the_flux_facets():
     # must be the essential dofs from the first u_D one on
     for m in layout_meshes("stacked", 1) + layout_meshes("side", 0):
         lay = build_layout(m)
-        dofs = essential_dofs(lay)
+        dofs = essential_dofs(m, lay)
         flux = lay.flux_dof(_load_facets(m, "flux").facets)
         assert np.array_equal(flux, dofs[dofs >= lay.offsets["u_D"]])
 
@@ -174,8 +174,8 @@ def test_essential_values_match_loop_reference(domain, nref):
     # worst difference measured: 2.8e-16 of the largest |value| (EN, nref 1)
     exact = ExactSolution(mu=3.0, K=0.2)
     for m in layout_meshes(domain, nref):
-        dofs, want = reference_essential_values(reference_layout(m),
+        dofs, want = reference_essential_values(m, reference_layout(m),
                                                 exact.u_S, exact.u_D)
         got = essential_values(m, exact.u_S, exact.u_D)
-        assert np.array_equal(dofs, essential_dofs(build_layout(m)))
+        assert np.array_equal(dofs, essential_dofs(m, build_layout(m)))
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
