@@ -19,7 +19,7 @@ from .assembly import (BlockSystem, LoadData, PhysParams, apply_essential,
 from .frac_interface import facet_laplacian, interface_operator
 from .precond import (BlockPreconditioner, DeflatedPreconditioner, Deflation,
                       build_deflation, build_preconditioner, deflation_gamma,
-                      deflation_vectors)
+                      deflation_vectors, deflation_weight)
 from .minres import (SolveLog, check_convergence_bound, detect_plateaus,
                      harmonic_ritz, minres_solve)
 from .spectrum import (DENSE_BUDGET, BudgetError, Spectrum,

@@ -17,21 +17,23 @@ mass, and the interface multiplier block, the (1/mu)- and K-scaled
 fractional powers of frac_interface.
 
 Both are affine in a few scalar weights of the parameters (`_weights`).
-The parameter-free pieces, the dof layout, the essential dofs, the
-patterns with their elimination maps and the points, weights and trace
+The parameter-free pieces, the dof layout, the essential dofs, the full
+and the eliminated patterns with the slot of each piece entry in each,
+A's entries in the essential columns, and the points, weights and trace
 tables where the loads and the essential data (`essential_values`) are
 sampled are built once per tagged mesh and kept on it (see
-`mesh._per_mesh`); a new (mu, K) only forms the weighted sums, gathers
-them into the eliminated patterns and evaluates the loads.
-tag_boundaries clears them.  The layout holds no mesh: `_affine(mesh).layout`
-is the mesh's one layout, which every `BlockSystem` on the mesh shares.
+`mesh._per_mesh`).  A new (mu, K) only writes the weighted pieces
+straight into the eliminated patterns (`_Pattern.matrix`), evaluates the
+loads and lifts them by those few entries of A.  tag_boundaries clears
+them.  The layout holds no mesh: `_affine(mesh).layout` is the mesh's
+one layout, which every `BlockSystem` on the mesh shares.
 
 Eliminated (essential) dofs keep unit diagonal rows in both matrices.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -341,11 +343,12 @@ def _pieces(mesh, layout):
             "p1": p1.matrix(), "p0": p0.matrix(), **lam}
 
 
-def _csr(data, indices, indptr):
+def _csr(data, indices, indptr, shape=None):
     """The CSR matrix with these arrays, on a canonical pattern whose index
-    arrays are read-only and shared, not copied."""
+    arrays are read-only and shared, not copied; square unless `shape`."""
     n = len(indptr) - 1
-    M = sp.csr_matrix((data, indices, indptr), shape=(n, n), copy=False)
+    M = sp.csr_matrix((data, indices, indptr), shape=shape or (n, n),
+                      copy=False)
     M.has_canonical_format = True
     return M
 
@@ -354,15 +357,15 @@ def _csr(data, indices, indptr):
 class _Elimination:
     """The pattern side of `apply_essential` on one canonical CSR pattern:
     the entries off the essential rows and columns are kept, in order, and
-    each essential row keeps only its unit diagonal.  `keep` marks the
-    kept entries among the pattern's, `kept` their places among the
-    eliminated pattern's; the others are the units.  Boolean masks, at a
-    byte per entry, as the maps stay on the mesh."""
+    each essential row keeps only its unit diagonal.  `slot` places each
+    entry of the pattern in the eliminated pattern, or in the spare slot
+    len(indices) past its end where it is dropped; `units` are the places
+    of the unit diagonals."""
 
     indptr: np.ndarray      # of the eliminated pattern
     indices: np.ndarray
-    keep: np.ndarray
-    kept: np.ndarray
+    units: np.ndarray
+    slot: np.ndarray
 
     @classmethod
     def of(cls, indptr, indices, dofs):
@@ -380,18 +383,24 @@ class _Elimination:
         units_before = np.zeros(len(drop) + 1, dtype=idx)
         np.cumsum(drop, dtype=idx, out=units_before[1:])
         out_ptr = kept_before[indptr] + units_before
-        kept = np.ones(out_ptr[-1], dtype=bool)
-        kept[out_ptr[dofs]] = False  # an essential row holds just its unit
-        out_idx = np.empty(out_ptr[-1], dtype=indices.dtype)
+        n = out_ptr[-1]
+        # a kept entry follows the kept entries and the units before it
+        slot = kept_before[:-1] + np.repeat(units_before[:-1], np.diff(indptr))
+        slot[~keep] = n
+        units = out_ptr[dofs]           # an essential row holds just its unit
+        kept = np.ones(n, dtype=bool)
+        kept[units] = False
+        out_idx = np.empty(n, dtype=indices.dtype)
         out_idx[kept] = indices[keep]
-        out_idx[~kept] = dofs
-        return cls(*el.read_only(out_ptr, out_idx, keep, kept))
+        out_idx[units] = dofs
+        return cls(*el.read_only(out_ptr, out_idx, units, slot))
 
     def apply(self, M):
         """M eliminated; M must have the pattern this was made for."""
-        data = np.ones(len(self.indices))
-        data[self.kept] = M.data[self.keep]
-        return _csr(data, self.indices, self.indptr)
+        data = np.empty(len(self.indices) + 1)
+        data[self.units] = 1.0
+        data[self.slot] = M.data
+        return _csr(data[:-1], self.indices, self.indptr)
 
 
 def _joined(segments):
@@ -462,39 +471,110 @@ def _full_block(layout, name, dense):
 # 0.48 -> 0.65 s.  Any rework must keep this pattern.
 @dataclass
 class _Pattern:
-    """The fixed CSR pattern of a weighted sum of pieces: `pos[name]`
-    places the entries of piece `name` (in its own CSR order) in it, and
-    `values[name]` holds them.  Every matrix on it shares its read-only
-    index arrays."""
+    """A fixed CSR pattern of a weighted sum of pieces: `pos[name]` places
+    the entries of piece `name` (in its own CSR order) in it, and
+    `values[name]` holds them.  The pieces named `rows` come first in
+    `pos` and write each slot but the `units`, which hold 1.0, exactly
+    once; the others lie within them.  A piece entry that the pattern drops
+    goes to the spare slot len(indices) past its end.  Every matrix on it
+    shares its read-only index arrays.
+
+    `_Pattern.of` builds the full pattern of A or N and, as its
+    `eliminated` twin, the same sum on the eliminated pattern, which shares
+    the values and places them straight there."""
 
     indptr: np.ndarray
     indices: np.ndarray
     pos: dict
     values: dict
-    elimination: _Elimination
+    rows: tuple
+    units: np.ndarray
+    shape: tuple = None
+    eliminated: _Pattern = None
 
     @classmethod
     def of(cls, pieces, rows, within, dofs):
         """The pattern whose rows join the rows of the pieces named `rows`
         (see `_joined`); `within[name] = (host, places)` places the entries
         of a further piece among those of the row piece `host`.  It holds
-        the values of the pieces it places."""
+        the values of the pieces it places.  Its `eliminated` twin has the
+        essential `dofs` eliminated (`_Elimination`); ValueError unless the
+        row pieces write each of its slots but the units once."""
         indptr, indices, pos = _joined({k: pieces[k] for k in rows})
         for name, (host, places) in within.items():
             pos[name] = pos[host][places]
-        return cls(*el.read_only(indptr, indices), pos=pos,
-                   values={k: pieces[k].data for k in pos},
-                   elimination=_Elimination.of(indptr, indices, dofs))
+        full = cls(*el.read_only(indptr, indices), pos=pos,
+                   values={k: pieces[k].data for k in pos}, rows=tuple(rows),
+                   units=np.empty(0, dtype=indptr.dtype))
+        e = _Elimination.of(indptr, indices, dofs)
+        full.eliminated = replace(
+            full, indptr=e.indptr, indices=e.indices, units=e.units,
+            pos={k: e.slot[p] for k, p in pos.items()})
+        _written_once(full.eliminated)
+        return full
+
+    def lift(self, dofs):
+        """The entries of this pattern in the columns of the sorted, unique
+        essential `dofs`, off their rows, as a pattern of shape (n,
+        len(dofs)) whose column c stands for dofs[c]: the same sum, on
+        copies of the few values it places.  They are among the entries
+        that the `eliminated` twin drops, so only those are searched."""
+        n, idx = len(self.indptr) - 1, self.indptr.dtype
+        drop = np.zeros(n, dtype=bool)
+        drop[dofs] = True
+        spare = len(self.eliminated.indices)
+        found = {}
+        for name, p in self.pos.items():
+            at = np.flatnonzero(self.eliminated.pos[name] == spare)
+            slot = p[at]
+            row = np.searchsorted(self.indptr, slot, side="right") - 1
+            on = drop[self.indices[slot]] & ~drop[row]
+            found[name] = at[on], slot[on]
+        slots = np.unique(np.concatenate([s for _, s in found.values()]))
+        rows = np.searchsorted(self.indptr, slots, side="right") - 1
+        indptr = np.zeros(n + 1, dtype=idx)
+        np.cumsum(np.bincount(rows, minlength=n), dtype=idx, out=indptr[1:])
+        indices = np.searchsorted(dofs, self.indices[slots]).astype(idx)
+        return _Pattern(
+            *el.read_only(indptr, indices),
+            pos={k: np.searchsorted(slots, s).astype(idx)
+                 for k, (_, s) in found.items()},
+            values={k: self.values[k][at] for k, (at, _) in found.items()},
+            rows=self.rows, units=np.empty(0, dtype=idx), shape=(n, len(dofs)))
 
     def matrix(self, weights):
         """The sum of each piece placed here that has a weight, times that
-        weight, in `pos` order: segments before the pieces within them, so
-        each entry sums its host's value first."""
-        data = np.zeros(len(self.indices))
+        weight, with 1.0 in the units: each row piece written to its slots
+        (0.0 without a weight), then each other piece added onto its host's
+        value.  So each entry sums its host's value first, as 0.0 + w*v:
+        `+ 0.0` turns a -0.0 product into the +0.0 of that sum."""
+        data = np.empty(len(self.indices) + 1)
+        data[self.units] = 1.0
         for name, p in self.pos.items():
-            if name in weights:
-                data[p] += weights[name] * self.values[name]
-        return _csr(data, self.indices, self.indptr)
+            w = weights.get(name)
+            if name in self.rows:
+                data[p] = 0.0 if w is None else w * self.values[name] + 0.0
+            elif w is not None:
+                data[p] += w * self.values[name]
+        return _csr(data[:-1], self.indices, self.indptr, self.shape)
+
+
+def _written_once(pattern):
+    """Raise ValueError unless the row pieces of `pattern` write each of its
+    slots but the units exactly once, which `_Pattern.matrix` relies on:
+    as many writes, spare slot aside, as such slots, and none missed."""
+    n = len(pattern.indices)
+    seen = np.zeros(n + 1, dtype=bool)
+    seen[pattern.units] = True
+    writes = len(pattern.units)
+    for name in pattern.rows:
+        p = pattern.pos[name]
+        seen[p] = True
+        writes += np.count_nonzero(p != n)
+    if writes != n or not seen[:n].all():
+        raise ValueError(
+            f"the pieces {', '.join(pattern.rows)} do not write each slot of "
+            f"the eliminated pattern once")
 
 
 def _block_diagonal(pattern, layout):
@@ -513,12 +593,14 @@ def _block_diagonal(pattern, layout):
 @dataclass
 class _Affine:
     """Everything about A and N that does not depend on the parameters,
-    for one tagged mesh: their patterns, holding the pieces' values."""
+    for one tagged mesh: their patterns, full and eliminated, holding the
+    pieces' values, and A's entries in the essential columns (`lift`)."""
 
     layout: object
     essential: np.ndarray
     A: _Pattern
     N: _Pattern
+    lift: _Pattern
 
 
 def _affine(mesh):
@@ -531,8 +613,8 @@ def _affine(mesh):
     slip lies on visc's pattern, divdiv on mass's and lam_high on
     lam_low's.  So the patterns are the pieces' rows joined, with no sort
     and no search.  Each fact is checked in time linear in the entries
-    (`_joined`, `_places`, `_block_diagonal`), and a mesh that breaks one
-    raises ValueError."""
+    (`_joined`, `_places`, `_written_once`, `_block_diagonal`), and a mesh
+    that breaks one raises ValueError."""
     def build(mesh):
         lay = build_layout(mesh)
         pieces = _pieces(mesh, lay)
@@ -542,7 +624,8 @@ def _affine(mesh):
         A = _Pattern.of(pieces, _A_ROWS, {"slip": within["slip"]}, dofs)
         N = _Pattern.of(pieces, _N_ROWS, within, dofs)
         _block_diagonal(N, lay)
-        return _Affine(layout=lay, essential=dofs, A=A, N=N)
+        return _Affine(layout=lay, essential=dofs, A=A, N=N,
+                       lift=A.lift(dofs))
     return _per_mesh(mesh, "affine operator", build)
 
 
@@ -739,15 +822,20 @@ def apply_essential(A, b, dofs, values=None):
         values = np.zeros(len(dofs))
     A = A.tocoo().tocsr()                  # canonical: sorted, no duplicates
     if b is not None:
-        b = _lift(A, b, dofs, values)
+        x = np.zeros(A.shape[0])
+        x[dofs] = values                   # a repeated dof keeps its last value
+        at = np.unique(dofs)
+        b = _lift(A[:, at], b, at, x[at])
     return _Elimination.of(A.indptr, A.indices, dofs).apply(A), b
 
 
-def _lift(A, b, dofs, values):
-    """b - A[:, dofs] @ values, pinned to `values` at `dofs`."""
-    x = np.zeros(A.shape[0])
-    x[dofs] = values
-    b = b - A @ x
+def _lift(L, b, dofs, values):
+    """b - L @ values, pinned to `values` at `dofs`, where L holds a
+    matrix's entries in the columns of `dofs`: b - A @ x for x = `values`
+    at `dofs` and 0 elsewhere.  Each row of the product sums its terms in
+    column order from +0.0, and the terms A_ij * 0.0 that L leaves out
+    cannot change such a sum."""
+    b = b - L @ values
     b[dofs] = values
     return b
 
@@ -769,19 +857,20 @@ class BlockSystem:
 
 
 def assemble_system(mesh, params, loads=None):
-    """Facade: operator, Riesz map, rhs and essential elimination; all but
-    the weights and the rhs come from the mesh's per-mesh pieces."""
+    """Facade: operator, Riesz map, rhs and essential elimination.  A and N
+    are written straight into their eliminated patterns and the rhs lifted
+    by A's entries in the essential columns, all from the mesh's per-mesh
+    pieces; only the weights and the loads are new."""
     aff = _affine(mesh)
-    A = assemble_operator(mesh, params)
-    N = assemble_riesz(mesh, params)
-    b = assemble_rhs(mesh, loads)
+    w = _weights(params)
     vals = essential_values(
         mesh, None if loads is None else loads.u_S_essential,
         None if loads is None else loads.u_D_essential)
-    b = _lift(A, b, aff.essential, vals)
+    b = _lift(aff.lift.matrix(w), assemble_rhs(mesh, loads), aff.essential,
+              vals)
     return BlockSystem(mesh=mesh, layout=aff.layout, params=params,
-                       A=aff.A.elimination.apply(A),
-                       N=aff.N.elimination.apply(N), b=b,
+                       A=aff.A.eliminated.matrix(w),
+                       N=aff.N.eliminated.matrix(w), b=b,
                        essential=aff.essential, essential_vals=vals)
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import subprocess
 import sys
 import time
@@ -33,7 +34,8 @@ from .mesh import (LAYOUTS, BcConfig, ConfigurationError, DomainSpec,
 from .assembly import LoadData, PhysParams, assemble_system
 from .mms import ExactSolution, run_convergence
 from .minres import minres_solve, true_residual
-from .precond import DeflatedPreconditioner, build_deflation, build_preconditioner
+from .precond import (DeflatedPreconditioner, build_deflation,
+                      build_preconditioner, deflation_weight)
 from .spectrum import BudgetError, generalized_eigs
 
 SCHEMA = "sdlab-1"
@@ -58,11 +60,23 @@ def version_string():
     return __version__
 
 
+def environment():
+    """The BLAS that numpy was built with and the threads it may use: the
+    MINRES logs depend on the BLAS thread count.  A thread variable that
+    is not set reads None."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"blas": {"name": blas.get("name"), "version": blas.get("version")},
+            **{var: os.environ.get(var)
+               for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")},
+            "cpu_affinity": len(os.sched_getaffinity(0))}
+
+
 def write_sidecar(csv_path, command, config, timings, results):
     doc = {
         "schema": SCHEMA,
         "command": command,
         "version": version_string(),
+        "environment": environment(),
         "config": config,
         "timings_sec": timings,
         "results": results,
@@ -410,9 +424,17 @@ def main(argv=None):
         if min(args.nref) < 0:
             raise ConfigurationError(
                 f"nref must be non-negative, got {min(args.nref)}")
+        # and the deflation weight at each point of a layout with a
+        # near-kernel; E's definiteness needs the system, so it waits
+        config = (BcConfig.MULTI if args.command == "floating"
+                  else BcConfig(args.case) if getattr(args, "deflate", False)
+                  else None)
+        deflates = config is not None and LAYOUTS[config].near_kernel
         for mu in args.mu:
             for K in args.K:
-                PhysParams(mu, K, args.alpha)
+                params = PhysParams(mu, K, args.alpha)
+                if deflates:
+                    deflation_weight(params, config, gamma_mult)
         if args.command == "mms" and max(args.nref) < 1:
             raise ConfigurationError("mms needs --nref >= 1: a rate needs two levels")
         return args.func(args)

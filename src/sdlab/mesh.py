@@ -392,8 +392,9 @@ def _per_mesh(mesh, key, build):
 
     For what every (mu, K) on the mesh shares: the interface order, the
     parameter-free operator pieces and patterns, the load geometry, the
-    unit-weight Riesz factors.  tag_boundaries clears it, since tags
-    decide the essential dofs and the interface endpoints."""
+    unit-weight Riesz factors, the deflation vectors.  tag_boundaries
+    clears it, since tags decide the essential dofs and the interface
+    endpoints."""
     if key not in mesh._derived:
         mesh._derived[key] = build(mesh)
     return mesh._derived[key]

@@ -34,6 +34,7 @@ from scipy.linalg import lapack
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from . import elements as el
 from .assembly import SCALED_BLOCKS, _affine, _weights
 from .mesh import LAYOUTS, BcConfig, ConfigurationError, _per_mesh
 from .spaces import FIELDS
@@ -64,8 +65,8 @@ def _unit_factors(mesh):
     def build(mesh):
         aff = _affine(mesh)
         lay = aff.layout
-        N = aff.N.elimination.apply(aff.N.matrix(
-            {k: 1.0 for pieces in SCALED_BLOCKS.values() for k in pieces}))
+        N = aff.N.eliminated.matrix(
+            {k: 1.0 for pieces in SCALED_BLOCKS.values() for k in pieces})
         out = {}
         for name in SCALED_BLOCKS:
             s = lay.field_slice(name)
@@ -158,22 +159,26 @@ def deflation_vectors(mesh):
     near-kernel pressure block (`mesh.LAYOUTS`), restricted to the
     component's cells where that is p_D.  NE and EN have one component,
     each MultiInclusion inclusion its own.  Layouts without a near-kernel
-    return None.
+    return None.  One read-only array per tagged mesh, as W does not
+    depend on the parameters.
     """
     block = LAYOUTS[mesh.config].near_kernel
     if block is None:
         return None
-    layout = _affine(mesh).layout
-    lam_comp = mesh.facet_component[layout.interface_facets]
-    comps = np.unique(lam_comp)
-    w = np.zeros((layout.total_dofs, len(comps)))
-    w[layout.field_slice("lam")] = lam_comp[:, None] == comps
-    if block == "p_D":
-        w[layout.field_slice(block)] = (
-            mesh.cell_component[layout.darcy_cells, None] == comps)
-    else:
-        w[layout.field_slice(block)] = 1.0
-    return w
+
+    def build(mesh):
+        layout = _affine(mesh).layout
+        lam_comp = mesh.facet_component[layout.interface_facets]
+        comps = np.unique(lam_comp)
+        w = np.zeros((layout.total_dofs, len(comps)))
+        w[layout.field_slice("lam")] = lam_comp[:, None] == comps
+        if block == "p_D":
+            w[layout.field_slice(block)] = (
+                mesh.cell_component[layout.darcy_cells, None] == comps)
+        else:
+            w[layout.field_slice(block)] = 1.0
+        return el.read_only(w)[0]
+    return _per_mesh(mesh, "deflation vectors", build)
 
 
 def deflation_gamma(params, config):
@@ -188,22 +193,33 @@ def deflation_gamma(params, config):
     return muK
 
 
+def deflation_weight(params, config, gamma_mult=1.0):
+    """gamma = gamma_mult * deflation_gamma(params, config); a
+    ConfigurationError unless it is positive and finite."""
+    gamma = gamma_mult * deflation_gamma(params, config)
+    if not 0 < gamma < np.inf:
+        raise _weight_error(gamma, gamma_mult)
+    return gamma
+
+
+def _weight_error(gamma, gamma_mult):
+    return ConfigurationError(
+        f"deflation weight gamma = {gamma:g} (gamma_mult = {gamma_mult:g}) "
+        f"must leave E = gamma W'NW finite and positive definite")
+
+
 def build_deflation(system, gamma_mult=1.0):
     """Deflation data for a BlockSystem, or None if the layout needs none;
     a ConfigurationError where gamma or E is not positive and finite."""
     W = deflation_vectors(system.mesh)
     if W is None:
         return None
-    gamma = gamma_mult * deflation_gamma(system.params, system.config)
-    if 0 < gamma < np.inf:
-        try:
-            E = sla.cho_factor(W.T @ (system.N @ W) * gamma)
-            return Deflation(W=W, gamma=gamma, E=E)
-        except ValueError:      # not positive definite, or not finite
-            pass
-    raise ConfigurationError(
-        f"deflation weight gamma = {gamma:g} (gamma_mult = {gamma_mult:g}) "
-        f"must leave E = gamma W'NW finite and positive definite")
+    gamma = deflation_weight(system.params, system.config, gamma_mult)
+    try:
+        E = sla.cho_factor(W.T @ (system.N @ W) * gamma)
+    except ValueError:      # not positive definite, or not finite
+        raise _weight_error(gamma, gamma_mult) from None
+    return Deflation(W=W, gamma=gamma, E=E)
 
 
 class DeflatedPreconditioner:

@@ -870,7 +870,10 @@ class ReferencePattern:
     The essential elimination of the pattern keeps the entries off the rows
     and columns of `dofs`, in order, and a unit diagonal on each of those
     rows: `keep` marks the kept entries among the pattern's, `kept` their
-    places in the eliminated pattern."""
+    places in the eliminated pattern.  `elim_pos[name]` is the place of each
+    entry of piece `name` in the eliminated pattern, found by binary search
+    among its keys, or len(elim_indices) where the entry is dropped;
+    `elim_units` are the places of the unit diagonals."""
 
     def __init__(self, pieces, dofs):
         n = next(iter(pieces.values())).shape[0]
@@ -898,6 +901,18 @@ class ReferencePattern:
                                      dtype=self.indices.dtype)
         self.elim_indices[self.kept] = self.indices[self.keep]
         self.elim_indices[~self.kept] = dofs
+
+        elim_keys = _entry_keys(sp.csr_matrix(
+            (np.zeros(len(self.elim_indices)), self.elim_indices,
+             self.elim_indptr), shape=(n, n)))
+        self.elim_units = np.searchsorted(elim_keys, dofs * (n + 1)).astype(
+            pattern.indptr.dtype)
+        self.elim_pos = {}
+        for name, k in keys.items():
+            dropped = drop[k // n] | drop[k % n]
+            self.elim_pos[name] = np.where(
+                dropped, len(elim_keys),
+                np.searchsorted(elim_keys, k)).astype(pattern.indptr.dtype)
 
     def matrix(self, values):
         """The sum of the `values` of each named piece, on the pattern."""

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from sdlab import assembly, frac_interface
+from sdlab import assembly, frac_interface, precond
 from sdlab.assembly import (
     LoadData,
     PhysParams,
@@ -522,8 +522,10 @@ PATTERN_CASES = (
 
 
 def assert_bitwise(got, want):
+    # bytes, not values: np.array_equal takes -0.0 for +0.0
     assert got.dtype == want.dtype
-    assert np.array_equal(got, want)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 def assert_same_csr(got, want):
@@ -552,11 +554,14 @@ def test_patterns_match_sort_and_search(domain, config, nref):
         assert pattern.pos.keys() == ref.pos.keys()
         for k in ref.pos:
             assert_bitwise(pattern.pos[k], ref.pos[k])
-        e = pattern.elimination
+        e = pattern.eliminated
         for got, want in ((e.indptr, ref.elim_indptr),
                           (e.indices, ref.elim_indices),
-                          (e.keep, ref.keep), (e.kept, ref.kept)):
+                          (e.units, ref.elim_units)):
             assert_bitwise(got, want)
+        assert e.pos.keys() == ref.elim_pos.keys()
+        for k in ref.elim_pos:
+            assert_bitwise(e.pos[k], ref.elim_pos[k])
         full = ref.matrix({k: w[k] * pieces[k].data for k in names})
         assert_same_csr(getattr(system, name), ref.eliminated(full))
         if name == "A":
@@ -565,6 +570,70 @@ def test_patterns_match_sort_and_search(domain, config, nref):
             b = assemble_rhs(m, exact.loads()) - full @ x
             b[dofs] = system.essential_vals
             assert_bitwise(system.b, b)
+
+
+# every layout at nref 0-1, at mu*K at both ends of the swept range and
+# in the middle
+ONE_PASS_CASES = [
+    pytest.param(c, nref, mu, K, id=f"{c.value}-{nref}-mu{mu:g}-K{K:g}")
+    for c in LAYOUTS for nref in (0, 1)
+    for mu, K in ((3.0, 0.2), (1e-8, 1e8), (1e4, 1e-2))]
+
+
+@pytest.mark.parametrize("config,nref,mu,K", ONE_PASS_CASES)
+def test_one_pass_system_matches_eliminated_full_operator(config, nref, mu,
+                                                          K):
+    # A and N written straight into their eliminated patterns, and b lifted
+    # by A's entries in the essential columns, are byte for byte the full
+    # operator and Riesz map eliminated by apply_essential, explicit zeros
+    # and the signs of zeros included
+    domain = (floating_domain(2, 2) if config is BcConfig.MULTI
+              else stacked_domain(4))
+    m = tag_boundaries(build_coupled_mesh(domain, nref), config)
+    exact = ExactSolution(mu=mu, K=K, alpha_bjs=0.5)
+    params, loads = exact.params(), exact.loads()
+    system = assemble_system(m, params, loads)
+    dofs, vals = system.essential, system.essential_vals
+    A, b = apply_essential(assemble_operator(m, params),
+                           assemble_rhs(m, loads), dofs, vals)
+    N, _ = apply_essential(assemble_riesz(m, params), None, dofs)
+    assert_same_csr(system.A, A)
+    assert_same_csr(system.N, N)
+    assert_bitwise(system.b, b)
+
+
+@pytest.mark.parametrize("config", CACHE_CONFIGS, ids=lambda c: c.value)
+def test_unit_factors_match_unit_weight_reference(config, monkeypatch):
+    # the blocks factored once per mesh are those of the unit-weight sum of
+    # their pieces on the full pattern, eliminated by apply_essential
+    factored = []
+    real = precond.symmetric_lu
+    monkeypatch.setattr(precond, "symmetric_lu",
+                        lambda M: factored.append(M) or real(M))
+    m = tagged(config)
+    unit = precond._unit_factors(m)
+    aff = assembly._affine(m)
+    names = [k for pieces in assembly.SCALED_BLOCKS.values() for k in pieces]
+    N, _ = apply_essential(aff.N.matrix({k: 1.0 for k in names}), None,
+                           aff.essential)
+    assert len(factored) == len(unit)
+    for M, name in zip(factored, unit):
+        want = precond._riesz_block(N, aff.layout, name)
+        for a in ("indptr", "indices", "data"):
+            assert_bitwise(getattr(M, a), getattr(want, a))
+
+
+def test_pattern_rejects_rows_not_written_once():
+    # the one-pass matrix relies on the row pieces writing each slot of
+    # the eliminated pattern but the units once
+    m = tagged(BcConfig.EN)
+    e = assembly._affine(m).A.eliminated
+    twice = e.pos["visc"].copy()
+    first, second = np.flatnonzero(twice < len(e.indices))[:2]
+    twice[second] = twice[first]
+    with pytest.raises(ValueError, match="write each slot"):
+        assembly._written_once(dataclasses.replace(
+            e, pos={**e.pos, "visc": twice}))
 
 
 def test_pattern_rejects_piece_out_of_block_order():

@@ -151,6 +151,23 @@ def test_solve_sidecar_counts_and_true_residual(tmp_path):
     assert abs(res["true_residual_B"] - res["residual_B"]) <= 1e-12 * r0
 
 
+def test_solve_sidecar_records_environment(tmp_path, monkeypatch):
+    # the BLAS and the threads it may use, as the logs depend on them
+    monkeypatch.setenv("OMP_NUM_THREADS", "1")
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    out = tmp_path / "env"
+    ret = main(["solve", "--case", "EN", "--nref", "0", "--n0", "2",
+                "--out", str(out)])
+    assert ret == 0
+    env = read_sidecar(out / "solve_EN_mu3_K1_nref0.csv")["environment"]
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert env["blas"] == {"name": blas["name"], "version": blas["version"]}
+    assert env["blas"]["name"]
+    assert env["OMP_NUM_THREADS"] == "1"
+    assert env["OPENBLAS_NUM_THREADS"] is None
+    assert env["cpu_affinity"] >= 1
+
+
 def test_deflated_diagnostic_measures_its_own_spectrum(tmp_path):
     # F_k of a deflated run is measured against the spectrum of B_W A;
     # against the plain pencil (A, N), which keeps the outlier that
@@ -225,6 +242,10 @@ BAD_RUNS = [("solve", f) for f in BAD_FLAGS] + [
     ("solve", ["--case", "ENstar", "--deflate"]),
     # floating builds the deflation before its plain run writes a file
     ("floating", ["--gamma-mult", "1e300", "--K", "1e-300"]),
+    # a deflation weight that overflows only at a later sweep point
+    ("solve", ["--case", "NE", "--deflate", "--gamma-mult", "1e300",
+               "--mu", "1,1e-300"]),
+    ("floating", ["--gamma-mult", "1e300", "--K", "1,1e-300"]),
     # mu or K whose weights in A and N overflow
     ("solve", ["--K", "1e-310"]),
     ("cond-sweep", ["--case", "NN", "--mu", "1e-310", "--K", "1"]),
