@@ -17,12 +17,14 @@ mass, and the interface multiplier block, the (1/mu)- and K-scaled
 fractional powers of frac_interface.
 
 Both are affine in a few scalar weights of the parameters (`_weights`).
-The parameter-free pieces, the dof layout, the essential dofs, the full
-and the eliminated patterns with the slot of each piece entry in each,
-A's entries in the essential columns, and the points, weights and trace
+The parameter-free pieces, the dof layout, the essential dofs, the
+eliminated patterns with the slot of each piece entry in them, A's
+entries in the essential columns, and the points, weights and trace
 tables where the loads and the essential data (`essential_values`) are
 sampled are built once per tagged mesh and kept on it (see
-`mesh._per_mesh`).  A new (mu, K) only writes the weighted pieces
+`mesh._per_mesh`).  The full patterns live only while the eliminated ones
+are built; `assemble_operator` and `assemble_riesz` rebuild them apart
+(`_full_patterns`).  A new (mu, K) only writes the weighted pieces
 straight into the eliminated patterns (`_Pattern.matrix`), evaluates the
 loads and lifts them by those few entries of A.  tag_boundaries clears
 them.  The layout holds no mesh: `_affine(mesh).layout` is the mesh's
@@ -33,7 +35,7 @@ Eliminated (essential) dofs keep unit diagonal rows in both matrices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -98,10 +100,11 @@ def _weights(params):
 
 
 # the pieces whose rows, joined in this order, are the rows of A and of N
-# (see _affine), and the piece whose pattern holds each of the others
-_A_ROWS = ("visc", "mass", "saddle")
-_N_ROWS = ("visc", "mass", "p1", "p0", "lam_low")
-_WITHIN = {"slip": "visc", "divdiv": "mass", "lam_high": "lam_low"}
+# (see _affine), and the others, each within the pattern of its host
+_SUMS = {"A": (("visc", "mass", "saddle"), ("slip",)),
+         "N": (("visc", "mass", "p1", "p0", "lam_low"),
+               ("slip", "divdiv", "lam_high"))}
+_HOST = {"slip": "visc", "divdiv": "mass", "lam_high": "lam_low"}
 # the blocks of N whose pieces share one weight: u_D is (1/K)(mass + divdiv)
 # and p_S is p1/(2 mu), apart from the unit rows of eliminated dofs
 SCALED_BLOCKS = {"u_D": ("mass", "divdiv"), "p_S": ("p1",)}
@@ -141,7 +144,10 @@ def _index_dtype(count):
 
 class _Acc:
     """Sparse COO accumulator.  `matrix` copies each added block once into
-    index arrays of the CSR index dtype; scipy sums the duplicates."""
+    index arrays of the CSR index dtype; scipy sums the duplicates in
+    place, leaving views of arrays as long as the COO, so the CSR arrays
+    are copied to their length (visc's values: 6.1, not 9.4 MB at EN
+    nref 4)."""
 
     def __init__(self, n):
         self.n = n
@@ -160,7 +166,10 @@ class _Acc:
             start, end = end, end + vals.size
             for out, x in ((r, rows), (c, cols), (v, vals)):
                 out[start:end].reshape(vals.shape)[...] = x
-        return sp.coo_matrix((v, (r, c)), shape=(self.n, self.n)).tocsr()
+        M = sp.coo_matrix((v, (r, c)), shape=(self.n, self.n)).tocsr()
+        del r, c, v
+        M.data, M.indices = M.data.copy(), M.indices.copy()
+        return M
 
 
 def _stokes_geometry(mesh, layout, degree):
@@ -244,19 +253,33 @@ def _viscous_blocks(X, XW):
     return block
 
 
-def _velocity_entries(layout, X, XW, iface):
+def _stokes_blocks(mesh, layout):
+    """The element blocks of the free-flow cells: visc's
+    (`_viscous_blocks`), dv[c, i, a, b] = -(d_i phi_a, psi_b) (nc, 2, 6, 3)
+    of saddle and the P1 mass (nc, 3, 3) of p1.  The geometry they come
+    from (10 MB at EN nref 4) is freed on return, before any piece is
+    assembled."""
+    pts, W, X = _stokes_geometry(mesh, layout, OPERATOR_TRI_DEGREE)
+    XW = X * W[:, None, :]
+    psi = el.p1_basis(pts)
+    # one BLAS product each
+    dv = -(XW.reshape(-1, W.shape[1]) @ psi.T).reshape(-1, 2, 6, 3)
+    pm = (W @ (psi[:, None] * psi[None]).reshape(9, -1).T).reshape(-1, 3, 3)
+    return _viscous_blocks(X, XW), dv, pm
+
+
+def _velocity_entries(layout, viscous, iface):
     """2*(eps(u), eps(v)) over the free-flow cells and the interface slip
     mass (u.tau, v.tau)_Gamma: the pieces `visc` and `slip` that A and N
-    share.  X, XW: the gradient rows of _stokes_geometry, plain and times
-    the quadrature weights; iface: the interface `_facet_quadrature` of
-    degree OPERATOR_SEG_DEGREE with its traces."""
+    share.  viscous: the element blocks of `_viscous_blocks`; iface: the
+    interface `_facet_quadrature` of degree OPERATOR_SEG_DEGREE with its
+    traces."""
     n_S = layout.interface_normals
     tau = np.column_stack([-n_S[:, 1], n_S[:, 0]])
     m = np.einsum("faq,fbq,fq->fab", iface.phi, iface.phi, iface.ds)
     slip = {(beta, alpha): (tau[:, alpha] * tau[:, beta])[:, None, None] * m
             for beta in range(2) for alpha in range(2)}
-    return (_velocity_block(layout, layout.stokes_cell_scalar,
-                            _viscous_blocks(X, XW)),
+    return (_velocity_block(layout, layout.stokes_cell_scalar, viscous),
             _velocity_block(layout, iface.cs, slip))
 
 
@@ -301,12 +324,11 @@ def _pieces(mesh, layout):
     """Every parameter-free piece of A and N (see `_weights`) on the
     mesh's layout, each a CSR matrix on its own block's pattern."""
     n = layout.total_dofs
-    pts, W, X = _stokes_geometry(mesh, layout, OPERATOR_TRI_DEGREE)
-    XW = X * W[:, None, :]
+    viscous, dv, pm = _stokes_blocks(mesh, layout)
     iface = _facet_quadrature(mesh, layout, layout.interface_facets,
                               OPERATOR_SEG_DEGREE, trace=True)
-    visc, slip = _velocity_entries(layout, X, XW, iface)
-    psi = el.p1_basis(pts)
+    visc, slip = _velocity_entries(layout, viscous, iface)
+    del viscous
     cs = layout.stokes_cell_scalar
     prow = layout.offsets["p_S"] + cs[:, :3]
     rt, div, area, Wd = _rt_basis(mesh, layout, OPERATOR_TRI_DEGREE)
@@ -315,8 +337,6 @@ def _pieces(mesh, layout):
 
     # -(div v, p) in both subdomains, the transposes and the interface terms
     saddle = _Acc(n)
-    # dv[c, i, a, b] = -(d_i phi_a, psi_b): one BLAS product
-    dv = -(XW.reshape(-1, W.shape[1]) @ psi.T).reshape(-1, 2, 6, 3)
     for alpha in range(2):
         cols = layout.velocity_dof(alpha, cs)[:, :, None]      # (c, a, 1)
         saddle.add(prow[:, None, :], cols, dv[:, alpha])
@@ -332,7 +352,6 @@ def _pieces(mesh, layout):
     divdiv.add(rows[:, None, :], rows[:, :, None],
                div[:, :, None] * div[:, None, :] * area[:, None, None])
     # symmetrized, as BLAS need not round entries (a, b) and (b, a) alike
-    pm = (W @ (psi[:, None] * psi[None]).reshape(9, -1).T).reshape(-1, 3, 3)
     p1.add(prow[:, None, :], prow[:, :, None],
            0.5 * (pm + pm.transpose(0, 2, 1)))
     p0.add(pdr, pdr, area)
@@ -385,7 +404,9 @@ class _Elimination:
         out_ptr = kept_before[indptr] + units_before
         n = out_ptr[-1]
         # a kept entry follows the kept entries and the units before it
-        slot = kept_before[:-1] + np.repeat(units_before[:-1], np.diff(indptr))
+        slot = np.repeat(units_before[:-1], np.diff(indptr))
+        slot += kept_before[:-1]
+        del kept_before
         slot[~keep] = n
         units = out_ptr[dofs]           # an essential row holds just its unit
         kept = np.ones(n, dtype=bool)
@@ -479,9 +500,9 @@ class _Pattern:
     goes to the spare slot len(indices) past its end.  Every matrix on it
     shares its read-only index arrays.
 
-    `_Pattern.of` builds the full pattern of A or N and, as its
-    `eliminated` twin, the same sum on the eliminated pattern, which shares
-    the values and places them straight there."""
+    `_Pattern.of` builds the full pattern of A or N, and `eliminated` the
+    same sum on the eliminated pattern, which shares the values and places
+    them straight there."""
 
     indptr: np.ndarray
     indices: np.ndarray
@@ -490,42 +511,45 @@ class _Pattern:
     rows: tuple
     units: np.ndarray
     shape: tuple = None
-    eliminated: _Pattern = None
 
     @classmethod
-    def of(cls, pieces, rows, within, dofs):
-        """The pattern whose rows join the rows of the pieces named `rows`
-        (see `_joined`); `within[name] = (host, places)` places the entries
-        of a further piece among those of the row piece `host`.  It holds
-        the values of the pieces it places.  Its `eliminated` twin has the
-        essential `dofs` eliminated (`_Elimination`); ValueError unless the
-        row pieces write each of its slots but the units once."""
+    def of(cls, pieces, rows, within):
+        """The full pattern whose rows join the rows of the pieces named
+        `rows` (see `_joined`), with the entries of each piece named in
+        `within` placed among those of its row piece `_HOST[name]`
+        (`_places`).  It holds the values of the pieces it places."""
         indptr, indices, pos = _joined({k: pieces[k] for k in rows})
-        for name, (host, places) in within.items():
-            pos[name] = pos[host][places]
-        full = cls(*el.read_only(indptr, indices), pos=pos,
+        for name in within:
+            host = _HOST[name]
+            pos[name] = pos[host][_places(pieces[host], pieces[name])]
+        return cls(*el.read_only(indptr, indices), pos=pos,
                    values={k: pieces[k].data for k in pos}, rows=tuple(rows),
                    units=np.empty(0, dtype=indptr.dtype))
-        e = _Elimination.of(indptr, indices, dofs)
-        full.eliminated = replace(
-            full, indptr=e.indptr, indices=e.indices, units=e.units,
-            pos={k: e.slot[p] for k, p in pos.items()})
-        _written_once(full.eliminated)
-        return full
 
-    def lift(self, dofs):
+    def eliminated(self, dofs):
+        """The same sum with the essential `dofs` eliminated
+        (`_Elimination`), on the same values; ValueError unless the row
+        pieces write each of its slots but the units once."""
+        e = _Elimination.of(self.indptr, self.indices, dofs)
+        out = replace(self, indptr=e.indptr, indices=e.indices, units=e.units,
+                      pos={k: e.slot[p] for k, p in self.pos.items()})
+        _written_once(out)
+        return out
+
+    def lift(self, dofs, eliminated):
         """The entries of this pattern in the columns of the sorted, unique
         essential `dofs`, off their rows, as a pattern of shape (n,
         len(dofs)) whose column c stands for dofs[c]: the same sum, on
         copies of the few values it places.  They are among the entries
-        that the `eliminated` twin drops, so only those are searched."""
+        that `eliminated`, this pattern's `eliminated(dofs)`, drops, so
+        only those are searched."""
         n, idx = len(self.indptr) - 1, self.indptr.dtype
         drop = np.zeros(n, dtype=bool)
         drop[dofs] = True
-        spare = len(self.eliminated.indices)
+        spare = len(eliminated.indices)
         found = {}
         for name, p in self.pos.items():
-            at = np.flatnonzero(self.eliminated.pos[name] == spare)
+            at = np.flatnonzero(eliminated.pos[name] == spare)
             slot = p[at]
             row = np.searchsorted(self.indptr, slot, side="right") - 1
             on = drop[self.indices[slot]] & ~drop[row]
@@ -593,8 +617,8 @@ def _block_diagonal(pattern, layout):
 @dataclass
 class _Affine:
     """Everything about A and N that does not depend on the parameters,
-    for one tagged mesh: their patterns, full and eliminated, holding the
-    pieces' values, and A's entries in the essential columns (`lift`)."""
+    for one tagged mesh: their eliminated patterns, holding the pieces'
+    values, and A's entries in the essential columns (`lift`)."""
 
     layout: object
     essential: np.ndarray
@@ -611,27 +635,63 @@ def _affine(mesh):
     full lam block); each row of A is its diagonal piece, visc or mass,
     followed by saddle, whose columns in those rows lie in later blocks.
     slip lies on visc's pattern, divdiv on mass's and lam_high on
-    lam_low's.  So the patterns are the pieces' rows joined, with no sort
-    and no search.  Each fact is checked in time linear in the entries
-    (`_joined`, `_places`, `_written_once`, `_block_diagonal`), and a mesh
-    that breaks one raises ValueError."""
+    lam_low's.  So the full patterns are the pieces' rows joined, with no
+    sort and no search.  Each fact is checked in time linear in the
+    entries (`_joined`, `_places`, `_written_once`, `_block_diagonal`),
+    and a mesh that breaks one raises ValueError.  Each full pattern is
+    released once its eliminated twin (and, for A, the lift) is built, and
+    the pieces' index arrays once both full patterns are."""
     def build(mesh):
         lay = build_layout(mesh)
         pieces = _pieces(mesh, lay)
         dofs = essential_dofs(mesh, lay)
-        within = {name: (host, _places(pieces[host], pieces[name]))
-                  for name, host in _WITHIN.items()}
-        A = _Pattern.of(pieces, _A_ROWS, {"slip": within["slip"]}, dofs)
-        N = _Pattern.of(pieces, _N_ROWS, within, dofs)
-        _block_diagonal(N, lay)
-        return _Affine(layout=lay, essential=dofs, A=A, N=N,
-                       lift=A.lift(dofs))
+        full_A = _Pattern.of(pieces, *_SUMS["A"])
+        A = full_A.eliminated(dofs)
+        lift = full_A.lift(dofs, A)
+        del full_A
+        full_N = _Pattern.of(pieces, *_SUMS["N"])
+        del pieces      # the patterns hold the values; the index arrays go
+        _block_diagonal(full_N, lay)
+        return _Affine(layout=lay, essential=dofs, A=A,
+                       N=full_N.eliminated(dofs), lift=lift)
     return _per_mesh(mesh, "affine operator", build)
+
+
+def store_bytes(mesh):
+    """The bytes of the arrays of the mesh's `_affine` store, its layout
+    included, each counted once: A, N and their pieces share values."""
+    seen = {}
+
+    def walk(x):
+        if isinstance(x, np.ndarray):
+            while isinstance(x.base, np.ndarray):
+                x = x.base
+            seen[id(x)] = x.nbytes
+        elif isinstance(x, dict):
+            for v in x.values():
+                walk(v)
+        elif is_dataclass(x):
+            for f in fields(x):
+                walk(getattr(x, f.name))
+    walk(_affine(mesh))
+    return sum(seen.values())
+
+
+def _full_patterns(mesh):
+    """The full patterns of A and N ({"A": ..., "N": ...}), for
+    `assemble_operator` and `assemble_riesz` alone: built on first call
+    from fresh pieces, as `_affine` keeps only the eliminated ones; no
+    solve reads them."""
+    def build(mesh):
+        pieces = _pieces(mesh, _affine(mesh).layout)
+        return {name: _Pattern.of(pieces, *sums)
+                for name, sums in _SUMS.items()}
+    return _per_mesh(mesh, "full patterns", build)
 
 
 def assemble_operator(mesh, params):
     """The indefinite coupled operator (without essential elimination)."""
-    return _affine(mesh).A.matrix(_weights(params))
+    return _full_patterns(mesh)["A"].matrix(_weights(params))
 
 
 def _coupling_entries(mesh, layout, iface, acc):
@@ -657,7 +717,7 @@ def _coupling_entries(mesh, layout, iface, acc):
 
 def assemble_riesz(mesh, params):
     """Block-diagonal Riesz map (without essential elimination)."""
-    return _affine(mesh).N.matrix(_weights(params))
+    return _full_patterns(mesh)["N"].matrix(_weights(params))
 
 
 def assemble_rhs(mesh, loads):
@@ -869,8 +929,7 @@ def assemble_system(mesh, params, loads=None):
     b = _lift(aff.lift.matrix(w), assemble_rhs(mesh, loads), aff.essential,
               vals)
     return BlockSystem(mesh=mesh, layout=aff.layout, params=params,
-                       A=aff.A.eliminated.matrix(w),
-                       N=aff.N.eliminated.matrix(w), b=b,
+                       A=aff.A.matrix(w), N=aff.N.matrix(w), b=b,
                        essential=aff.essential, essential_vals=vals)
 
 

@@ -11,7 +11,8 @@ Subcommands
                 comparing the plain and deflated preconditioners
 
 Every CSV is written next to a JSON sidecar holding the full
-configuration, a version string, and wall-clock timings.  With --check
+configuration, a version string, and wall-clock timings; those of solve
+and floating also record memory (`memory_record`).  With --check
 the exit code reports whether the run meets its documented target, so
 the driver is scriptable from CI.
 """
@@ -21,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -31,7 +33,7 @@ import numpy as np
 from . import __version__
 from .mesh import (LAYOUTS, BcConfig, ConfigurationError, DomainSpec,
                    build_coupled_mesh, stacked_domain, tag_boundaries)
-from .assembly import LoadData, PhysParams, assemble_system
+from .assembly import LoadData, PhysParams, assemble_system, store_bytes
 from .mms import ExactSolution, run_convergence
 from .minres import minres_solve, true_residual
 from .precond import (DeflatedPreconditioner, build_deflation,
@@ -71,7 +73,16 @@ def environment():
             "cpu_affinity": len(os.sched_getaffinity(0))}
 
 
-def write_sidecar(csv_path, command, config, timings, results):
+def memory_record(mesh):
+    """The bytes of the mesh's per-mesh operator store (`store_bytes`) and
+    the peak resident set of this process so far, in MiB: ru_maxrss
+    counts KiB on Linux and bytes on macOS."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    scale = 2.0 ** 20 if sys.platform == "darwin" else 2.0 ** 10
+    return {"store_bytes": store_bytes(mesh), "peak_rss_mb": peak / scale}
+
+
+def write_sidecar(csv_path, command, config, timings, results, memory=None):
     doc = {
         "schema": SCHEMA,
         "command": command,
@@ -81,6 +92,8 @@ def write_sidecar(csv_path, command, config, timings, results):
         "timings_sec": timings,
         "results": results,
     }
+    if memory is not None:
+        doc["memory"] = memory
     Path(csv_path).with_suffix(".json").write_text(
         json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
@@ -269,7 +282,8 @@ def _run_minres(system, args, command, runs, assemble_s):
         timings = {"assemble": assemble_s, "precond": precond_s,
                    "spectrum": t4 - t3, "solve": t5 - t4,
                    "total": precond_s + time.perf_counter() - t3}
-        write_sidecar(path, command, cfg, timings, results)
+        write_sidecar(path, command, cfg, timings, results,
+                      memory_record(system.mesh))
         flag = " plateau" if log.plateau_windows else ""
         print(f"wrote {path} ({log.iterations} iterations, {log.reason}{flag})")
         logs.append(log)

@@ -81,7 +81,8 @@ def fractional_pieces(mesh):
 
 def interface_operator(mesh, params):
     """The dense SPD multiplier block for the mesh's layout: the lam block
-    of N's sum of its weighted pieces lam_low and lam_high."""
+    of the eliminated N's sum of its weighted pieces lam_low and lam_high.
+    No lam dof is essential, so the elimination leaves the block as it is."""
     from .assembly import _affine, _weights
 
     aff, w = _affine(mesh), _weights(params)

@@ -65,7 +65,7 @@ def _unit_factors(mesh):
     def build(mesh):
         aff = _affine(mesh)
         lay = aff.layout
-        N = aff.N.eliminated.matrix(
+        N = aff.N.matrix(
             {k: 1.0 for pieces in SCALED_BLOCKS.values() for k in pieces})
         out = {}
         for name in SCALED_BLOCKS:

@@ -39,6 +39,7 @@ from sdlab.minres import minres_solve
 from sdlab.mms import ExactSolution, compute_errors
 from sdlab.precond import (DeflatedPreconditioner, build_deflation,
                            build_preconditioner)
+from sdlab.spectrum import generalized_eigs
 
 import oracles
 
@@ -546,15 +547,15 @@ def test_patterns_match_sort_and_search(domain, config, nref):
     lay, dofs = system.layout, system.essential
     pieces = assembly._pieces(m, lay)
     w = assembly._weights(params)
-    for name, pattern, names in (("A", aff.A, A_PIECES),
-                                 ("N", aff.N, N_PIECES)):
+    for name, names in (("A", A_PIECES), ("N", N_PIECES)):
         ref = oracles.ReferencePattern({k: pieces[k] for k in names}, dofs)
+        pattern = assembly._full_patterns(m)[name]
         assert_bitwise(pattern.indptr, ref.indptr)
         assert_bitwise(pattern.indices, ref.indices)
         assert pattern.pos.keys() == ref.pos.keys()
         for k in ref.pos:
             assert_bitwise(pattern.pos[k], ref.pos[k])
-        e = pattern.eliminated
+        e = getattr(aff, name)
         for got, want in ((e.indptr, ref.elim_indptr),
                           (e.indices, ref.elim_indices),
                           (e.units, ref.elim_units)):
@@ -580,17 +581,72 @@ ONE_PASS_CASES = [
     for mu, K in ((3.0, 0.2), (1e-8, 1e8), (1e4, 1e-2))]
 
 
+def reference_sums(m, weights):
+    """A and N at `weights` by the independent route of
+    `oracles.ReferencePattern`: the sum of fresh `_pieces` on the sorted
+    union of their entries, then its elimination; "full A" and "full N"
+    are the sums before it."""
+    lay = assembly._affine(m).layout
+    dofs = assembly.essential_dofs(m, lay)
+    pieces = assembly._pieces(m, lay)
+    out = {}
+    for name, names in (("A", A_PIECES), ("N", N_PIECES)):
+        ref = oracles.ReferencePattern({k: pieces[k] for k in names}, dofs)
+        full = ref.matrix({k: weights[k] * pieces[k].data
+                           for k in names if k in weights})
+        out[name] = ref.eliminated(full)
+        out["full " + name] = full
+    return out
+
+
 @pytest.mark.parametrize("config,nref,mu,K", ONE_PASS_CASES)
 def test_one_pass_system_matches_eliminated_full_operator(config, nref, mu,
                                                           K):
     # A and N written straight into their eliminated patterns, and b lifted
-    # by A's entries in the essential columns, are byte for byte the full
-    # operator and Riesz map eliminated by apply_essential, explicit zeros
-    # and the signs of zeros included
+    # by A's entries in the essential columns, are byte for byte the sums
+    # of the pieces on their sorted union, eliminated, explicit zeros and
+    # the signs of zeros included
     domain = (floating_domain(2, 2) if config is BcConfig.MULTI
               else stacked_domain(4))
     m = tag_boundaries(build_coupled_mesh(domain, nref), config)
     exact = ExactSolution(mu=mu, K=K, alpha_bjs=0.5)
+    params, loads = exact.params(), exact.loads()
+    system = assemble_system(m, params, loads)
+    dofs, vals = system.essential, system.essential_vals
+    ref = reference_sums(m, assembly._weights(params))
+    x = np.zeros(system.layout.total_dofs)
+    x[dofs] = vals
+    b = assemble_rhs(m, loads) - ref["full A"] @ x
+    b[dofs] = vals
+    assert_same_csr(system.A, ref["A"])
+    assert_same_csr(system.N, ref["N"])
+    assert_bitwise(system.b, b)
+
+
+@pytest.mark.parametrize("config", CACHE_CONFIGS, ids=lambda c: c.value)
+def test_unit_factors_match_unit_weight_reference(config, monkeypatch):
+    # the blocks factored once per mesh are those of the unit-weight sum of
+    # their pieces, eliminated (by the route of reference_sums)
+    factored = []
+    real = precond.symmetric_lu
+    monkeypatch.setattr(precond, "symmetric_lu",
+                        lambda M: factored.append(M) or real(M))
+    m = tagged(config)
+    unit = precond._unit_factors(m)
+    names = [k for pieces in assembly.SCALED_BLOCKS.values() for k in pieces]
+    N = reference_sums(m, {k: 1.0 for k in names})["N"]
+    assert len(factored) == len(unit)
+    for M, name in zip(factored, unit):
+        want = precond._riesz_block(N, assembly._affine(m).layout, name)
+        for a in ("indptr", "indices", "data"):
+            assert_bitwise(getattr(M, a), getattr(want, a))
+
+
+def test_full_system_route_matches_one_pass_system():
+    # the full-system route, kept for callers outside the solve path:
+    # apply_essential on the full operator gives the one-pass system
+    m = tagged(BcConfig.EN)
+    exact = ExactSolution(mu=3.0, K=0.2, alpha_bjs=0.5)
     params, loads = exact.params(), exact.loads()
     system = assemble_system(m, params, loads)
     dofs, vals = system.essential, system.essential_vals
@@ -602,32 +658,47 @@ def test_one_pass_system_matches_eliminated_full_operator(config, nref, mu,
     assert_bitwise(system.b, b)
 
 
-@pytest.mark.parametrize("config", CACHE_CONFIGS, ids=lambda c: c.value)
-def test_unit_factors_match_unit_weight_reference(config, monkeypatch):
-    # the blocks factored once per mesh are those of the unit-weight sum of
-    # their pieces on the full pattern, eliminated by apply_essential
-    factored = []
-    real = precond.symmetric_lu
-    monkeypatch.setattr(precond, "symmetric_lu",
-                        lambda M: factored.append(M) or real(M))
-    m = tagged(config)
-    unit = precond._unit_factors(m)
+# the store's bytes at EN nref 2 (stacked, n0 4) with the full patterns
+# released and the pieces' values compact (3,335,568 with both kept);
+# array bytes do not depend on the host
+STORE_BYTES_EN_NREF2 = 1_877_576
+
+
+@pytest.mark.parametrize("config", [BcConfig.EN, BcConfig.NE],
+                         ids=lambda c: c.value)
+def test_solve_path_builds_no_full_pattern(config, monkeypatch):
+    # a solve, its deflation and its spectrum read only the eliminated
+    # patterns, so the full ones are never built for them
+    def full(*args):
+        raise AssertionError("the solve path built a full pattern")
+
+    monkeypatch.setattr(assembly, "_full_patterns", full)
+    m = tag_boundaries(build_coupled_mesh(stacked_domain(4), 1), config)
+    exact = ExactSolution(mu=1e-2, K=1e2, alpha_bjs=0.5)
+    system = assemble_system(m, exact.params(), exact.loads())
+    B = build_preconditioner(system)
+    d = build_deflation(system)
+    spec = generalized_eigs(system.A, system.N, len(system.essential),
+                            deflation=d)
+    log = minres_solve(system.A, system.b, DeflatedPreconditioner(B, d),
+                       reduction=1e-10, maxit=300,
+                       eigenvalues=spec.eigenvalues, diagnostic=True)
+    assert log.reason == "converged"
+
+
+def test_store_holds_no_full_pattern():
+    m = tag_boundaries(build_coupled_mesh(stacked_domain(4), 2), BcConfig.EN)
+    assert assembly.store_bytes(m) <= STORE_BYTES_EN_NREF2
     aff = assembly._affine(m)
-    names = [k for pieces in assembly.SCALED_BLOCKS.values() for k in pieces]
-    N, _ = apply_essential(aff.N.matrix({k: 1.0 for k in names}), None,
-                           aff.essential)
-    assert len(factored) == len(unit)
-    for M, name in zip(factored, unit):
-        want = precond._riesz_block(N, aff.layout, name)
-        for a in ("indptr", "indices", "data"):
-            assert_bitwise(getattr(M, a), getattr(want, a))
+    for pattern in (aff.A, aff.N):
+        assert len(pattern.units) == len(aff.essential)
 
 
 def test_pattern_rejects_rows_not_written_once():
     # the one-pass matrix relies on the row pieces writing each slot of
     # the eliminated pattern but the units once
     m = tagged(BcConfig.EN)
-    e = assembly._affine(m).A.eliminated
+    e = assembly._affine(m).A
     twice = e.pos["visc"].copy()
     first, second = np.flatnonzero(twice < len(e.indices))[:2]
     twice[second] = twice[first]
@@ -647,8 +718,7 @@ def test_pattern_rejects_piece_out_of_block_order():
     segments = {"visc": pieces["visc"], "mass": pieces["mass"],
                 "saddle": saddle.tocsr()}
     with pytest.raises(ValueError, match="not strictly increasing"):
-        assembly._Pattern.of(segments, segments, {},
-                             assembly.essential_dofs(m, lay))
+        assembly._Pattern.of(segments, segments, ())
 
 
 def test_pattern_rejects_piece_off_its_host():
@@ -665,7 +735,6 @@ def test_riesz_pattern_must_be_block_diagonal():
     m = tagged(BcConfig.EN)
     lay = build_layout(m)
     pieces = assembly._pieces(m, lay)
-    coupled_N = assembly._Pattern.of(pieces, ("visc", "mass", "saddle"), {},
-                                     assembly.essential_dofs(m, lay))
+    coupled_N = assembly._Pattern.of(pieces, ("visc", "mass", "saddle"), ())
     with pytest.raises(ValueError, match="not block diagonal"):
         assembly._block_diagonal(coupled_N, lay)

@@ -3,12 +3,15 @@ exit codes, and bit-for-bit reproducibility."""
 
 import csv
 import json
+import resource
 
 import numpy as np
 import pytest
 
 from sdlab import cli
+from sdlab.assembly import store_bytes
 from sdlab.cli import main, version_string
+from sdlab.mesh import BcConfig, build_coupled_mesh, stacked_domain, tag_boundaries
 
 
 def read_csv(path):
@@ -168,6 +171,21 @@ def test_solve_sidecar_records_environment(tmp_path, monkeypatch):
     assert env["cpu_affinity"] >= 1
 
 
+def test_solve_sidecar_records_memory(tmp_path):
+    # the bytes of the per-mesh operator store, which depend only on the
+    # mesh and its layout, and the process's peak resident set so far
+    out = tmp_path / "mem"
+    ret = main(["solve", "--case", "EN", "--nref", "1", "--n0", "2",
+                "--out", str(out)])
+    assert ret == 0
+    mem = read_sidecar(out / "solve_EN_mu3_K1_nref1.csv")["memory"]
+    mesh = tag_boundaries(build_coupled_mesh(stacked_domain(2), 1),
+                          BcConfig.EN)
+    assert mem["store_bytes"] == store_bytes(mesh) > 0
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    assert 0 < mem["peak_rss_mb"] <= peak
+
+
 def test_deflated_diagnostic_measures_its_own_spectrum(tmp_path):
     # F_k of a deflated run is measured against the spectrum of B_W A;
     # against the plain pencil (A, N), which keeps the outlier that
@@ -295,6 +313,7 @@ def test_floating_sidecar_phases(tmp_path, monkeypatch):
     for side in (plain, defl):
         assert set(side["timings_sec"]) == {"assemble", "precond", "spectrum",
                                             "solve", "total"}
+        assert set(side["memory"]) == {"store_bytes", "peak_rss_mb"}
     # both runs share one assembly and factor the same Riesz blocks
     assert plain["timings_sec"]["assemble"] == defl["timings_sec"]["assemble"]
     assert plain["results"]["lu_fill"] == defl["results"]["lu_fill"] > 0

@@ -1,14 +1,20 @@
 """Source hygiene: every name a module of sdlab imports is used in that
 module (`__init__.py` is left out, as its imports are the re-exports),
-every parameter of a function is read by it, and no module but mesh
-switches on the boundary layout."""
+every parameter of a function is read by it, no module but mesh
+switches on the boundary layout, and every function that the traced
+benchmark wraps still exists."""
 
 import ast
+import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
 
 import sdlab
+from sdlab.assembly import PhysParams, assemble_system
+from sdlab.mesh import BcConfig, build_coupled_mesh, stacked_domain, tag_boundaries
+from sdlab.precond import build_preconditioner
 
 SOURCES = sorted(Path(sdlab.__file__).resolve().parent.glob("*.py"))
 MODULES = [p for p in SOURCES if p.name != "__init__.py"]
@@ -137,3 +143,38 @@ def test_checker_finds_layout_switches():
                          ids=lambda p: p.name)
 def test_no_layout_switches(path):
     assert layout_switches(path.read_text()) == []
+
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def load_tracing(monkeypatch):
+    """perfbench/tracing.py as a module, loaded from its path without
+    writing a bytecode cache next to it."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("perfbench_tracing",
+                                                  TRACING)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+# the traced benchmark reads a per-layer metric as null when a function it
+# wraps is gone, and its result line then fails the traced checks
+def test_every_traced_hook_exists(monkeypatch):
+    tracing = load_tracing(monkeypatch)
+    assert tracing.WRAPPED
+    for module, attr, _ in tracing.WRAPPED:
+        assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr}"
+
+
+def test_preconditioner_exposes_its_factors():
+    # precond.lu_fill is counted from BlockPreconditioner._solvers
+    mesh = tag_boundaries(build_coupled_mesh(stacked_domain(2), 0),
+                          BcConfig.EN)
+    system = assemble_system(mesh, PhysParams(mu=1.0, K=1.0))
+    solvers = build_preconditioner(system)._solvers
+    assert solvers
+    for lu in solvers.values():
+        assert lu.L.nnz > 0 and lu.U.nnz > 0
