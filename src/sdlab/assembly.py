@@ -17,25 +17,30 @@ mass, and the interface multiplier block, the (1/mu)- and K-scaled
 fractional powers of frac_interface.
 
 Both are affine in a few scalar weights of the parameters (`_weights`).
-The parameter-free pieces, the dof layout, the essential dofs, the
-eliminated patterns with the slot of each piece entry in them, A's
-entries in the essential columns, and the points, weights and trace
-tables where the loads and the essential data (`essential_values`) are
-sampled are built once per tagged mesh and kept on it (see
-`mesh._per_mesh`).  The full patterns live only while the eliminated ones
-are built; `assemble_operator` and `assemble_riesz` rebuild them apart
-(`_full_patterns`).  A new (mu, K) only writes the weighted pieces
-straight into the eliminated patterns (`_Pattern.matrix`), evaluates the
-loads and lifts them by those few entries of A.  tag_boundaries clears
-them.  The layout holds no mesh: `_affine(mesh).layout` is the mesh's
-one layout, which every `BlockSystem` on the mesh shares.
+Every pattern is built one way (`_system`): each parameter-free piece is
+split once into its entries off the essential rows and columns and those
+in the essential columns, off their rows (`_split`); the eliminated A and
+N join the first parts with the unit diagonal of the essential dofs, and
+the lift joins A's second parts (`_joined`, `_places`).  The full
+patterns of `assemble_operator` and `assemble_riesz` are the same build
+with no essential dofs (`_full_patterns`), and `apply_essential` splits
+and joins its one matrix alike.  The dof layout, the essential dofs, the
+eliminated patterns with the kept entries' values, the lift, and the
+points, weights and trace tables where the loads and the essential data
+(`essential_values`) are sampled are built once per tagged mesh and kept
+on it (see `mesh._per_mesh`).  A new (mu, K) only writes the weighted
+pieces straight into the eliminated patterns (`_Pattern.matrix`),
+evaluates the loads and lifts them by those few entries of A.
+tag_boundaries clears them.  The layout holds no mesh:
+`_affine(mesh).layout` is the mesh's one layout, which every
+`BlockSystem` on the mesh shares.
 
 Eliminated (essential) dofs keep unit diagonal rows in both matrices.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, is_dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -372,56 +377,33 @@ def _csr(data, indices, indptr, shape=None):
     return M
 
 
-@dataclass
-class _Elimination:
-    """The pattern side of `apply_essential` on one canonical CSR pattern:
-    the entries off the essential rows and columns are kept, in order, and
-    each essential row keeps only its unit diagonal.  `slot` places each
-    entry of the pattern in the eliminated pattern, or in the spare slot
-    len(indices) past its end where it is dropped; `units` are the places
-    of the unit diagonals."""
+def _split(piece, dofs):
+    """The entries of canonical CSR `piece` off the rows and columns of the
+    sorted, unique essential `dofs` (`inner`, of its shape) and those in
+    their columns, off their rows (`edge`, of shape (n, len(dofs)), whose
+    column c stands for dofs[c]), each a canonical CSR matrix on copies of
+    its values."""
+    n, idx = piece.shape[0], piece.indptr.dtype
+    drop = np.zeros(n, dtype=bool)
+    drop[dofs] = True
+    off_row = ~np.repeat(drop, np.diff(piece.indptr))
+    in_col = drop[piece.indices]
 
-    indptr: np.ndarray      # of the eliminated pattern
-    indices: np.ndarray
-    units: np.ndarray
-    slot: np.ndarray
+    def part(keep, indices, shape):
+        before = np.zeros(len(keep) + 1, dtype=idx)
+        np.cumsum(keep, dtype=idx, out=before[1:])
+        return _csr(piece.data[keep], indices, before[piece.indptr], shape)
+    inner = off_row & ~in_col
+    edge = off_row & in_col
+    return (part(inner, piece.indices[inner], piece.shape),
+            part(edge, np.searchsorted(dofs, piece.indices[edge]).astype(idx),
+                 (n, len(dofs))))
 
-    @classmethod
-    def of(cls, indptr, indices, dofs):
-        """For the canonical CSR pattern (indptr, indices) and the
-        essential `dofs`; every index array has the pattern's dtype."""
-        idx = indptr.dtype
-        dofs = np.unique(dofs)
-        drop = np.zeros(len(indptr) - 1, dtype=bool)
-        drop[dofs] = True
-        keep = drop.take(indices)
-        keep |= np.repeat(drop, np.diff(indptr))
-        np.logical_not(keep, out=keep)
-        kept_before = np.zeros(len(keep) + 1, dtype=idx)
-        np.cumsum(keep, dtype=idx, out=kept_before[1:])
-        units_before = np.zeros(len(drop) + 1, dtype=idx)
-        np.cumsum(drop, dtype=idx, out=units_before[1:])
-        out_ptr = kept_before[indptr] + units_before
-        n = out_ptr[-1]
-        # a kept entry follows the kept entries and the units before it
-        slot = np.repeat(units_before[:-1], np.diff(indptr))
-        slot += kept_before[:-1]
-        del kept_before
-        slot[~keep] = n
-        units = out_ptr[dofs]           # an essential row holds just its unit
-        kept = np.ones(n, dtype=bool)
-        kept[units] = False
-        out_idx = np.empty(n, dtype=indices.dtype)
-        out_idx[kept] = indices[keep]
-        out_idx[units] = dofs
-        return cls(*el.read_only(out_ptr, out_idx, units, slot))
 
-    def apply(self, M):
-        """M eliminated; M must have the pattern this was made for."""
-        data = np.empty(len(self.indices) + 1)
-        data[self.units] = 1.0
-        data[self.slot] = M.data
-        return _csr(data[:-1], self.indices, self.indptr)
+def _unit(n, dofs):
+    """The unit diagonal on the sorted, unique `dofs`, as a CSR matrix."""
+    return _csr(np.ones(len(dofs)), dofs,
+                np.searchsorted(dofs, np.arange(n + 1)))
 
 
 def _joined(segments):
@@ -459,9 +441,11 @@ def _places(host, piece):
     """The place of each entry of canonical CSR `piece` among those of
     canonical CSR `host`, whose pattern must hold piece's: the same places
     where the patterns are equal, else each entry is compared with its row
-    of host.  Raises ValueError where host lacks an entry."""
+    of host; none for an empty piece.  Raises ValueError where host lacks
+    an entry."""
     idx = host.indptr.dtype
-    if (np.array_equal(host.indptr, piece.indptr)
+    if not len(piece.indices) or (
+            np.array_equal(host.indptr, piece.indptr)
             and np.array_equal(host.indices, piece.indices)):
         return np.arange(len(piece.indices), dtype=idx)
     rows = np.repeat(np.arange(len(piece.indptr) - 1, dtype=idx),
@@ -495,14 +479,9 @@ class _Pattern:
     """A fixed CSR pattern of a weighted sum of pieces: `pos[name]` places
     the entries of piece `name` (in its own CSR order) in it, and
     `values[name]` holds them.  The pieces named `rows` come first in
-    `pos` and write each slot but the `units`, which hold 1.0, exactly
-    once; the others lie within them.  A piece entry that the pattern drops
-    goes to the spare slot len(indices) past its end.  Every matrix on it
-    shares its read-only index arrays.
-
-    `_Pattern.of` builds the full pattern of A or N, and `eliminated` the
-    same sum on the eliminated pattern, which shares the values and places
-    them straight there."""
+    `pos` and, with the `units`, which hold 1.0, write each slot exactly
+    once; the others lie within them.  Every matrix on it shares its
+    read-only index arrays."""
 
     indptr: np.ndarray
     indices: np.ndarray
@@ -510,61 +489,26 @@ class _Pattern:
     values: dict
     rows: tuple
     units: np.ndarray
-    shape: tuple = None
+    shape: tuple
 
     @classmethod
-    def of(cls, pieces, rows, within):
-        """The full pattern whose rows join the rows of the pieces named
-        `rows` (see `_joined`), with the entries of each piece named in
-        `within` placed among those of its row piece `_HOST[name]`
-        (`_places`).  It holds the values of the pieces it places."""
-        indptr, indices, pos = _joined({k: pieces[k] for k in rows})
+    def of(cls, pieces, rows, within, units=None):
+        """The pattern whose rows join the rows of the pieces named `rows`
+        and of the CSR matrix `units`, if given (see `_joined`), with the
+        entries of each piece named in `within` placed among those of its
+        row piece `_HOST[name]` (`_places`).  It holds the values of the
+        pieces it places, and 1.0 at the entries of `units`."""
+        segments = {k: pieces[k] for k in rows}
+        if units is not None:
+            segments["units"] = units
+        indptr, indices, pos = _joined(segments)
+        units = pos.pop("units", np.empty(0, dtype=indptr.dtype))
         for name in within:
             host = _HOST[name]
             pos[name] = pos[host][_places(pieces[host], pieces[name])]
         return cls(*el.read_only(indptr, indices), pos=pos,
                    values={k: pieces[k].data for k in pos}, rows=tuple(rows),
-                   units=np.empty(0, dtype=indptr.dtype))
-
-    def eliminated(self, dofs):
-        """The same sum with the essential `dofs` eliminated
-        (`_Elimination`), on the same values; ValueError unless the row
-        pieces write each of its slots but the units once."""
-        e = _Elimination.of(self.indptr, self.indices, dofs)
-        out = replace(self, indptr=e.indptr, indices=e.indices, units=e.units,
-                      pos={k: e.slot[p] for k, p in self.pos.items()})
-        _written_once(out)
-        return out
-
-    def lift(self, dofs, eliminated):
-        """The entries of this pattern in the columns of the sorted, unique
-        essential `dofs`, off their rows, as a pattern of shape (n,
-        len(dofs)) whose column c stands for dofs[c]: the same sum, on
-        copies of the few values it places.  They are among the entries
-        that `eliminated`, this pattern's `eliminated(dofs)`, drops, so
-        only those are searched."""
-        n, idx = len(self.indptr) - 1, self.indptr.dtype
-        drop = np.zeros(n, dtype=bool)
-        drop[dofs] = True
-        spare = len(eliminated.indices)
-        found = {}
-        for name, p in self.pos.items():
-            at = np.flatnonzero(eliminated.pos[name] == spare)
-            slot = p[at]
-            row = np.searchsorted(self.indptr, slot, side="right") - 1
-            on = drop[self.indices[slot]] & ~drop[row]
-            found[name] = at[on], slot[on]
-        slots = np.unique(np.concatenate([s for _, s in found.values()]))
-        rows = np.searchsorted(self.indptr, slots, side="right") - 1
-        indptr = np.zeros(n + 1, dtype=idx)
-        np.cumsum(np.bincount(rows, minlength=n), dtype=idx, out=indptr[1:])
-        indices = np.searchsorted(dofs, self.indices[slots]).astype(idx)
-        return _Pattern(
-            *el.read_only(indptr, indices),
-            pos={k: np.searchsorted(slots, s).astype(idx)
-                 for k, (_, s) in found.items()},
-            values={k: self.values[k][at] for k, (at, _) in found.items()},
-            rows=self.rows, units=np.empty(0, dtype=idx), shape=(n, len(dofs)))
+                   units=units, shape=pieces[rows[0]].shape)
 
     def matrix(self, weights):
         """The sum of each piece placed here that has a weight, times that
@@ -572,7 +516,7 @@ class _Pattern:
         (0.0 without a weight), then each other piece added onto its host's
         value.  So each entry sums its host's value first, as 0.0 + w*v:
         `+ 0.0` turns a -0.0 product into the +0.0 of that sum."""
-        data = np.empty(len(self.indices) + 1)
+        data = np.empty(len(self.indices))
         data[self.units] = 1.0
         for name, p in self.pos.items():
             w = weights.get(name)
@@ -580,25 +524,22 @@ class _Pattern:
                 data[p] = 0.0 if w is None else w * self.values[name] + 0.0
             elif w is not None:
                 data[p] += w * self.values[name]
-        return _csr(data[:-1], self.indices, self.indptr, self.shape)
+        return _csr(data, self.indices, self.indptr, self.shape)
 
 
-def _written_once(pattern):
-    """Raise ValueError unless the row pieces of `pattern` write each of its
-    slots but the units exactly once, which `_Pattern.matrix` relies on:
-    as many writes, spare slot aside, as such slots, and none missed."""
-    n = len(pattern.indices)
-    seen = np.zeros(n + 1, dtype=bool)
-    seen[pattern.units] = True
-    writes = len(pattern.units)
-    for name in pattern.rows:
-        p = pattern.pos[name]
-        seen[p] = True
-        writes += np.count_nonzero(p != n)
-    if writes != n or not seen[:n].all():
-        raise ValueError(
-            f"the pieces {', '.join(pattern.rows)} do not write each slot of "
-            f"the eliminated pattern once")
+def _system(pieces, dofs):
+    """The patterns of A and N with the sorted, unique essential `dofs`
+    eliminated, and the lift: A's entries in their columns, off their
+    rows.  Each piece is split once (`_split`) and released; A and N join
+    the inner parts, whose values they share, and the unit diagonal on
+    `dofs`, and the lift joins A's edge parts.  With no `dofs` these are
+    the full patterns."""
+    n = next(iter(pieces.values())).shape[0]
+    inner, edge = {}, {}
+    for name in list(pieces):
+        inner[name], edge[name] = _split(pieces.pop(name), dofs)
+    A, N = (_Pattern.of(inner, *_SUMS[k], _unit(n, dofs)) for k in "AN")
+    return A, N, _Pattern.of(edge, *_SUMS["A"])
 
 
 def _block_diagonal(pattern, layout):
@@ -617,8 +558,8 @@ def _block_diagonal(pattern, layout):
 @dataclass
 class _Affine:
     """Everything about A and N that does not depend on the parameters,
-    for one tagged mesh: their eliminated patterns, holding the pieces'
-    values, and A's entries in the essential columns (`lift`)."""
+    for one tagged mesh: their eliminated patterns, holding the kept
+    entries' values, and A's entries in the essential columns (`lift`)."""
 
     layout: object
     essential: np.ndarray
@@ -628,38 +569,32 @@ class _Affine:
 
 
 def _affine(mesh):
-    """The mesh's `_Affine`, built on first use.
+    """The mesh's `_Affine`, built on first use by `_system`.
 
     The patterns come from the block order of the layout: N is block
     diagonal, each of its rows one of visc, mass, p1, p0 or lam_low (the
     full lam block); each row of A is its diagonal piece, visc or mass,
     followed by saddle, whose columns in those rows lie in later blocks.
     slip lies on visc's pattern, divdiv on mass's and lam_high on
-    lam_low's.  So the full patterns are the pieces' rows joined, with no
-    sort and no search.  Each fact is checked in time linear in the
-    entries (`_joined`, `_places`, `_written_once`, `_block_diagonal`),
-    and a mesh that breaks one raises ValueError.  Each full pattern is
-    released once its eliminated twin (and, for A, the lift) is built, and
-    the pieces' index arrays once both full patterns are."""
+    lam_low's.  Dropping the essential rows and columns keeps each fact,
+    so the eliminated patterns are the inner parts' rows joined with the
+    unit diagonal, and the lift A's edge parts' rows joined, with no sort
+    and no search.  Each fact is checked in time linear in the entries
+    (`_joined`, `_places`, `_block_diagonal` on the eliminated N, which
+    the preconditioner reads), and a mesh that breaks one raises
+    ValueError."""
     def build(mesh):
         lay = build_layout(mesh)
-        pieces = _pieces(mesh, lay)
         dofs = essential_dofs(mesh, lay)
-        full_A = _Pattern.of(pieces, *_SUMS["A"])
-        A = full_A.eliminated(dofs)
-        lift = full_A.lift(dofs, A)
-        del full_A
-        full_N = _Pattern.of(pieces, *_SUMS["N"])
-        del pieces      # the patterns hold the values; the index arrays go
-        _block_diagonal(full_N, lay)
-        return _Affine(layout=lay, essential=dofs, A=A,
-                       N=full_N.eliminated(dofs), lift=lift)
+        A, N, lift = _system(_pieces(mesh, lay), dofs)
+        _block_diagonal(N, lay)
+        return _Affine(layout=lay, essential=dofs, A=A, N=N, lift=lift)
     return _per_mesh(mesh, "affine operator", build)
 
 
 def store_bytes(mesh):
     """The bytes of the arrays of the mesh's `_affine` store, its layout
-    included, each counted once: A, N and their pieces share values."""
+    included, each counted once: A and N share the pieces' values."""
     seen = {}
 
     def walk(x):
@@ -679,13 +614,13 @@ def store_bytes(mesh):
 
 def _full_patterns(mesh):
     """The full patterns of A and N ({"A": ..., "N": ...}), for
-    `assemble_operator` and `assemble_riesz` alone: built on first call
-    from fresh pieces, as `_affine` keeps only the eliminated ones; no
-    solve reads them."""
+    `assemble_operator` and `assemble_riesz` alone: `_system` with no
+    essential dofs, built on first call from fresh pieces, as `_affine`
+    keeps only the eliminated ones; no solve reads them."""
     def build(mesh):
-        pieces = _pieces(mesh, _affine(mesh).layout)
-        return {name: _Pattern.of(pieces, *sums)
-                for name, sums in _SUMS.items()}
+        A, N, _ = _system(_pieces(mesh, _affine(mesh).layout),
+                          np.empty(0, dtype=np.intp))
+        return {"A": A, "N": N}
     return _per_mesh(mesh, "full patterns", build)
 
 
@@ -874,19 +809,27 @@ def apply_essential(A, b, dofs, values=None):
     """Symmetric elimination: unit diagonal rows/cols at `dofs`.
 
     Moves A[:, dofs] @ values to the rhs first (when b is given), then zeros
-    the rows and columns and pins b[dofs] = values.
+    the rows and columns and pins b[dofs] = values: A is split (`_split`),
+    b lifted by its edge part, and its inner part joined with the unit
+    diagonal, as `_affine` builds the eliminated system.
     """
     if len(dofs) == 0:
         return A.tocsr(), b
     if values is None:
         values = np.zeros(len(dofs))
     A = A.tocoo().tocsr()                  # canonical: sorted, no duplicates
+    at = np.unique(dofs)
+    inner, edge = _split(A, at)
     if b is not None:
         x = np.zeros(A.shape[0])
         x[dofs] = values                   # a repeated dof keeps its last value
-        at = np.unique(dofs)
-        b = _lift(A[:, at], b, at, x[at])
-    return _Elimination.of(A.indptr, A.indices, dofs).apply(A), b
+        b = _lift(edge, b, at, x[at])
+    indptr, indices, pos = _joined({"inner": inner,
+                                    "units": _unit(A.shape[0], at)})
+    data = np.empty(len(indices))
+    data[pos["inner"]] = inner.data
+    data[pos["units"]] = 1.0
+    return _csr(data, indices, indptr), b
 
 
 def _lift(L, b, dofs, values):

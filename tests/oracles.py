@@ -871,9 +871,12 @@ class ReferencePattern:
     and columns of `dofs`, in order, and a unit diagonal on each of those
     rows: `keep` marks the kept entries among the pattern's, `kept` their
     places in the eliminated pattern.  `elim_pos[name]` is the place of each
-    entry of piece `name` in the eliminated pattern, found by binary search
-    among its keys, or len(elim_indices) where the entry is dropped;
-    `elim_units` are the places of the unit diagonals."""
+    kept entry of piece `name` in the eliminated pattern, found by binary
+    search among its keys; `elim_units` are the places of the unit
+    diagonals.  The lift pattern holds the entries in the columns of `dofs`,
+    off their rows, with column c standing for dofs[c]: `lift_indptr`,
+    `lift_indices`, and `lift_pos[name]`, the place of each such entry of
+    piece `name`, found by binary search among their keys."""
 
     def __init__(self, pieces, dofs):
         n = next(iter(pieces.values())).shape[0]
@@ -907,12 +910,19 @@ class ReferencePattern:
              self.elim_indptr), shape=(n, n)))
         self.elim_units = np.searchsorted(elim_keys, dofs * (n + 1)).astype(
             pattern.indptr.dtype)
-        self.elim_pos = {}
-        for name, k in keys.items():
-            dropped = drop[k // n] | drop[k % n]
-            self.elim_pos[name] = np.where(
-                dropped, len(elim_keys),
-                np.searchsorted(elim_keys, k)).astype(pattern.indptr.dtype)
+        idx = pattern.indptr.dtype
+        self.elim_pos = {
+            name: np.searchsorted(elim_keys, k[~(drop[k // n] | drop[k % n])])
+            .astype(idx) for name, k in keys.items()}
+
+        def edge(k):
+            return k[drop[k % n] & ~drop[k // n]]
+        lift_keys = edge(union)
+        self.lift_indptr = np.searchsorted(
+            lift_keys, np.arange(n + 1, dtype=np.int64) * n).astype(idx)
+        self.lift_indices = np.searchsorted(dofs, lift_keys % n).astype(idx)
+        self.lift_pos = {name: np.searchsorted(lift_keys, edge(k)).astype(idx)
+                         for name, k in keys.items()}
 
     def matrix(self, values):
         """The sum of the `values` of each named piece, on the pattern."""

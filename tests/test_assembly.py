@@ -563,9 +563,17 @@ def test_patterns_match_sort_and_search(domain, config, nref):
         assert e.pos.keys() == ref.elim_pos.keys()
         for k in ref.elim_pos:
             assert_bitwise(e.pos[k], ref.elim_pos[k])
+        # the row pieces and the units write each slot exactly once
+        written = np.concatenate([e.pos[k] for k in e.rows] + [e.units])
+        assert np.array_equal(np.sort(written), np.arange(len(e.indices)))
         full = ref.matrix({k: w[k] * pieces[k].data for k in names})
         assert_same_csr(getattr(system, name), ref.eliminated(full))
         if name == "A":
+            assert_bitwise(aff.lift.indptr, ref.lift_indptr)
+            assert_bitwise(aff.lift.indices, ref.lift_indices)
+            assert aff.lift.pos.keys() == ref.lift_pos.keys()
+            for k in ref.lift_pos:
+                assert_bitwise(aff.lift.pos[k], ref.lift_pos[k])
             x = np.zeros(lay.total_dofs)
             x[dofs] = system.essential_vals
             b = assemble_rhs(m, exact.loads()) - full @ x
@@ -658,10 +666,11 @@ def test_full_system_route_matches_one_pass_system():
     assert_bitwise(system.b, b)
 
 
-# the store's bytes at EN nref 2 (stacked, n0 4) with the full patterns
-# released and the pieces' values compact (3,335,568 with both kept);
-# array bytes do not depend on the host
-STORE_BYTES_EN_NREF2 = 1_877_576
+# the store's bytes at EN nref 2 (stacked, n0 4): the eliminated patterns
+# with the kept entries' values and slots, and the lift (1,877,576 with
+# every piece entry's value and slot kept, 3,335,568 with the full patterns
+# kept too); array bytes do not depend on the host
+STORE_BYTES_EN_NREF2 = 1_769_272
 
 
 @pytest.mark.parametrize("config", [BcConfig.EN, BcConfig.NE],
@@ -694,19 +703,6 @@ def test_store_holds_no_full_pattern():
         assert len(pattern.units) == len(aff.essential)
 
 
-def test_pattern_rejects_rows_not_written_once():
-    # the one-pass matrix relies on the row pieces writing each slot of
-    # the eliminated pattern but the units once
-    m = tagged(BcConfig.EN)
-    e = assembly._affine(m).A
-    twice = e.pos["visc"].copy()
-    first, second = np.flatnonzero(twice < len(e.indices))[:2]
-    twice[second] = twice[first]
-    with pytest.raises(ValueError, match="write each slot"):
-        assembly._written_once(dataclasses.replace(
-            e, pos={**e.pos, "visc": twice}))
-
-
 def test_pattern_rejects_piece_out_of_block_order():
     # a saddle entry in a porous-velocity row whose column precedes that
     # row's diagonal block breaks the joined row's order
@@ -729,6 +725,18 @@ def test_pattern_rejects_piece_off_its_host():
     slip[0, lay.offsets["u_D"] - 1] = 1.0
     with pytest.raises(ValueError, match="outside its host"):
         assembly._places(pieces["visc"], slip.tocsr())
+
+
+def test_places_of_an_empty_piece():
+    # a piece with no entries (such as slip's entries in the essential
+    # columns where no slip entry lies in one) has no places, whatever
+    # its host's pattern
+    m = tagged(BcConfig.EN)
+    visc = assembly._pieces(m, build_layout(m))["visc"]
+    empty = sp.csr_matrix(visc.shape)
+    got = assembly._places(visc, empty)
+    assert got.dtype == visc.indptr.dtype
+    assert got.shape == (0,)
 
 
 def test_riesz_pattern_must_be_block_diagonal():
