@@ -18,7 +18,7 @@ from .assembly import (BlockSystem, LoadData, PhysParams, apply_essential,
                        assemble_system, essential_values, save_matrix_coo)
 from .frac_interface import facet_laplacian, interface_operator
 from .precond import (BlockPreconditioner, DeflatedPreconditioner, Deflation,
-                      build_deflation, build_preconditioner, deflation_gamma,
+                      build_deflation, build_preconditioner,
                       deflation_vectors, deflation_weight)
 from .minres import (SolveLog, check_convergence_bound, detect_plateaus,
                      harmonic_ritz, minres_solve)

@@ -226,22 +226,19 @@ def _run_minres(system, args, command, runs, assemble_s):
 
     `runs` is a list of (label, config) pairs whose config["deflate"]
     picks the preconditioner.  The Riesz blocks are factored once and the
-    deflation is built once, before any run writes a file, so a bad
-    deflation weight, or a layout with nothing to deflate, leaves no
-    partial result.  A --diagnostic run measures F_k against the spectrum
-    of its own preconditioner: the pencil (A, N) for the plain one,
-    (A, B_W^{-1}) for the deflated one.  `assemble_s` is the time spent
-    assembling `system`.  Returns the logs in `runs` order."""
+    deflation is built once, before any run writes a file, so an E that
+    is not positive definite leaves no partial result (`main` refuses a
+    bad weight, and a layout with nothing to deflate, before that).  A
+    --diagnostic run measures F_k against the spectrum of its own
+    preconditioner: the pencil (A, N) for the plain one, (A, B_W^{-1})
+    for the deflated one.  `assemble_s` is the time spent assembling
+    `system`.  Returns the logs in `runs` order."""
     t0 = time.perf_counter()
     base = build_preconditioner(system)
     t1 = time.perf_counter()
     deflation = None
     if any(cfg["deflate"] for _, cfg in runs):
         deflation = build_deflation(system, gamma_mult=args.gamma_mult)
-        if deflation is None:
-            raise ConfigurationError(
-                f"--deflate: layout {system.config.value} has no "
-                f"near-kernel to deflate")
     t2 = time.perf_counter()
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -438,16 +435,15 @@ def main(argv=None):
         if min(args.nref) < 0:
             raise ConfigurationError(
                 f"nref must be non-negative, got {min(args.nref)}")
-        # and the deflation weight at each point of a layout with a
-        # near-kernel; E's definiteness needs the system, so it waits
+        # and the deflation weight at each point (a layout with no
+        # near-kernel has none); E's definiteness needs the system
         config = (BcConfig.MULTI if args.command == "floating"
                   else BcConfig(args.case) if getattr(args, "deflate", False)
                   else None)
-        deflates = config is not None and LAYOUTS[config].near_kernel
         for mu in args.mu:
             for K in args.K:
                 params = PhysParams(mu, K, args.alpha)
-                if deflates:
+                if config is not None:
                     deflation_weight(params, config, gamma_mult)
         if args.command == "mms" and max(args.nref) < 1:
             raise ConfigurationError("mms needs --nref >= 1: a rate needs two levels")

@@ -19,8 +19,8 @@ near-kernel indicator vectors W:
 where N is the assembled Riesz matrix (the inverse of the preconditioner)
 and gamma scales like 1/(mu*K) when the porous pressure block carries the
 near-kernel (NE and floating inclusions) and like mu*K when the free-flow
-pressure does (EN).  `mesh.LAYOUTS` names the block per layout; gamma's
-direction follows from it.
+pressure does (EN).  `mesh.LAYOUTS` names the block per layout;
+`deflation_weight` alone turns it into gamma or a refusal.
 """
 
 from __future__ import annotations
@@ -181,22 +181,21 @@ def deflation_vectors(mesh):
     return _per_mesh(mesh, "deflation vectors", build)
 
 
-def deflation_gamma(params, config):
-    """1/(mu*K) where the near-kernel is on p_D, mu*K where it is on p_S."""
+def deflation_weight(params, config, gamma_mult=1.0):
+    """The deflation weight of the layout `config`: gamma = gamma_mult /
+    (mu*K) where its near-kernel is on p_D, gamma_mult * mu*K where it is
+    on p_S.  A ConfigurationError where the layout has no near-kernel, or
+    where gamma is not positive and finite."""
     config = BcConfig(config)
     block = LAYOUTS[config].near_kernel
     if block is None:
-        raise ValueError(f"layout {config.value} has no deflation space")
+        raise ConfigurationError(
+            f"layout {config.value} has no near-kernel to deflate")
     muK = params.mu * params.K
-    if block == "p_D":
-        return 1.0 / muK if muK else np.inf     # muK may underflow
-    return muK
-
-
-def deflation_weight(params, config, gamma_mult=1.0):
-    """gamma = gamma_mult * deflation_gamma(params, config); a
-    ConfigurationError unless it is positive and finite."""
-    gamma = gamma_mult * deflation_gamma(params, config)
+    if block == "p_D":      # muK may underflow
+        gamma = gamma_mult * (1.0 / muK if muK else np.inf)
+    else:
+        gamma = gamma_mult * muK
     if not 0 < gamma < np.inf:
         raise _weight_error(gamma, gamma_mult)
     return gamma

@@ -47,14 +47,14 @@ Spectrum, has the measurements):
   Fortran order, so that LAPACK works in place.  B_W^{-1} is formed only
   here, as a rank-m update of the dense N.
 - Budget: before it allocates a dense array, each path estimates the bytes
-  it will hold and raises a BudgetError over `budget`.  The reduction
+  it will hold and raises a BudgetError over DENSE_BUDGET.  The reduction
   holds 8 (n_u n_p + 4 n_p^2) bytes for Y and H plus its sparse and dense
   factors, ``sygv`` 16 n^2; a deflation's n x m arrays are not counted.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
@@ -98,35 +98,34 @@ class Spectrum:
         return float(lam[-1] / lam[drop])
 
 
-def _check_budget(nbytes, budget):
-    if nbytes > budget:
+def _check_budget(nbytes):
+    if nbytes > DENSE_BUDGET:
         raise BudgetError(f"dense eigensolve would hold {nbytes:.3g} bytes, "
-                          f"over the dense budget of {budget:.3g} bytes")
+                          f"over the dense budget of {DENSE_BUDGET:.3g} bytes")
 
 
-def generalized_eigs(A, N, n_eliminated=0, budget=DENSE_BUDGET,
-                     deflation=None):
+def generalized_eigs(A, N, n_eliminated=0, deflation=None):
     """Full spectrum of the pencil (A, N), A and N sparse or dense; with a
     `deflation`, that of B_W A: the pencil (A, B_W^{-1}), B_W = N^{-1} + W
     E^{-1} W' and E = gamma W'NW, by Woodbury B_W^{-1} = N - N W ((1 +
-    gamma) W'NW)^{-1} W'N.  Dense, guarded by `budget` bytes (a
+    gamma) W'NW)^{-1} W'N.  Dense, guarded by DENSE_BUDGET bytes (a
     BudgetError); see the module docstring for the paths."""
     A, N = sp.csr_matrix(A), sp.csr_matrix(N)
     coupled = _coupled(A) | _coupled(N)
+    W = gamma = None
     if deflation is not None:       # B_W^{-1} couples the rows of W
         coupled |= deflation.W.any(axis=1)
     keep, free = np.flatnonzero(coupled), np.flatnonzero(~coupled)
     A_c, N_c = A[keep][:, keep], N[keep][:, keep]
-    defl = None if deflation is None else replace(deflation,
-                                                  W=deflation.W[keep])
-    lam = _saddle_eigs(A_c, N_c, defl, budget)
+    if deflation is not None:
+        W, gamma = deflation.W[keep], deflation.gamma
+    lam = _saddle_eigs(A_c, N_c, W, gamma)
     if lam is None:
         # an upper bound: two n x n matrices, the decoupled dofs counted too
-        _check_budget(16 * A.shape[0] ** 2, budget)
+        _check_budget(16 * A.shape[0] ** 2)
         M = N_c.toarray(order="F")
-        if defl is not None:
+        if W is not None:
             # B_W^{-1} = N - X X', X = N W L^{-T}, L L' = (1 + gamma) W'NW
-            W, gamma = defl.W, defl.gamma
             NW = N_c @ W
             L = sla.cholesky((1.0 + gamma) * blas.dgemm(1.0, W, NW, trans_a=1),
                              lower=True)
@@ -138,16 +137,17 @@ def generalized_eigs(A, N, n_eliminated=0, budget=DENSE_BUDGET,
     return Spectrum(np.sort(np.concatenate([lam, exact])), n_eliminated)
 
 
-def _saddle_eigs(A, N, deflation, budget):
-    """Eigenvalues of the sparse pencil (A, N), or of (A, B_W^{-1}) for a
-    `deflation` on the same dofs, by the certified saddle-point reduction
-    of the module docstring, or None where it does not apply."""
+def _saddle_eigs(A, N, W, gamma):
+    """Eigenvalues of the sparse pencil (A, N), or of (A, B_W^{-1}) for the
+    deflation vectors W (None for none) on the same dofs and its weight
+    gamma, by the certified saddle-point reduction of the module
+    docstring, or None where it does not apply."""
     zero = A.diagonal() == 0
     u, p = np.flatnonzero(~zero), np.flatnonzero(zero)
     n_u, n_p = len(u), len(p)
     if not 0 < n_p <= n_u or A[p][:, p].count_nonzero() \
             or N[u][:, p].count_nonzero() \
-            or deflation is not None and deflation.W[u].any():
+            or W is not None and W[u].any():
         return None
     u_order, u_blocks = _components(N[u][:, u])
     p_order, p_blocks = _components(N[p][:, p])
@@ -162,7 +162,7 @@ def _saddle_eigs(A, N, deflation, budget):
     _check_budget(8 * (n_u * n_p + 4 * n_p ** 2
                        + sum((b.stop - b.start) ** 2 for b, c in p_blocks
                              if c))
-                  + sum(f.nbytes() for f in u_facs), budget)
+                  + sum(f.nbytes() for f in u_facs))
     try:
         p_facs = [_pressure_factor(N_pp[b, b], c) for b, c in p_blocks]
     except np.linalg.LinAlgError:
@@ -182,11 +182,10 @@ def _saddle_eigs(A, N, deflation, budget):
         else:
             Y[:, b] = blas.dtrsm(1.0, L, Y[:, b], side=1, lower=1,
                                  trans_a=1, overwrite_b=1)
-    if deflation is not None:
+    if W is not None:
         # B_W^{-1}'s pp block is L_p (I + s U U')^2 L_p', U an orthonormal
         # basis of range(L_p' W_p): Y becomes Y (I + t U U'), 1 + t = 1/(1 + s)
-        gamma = deflation.gamma
-        V = np.asfortranarray(deflation.W[p], dtype=float)
+        V = np.asfortranarray(W[p], dtype=float)
         for (b, _), L in zip(p_blocks, p_facs):
             V[b] = (L[:, None] * V[b] if L.ndim == 1
                     else blas.dtrmm(1.0, L, V[b], lower=1, trans_a=1))
@@ -206,7 +205,7 @@ def _saddle_eigs(A, N, deflation, budget):
     # N_DD^{1/2}: G = R (I + s U U')[:, D] gives Q'ZQ = G G'
     n_D = 0 if p_blocks[0][1] else p_blocks[0][0].stop
     G = np.asfortranarray(R[:, :n_D])
-    if deflation is not None:
+    if W is not None:
         G = blas.dgemm(s, blas.dgemm(1.0, R, U), U[:n_D], trans_b=True,
                        beta=1.0, c=G, overwrite_c=1)
     GG = blas.dsyrk(1.0, G)             # upper triangle of G G'

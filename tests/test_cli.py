@@ -298,6 +298,24 @@ def test_bad_parameters_exit_2(tmp_path, capsys, command, flags):
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("case", ["NN", "EE", "NEstar", "ENstar"])
+def test_deflate_without_near_kernel_builds_no_mesh(tmp_path, capsys,
+                                                    monkeypatch, case):
+    # the layout is refused with the deflation weight, before the first
+    # mesh is built
+    def no_mesh(*args, **kwargs):
+        raise AssertionError("a mesh was built")
+
+    monkeypatch.setattr(cli, "build_coupled_mesh", no_mesh)
+    out = tmp_path / "refused"
+    ret = main(["solve", "--case", case, "--deflate", "--nref", "0",
+                "--n0", "2", "--out", str(out)])
+    assert ret == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_floating_sidecar_phases(tmp_path, monkeypatch):
     built, real = [], cli.build_preconditioner
     monkeypatch.setattr(cli, "build_preconditioner",

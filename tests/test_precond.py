@@ -6,14 +6,15 @@ import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 
 from sdlab.assembly import SCALED_BLOCKS, PhysParams, assemble_system
-from sdlab.mesh import BcConfig, build_coupled_mesh, stacked_domain, tag_boundaries
+from sdlab.mesh import (BcConfig, ConfigurationError, build_coupled_mesh,
+                        stacked_domain, tag_boundaries)
 from sdlab.precond import (
     DeflatedPreconditioner,
     _riesz_block,
     build_deflation,
     build_preconditioner,
-    deflation_gamma,
     deflation_vectors,
+    deflation_weight,
 )
 from sdlab.cli import floating_domain
 from sdlab.spaces import FIELDS
@@ -163,8 +164,8 @@ def test_deflation_vectors_exactly_where_gamma_defined(config):
     system = make_system(config=config, domain=domain)
     W = deflation_vectors(system.mesh)
     try:
-        gamma = deflation_gamma(system.params, config)
-    except ValueError:
+        gamma = deflation_weight(system.params, config)
+    except ConfigurationError:
         gamma = None
     assert (W is None) == (gamma is None)
     assert (build_deflation(system) is None) == (gamma is None)
@@ -189,13 +190,20 @@ def test_deflation_vectors_multi_disjoint():
     assert (s[lay.field_slice("lam")] == 1.0).all()
 
 
-def test_deflation_gamma_scaling():
-    p = PhysParams(mu=10.0, K=0.25, alpha_bjs=0.5)
-    assert deflation_gamma(p, BcConfig.NE) == pytest.approx(1.0 / 2.5)
-    assert deflation_gamma(p, BcConfig.MULTI) == pytest.approx(1.0 / 2.5)
-    assert deflation_gamma(p, BcConfig.EN) == pytest.approx(2.5)
-    with pytest.raises(ValueError):
-        deflation_gamma(p, BcConfig.NN)
+def test_deflation_weight_scaling():
+    # bitwise: gamma_mult times 1/(mu*K) on p_D, times mu*K on p_S
+    mu, K = 10.0, 0.3
+    p = PhysParams(mu=mu, K=K, alpha_bjs=0.5)
+    for gamma_mult in (1.0, 0.3, 7e5):
+        for config in (BcConfig.NE, BcConfig.MULTI):
+            assert (deflation_weight(p, config, gamma_mult)
+                    == gamma_mult * (1.0 / (mu * K)))
+        assert (deflation_weight(p, BcConfig.EN, gamma_mult)
+                == gamma_mult * (mu * K))
+    for config in (BcConfig.NN, BcConfig.EE, BcConfig.NESTAR,
+                   BcConfig.ENSTAR):
+        with pytest.raises(ConfigurationError, match="no near-kernel"):
+            deflation_weight(p, config)
 
 
 def test_build_deflation_matches_dense(rng):
