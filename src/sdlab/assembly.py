@@ -24,11 +24,11 @@ N join the first parts with the unit diagonal of the essential dofs, and
 the lift joins A's second parts (`_joined`, `_places`).  The full
 patterns of `assemble_operator` and `assemble_riesz` are the same build
 with no essential dofs (`_full_patterns`), and `apply_essential` splits
-and joins its one matrix alike.  The dof layout, the essential dofs, the
-eliminated patterns with the kept entries' values, the lift, and the
-points, weights and trace tables where the loads and the essential data
-(`essential_values`) are sampled are built once per tagged mesh and kept
-on it (see `mesh._per_mesh`).  A new (mu, K) only writes the weighted
+its one matrix and writes it through a `_Pattern` alike.  The dof layout,
+the essential dofs, the eliminated patterns with the kept entries'
+values, the lift (`_affine`), and where the loads and the essential data
+are sampled (`_sampling`) are built once per tagged mesh, kept on it (see
+`mesh._per_mesh`) and read-only.  A new (mu, K) only writes the weighted
 pieces straight into the eliminated patterns (`_Pattern.matrix`),
 evaluates the loads and lifts them by those few entries of A.
 tag_boundaries clears them.  The layout holds no mesh:
@@ -47,9 +47,8 @@ import scipy.sparse as sp
 
 from . import elements as el
 from .frac_interface import fractional_pieces
-from .mesh import (STOKES, STOKES_NATURAL_TAGS, TAG_DARCY_ESSENTIAL,
-                   TAG_DARCY_NATURAL, ConfigurationError, _per_mesh,
-                   stokes_cell)
+from .mesh import (STOKES, STOKES_NATURAL_TAGS, TAG_DARCY_NATURAL,
+                   ConfigurationError, _per_mesh, stokes_cell)
 from .spaces import FIELDS, build_layout, essential_dofs, global_facet_normal
 
 OPERATOR_TRI_DEGREE = 4
@@ -147,34 +146,25 @@ def _index_dtype(count):
     return np.int32 if count <= np.iinfo(np.int32).max else np.int64
 
 
-class _Acc:
-    """Sparse COO accumulator.  `matrix` copies each added block once into
-    index arrays of the CSR index dtype; scipy sums the duplicates in
-    place, leaving views of arrays as long as the COO, so the CSR arrays
-    are copied to their length (visc's values: 6.1, not 9.4 MB at EN
-    nref 4)."""
-
-    def __init__(self, n):
-        self.n = n
-        self.parts = []
-
-    def add(self, rows, cols, vals):
-        """Entries vals at rows and cols, each broadcast to vals.shape."""
-        self.parts.append((rows, cols, np.asarray(vals, dtype=float)))
-
-    def matrix(self):
-        total = sum(v.size for _, _, v in self.parts)
-        idx = _index_dtype(max(total, self.n))
-        r, c, v = np.empty(total, idx), np.empty(total, idx), np.empty(total)
-        end = 0
-        for rows, cols, vals in self.parts:
-            start, end = end, end + vals.size
-            for out, x in ((r, rows), (c, cols), (v, vals)):
-                out[start:end].reshape(vals.shape)[...] = x
-        M = sp.coo_matrix((v, (r, c)), shape=(self.n, self.n)).tocsr()
-        del r, c, v
-        M.data, M.indices = M.data.copy(), M.indices.copy()
-        return M
+def _assembled(n, parts):
+    """The n x n CSR matrix summing the entries vals at rows and cols of
+    each (rows, cols, vals) in `parts`, each broadcast to vals.shape.  Each
+    part is copied once into index arrays of the CSR index dtype; scipy
+    sums the duplicates in place, leaving views of arrays as long as the
+    COO, so the CSR arrays are copied to their length (visc's values: 6.1,
+    not 9.4 MB at EN nref 4)."""
+    total = sum(v.size for _, _, v in parts)
+    idx = _index_dtype(max(total, n))
+    r, c, v = np.empty(total, idx), np.empty(total, idx), np.empty(total)
+    end = 0
+    for rows, cols, vals in parts:
+        start, end = end, end + vals.size
+        for out, x in ((r, rows), (c, cols), (v, vals)):
+            out[start:end].reshape(vals.shape)[...] = x
+    M = sp.coo_matrix((v, (r, c)), shape=(n, n)).tocsr()
+    del r, c, v
+    M.data, M.indices = M.data.copy(), M.indices.copy()
+    return M
 
 
 def _stokes_geometry(mesh, layout, degree):
@@ -193,7 +183,8 @@ class _FacetRule:
     """A segment rule on some facets: points x (nf, nq, 2) and weights ds
     (nf, nq); on facets of free-flow cells also the P2 basis phi (nf, 6,
     nq) of the cell at the points and its scalar dofs cs (nf, 6); on
-    boundary facets their outward normals and, for traction, their tags."""
+    boundary facets their outward normals and, for traction, their tags;
+    all read-only, as the loads' rules are kept per mesh."""
 
     facets: np.ndarray
     x: np.ndarray
@@ -202,6 +193,9 @@ class _FacetRule:
     cs: np.ndarray = None
     tags: np.ndarray = None
     normals: np.ndarray = None
+
+    def __post_init__(self):
+        el.read_only(*(v for v in vars(self).values() if v is not None))
 
     def per_point(self, v):
         """One row of v (nf, k) per quadrature point, (nf * nq, k)."""
@@ -292,13 +286,10 @@ def _velocity_block(layout, cs, block):
     """The P2 component blocks block[beta, alpha] (n, a, b) of n cells or
     facets with scalar dofs cs (n, 6), scattered at row component beta,
     local dof b and column component alpha, local dof a."""
-    acc = _Acc(layout.total_dofs)
-    for beta in range(2):
-        rows = layout.velocity_dof(beta, cs)[:, None, :]       # (n, 1, b)
-        for alpha in range(2):
-            cols = layout.velocity_dof(alpha, cs)[:, :, None]  # (n, a, 1)
-            acc.add(rows, cols, block[beta, alpha])
-    return acc.matrix()
+    dof = [layout.velocity_dof(alpha, cs) for alpha in range(2)]
+    return _assembled(layout.total_dofs, [
+        (dof[beta][:, None, :], dof[alpha][:, :, None], block[beta, alpha])
+        for beta in range(2) for alpha in range(2)])
 
 
 def _rt_divergence(mesh, layout):
@@ -341,30 +332,27 @@ def _pieces(mesh, layout):
     pdr = layout.offsets["p_D"] + np.arange(len(layout.darcy_cells))
 
     # -(div v, p) in both subdomains, the transposes and the interface terms
-    saddle = _Acc(n)
+    saddle = []
     for alpha in range(2):
         cols = layout.velocity_dof(alpha, cs)[:, :, None]      # (c, a, 1)
-        saddle.add(prow[:, None, :], cols, dv[:, alpha])
-        saddle.add(cols, prow[:, None, :], dv[:, alpha])
+        saddle += [(prow[:, None, :], cols, dv[:, alpha]),
+                   (cols, prow[:, None, :], dv[:, alpha])]
     bd = -div * area[:, None]                                  # -(div psi_k, 1)
-    saddle.add(pdr[:, None], rows, bd)
-    saddle.add(rows, pdr[:, None], bd)
-    _coupling_entries(mesh, layout, iface, saddle)
+    saddle += [(pdr[:, None], rows, bd), (rows, pdr[:, None], bd)]
+    saddle += _coupling_entries(mesh, layout, iface)
 
-    mass, divdiv, p1, p0 = (_Acc(n) for _ in range(4))
-    mass.add(rows[:, None, :], rows[:, :, None],
-             np.einsum("ckqi,clqi,cq->ckl", rt, rt, Wd))
-    divdiv.add(rows[:, None, :], rows[:, :, None],
-               div[:, :, None] * div[:, None, :] * area[:, None, None])
+    square = (rows[:, None, :], rows[:, :, None])
+    mass = np.einsum("ckqi,clqi,cq->ckl", rt, rt, Wd)
+    divdiv = div[:, :, None] * div[:, None, :] * area[:, None, None]
     # symmetrized, as BLAS need not round entries (a, b) and (b, a) alike
-    p1.add(prow[:, None, :], prow[:, :, None],
-           0.5 * (pm + pm.transpose(0, 2, 1)))
-    p0.add(pdr, pdr, area)
-    lam = {name: _full_block(layout, "lam", F)
-           for name, F in fractional_pieces(mesh).items()}
-    return {"visc": visc, "slip": slip, "saddle": saddle.matrix(),
-            "mass": mass.matrix(), "divdiv": divdiv.matrix(),
-            "p1": p1.matrix(), "p0": p0.matrix(), **lam}
+    p1 = 0.5 * (pm + pm.transpose(0, 2, 1))
+    return {"visc": visc, "slip": slip, "saddle": _assembled(n, saddle),
+            "mass": _assembled(n, [(*square, mass)]),
+            "divdiv": _assembled(n, [(*square, divdiv)]),
+            "p1": _assembled(n, [(prow[:, None, :], prow[:, :, None], p1)]),
+            "p0": _assembled(n, [(pdr, pdr, area)]),
+            **{name: _full_block(layout, "lam", F)
+               for name, F in fractional_pieces(mesh).items()}}
 
 
 def _csr(data, indices, indptr, shape=None):
@@ -586,6 +574,8 @@ def _affine(mesh):
     def build(mesh):
         lay = build_layout(mesh)
         dofs = essential_dofs(mesh, lay)
+        el.read_only(dofs, *(v for v in vars(lay).values()
+                             if isinstance(v, np.ndarray)))
         A, N, lift = _system(_pieces(mesh, lay), dofs)
         _block_diagonal(N, lay)
         return _Affine(layout=lay, essential=dofs, A=A, N=N, lift=lift)
@@ -629,9 +619,9 @@ def assemble_operator(mesh, params):
     return _full_patterns(mesh)["A"].matrix(_weights(params))
 
 
-def _coupling_entries(mesh, layout, iface, acc):
+def _coupling_entries(mesh, layout, iface):
     """The +-(v.n_S, lam) couplings, on the interface quadrature `iface`
-    of `_velocity_entries`."""
+    of `_velocity_entries`, as a list of `_assembled` parts."""
     f = layout.interface_facets
     lam = layout.offsets["lam"] + np.arange(len(f))
     ud = layout.flux_dof(f)
@@ -640,14 +630,13 @@ def _coupling_entries(mesh, layout, iface, acc):
     sigmas = np.where(
         mesh.cell_subdomain[mesh.facet_cells[f, 0]] == STOKES, 1.0, -1.0)
     ints = _dot(iface.phi, iface.ds)
+    parts = []
     for alpha in range(2):
         cols = layout.velocity_dof(alpha, iface.cs)
         vals = layout.interface_normals[:, alpha, None] * ints
-        acc.add(lam[:, None], cols, vals)
-        acc.add(cols, lam[:, None], vals)
+        parts += [(lam[:, None], cols, vals), (cols, lam[:, None], vals)]
     val = -sigmas * iface.ds.sum(axis=1)
-    acc.add(lam, ud, val)
-    acc.add(ud, lam, val)
+    return parts + [(lam, ud, val), (ud, lam, val)]
 
 
 def assemble_riesz(mesh, params):
@@ -658,7 +647,7 @@ def assemble_riesz(mesh, params):
 def assemble_rhs(mesh, loads):
     """Load vector matching the operator's sign convention, indexed by the
     mesh's layout.  Its points, weights and trace tables are kept per mesh
-    (`_cell_rule`, `_load_facets`); a call evaluates the loads and sums."""
+    (`_sampling`); a call evaluates the loads and sums."""
     layout = _affine(mesh).layout
     b = np.zeros(layout.total_dofs)
     if loads is None:
@@ -680,7 +669,7 @@ def assemble_rhs(mesh, loads):
         np.add.at(b, layout.offsets["p_D"] + np.arange(len(layout.darcy_cells)), vals)
 
     if loads.g_gamma is not None or loads.t_n is not None or loads.t_t is not None:
-        q = _load_facets(mesh, "interface")
+        q = _sampling(mesh).interface
         pts, ds = q.x.reshape(-1, 2), q.ds
         n_S = layout.interface_normals
         tau = np.column_stack([-n_S[:, 1], n_S[:, 0]])
@@ -699,7 +688,7 @@ def assemble_rhs(mesh, loads):
         if stress:
             _add_trace_load(b, layout, q.cs, np.stack(stress, axis=1))
 
-    q = _load_facets(mesh, "traction")
+    q = _sampling(mesh).traction
     if loads.stokes_traction is not None and len(q.facets):
         tr = np.empty_like(q.x)
         for tag in sorted(set(q.tags)):
@@ -711,89 +700,97 @@ def assemble_rhs(mesh, loads):
                          for alpha in range(2)], axis=1)
         _add_trace_load(b, layout, q.cs, vals[:, None])
 
-    q = _load_facets(mesh, "pressure")
+    q = _sampling(mesh).pressure
     if loads.darcy_pressure is not None and len(q.facets):
         p = loads.darcy_pressure(q.x.reshape(-1, 2)).reshape(q.ds.shape)
         b[layout.flux_dof(q.facets)] -= _dot(q.ds, p)
     return b
 
 
-def _cell_rule(mesh, domain):
-    """Physical points (nc, nq, 2) and weights (nc, nq) of the degree
-    LOAD_TRI_DEGREE rule on the "stokes" or "darcy" cells;
-    mms.compute_errors measures with them too.  The points and each cell's
-    |det| are kept per mesh, and the weights formed per call: kept, they
-    would add half the points' bytes."""
-    pts, w = el.triangle_rule(LOAD_TRI_DEGREE)
+@dataclass
+class _Sampling:
+    """Where the loads and the essential data are sampled on one tagged
+    mesh, every array read-only: the points and cell |det| of `_cell_rule`
+    on the free-flow and the porous cells; the component and P2 node of
+    each essential u_S dof and the degree FLUX_SEG_DEGREE `_FacetRule` on
+    the facets of the essential u_D dofs, in dof order; those of degree
+    LOAD_SEG_DEGREE on the interface and the natural free-flow and porous
+    boundary, facets ascending."""
 
+    stokes: tuple
+    darcy: tuple
+    component: np.ndarray
+    nodes: np.ndarray
+    flux: _FacetRule
+    interface: _FacetRule
+    traction: _FacetRule
+    pressure: _FacetRule
+
+
+def _sampling(mesh):
+    """The mesh's `_Sampling`, kept per mesh.  The essential data's points
+    are read off the essential dofs of the mesh's `_affine` store."""
     def build(mesh):
-        cells = getattr(_affine(mesh).layout, domain + "_cells")
-        coords = mesh.cell_coords(cells)
-        _, _, det = el.affine_maps(coords)
-        return el.read_only(el.physical_points(coords, pts), np.abs(det))
-    x, absdet = _per_mesh(mesh, ("cell rule", domain), build)
-    return x, w[None, :] * absdet[:, None]
-
-
-def _load_facets(mesh, part):
-    """The `_FacetRule` of the "interface", the natural free-flow boundary
-    ("traction") or the natural porous boundary ("pressure"), of degree
-    LOAD_SEG_DEGREE, or of the essential porous boundary ("flux", of degree
-    FLUX_SEG_DEGREE); kept per mesh.  Boundary facets ascend."""
-    def build(mesh):
-        layout = _affine(mesh).layout
-        if part == "interface":
-            return _facet_quadrature(mesh, layout, layout.interface_facets,
-                                     LOAD_SEG_DEGREE, trace=True)
+        aff = _affine(mesh)
+        layout, dofs = aff.layout, aff.essential
+        pts = el.triangle_rule(LOAD_TRI_DEGREE)[0]
+        cells = []
+        for c in (layout.stokes_cells, layout.darcy_cells):
+            coords = mesh.cell_coords(c)
+            _, _, det = el.affine_maps(coords)
+            cells.append(el.read_only(el.physical_points(coords, pts),
+                                      np.abs(det)))
         boundary = np.nonzero(mesh.facet_cells[:, 1] < 0)[0]
         tags = mesh.facet_tags[boundary]
-        if part == "pressure":
-            f = boundary[tags == TAG_DARCY_NATURAL]
-            return _facet_quadrature(mesh, layout, f, LOAD_SEG_DEGREE)
-        if part == "flux":
-            f = boundary[tags == TAG_DARCY_ESSENTIAL]
-            return _facet_quadrature(mesh, layout, f, FLUX_SEG_DEGREE,
-                                     normals=global_facet_normal(mesh, f))
-        on = np.isin(tags, sorted(STOKES_NATURAL_TAGS))
-        f = boundary[on]
-        return _facet_quadrature(mesh, layout, f, LOAD_SEG_DEGREE, trace=True,
-                                 tags=tags[on],
-                                 normals=global_facet_normal(mesh, f))
-    return _per_mesh(mesh, ("load facets", part), build)
+        natural = boundary[np.isin(tags, sorted(STOKES_NATURAL_TAGS))]
+        u_S = dofs[dofs < layout.offsets["u_D"]] - layout.offsets["u_S"]
+        component, scalar = np.divmod(u_S, layout.num_scalar)
+        flux = layout.darcy_facets[dofs[len(u_S):] - layout.offsets["u_D"]]
+        return _Sampling(
+            *cells,
+            *el.read_only(component, layout.scalar_dof_points(mesh)[scalar]),
+            flux=_facet_quadrature(mesh, layout, flux, FLUX_SEG_DEGREE,
+                                   normals=global_facet_normal(mesh, flux)),
+            interface=_facet_quadrature(mesh, layout, layout.interface_facets,
+                                        LOAD_SEG_DEGREE, trace=True),
+            traction=_facet_quadrature(
+                mesh, layout, natural, LOAD_SEG_DEGREE, trace=True,
+                tags=mesh.facet_tags[natural],
+                normals=global_facet_normal(mesh, natural)),
+            pressure=_facet_quadrature(
+                mesh, layout, boundary[tags == TAG_DARCY_NATURAL],
+                LOAD_SEG_DEGREE))
+    return _per_mesh(mesh, "sampling", build)
+
+
+def _cell_rule(mesh, domain):
+    """Physical points (nc, nq, 2) and weights (nc, nq) of the degree
+    LOAD_TRI_DEGREE rule on the "stokes" or "darcy" cells, for the loads
+    and mms.compute_errors.  The weights are formed per call from the kept
+    |det| (`_sampling`): kept, they would add half the points' bytes."""
+    x, absdet = getattr(_sampling(mesh), domain)
+    return x, el.triangle_rule(LOAD_TRI_DEGREE)[1][None, :] * absdet[:, None]
 
 
 def essential_values(mesh, u_S=None, u_D=None):
     """The values of the mesh's essential dofs (`_affine`), in their order.
 
     u_S maps points (n, 2) to velocities (n, 2), sampled at the P2 nodes
-    of the u_S dofs, which come first (`_essential_nodes`); u_D maps points
-    to porous velocities, reduced to the facet-mean normal flux densities
-    of the u_D dofs, the rest, in the order of the "flux" facets.  Each is
-    called once, on all its points, and not at all where it has none.
-    Missing fields give zeros."""
+    of the u_S dofs, which come first; u_D maps points to porous
+    velocities, reduced to the facet-mean normal flux densities of the u_D
+    dofs, the rest (`_sampling`).  Each is called once, on all its points,
+    and not at all where it has none.  Missing fields give zeros."""
+    s = _sampling(mesh)
     vals = np.zeros(len(_affine(mesh).essential))
-    component, nodes = _essential_nodes(mesh)
-    if u_S is not None and len(nodes):
-        vals[:len(nodes)] = u_S(nodes)[np.arange(len(nodes)), component]
-    q = _load_facets(mesh, "flux")
+    n, q = len(s.nodes), s.flux
+    if u_S is not None and n:
+        vals[:n] = u_S(s.nodes)[np.arange(n), s.component]
     if u_D is not None and len(q.facets):
         u = u_D(q.x.reshape(-1, 2)).reshape(q.x.shape)
         un = _dot(u, q.normals)
         w = el.segment_rule(FLUX_SEG_DEGREE)[1]     # sums to 1: the facet mean
-        vals[len(vals) - len(q.facets):] = _dot(un, np.broadcast_to(w, un.shape))
+        vals[n:] = _dot(un, np.broadcast_to(w, un.shape))
     return vals
-
-
-def _essential_nodes(mesh):
-    """The component and P2 node (n, 2) of each essential u_S dof, the
-    sorted prefix of the mesh's essential dofs; kept per mesh."""
-    def build(mesh):
-        aff = _affine(mesh)
-        layout, dofs = aff.layout, aff.essential
-        u_S = dofs[dofs < layout.offsets["u_D"]] - layout.offsets["u_S"]
-        component, scalar = np.divmod(u_S, layout.num_scalar)
-        return component, layout.scalar_dof_points(mesh)[scalar]
-    return _per_mesh(mesh, "essential nodes", build)
 
 
 def _add_trace_load(b, layout, cs, vals):
@@ -808,28 +805,21 @@ def _add_trace_load(b, layout, cs, vals):
 def apply_essential(A, b, dofs, values=None):
     """Symmetric elimination: unit diagonal rows/cols at `dofs`.
 
-    Moves A[:, dofs] @ values to the rhs first (when b is given), then zeros
-    the rows and columns and pins b[dofs] = values: A is split (`_split`),
-    b lifted by its edge part, and its inner part joined with the unit
-    diagonal, as `_affine` builds the eliminated system.
-    """
-    if len(dofs) == 0:
-        return A.tocsr(), b
-    if values is None:
-        values = np.zeros(len(dofs))
+    Moves A[:, dofs] @ values (zeros if None) to the rhs first (when b is
+    given), then zeros the rows and columns and pins b[dofs] = values, as
+    `_affine` builds the eliminated system: A is split (`_split`), b lifted
+    by its edge part (`_lift`), and its inner part and the unit diagonal
+    written through a `_Pattern`."""
     A = A.tocoo().tocsr()                  # canonical: sorted, no duplicates
-    at = np.unique(dofs)
+    n, at = A.shape[0], np.unique(dofs).astype(np.intp)
     inner, edge = _split(A, at)
     if b is not None:
-        x = np.zeros(A.shape[0])
-        x[dofs] = values                   # a repeated dof keeps its last value
+        x = np.zeros(n)
+        if values is not None:
+            x[dofs] = values               # a repeated dof keeps its last value
         b = _lift(edge, b, at, x[at])
-    indptr, indices, pos = _joined({"inner": inner,
-                                    "units": _unit(A.shape[0], at)})
-    data = np.empty(len(indices))
-    data[pos["inner"]] = inner.data
-    data[pos["units"]] = 1.0
-    return _csr(data, indices, indptr), b
+    pattern = _Pattern.of({"inner": inner}, ("inner",), (), _unit(n, at))
+    return pattern.matrix({"inner": 1.0}), b
 
 
 def _lift(L, b, dofs, values):

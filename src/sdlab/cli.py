@@ -352,8 +352,16 @@ def _int_list(text):
     return [int(v) for v in text.split(",")]
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as a ConfigurationError: `main` prints it
+    as one line and returns 2, where argparse prints its usage and exits."""
+
+    def error(_self, message):
+        raise ConfigurationError(message)
+
+
 def build_parser():
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="sdlab",
         description="Stokes-Darcy solver laboratory: discretization, "
                     "preconditioning, and MINRES convergence experiments.")
@@ -412,8 +420,8 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         for flag in SINGLE_VALUED.get(args.command, ()):
             values = getattr(args, flag)
             if len(values) > 1:

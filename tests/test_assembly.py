@@ -304,6 +304,36 @@ def test_apply_essential_structure(rng):
     assert np.allclose(x[dofs], vals)
 
 
+@pytest.mark.parametrize("dofs,values", [
+    (np.empty(0, dtype=int), np.empty(0)),
+    # dof 5 is repeated: its last value wins
+    (np.array([5, 2, 5, 9]), np.array([1.5, -0.5, 3.0, 2.0])),
+    # no values: zeros
+    (np.array([9, 2]), None),
+], ids=["no-dofs", "repeated-dof", "no-values"])
+def test_apply_essential_matches_dense_elimination(rng, dofs, values):
+    n = 12
+    M = rng.random((n, n))
+    A = sp.csr_matrix(M @ M.T + n * np.eye(n))
+    b = rng.random(n)
+    x = np.zeros(n)
+    if values is not None:
+        x[dofs] = values
+    at = np.unique(dofs)
+    D = A.toarray()
+    want = b - D[:, at] @ x[at]
+    want[at] = x[at]
+    D[at, :] = 0.0
+    D[:, at] = 0.0
+    D[at, at] = 1.0
+    A2, b2 = apply_essential(A, b, dofs, values)
+    assert np.array_equal(A2.toarray(), D)
+    assert np.abs(b2 - want).max() <= 1e-13
+    assert np.array_equal(b2[at], x[at])
+    if not len(dofs):
+        assert np.array_equal(b2, b)
+
+
 def test_save_matrix_coo_round_trip(tmp_path, rng):
     M = sp.random(7, 7, density=0.4, random_state=3)
     M = M + M.T
@@ -414,6 +444,34 @@ def test_eliminated_system_matches_dense_elimination(config):
         assert np.array_equal(M.toarray(), D)
         C = F.tocoo()
         assert M.nnz == np.count_nonzero(free[C.row] & free[C.col]) + len(dofs)
+
+
+def arrays_of(x):
+    """Every array in x, a dataclass, tuple or array, and in its fields."""
+    if isinstance(x, np.ndarray):
+        yield x
+    elif isinstance(x, tuple):
+        for v in x:
+            yield from arrays_of(v)
+    elif dataclasses.is_dataclass(x):
+        for f in dataclasses.fields(x):
+            yield from arrays_of(getattr(x, f.name))
+
+
+@pytest.mark.parametrize("config", [BcConfig.EN, BcConfig.MULTI],
+                         ids=lambda c: c.value)
+def test_shared_per_mesh_arrays_are_read_only(config):
+    # every BlockSystem on the mesh shares the essential dofs, the layout
+    # and the sampling points: a write would corrupt every later system
+    m = tagged(config)
+    system = mms_system(m, 1.0, 1.0)
+    with pytest.raises(ValueError):
+        system.essential[0] = 0
+    shared = [*arrays_of(system.layout), *arrays_of(assembly._sampling(m))]
+    assert len(shared) > 20
+    for a in shared:
+        with pytest.raises(ValueError):
+            a[...] = a
 
 
 def test_retagged_mesh_matches_fresh_mesh():

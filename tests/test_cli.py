@@ -366,18 +366,35 @@ def test_indefinite_preconditioner_is_a_reason(tmp_path, monkeypatch):
     assert np.isnan(side["results"]["true_residual_B"])
 
 
-def test_unknown_case_rejected(tmp_path):
-    with pytest.raises(SystemExit) as exc:
-        main(["cond-sweep", "--case", "bogus", "--out", str(tmp_path / "y")])
-    assert exc.value.code == 2
+def assert_refused(ret, capsys, out):
+    """Exit code 2, one `error:` line and no output directory."""
+    assert ret == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_unknown_case_rejected(tmp_path, capsys):
+    # argparse's own errors are one line too, not a usage block
+    out = tmp_path / "y"
+    assert_refused(main(["cond-sweep", "--case", "bogus", "--out", str(out)]),
+                   capsys, out)
 
 
 @pytest.mark.parametrize("command", ["cond-sweep", "solve"])
-def test_multi_inclusion_case_rejected(tmp_path, command):
+def test_multi_inclusion_case_rejected(tmp_path, capsys, command):
     # MultiInclusion has no edge tags: its geometry is built by `floating`
-    with pytest.raises(SystemExit) as exc:
-        main([command, "--case", "MultiInclusion", "--out", str(tmp_path)])
-    assert exc.value.code == 2
+    out = tmp_path / "multi"
+    assert_refused(main([command, "--case", "MultiInclusion",
+                         "--out", str(out)]), capsys, out)
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_ARGV))
+def test_non_numeric_mu_rejected(tmp_path, capsys, command):
+    out = tmp_path / "abc"
+    assert_refused(main(COMMAND_ARGV[command] + ["--mu", "abc",
+                                                 "--out", str(out)]),
+                   capsys, out)
 
 
 def test_reproducible_outputs(tmp_path):

@@ -6,10 +6,10 @@ import pytest
 
 from oracles import (LAYOUT_TABLES, reference_essential_dofs,
                      reference_essential_values, reference_layout)
-from sdlab.assembly import _load_facets, essential_values
+from sdlab.assembly import _sampling, essential_values
 from sdlab.cli import floating_domain
-from sdlab.mesh import (BcConfig, build_coupled_mesh, side_by_side_domain,
-                        stacked_domain, tag_boundaries)
+from sdlab.mesh import (TAG_DARCY_ESSENTIAL, BcConfig, build_coupled_mesh,
+                        side_by_side_domain, stacked_domain, tag_boundaries)
 from sdlab.mms import ExactSolution
 from sdlab.spaces import (
     FIELDS,
@@ -158,14 +158,16 @@ def test_essential_values_facet_mean_flux():
 
 
 def test_flux_dofs_follow_the_flux_facets():
-    # essential_values writes the u_D data, in the order of the "flux"
-    # facets, after the u_S data: the dofs of those facets, in that order,
-    # must be the essential dofs from the first u_D one on
+    # the flux rule is read off the essential u_D dofs: its facets are the
+    # essentially tagged porous boundary facets, in the order of those dofs
     for m in layout_meshes("stacked", 1) + layout_meshes("side", 0):
         lay = build_layout(m)
         dofs = essential_dofs(m, lay)
-        flux = lay.flux_dof(_load_facets(m, "flux").facets)
-        assert np.array_equal(flux, dofs[dofs >= lay.offsets["u_D"]])
+        facets = _sampling(m).flux.facets
+        tagged = np.nonzero(m.facet_tags == TAG_DARCY_ESSENTIAL)[0]
+        assert np.array_equal(facets, tagged)
+        assert np.array_equal(lay.flux_dof(facets),
+                              dofs[dofs >= lay.offsets["u_D"]])
 
 
 @pytest.mark.parametrize("nref", [0, 1])
