@@ -11,15 +11,16 @@ Subcommands
                 comparing the plain and deflated preconditioners
 
 Every CSV is written next to a JSON sidecar holding the full
-configuration, a version string, and wall-clock timings; those of solve
-and floating also record memory (`memory_record`).  With --check
-the exit code reports whether the run meets its documented target, so
-the driver is scriptable from CI.
+configuration, a version string, and wall-clock timings; those of
+cond-sweep, solve and floating also record memory (`memory_record`).
+With --check the exit code reports whether the run meets its documented
+target, so the driver is scriptable from CI.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import os
 import resource
@@ -62,15 +63,41 @@ def version_string():
     return __version__
 
 
+def blas_threads():
+    """The threads each OpenBLAS loaded into this process uses, by library
+    file name (numpy and scipy each load their own), read from its
+    `*get_num_threads*` symbol; {} where /proc/self/maps cannot be read."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = {line.split()[-1] for line in fh}
+    except OSError:
+        return {}
+    out = {}
+    for path in sorted(p for p in paths if "openblas" in Path(p).name.lower()):
+        lib = ctypes.CDLL(path)
+        # scipy-openblas's getter, with the 64-bit interface and without,
+        # then a plain OpenBLAS's
+        for sym in ("scipy_openblas_get_num_threads64_",
+                    "scipy_openblas_get_num_threads",
+                    "openblas_get_num_threads64_", "openblas_get_num_threads"):
+            get = getattr(lib, sym, None)
+            if get is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                out[Path(path).name] = get()
+                break
+    return out
+
+
 def environment():
-    """The BLAS that numpy was built with and the threads it may use: the
-    MINRES logs depend on the BLAS thread count.  A thread variable that
-    is not set reads None."""
+    """The BLAS that numpy was built with, the threads it may use and the
+    threads each loaded OpenBLAS does use: the MINRES logs depend on the
+    BLAS thread count.  A thread variable that is not set reads None."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {"blas": {"name": blas.get("name"), "version": blas.get("version")},
             **{var: os.environ.get(var)
                for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")},
-            "cpu_affinity": len(os.sched_getaffinity(0))}
+            "cpu_affinity": len(os.sched_getaffinity(0)),
+            "blas_threads": blas_threads()}
 
 
 def memory_record(mesh):
@@ -200,7 +227,8 @@ def cmd_cond_sweep(args):
          "alpha_bjs": args.alpha, "nref": list(args.nref), "n0": args.n0},
         {"total": time.perf_counter() - t0, "points": timings},
         {"rows": len(rows), "skipped": skipped,
-         "check_key": key, "max_over_min": ratio})
+         "check_key": key, "max_over_min": ratio},
+        memory_record(mesh))     # the store of the last mesh swept
     print(f"wrote {path} ({len(rows)} rows, {key} spread {ratio:.3g})")
     if args.check:
         if skipped:
@@ -265,11 +293,14 @@ def _run_minres(system, args, command, runs, assemble_s):
         path = out / f"{label}.csv"
         log.to_csv(path)
         r = log.residuals
+        true_B = true_residual(system.A, system.b, log.x, precond)
         results = {"iterations": log.iterations, "reason": log.reason,
                    "relative_residual": r[-1] / r[0] if r[0] != 0 else 0.0,
                    "residual_B": float(r[-1]),
-                   "true_residual_B": true_residual(system.A, system.b,
-                                                    log.x, precond),
+                   "true_residual_B": true_B,
+                   # how far the recursive residual drifted from the true one
+                   "residual_gap": (abs(true_B - r[-1]) / r[0] if r[0] != 0
+                                    else 0.0),
                    "a_matvecs": log.a_matvecs, "b_applies": log.b_applies,
                    "plateau_windows": [list(w) for w in log.plateau_windows],
                    "plateau": bool(log.plateau_windows),
@@ -344,12 +375,21 @@ def cmd_floating(args):
 # ---------------------------------------------------------------- main
 
 
-def _float_list(text):
-    return [float(v) for v in text.split(",")]
+def _list_of(kind, what):
+    """An argparse type reading comma-separated values of `kind`, whose
+    error says what a valid value looks like rather than naming the
+    converter."""
+    def convert(text):
+        try:
+            return [kind(v) for v in text.split(",")]
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected comma-separated {what}, got {text!r}") from None
+    return convert
 
 
-def _int_list(text):
-    return [int(v) for v in text.split(",")]
+_float_list = _list_of(float, "numbers")
+_int_list = _list_of(int, "integers")
 
 
 class _Parser(argparse.ArgumentParser):

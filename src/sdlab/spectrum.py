@@ -50,10 +50,13 @@ Spectrum, has the measurements):
   it will hold and raises a BudgetError over DENSE_BUDGET.  The reduction
   holds 8 (n_u n_p + 4 n_p^2) bytes for Y and H plus its sparse and dense
   factors, ``sygv`` 16 n^2; a deflation's n x m arrays are not counted.
+- Heap: the freed heap is handed back to the OS (`_release_heap`) before H
+  is allocated and when `generalized_eigs` has its eigenvalues.
 """
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,6 +76,30 @@ UNIT_TOL = 1e-12
 # block size of the saddle-point reduction's QR; of 32, 64, 128 and n_p
 # the fastest on EN and NN at nref 1 and 2
 QR_BLOCK = 128
+
+
+def _malloc_trim():
+    """glibc's malloc_trim, or None where the C library has no such
+    symbol."""
+    trim = getattr(ctypes.CDLL(None), "malloc_trim", None)
+    if trim is not None:
+        trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
+    return trim
+
+
+_MALLOC_TRIM = _malloc_trim()
+
+
+def _release_heap():
+    """Return the C heap's free pages to the OS, where glibc can.
+
+    Once a dense array as large as Y or H is freed, glibc raises its mmap
+    threshold to that size, so later arrays of that size come from the
+    heap, and a freed block that the next array does not fit stays
+    resident: without this, the peak resident set of repeated eigensolves
+    climbs pass after pass while the memory in use does not."""
+    if _MALLOC_TRIM is not None:
+        _MALLOC_TRIM(0)
 
 
 class BudgetError(ValueError):
@@ -133,6 +160,8 @@ def generalized_eigs(A, N, n_eliminated=0, deflation=None):
             M = blas.dgemm(-1.0, X, X, 1.0, M, trans_b=1, overwrite_c=1)
         lam = sla.eigh(A_c.toarray(order="F"), M, eigvals_only=True,
                        driver="gv", overwrite_a=True, overwrite_b=True)
+        del M
+    _release_heap()
     exact = A.diagonal()[free] / N.diagonal()[free]
     return Spectrum(np.sort(np.concatenate([lam, exact])), n_eliminated)
 
@@ -238,6 +267,8 @@ def _saddle_eigs(A, N, W, gamma):
     if not off <= (n_u + n_p) * np.finfo(float).eps * GG_norm:
         return None
 
+    # Y, freed above, left a hole in the heap that H does not fit
+    _release_heap()
     H = np.zeros((2 * n_p, 2 * n_p), order="F")
     np.negative(GG, out=H[:n_p, :n_p])
     del GG

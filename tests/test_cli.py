@@ -3,7 +3,12 @@ exit codes, and bit-for-bit reproducibility."""
 
 import csv
 import json
+import os
+import re
 import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -61,6 +66,8 @@ def test_cond_sweep_subcommand(tmp_path):
     assert side["results"]["check_key"] == "kappa_eff"
     assert side["results"]["rows"] == 2
     assert side["results"]["skipped"] == []
+    assert side["memory"]["peak_rss_mb"] > 0
+    assert side["memory"]["store_bytes"] > 0
 
 
 def test_cond_sweep_check_exit_codes(tmp_path):
@@ -154,6 +161,20 @@ def test_solve_sidecar_counts_and_true_residual(tmp_path):
     assert abs(res["true_residual_B"] - res["residual_B"]) <= 1e-12 * r0
 
 
+def test_solve_sidecar_residual_gap(tmp_path):
+    # the gap between the true and the recursive residual, relative to r_0
+    # (1.3e-17 here), shows whether the recursion drifted
+    out = tmp_path / "gap"
+    ret = main(["solve", "--case", "NE", "--nref", "1", "--out", str(out)])
+    assert ret == 0
+    res = read_sidecar(out / "solve_NE_mu3_K1_nref1.csv")["results"]
+    assert res["reason"] == "converged"
+    r0 = res["residual_B"] / res["relative_residual"]
+    assert res["residual_gap"] == pytest.approx(
+        abs(res["true_residual_B"] - res["residual_B"]) / r0, rel=1e-12)
+    assert res["residual_gap"] < 1e-12
+
+
 def test_solve_sidecar_records_environment(tmp_path, monkeypatch):
     # the BLAS and the threads it may use, as the logs depend on them
     monkeypatch.setenv("OMP_NUM_THREADS", "1")
@@ -169,6 +190,22 @@ def test_solve_sidecar_records_environment(tmp_path, monkeypatch):
     assert env["OMP_NUM_THREADS"] == "1"
     assert env["OPENBLAS_NUM_THREADS"] is None
     assert env["cpu_affinity"] >= 1
+
+
+def test_solve_sidecar_records_blas_threads(tmp_path):
+    # the threads each loaded OpenBLAS uses, read from the library itself:
+    # in a fresh process, OPENBLAS_NUM_THREADS=1 reaches every one of them
+    out = tmp_path / "threads"
+    path = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, path)))
+    subprocess.run([sys.executable, "-m", "sdlab.cli", "solve", "--case",
+                    "EN", "--nref", "0", "--n0", "2", "--out", str(out)],
+                   env=env, check=True, capture_output=True, timeout=300)
+    env = read_sidecar(out / "solve_EN_mu3_K1_nref0.csv")["environment"]
+    assert env["OPENBLAS_NUM_THREADS"] == "1"
+    threads = env["blas_threads"]
+    assert threads and set(threads.values()) == {1}
 
 
 def test_solve_sidecar_records_memory(tmp_path):
@@ -364,14 +401,18 @@ def test_indefinite_preconditioner_is_a_reason(tmp_path, monkeypatch):
     assert side["results"]["iterations"] == 0
     assert np.isnan(side["results"]["relative_residual"])
     assert np.isnan(side["results"]["true_residual_B"])
+    assert np.isnan(side["results"]["residual_gap"])
 
 
 def assert_refused(ret, capsys, out):
-    """Exit code 2, one `error:` line and no output directory."""
+    """Exit code 2, one `error:` line naming no private name, and no output
+    directory; returns the line."""
     assert ret == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert not re.search(r"\b_\w", err), err
     assert not out.exists()
+    return err
 
 
 def test_unknown_case_rejected(tmp_path, capsys):
@@ -392,9 +433,19 @@ def test_multi_inclusion_case_rejected(tmp_path, capsys, command):
 @pytest.mark.parametrize("command", sorted(COMMAND_ARGV))
 def test_non_numeric_mu_rejected(tmp_path, capsys, command):
     out = tmp_path / "abc"
-    assert_refused(main(COMMAND_ARGV[command] + ["--mu", "abc",
-                                                 "--out", str(out)]),
-                   capsys, out)
+    err = assert_refused(main(COMMAND_ARGV[command] + ["--mu", "abc",
+                                                       "--out", str(out)]),
+                         capsys, out)
+    assert "expected comma-separated numbers, got 'abc'" in err
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_ARGV))
+def test_non_integer_nref_rejected(tmp_path, capsys, command):
+    out = tmp_path / "nref"
+    err = assert_refused(main(COMMAND_ARGV[command] + ["--nref", "1,x",
+                                                       "--out", str(out)]),
+                         capsys, out)
+    assert "expected comma-separated integers, got '1,x'" in err
 
 
 def test_reproducible_outputs(tmp_path):

@@ -1,5 +1,7 @@
 """Dense spectral analysis of the preconditioned pencil."""
 
+import platform
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -336,3 +338,38 @@ def test_pencil_off_the_coupling_range_takes_dense_path():
     ref = sla.eigh(s.A.toarray(), N.toarray(), eigvals_only=True)
     lam = generalized_eigs(s.A, N).eigenvalues
     assert np.abs(lam - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_heap_release_leaves_spectra_bitwise(monkeypatch):
+    # handing freed heap back to the OS is a side effect only: where the C
+    # library has no malloc_trim the helper does nothing, and the spectra
+    # are bitwise those computed with it
+    assert (spectrum._MALLOC_TRIM is not None) == (
+        platform.libc_ver()[0] == "glibc")
+    cases = [(_system(BcConfig.EN, 1), None)]
+    s = _system(BcConfig.NE, 1)
+    cases.append((s, build_deflation(s)))
+    with_trim = [generalized_eigs(s.A, s.N, deflation=d).eigenvalues
+                 for s, d in cases]
+    monkeypatch.setattr(spectrum, "_MALLOC_TRIM", None)
+    assert spectrum._release_heap() is None
+    for (s, d), lam in zip(cases, with_trim):
+        assert np.array_equal(
+            generalized_eigs(s.A, s.N, deflation=d).eigenvalues, lam)
+
+
+def test_heap_released_on_both_paths(monkeypatch):
+    # before H is allocated and once the eigenvalues are in, on the
+    # reduction; once the eigenvalues are in, on the dense path
+    calls = []
+    monkeypatch.setattr(spectrum, "_MALLOC_TRIM", calls.append)
+    s = _system(BcConfig.EN, 1, n0=2)
+    generalized_eigs(s.A, s.N)
+    assert calls == [0, 0]
+    # the pencil of test_pencil_off_the_coupling_range_takes_dense_path
+    u_S = np.zeros(s.A.shape[0])
+    u_S[s.layout.field_slice("u_S")] = 1e-3 * s.N.diagonal().mean()
+    N = (s.N + sp.diags(u_S)).tocsr()
+    calls.clear()
+    generalized_eigs(s.A, N)
+    assert calls == [0]
