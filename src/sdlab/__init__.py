@@ -15,7 +15,7 @@ from .mesh import (BcConfig, ConfigurationError, DomainSpec, Mesh,
 from .spaces import BlockLayout, build_layout, essential_dofs
 from .assembly import (BlockSystem, LoadData, PhysParams, apply_essential,
                        assemble_operator, assemble_rhs, assemble_riesz,
-                       assemble_system, essential_values, save_matrix_coo)
+                       assemble_system, essential_values)
 from .frac_interface import facet_laplacian, interface_operator
 from .precond import (BlockPreconditioner, DeflatedPreconditioner, Deflation,
                       build_deflation, build_preconditioner,

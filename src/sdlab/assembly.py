@@ -865,11 +865,3 @@ def assemble_system(mesh, params, loads=None):
                        A=aff.A.matrix(w), N=aff.N.matrix(w), b=b,
                        essential=aff.essential, essential_vals=vals)
 
-
-def save_matrix_coo(M, path):
-    """Text COO export: header '# nrows ncols nnz', then 'row col value'."""
-    coo = sp.coo_matrix(M)
-    with open(path, "w") as fh:
-        fh.write(f"# {coo.shape[0]} {coo.shape[1]} {coo.nnz}\n")
-        for r, c, v in zip(coo.row, coo.col, coo.data):
-            fh.write(f"{r} {c} {v:.17g}\n")

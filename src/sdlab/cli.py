@@ -375,21 +375,27 @@ def cmd_floating(args):
 # ---------------------------------------------------------------- main
 
 
-def _list_of(kind, what):
-    """An argparse type reading comma-separated values of `kind`, whose
-    error says what a valid value looks like rather than naming the
-    converter."""
-    def convert(text):
+def _arg_type(kind, what, ok=lambda _value: True, many=False):
+    """An argparse type reading a value of `kind` that `ok` accepts, or with
+    `many` comma-separated ones, whose error says what a valid value looks
+    like rather than naming the converter."""
+    def parse(text):
         try:
-            return [kind(v) for v in text.split(",")]
+            values = [kind(v) for v in (text.split(",") if many else [text])]
+            if all(map(ok, values)):
+                return values if many else values[0]
         except ValueError:
-            raise argparse.ArgumentTypeError(
-                f"expected comma-separated {what}, got {text!r}") from None
-    return convert
+            pass
+        raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+    return parse
 
 
-_float_list = _list_of(float, "numbers")
-_int_list = _list_of(int, "integers")
+_float_list = _arg_type(float, "comma-separated numbers", many=True)
+_nref_list = _arg_type(int, "comma-separated non-negative integers",
+                       lambda n: n >= 0, many=True)
+_positive = _arg_type(float, "a positive finite number",
+                      lambda v: 0 < v < np.inf)
+_maxit = _arg_type(int, "an integer >= 1", lambda n: n >= 1)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -414,7 +420,7 @@ def build_parser():
                        help="permeability, comma-separated sweep allowed")
         q.add_argument("--alpha", type=float, default=0.5,
                        help="slip coefficient of the interface friction term")
-        q.add_argument("--nref", type=_int_list, default=list(nref_default),
+        q.add_argument("--nref", type=_nref_list, default=list(nref_default),
                        help="refinement levels, comma-separated")
         q.add_argument("--n0", type=int, default=4,
                        help="base lattice divisions per unit length")
@@ -433,10 +439,10 @@ def build_parser():
     q.set_defaults(func=cmd_cond_sweep)
 
     def solver_flags(q):
-        q.add_argument("--reduction", type=float, default=1e-12,
+        q.add_argument("--reduction", type=_positive, default=1e-12,
                        help="relative residual reduction target")
-        q.add_argument("--maxit", type=int, default=3000)
-        q.add_argument("--gamma-mult", dest="gamma_mult", type=float,
+        q.add_argument("--maxit", type=_maxit, default=3000)
+        q.add_argument("--gamma-mult", dest="gamma_mult", type=_positive,
                        default=1.0, help="scaling of the deflation weight")
         q.add_argument("--diagnostic", action="store_true",
                        help="log harmonic Ritz values and the F_k factor")
@@ -468,23 +474,9 @@ def main(argv=None):
                 raise ConfigurationError(
                     f"{args.command} takes one --{flag} value, got "
                     f"{len(values)}")
-        gamma_mult = getattr(args, "gamma_mult", 1.0)
-        if not (np.isfinite(gamma_mult) and gamma_mult > 0):
-            raise ConfigurationError(
-                f"--gamma-mult must be positive and finite, got {gamma_mult:g}")
-        reduction = getattr(args, "reduction", 1e-12)
-        if not (np.isfinite(reduction) and reduction > 0):
-            raise ConfigurationError(
-                f"--reduction must be positive and finite, got {reduction:g}")
-        if getattr(args, "maxit", 1) < 1:
-            raise ConfigurationError(
-                f"--maxit must be at least 1, got {args.maxit}")
-        # every point of a sweep, before the first run writes a file
-        if min(args.nref) < 0:
-            raise ConfigurationError(
-                f"nref must be non-negative, got {min(args.nref)}")
-        # and the deflation weight at each point (a layout with no
-        # near-kernel has none); E's definiteness needs the system
+        # every (mu, K) of a sweep, before the first run writes a file, and
+        # the deflation weight at each (a layout with no near-kernel has
+        # none); E's definiteness needs the system
         config = (BcConfig.MULTI if args.command == "floating"
                   else BcConfig(args.case) if getattr(args, "deflate", False)
                   else None)
@@ -492,7 +484,7 @@ def main(argv=None):
             for K in args.K:
                 params = PhysParams(mu, K, args.alpha)
                 if config is not None:
-                    deflation_weight(params, config, gamma_mult)
+                    deflation_weight(params, config, args.gamma_mult)
         if args.command == "mms" and max(args.nref) < 1:
             raise ConfigurationError("mms needs --nref >= 1: a rate needs two levels")
         return args.func(args)

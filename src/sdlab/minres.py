@@ -1,12 +1,16 @@
 """Preconditioned MINRES with harmonic Ritz convergence diagnostics.
 
-The solver runs the standard three-term Lanczos/Givens recurrence with an
-SPD preconditioner B, minimizing and logging the B-norm of the residual.
-Per-iteration Lanczos coefficients are kept so the tridiagonal matrix can
-be re-examined afterwards.  In diagnostic mode the Lanczos basis is stored
-and re-orthogonalized twice per step against all earlier vectors (block
-classical Gram-Schmidt), in place in two row buffers.  After the loop the
-harmonic Ritz values of the preconditioned operator at every step are
+The private generator `_recurrence` runs one solve's three-term
+Lanczos/Givens recurrence for an SPD preconditioner B, minimizing the
+B-norm of the residual.  It computes no product: it yields its Lanczos
+vector v and is sent A v, yields its residual r and is sent B r, then
+updates x in place, yields the step, and returns the reason it stopped.
+`minres_solve` drives one recurrence and owns x, maxit, the counts and the
+log.  With `diagnostic` it re-orthogonalizes each r twice against the
+stored Lanczos basis (block classical Gram-Schmidt, in place in two row
+buffers) before applying B.  A lockstep driver would send k recurrences
+the columns of one block product with A and one with B.  After the loop
+the harmonic Ritz values of the preconditioned operator at every step are
 computed from the logged coefficients, one step at a time.
 
 The harmonic Ritz values at step k (Paige, Parlett & van der Vorst 1995)
@@ -161,19 +165,76 @@ def detect_plateaus(residuals):
     residuals[start] covering the slow stretch.
     """
     r = np.asarray(residuals)
-    slow = r[1:] > PLATEAU_FACTOR * r[:-1]
-    windows = []
-    start = None
-    for k, s in enumerate(slow):
-        if s and start is None:
-            start = k
-        elif not s and start is not None:
-            if k - start >= PLATEAU_LEN:
-                windows.append((start, k))
-            start = None
-    if start is not None and len(slow) - start >= PLATEAU_LEN:
-        windows.append((start, len(slow)))
-    return windows
+    slow = np.concatenate([[False], r[1:] > PLATEAU_FACTOR * r[:-1], [False]])
+    # the steps where a slow stretch starts and where it ends, alternately
+    edges = np.flatnonzero(slow[1:] != slow[:-1]).tolist()
+    return [(start, end) for start, end in zip(edges[::2], edges[1::2])
+            if end - start >= PLATEAU_LEN]
+
+
+def _recurrence(x, r, y, beta1, target):
+    """The MINRES recurrence from x = 0, residual r and y = B r, with
+    r'y = beta1^2 > 0.  Each step yields v and r (module docstring), then
+    (alpha, beta, |phibar|) once it has updated x in place.  It returns
+    "converged" once |phibar| <= target, or "breakdown"; "indefinite" or
+    "nonfinite" in place of a step, which is not taken."""
+    n = len(r)
+    oldb, beta = 0.0, beta1
+    dbar = epsln = sn = 0.0
+    cs = -1.0
+    phibar = beta1
+    # the recurrences run in place, in these buffers and A v, one numpy
+    # ufunc per operation as in `x = x + phi * w`, so every value is
+    # rounded as there (no fused multiply-add)
+    v, tmp = np.empty(n), np.empty(n)
+    w, w1, w2 = np.zeros(n), np.zeros(n), np.zeros(n)
+    r1 = r2 = r
+    while True:
+        np.divide(y, beta, out=v)
+        yv = yield v
+        if oldb > 0.0:              # not the first step
+            np.multiply(r1, beta / oldb, out=tmp)
+            yv -= tmp
+        alfa = float(v @ yv)
+        np.multiply(r2, alfa / beta, out=tmp)
+        yv -= tmp
+        r1, r2 = r2, yv
+        y = yield r2
+        oldb = beta
+        betasq = float(r2 @ y)
+        # r'Br < 0 beyond roundoff, which an SPD B cannot give; the norms
+        # set the scale only for a negative inner product
+        if betasq < 0.0 and betasq < -1e-12 * max(
+                np.linalg.norm(r2) * np.linalg.norm(y), 1e-300):
+            return "indefinite"
+        beta = np.sqrt(max(betasq, 0.0))
+
+        oldeps = epsln
+        delta = cs * dbar + sn * alfa
+        gbar = sn * dbar - cs * alfa
+        epsln = sn * beta
+        dbar = -cs * beta
+        gamma = max(np.hypot(gbar, beta), 1e-300)
+        cs = gbar / gamma
+        sn = beta / gamma
+        phi = cs * phibar
+        phibar = sn * phibar
+        if not (np.isfinite(beta) and np.isfinite(phibar)):
+            return "nonfinite"
+        # w1, w2, w = w2, w, (v - oldeps * w1 - delta * w2) / gamma
+        w1, w2, w = w2, w, w1
+        np.multiply(w1, oldeps, out=tmp)
+        np.subtract(v, tmp, out=w)
+        np.multiply(w2, delta, out=tmp)
+        w -= tmp
+        w /= gamma
+        np.multiply(w, phi, out=tmp)
+        np.add(x, tmp, out=x)
+        yield alfa, beta, abs(phibar)
+        if abs(phibar) <= target:
+            return "converged"
+        if beta <= 1e-14 * beta1:
+            return "breakdown"
 
 
 def minres_solve(A, b, precond, reduction=1e-12, maxit=1000, diagnostic=False,
@@ -193,98 +254,46 @@ def minres_solve(A, b, precond, reduction=1e-12, maxit=1000, diagnostic=False,
     true `eigenvalues` are supplied) of every iteration are computed from
     the logged Lanczos coefficients after the loop.
     """
-    n = len(b)
-    x = np.zeros(n)
-    r1 = np.asarray(b, dtype=float).copy()
-    y = precond(r1)
+    x = np.zeros(len(b))
+    r = np.asarray(b, dtype=float).copy()
+    y = precond(r)
     a_matvecs, b_applies = 0, 1
-    beta1 = np.sqrt(max(float(r1 @ y), 0.0))
+    beta1 = np.sqrt(max(float(r @ y), 0.0))
     residuals = [beta1]
     alphas, betas = [], []
     basis = None
     if not np.isfinite(beta1):
         reason = "nonfinite"
     elif beta1 == 0.0:
-        if np.linalg.norm(r1) > 0.0:
-            # r1 @ y <= 0 for a nonzero r1: there is no B-norm to log
+        if np.linalg.norm(r) > 0.0:
+            # r @ y <= 0 for a nonzero r: there is no B-norm to log
             reason = "indefinite"
             residuals = [np.nan]
         else:
             reason = "converged"
     else:
-        reason = "maxit"
-        target = max(reduction * beta1, ABS_FLOOR)
         if diagnostic:
-            basis = _LanczosBasis(r1, y, beta1)
-        oldb, beta = 0.0, beta1
-        dbar = epsln = sn = 0.0
-        cs = -1.0
-        phibar = beta1
-        # the recurrences run in place, in these buffers and A @ v, one
-        # numpy ufunc per operation as in `x = x + phi * w`, so every value
-        # is rounded as there (no fused multiply-add)
-        v, tmp = np.empty(n), np.empty(n)
-        w, w1, w2 = np.zeros(n), np.zeros(n), np.zeros(n)
-        r2 = r1
-
-        for itn in range(1, maxit + 1):
-            np.divide(y, beta, out=v)
-            yv = A @ v
-            a_matvecs += 1
-            if itn >= 2:
-                np.multiply(r1, beta / oldb, out=tmp)
-                yv -= tmp
-            alfa = float(v @ yv)
-            np.multiply(r2, alfa / beta, out=tmp)
-            yv -= tmp
-            if diagnostic:
-                basis.project_out(yv)
-                basis.project_out(yv)
-            r1 = r2
-            r2 = yv
-            y = precond(r2)
-            b_applies += 1
-            oldb = beta
-            betasq = float(r2 @ y)
-            if _negative(betasq, r2, y):
-                reason = "indefinite"     # the log ends at the last good step
-                break
-            beta = np.sqrt(max(betasq, 0.0))
-
-            oldeps = epsln
-            delta = cs * dbar + sn * alfa
-            gbar = sn * dbar - cs * alfa
-            epsln = sn * beta
-            dbar = -cs * beta
-            gamma = max(np.hypot(gbar, beta), 1e-300)
-            cs = gbar / gamma
-            sn = beta / gamma
-            phi = cs * phibar
-            phibar = sn * phibar
-            if not (np.isfinite(beta) and np.isfinite(phibar)):
-                reason = "nonfinite"      # the log ends at the last finite step
-                break
-            alphas.append(alfa)
-            betas.append(beta)
-            if diagnostic and beta > 0.0:
-                basis.append(r2, y, beta)
-            # w1, w2, w = w2, w, (v - oldeps * w1 - delta * w2) / gamma
-            w1, w2, w = w2, w, w1
-            np.multiply(w1, oldeps, out=tmp)
-            np.subtract(v, tmp, out=w)
-            np.multiply(w2, delta, out=tmp)
-            w -= tmp
-            w /= gamma
-            np.multiply(w, phi, out=tmp)
-            x += tmp
-            residuals.append(abs(phibar))
-
-            if abs(phibar) <= target:
-                reason = "converged"
-                break
-            if beta <= 1e-14 * beta1:
-                reason = "breakdown"
-                break
+            basis = _LanczosBasis(r, y, beta1)
+        steps = _recurrence(x, r, y, beta1, max(reduction * beta1, ABS_FLOOR))
+        try:
+            for _ in range(maxit):
+                r = steps.send(A @ next(steps))
+                a_matvecs += 1
+                if diagnostic:
+                    basis.project_out(r)
+                    basis.project_out(r)
+                y = precond(r)
+                b_applies += 1
+                alfa, beta, phibar = steps.send(y)
+                alphas.append(alfa)
+                betas.append(beta)
+                residuals.append(phibar)
+                if diagnostic and beta > 0.0:
+                    basis.append(r, y, beta)
+            next(steps)     # the maxit-th step may have stopped the run
+            reason = "maxit"
+        except StopIteration as stop:
+            reason = stop.value       # x and the log end at its last step
 
     residuals = np.array(residuals)
     alphas, betas = np.array(alphas), np.array(betas)
@@ -346,15 +355,6 @@ class _LanczosBasis:
         """max |z_j' v_i - delta_ij| over the stored vectors."""
         G = self._V[:self._m] @ self._Z[:self._m].T
         return float(np.abs(G - np.eye(self._m)).max())
-
-
-def _negative(inner, r, y):
-    """Whether r' B r = `inner` (y = B r) is negative beyond roundoff, which
-    an SPD preconditioner cannot give."""
-    # the scale matters only for a negative inner product: skip its norms
-    # on every other step
-    return inner < 0.0 and inner < -1e-12 * max(
-        np.linalg.norm(r) * np.linalg.norm(y), 1e-300)
 
 
 def check_convergence_bound(log, rho):

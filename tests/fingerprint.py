@@ -11,14 +11,16 @@ pins OPENBLAS_NUM_THREADS=1 before numpy loads: the MINRES logs depend on
 the BLAS thread count, so hashes compare only at a fixed count.
 
 The outputs, per system: A, N, b, the essential dofs and values,
-`interface_operator`, one B-apply, the deflation W and gamma where the
-layout has a near-kernel, a 50-step MINRES log and `compute_errors` of its
-iterate.  The systems: NN, EE, NEstar, ENstar, NE and EN at nref 0-2
-(stacked, n0 4) and MultiInclusion with 1 and 3 inclusions at nref 0-1,
-each at the three (mu, K) of PARAMS on one mesh per case, plus NN at
-nref 1 and the first (mu, K) on a mesh that went through save_mesh and
-load_mesh.  It reads only public names that both checkouts of a
-comparison must share, so that one copy of the script serves both sides.
+`interface_operator`, one B-apply, the deflation W and gamma and a
+50-step deflated MINRES log where the layout has a near-kernel, a 50-step
+MINRES log and `compute_errors` of its iterate, and a 50-step diagnostic
+MINRES log with its harmonic Ritz values and loss of orthogonality.  The
+systems: NN, EE, NEstar, ENstar, NE and EN at nref 0-2 (stacked, n0 4)
+and MultiInclusion with 1 and 3 inclusions at nref 0-1, each at the three
+(mu, K) of PARAMS on one mesh per case, plus NN at nref 1 and the first
+(mu, K) on a mesh that went through save_mesh and load_mesh.  It reads
+only public names that both checkouts of a comparison must share, so that
+one copy of the script serves both sides.
 """
 
 import os
@@ -41,7 +43,8 @@ from sdlab.mesh import (BcConfig, build_coupled_mesh, load_mesh, save_mesh,
                         stacked_domain, tag_boundaries)
 from sdlab.minres import minres_solve
 from sdlab.mms import ExactSolution, compute_errors
-from sdlab.precond import build_deflation, build_preconditioner
+from sdlab.precond import (DeflatedPreconditioner, build_deflation,
+                           build_preconditioner)
 
 PARAMS = ((3.0, 0.2), (1e-3, 1e3), (1e4, 1e-2))
 EDGE_LAYOUTS = ("NN", "EE", "NEstar", "ENstar", "NE", "EN")
@@ -90,6 +93,14 @@ def _sparse(M):
     return digest(np.asarray(M.shape), M.indptr, M.indices, M.data)
 
 
+def _log(log, *extra):
+    """sha256 of a MINRES log's iterate, residuals, Lanczos coefficients
+    and reason, and of `extra` arrays."""
+    return digest(log.x, np.asarray(log.residuals), np.asarray(log.alphas),
+                  np.asarray(log.betas), *extra,
+                  np.frombuffer(log.reason.encode(), np.uint8))
+
+
 def system_outputs(mesh, mu, K):
     """(output name, sha256) of one system on a tagged mesh."""
     exact = ExactSolution(mu=mu, K=K)
@@ -108,11 +119,16 @@ def system_outputs(mesh, mu, K):
     if deflation is not None:
         yield "deflation_W", digest(deflation.W)
         yield "deflation_gamma", digest(np.float64(deflation.gamma))
+        yield "minres_deflated", _log(minres_solve(
+            system.A, system.b, DeflatedPreconditioner(B, deflation),
+            maxit=MINRES_STEPS))
     log = minres_solve(system.A, system.b, B, maxit=MINRES_STEPS)
-    yield "minres_log", digest(log.x, np.asarray(log.residuals),
-                               np.asarray(log.alphas), np.asarray(log.betas),
-                               np.frombuffer(log.reason.encode(), np.uint8))
+    yield "minres_log", _log(log)
     yield "errors", digest(np.asarray(compute_errors(system, log.x, exact)))
+    log = minres_solve(system.A, system.b, B, maxit=MINRES_STEPS,
+                       diagnostic=True)
+    yield "minres_diagnostic", _log(log, log.theta_min,
+                                    np.float64(log.ortho_max))
 
 
 def fingerprints(cases=CASES):

@@ -20,7 +20,6 @@ from sdlab.assembly import (
     assemble_riesz,
     assemble_system,
     build_layout,
-    save_matrix_coo,
 )
 from sdlab.cli import channel_loads, floating_domain
 from sdlab.elements import affine_maps
@@ -332,27 +331,6 @@ def test_apply_essential_matches_dense_elimination(rng, dofs, values):
     assert np.array_equal(b2[at], x[at])
     if not len(dofs):
         assert np.array_equal(b2, b)
-
-
-def test_save_matrix_coo_round_trip(tmp_path, rng):
-    M = sp.random(7, 7, density=0.4, random_state=3)
-    M = M + M.T
-    path = tmp_path / "mat.txt"
-    save_matrix_coo(M, path)
-    lines = path.read_text().strip().split("\n")
-    header = lines[0].split()
-    assert header[0] == "#"
-    nr, nc, nnz = map(int, header[1:])
-    assert (nr, nc) == M.shape
-    assert nnz == len(lines) - 1
-    rows, cols, vals = [], [], []
-    for ln in lines[1:]:
-        r, c, v = ln.split()
-        rows.append(int(r))
-        cols.append(int(c))
-        vals.append(float(v))
-    M2 = sp.coo_matrix((vals, (rows, cols)), shape=(nr, nc))
-    assert np.abs((M2 - M).toarray()).max() == 0.0
 
 
 def test_assemble_system_facade():

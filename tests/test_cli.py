@@ -445,7 +445,7 @@ def test_non_integer_nref_rejected(tmp_path, capsys, command):
     err = assert_refused(main(COMMAND_ARGV[command] + ["--nref", "1,x",
                                                        "--out", str(out)]),
                          capsys, out)
-    assert "expected comma-separated integers, got '1,x'" in err
+    assert "expected comma-separated non-negative integers, got '1,x'" in err
 
 
 def test_reproducible_outputs(tmp_path):

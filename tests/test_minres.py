@@ -2,6 +2,7 @@
 the cluster-robust convergence-bound diagnostics."""
 
 import csv
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
@@ -79,6 +80,16 @@ def test_log_counts_products_and_applies(B):
     if log.reason == "converged":
         assert log.a_matvecs == log.iterations
         assert log.b_applies == log.iterations + 1
+
+
+def test_breakdown_on_a_singular_operator():
+    # b's component in A's null space has norm 1, and no step reduces it:
+    # the third step exhausts the Krylov space, and beta vanishes
+    log = minres_solve(np.diag([2.0, 0.0, -1.0]), np.ones(3), lambda r: r)
+    assert log.reason == "breakdown"
+    assert log.iterations == 3
+    assert log.residuals[-1] == 0.9999999999999998
+    assert (log.a_matvecs, log.b_applies) == (3, 4)
 
 
 def test_indefinite_two_step():
@@ -386,6 +397,42 @@ def test_plain_solve_matches_reference(case, nref, mu, K, deflate):
     for got, want in ((log.x, x), (log.residuals, residuals),
                       (log.alphas, alphas), (log.betas, betas)):
         _assert_bitwise(got, want)
+
+
+def test_recurrences_driven_in_turn_match_sequential_solves():
+    # a plain and a deflated run over one BlockPreconditioner, advanced by
+    # hand one step each in turn as a lockstep driver would, give the two
+    # sequential solves' logs bit for bit
+    system, _, deflated = _reference_case("NE", 1, 1e-2, 1e4, True)
+    runs = []
+    for P in (deflated.base, deflated):
+        r = system.b.copy()
+        y = P(r)
+        beta1 = np.sqrt(float(r @ y))
+        target = max(1e-12 * beta1, minres.ABS_FLOOR)
+        x = np.zeros(len(r))
+        runs.append(SimpleNamespace(
+            P=P, steps=minres._recurrence(x, r, y, beta1, target), x=x,
+            taken=[(np.nan, np.nan, beta1)], reason=None))
+    while any(run.reason is None for run in runs):
+        for run in runs:
+            if run.reason is not None:
+                continue
+            try:
+                r = run.steps.send(system.A @ next(run.steps))
+                run.taken.append(run.steps.send(run.P(r)))
+            except StopIteration as stop:
+                run.reason = stop.value
+    for run in runs:
+        log = minres_solve(system.A, system.b, run.P, reduction=1e-12,
+                           maxit=3000)
+        assert run.reason == log.reason == "converged"
+        alphas, betas, residuals = np.array(run.taken).T
+        for got, want in ((run.x, log.x), (residuals, log.residuals),
+                          (alphas[1:], log.alphas), (betas[1:], log.betas)):
+            _assert_bitwise(np.ascontiguousarray(got), want)
+    # the deflated run stops first, so the plain one ran on alone
+    assert len(runs[1].taken) < len(runs[0].taken)
 
 
 def test_Fk_blocks_match_per_step_reference(rng, monkeypatch):
