@@ -11,7 +11,8 @@ pins OPENBLAS_NUM_THREADS=1 before numpy loads: the MINRES logs depend on
 the BLAS thread count, so hashes compare only at a fixed count.
 
 The outputs, per system: A, N, b, the essential dofs and values,
-`interface_operator`, one B-apply, the deflation W and gamma and a
+`interface_operator`, each block solve of the preconditioner
+(`solve_block` on its rows of one vector), the deflation W and gamma and a
 50-step deflated MINRES log where the layout has a near-kernel, a 50-step
 MINRES log and `compute_errors` of its iterate, and a 50-step diagnostic
 MINRES log with its harmonic Ritz values and loss of orthogonality.  The
@@ -45,6 +46,7 @@ from sdlab.minres import minres_solve
 from sdlab.mms import ExactSolution, compute_errors
 from sdlab.precond import (DeflatedPreconditioner, build_deflation,
                            build_preconditioner)
+from sdlab.spaces import FIELDS
 
 PARAMS = ((3.0, 0.2), (1e-3, 1e3), (1e4, 1e-2))
 EDGE_LAYOUTS = ("NN", "EE", "NEstar", "ENstar", "NE", "EN")
@@ -114,7 +116,10 @@ def system_outputs(mesh, mu, K):
     yield "essential_dofs", digest(system.essential)
     yield "essential_values", digest(system.essential_vals)
     yield "interface_operator", digest(interface_operator(mesh, params))
-    yield "B_apply", digest(B(r))
+    for name in FIELDS:
+        s = system.layout.field_slice(name)
+        if s.stop > s.start:
+            yield f"solve_{name}", digest(B.solve_block(name, r[s]))
     deflation = build_deflation(system)
     if deflation is not None:
         yield "deflation_W", digest(deflation.W)
