@@ -304,7 +304,10 @@ def _run_minres(system, args, command, runs, assemble_s):
                    "a_matvecs": log.a_matvecs, "b_applies": log.b_applies,
                    "plateau_windows": [list(w) for w in log.plateau_windows],
                    "plateau": bool(log.plateau_windows),
-                   "lu_fill": base.lu_fill}
+                   "lu_fill": base.lu_fill,
+                   # {block: [kind, entries]}; a stand-in preconditioner
+                   # need only count its fill
+                   "factors": getattr(base, "factors", None)}
         if log.ortho_max is not None:
             results["ortho_max"] = log.ortho_max
         timings = {"assemble": assemble_s, "precond": precond_s,

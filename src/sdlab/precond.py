@@ -1,15 +1,21 @@
 """Block-diagonal Riesz-map preconditioner and near-kernel deflation.
 
 The preconditioner applies the inverse of the assembled block-diagonal
-Riesz map N, each of its five blocks read off N: sparse LU solves for the
-velocity and free-flow pressure blocks, a diagonal solve for the porous
-pressure block, and a dense Cholesky solve for the multiplier block,
-which is dense in N (see frac_interface).  The LU blocks are
-SPD, so they are factored in symmetric mode: a minimum-degree ordering of
-A' + A and pivots taken from the diagonal, which keeps the ordering
-symmetric and roughly halves the fill of a default `splu`.  The u_D and
-p_S blocks are one weight times a parameter-free matrix, factored once
-per mesh (see BlockPreconditioner); only u_S is factored per (mu, K).
+Riesz map N, each of its five blocks read off N: sparse factor solves for
+the velocity and free-flow pressure blocks, a diagonal solve for the
+porous pressure block, and a dense Cholesky solve for the multiplier
+block, which is dense in N (see frac_interface).  The sparse blocks are
+SPD and `factor` picks their factor by row count alone.  A block of at
+most BAND_ROWS rows is reordered by reverse Cuthill-McKee and factored by
+LAPACK's blocked band Cholesky (`dpbtrf`): at these sizes SuperLU is bound
+by its per-column overhead, and the band of a P2 or RT0 block on a
+structured mesh is narrow.  A larger block is factored by `symmetric_lu`,
+a `splu` in symmetric mode: a minimum-degree ordering of A' + A and pivots
+taken from the diagonal, which keeps the ordering symmetric and roughly
+halves the fill of a default `splu`.  The u_D and p_S blocks are one
+weight times a parameter-free matrix, factored once per mesh (see
+BlockPreconditioner); only u_S is factored per (mu, K), and its band
+order and the band slots of its entries are kept per mesh.
 
 Deflation augments the preconditioner with a rank-m correction built from
 near-kernel indicator vectors W:
@@ -27,11 +33,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from types import SimpleNamespace
 
 import numpy as np
 import scipy.linalg as sla
 from scipy.linalg import lapack
 import scipy.sparse as sp
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 import scipy.sparse.linalg as spla
 
 from . import elements as el
@@ -40,10 +48,85 @@ from .mesh import LAYOUTS, BcConfig, ConfigurationError, _per_mesh
 from .spaces import FIELDS
 
 
+# Blocks of at most this many rows are factored on their band, larger ones
+# by symmetric_lu.  Band Cholesky factors u_S at nref 2 (2,178 rows) and
+# u_D at nref 3 (3,136) faster than splu, but not u_S at nref 3 (8,450);
+# with p_S at nref 4 (4,225) on the band the whole nref-4 solve set up
+# slower, so every nref-4 block stays above the limit (README, cost of the
+# sparse factors).
+BAND_ROWS = 4096
+
+
 def symmetric_lu(M):
     """Symmetric-mode `splu` of the sparse SPD M (module docstring)."""
     return spla.splu(M.tocsc(), permc_spec="MMD_AT_PLUS_A",
                      diag_pivot_thresh=0, options={"SymmetricMode": True})
+
+
+@dataclass(frozen=True)
+class _BandPlan:
+    """Where a symmetric sparse pattern goes in LAPACK's lower band storage
+    of its reverse Cuthill-McKee order: entry src[k] of the CSC data of a
+    matrix of this pattern is band entry dst[k] of the Fortran-ordered
+    (width + 1, n) band, whose row i of the ordered matrix is row order[i].
+    It depends on the pattern alone."""
+    order: np.ndarray
+    width: int
+    src: np.ndarray
+    dst: np.ndarray
+
+    @classmethod
+    def of(cls, M):
+        n = M.shape[0]
+        order = reverse_cuthill_mckee(M, symmetric_mode=True)
+        rank = np.empty(n, np.intp)
+        rank[order] = np.arange(n)
+        i = rank[M.indices]
+        j = rank[np.repeat(np.arange(n), np.diff(M.indptr))]
+        src = np.flatnonzero(i >= j)
+        below = i[src] - j[src]
+        width = int(below.max(initial=0))
+        return cls(order, width, src, below + (width + 1) * j[src])
+
+    def band(self, M):
+        """The lower band of M (of the plan's pattern), in the plan's order."""
+        ab = np.zeros((self.width + 1) * len(self.order))
+        ab[self.dst] = M.data[self.src]
+        return ab.reshape(self.width + 1, -1, order="F")
+
+
+class BandCholesky:
+    """LAPACK band Cholesky of a sparse SPD matrix on its reverse
+    Cuthill-McKee band (`_BandPlan`); ValueError, naming the block, where
+    the matrix is not positive definite.  Like a SuperLU factor it has
+    `.solve(r)` and `.L.nnz`, `.U.nnz`: L and U = L' are one band, so each
+    counts the band's stored entries."""
+
+    def __init__(self, M, name, plan=None):
+        self._plan = _BandPlan.of(M) if plan is None else plan
+        c, info = lapack.dpbtrf(self._plan.band(M), lower=1, overwrite_ab=1)
+        if info > 0:
+            raise ValueError(f"Riesz block {name} is not positive definite")
+        self._c = c
+        self.L = self.U = SimpleNamespace(nnz=c.size)
+
+    def solve(self, r):
+        order = self._plan.order
+        z = np.empty_like(r)
+        z[order] = lapack.dpbtrs(self._c, r[order], lower=1, overwrite_b=1)[0]
+        return z
+
+
+def factor(M, name, mesh=None):
+    """The factor of N's SPD block `name`, the sparse M: band Cholesky up to
+    BAND_ROWS rows, `symmetric_lu` above.  With `mesh`, M's pattern is that
+    of every (mu, K) on the tagged mesh, and its band plan is kept per mesh."""
+    if M.shape[0] > BAND_ROWS:
+        return symmetric_lu(M)
+    if mesh is None:
+        return BandCholesky(M, name)
+    plan = _per_mesh(mesh, f"{name} band plan", lambda _: _BandPlan.of(M))
+    return BandCholesky(M, name, plan)
 
 
 def _riesz_block(N, layout, name):
@@ -59,8 +142,8 @@ def _riesz_block(N, layout, name):
 
 
 def _unit_factors(mesh):
-    """For each block of SCALED_BLOCKS, the symmetric LU of its pieces at
-    unit weight, eliminated, and the mask of its eliminated dofs; built
+    """For each block of SCALED_BLOCKS, the `factor` of its pieces at unit
+    weight, eliminated, and the mask of its eliminated dofs; built
     once per tagged mesh from one unit-weight N of all their pieces."""
     def build(mesh):
         aff = _affine(mesh)
@@ -71,7 +154,7 @@ def _unit_factors(mesh):
         for name in SCALED_BLOCKS:
             s = lay.field_slice(name)
             if s.stop > s.start:
-                out[name] = (symmetric_lu(_riesz_block(N, lay, name)),
+                out[name] = (factor(_riesz_block(N, lay, name), name),
                              np.isin(np.arange(s.start, s.stop), aff.essential))
         return out
     return _per_mesh(mesh, "unit riesz factors", build)
@@ -94,7 +177,8 @@ class BlockPreconditioner:
         self._blocks = [(name, lay.field_slice(name)) for name in FIELDS
                         if lay.sizes[name]]
         unit = _unit_factors(system.mesh)
-        self._solvers = {"u_S": symmetric_lu(_riesz_block(N, lay, "u_S"))}
+        self._solvers = {"u_S": factor(_riesz_block(N, lay, "u_S"), "u_S",
+                                       system.mesh)}
         self._scales = {}
         w = _weights(system.params)
         for name, (lu, eliminated) in unit.items():
@@ -105,14 +189,22 @@ class BlockPreconditioner:
         if np.any(pd <= 0):
             raise ValueError("porous pressure block is not positive definite")
         self._pd_diag = pd
-        # dense, so kept out of _solvers, whose SuperLU factors lu_fill counts
+        # dense, so kept out of _solvers, whose sparse factors lu_fill counts
         self._lam_chol = sla.cholesky(_riesz_block(N, lay, "lam").toarray())
 
     @cached_property
+    def factors(self):
+        """{block: [kind, entries]} of the sparse factors: kind "band" or
+        "lu", entries L.nnz + U.nnz (a band counted as L and as U = L').
+        Counted once, as it builds SuperLU's L and U as scipy matrices."""
+        return {name: ["band" if isinstance(f, BandCholesky) else "lu",
+                       f.L.nnz + f.U.nnz]
+                for name, f in self._solvers.items()}
+
+    @property
     def lu_fill(self):
-        """Stored entries of the sparse factors, summed over the blocks;
-        counted once, as it builds SuperLU's L and U as scipy matrices."""
-        return sum(lu.L.nnz + lu.U.nnz for lu in self._solvers.values())
+        """Entries of the sparse factors, summed over the blocks."""
+        return sum(n for _, n in self.factors.values())
 
     def solve_block(self, name, r):
         """The inverse of N's block `name` applied to r (the block's rows

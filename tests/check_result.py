@@ -7,9 +7,11 @@ Every run must end in strict JSON (json.loads takes NaN and Infinity
 unless parse_constant refuses them) with `correct` true and `failed` 0.
 `--traced`: every per-layer metric is measured (a metric whose hook is
 gone reads null), the layout is built once per mesh
-(`spaces.layout_per_mesh` 1.0) and the essential dofs are timed
-(`spaces.essential_s` > 0); a refactor that bypasses assembly's
-build_layout or essential_dofs reads 0 there, not null.
+(`spaces.layout_per_mesh` 1.0), the essential dofs are timed
+(`spaces.essential_s` > 0) and the preconditioner's sparse factors are
+counted (`precond.lu_fill` > 0); a refactor that bypasses assembly's
+build_layout or essential_dofs, or a factor that stops exposing its
+L.nnz and U.nnz, reads 0 there, not null.
 `--assembly-calls N`, with --traced: also N `assemble_system` calls
 (`assembly.calls`), whose own time is measured
 (`assembly.system_self_s` > 0).
@@ -52,7 +54,7 @@ def problems(line, traced=False, assembly_calls=None):
     if value("spaces.layout_per_mesh") != 1.0:
         found.append(f"spaces.layout_per_mesh is "
                      f"{value('spaces.layout_per_mesh')!r}, not 1.0")
-    positive = ["spaces.essential_s"]
+    positive = ["spaces.essential_s", "precond.lu_fill"]
     if assembly_calls is not None:
         if value("assembly.calls") != assembly_calls:
             found.append(f"assembly.calls is {value('assembly.calls')!r}, "

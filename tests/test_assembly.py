@@ -672,9 +672,9 @@ def test_unit_factors_match_unit_weight_reference(config, monkeypatch):
     # the blocks factored once per mesh are those of the unit-weight sum of
     # their pieces, eliminated (by the route of reference_sums)
     factored = []
-    real = precond.symmetric_lu
-    monkeypatch.setattr(precond, "symmetric_lu",
-                        lambda M: factored.append(M) or real(M))
+    real = precond.factor
+    monkeypatch.setattr(precond, "factor",
+                        lambda M, *args: factored.append(M) or real(M, *args))
     m = tagged(config)
     unit = precond._unit_factors(m)
     names = [k for pieces in assembly.SCALED_BLOCKS.values() for k in pieces]

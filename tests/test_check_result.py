@@ -15,7 +15,7 @@ SWEEP = ["--traced", "--assembly-calls", "26"]
 def line(correct=True, failed=0, **values):
     metrics = {"spaces.layout_per_mesh": 1.0, "spaces.essential_s": 0.01,
                "assembly.calls": 26, "assembly.system_self_s": 0.2,
-               "minres.self_s": 0.5}
+               "precond.lu_fill": 164012, "minres.self_s": 0.5}
     metrics.update(values)
     return json.dumps({"correct": correct, "attempted": 3, "failed": failed,
                        "metrics": {k: {"value": v, "unit": "s"}
@@ -50,7 +50,9 @@ def test_every_run_fails(text, argv, capsys):
 @pytest.mark.parametrize("values", [
     {"minres.self_s": None}, {"spaces.layout_per_mesh": 2.0},
     {"spaces.essential_s": 0.0}, {"spaces.essential_s": None},
-], ids=["null", "layout-per-mesh", "essential-zero", "essential-null"])
+    {"precond.lu_fill": 0},
+], ids=["null", "layout-per-mesh", "essential-zero", "essential-null",
+        "lu-fill-zero"])
 def test_traced_runs_fail(values, argv, capsys):
     text = line(**values)
     assert run(text, [], capsys)[0] == 0

@@ -161,6 +161,23 @@ def test_solve_sidecar_counts_and_true_residual(tmp_path):
     assert abs(res["true_residual_B"] - res["residual_B"]) <= 1e-12 * r0
 
 
+def test_sidecars_record_each_factor(tmp_path):
+    # the solve and floating sidecars name each sparse block's factor kind
+    # and entries, which sum to lu_fill; these small blocks take the band
+    out = tmp_path / "factors"
+    assert main(["solve", "--case", "NE", "--mu", "1", "--K", "1",
+                 "--nref", "0", "--n0", "2", "--out", str(out)]) == 0
+    assert main(["floating", "--inclusions", "1", "--K", "1", "--nref", "0",
+                 "--n0", "2", "--out", str(out)]) == 0
+    for table in ("solve_NE_mu1_K1_nref0", "floating_plain_K1_m1",
+                  "floating_deflated_K1_m1"):
+        res = read_sidecar(out / f"{table}.csv")["results"]
+        assert set(res["factors"]) == {"u_S", "u_D", "p_S"}
+        for kind, entries in res["factors"].values():
+            assert kind == "band" and isinstance(entries, int) and entries > 0
+        assert sum(n for _, n in res["factors"].values()) == res["lu_fill"]
+
+
 def test_solve_sidecar_residual_gap(tmp_path):
     # the gap between the true and the recursive residual, relative to r_0
     # (1.3e-17 here), shows whether the recursion drifted

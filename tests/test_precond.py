@@ -3,18 +3,24 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from sdlab import precond
 from sdlab.assembly import SCALED_BLOCKS, PhysParams, assemble_system
 from sdlab.mesh import (BcConfig, ConfigurationError, build_coupled_mesh,
                         stacked_domain, tag_boundaries)
 from sdlab.precond import (
+    BAND_ROWS,
+    BandCholesky,
     DeflatedPreconditioner,
     _riesz_block,
     build_deflation,
     build_preconditioner,
     deflation_vectors,
     deflation_weight,
+    factor,
+    symmetric_lu,
 )
 from sdlab.cli import floating_domain
 from sdlab.spaces import FIELDS
@@ -50,18 +56,21 @@ def test_apply_parameter_extremes(rng):
     (BcConfig.NE, 3.0, 0.2), (BcConfig.EN, 1e-4, 1e4), (BcConfig.NN, 1e4, 1e-4)])
 def test_block_factors_match_dense_solve(config, mu, K, rng):
     # each block solve of the preconditioner (scaled or not) matches a
-    # dense solve of its block of N, and each symmetric-mode factor has no
-    # more fill than a default-ordering splu of the same block
+    # dense solve of its block of N, and a symmetric-mode factor of each
+    # block (these all take the band) has no more fill than a
+    # default-ordering splu of the same block
     system = make_system(config=config, nref=2, mu=mu, K=K)
     B = build_preconditioner(system)
-    assert set(B._solvers) == {"u_S", "u_D", "p_S"}
-    for name, lu in B._solvers.items():
+    assert {name: kind for name, (kind, _) in B.factors.items()} == {
+        "u_S": "band", "u_D": "band", "p_S": "band"}
+    for name in B._solvers:
         s = system.layout.field_slice(name)
         blk = system.N[s, :][:, s]
         r = rng.standard_normal(blk.shape[0])
         expect = np.linalg.solve(blk.toarray(), r)
         got = B.solve_block(name, r)
         assert np.linalg.norm(got - expect) <= 1e-12 * np.linalg.norm(expect)
+        lu = symmetric_lu(blk)
         default = spla.splu(blk.tocsc())
         assert lu.L.nnz + lu.U.nnz <= default.L.nnz + default.U.nnz
     assert B.lu_fill == sum(lu.L.nnz + lu.U.nnz for lu in B._solvers.values())
@@ -117,6 +126,79 @@ def test_scaled_factors_solve_their_blocks(config, rng):
             expect = np.linalg.solve(system.N[s, :][:, s].toarray(), r)
             got = B.solve_block(name, r)
             assert np.linalg.norm(got - expect) <= 1e-12 * np.linalg.norm(expect)
+
+
+@pytest.mark.parametrize("nref", [0, 1, 2])
+@pytest.mark.parametrize("config", list(BcConfig), ids=lambda c: c.value)
+def test_band_and_lu_solve_each_block(config, nref, rng):
+    # band Cholesky and symmetric LU of every sparse block, and the
+    # preconditioner's solve of it, agree with a dense solve
+    system = assemble_system(tagged(config, nref), PhysParams(mu=3.0, K=0.2))
+    B = build_preconditioner(system)
+    for name in ("u_S", *SCALED_BLOCKS):
+        blk = _riesz_block(system.N, system.layout, name)
+        r = rng.standard_normal(blk.shape[0])
+        expect = np.linalg.solve(blk.toarray(), r)
+        for got in (BandCholesky(blk, name).solve(r),
+                    symmetric_lu(blk).solve(r), B.solve_block(name, r)):
+            assert (np.linalg.norm(got - expect)
+                    <= 1e-12 * np.linalg.norm(expect))
+
+
+def grid_laplacian(n, width=64):
+    """The 5-point Laplacian of n grid points numbered row by row, `width`
+    to a row, shifted to be diagonally dominant: sparse SPD."""
+    return sp.diags([-1.0, -1.0, 4.5, -1.0, -1.0], [-width, -1, 0, 1, width],
+                    shape=(n, n), format="csc")
+
+
+def test_band_rows_decides_before_any_ordering(monkeypatch, rng):
+    # a block of BAND_ROWS rows takes the band, one more row symmetric LU,
+    # decided by the row count before any ordering is computed
+    small, large = grid_laplacian(BAND_ROWS), grid_laplacian(BAND_ROWS + 1)
+    orderings = []
+    real = precond.reverse_cuthill_mckee
+    monkeypatch.setattr(precond, "reverse_cuthill_mckee",
+                        lambda M, **kw: orderings.append(M) or real(M, **kw))
+    band = factor(small, "small")
+    assert isinstance(band, BandCholesky) and len(orderings) == 1
+    lu = factor(large, "large")
+    assert not isinstance(lu, BandCholesky) and len(orderings) == 1
+    assert band._plan.width <= 64
+    for f, M in ((band, small), (lu, large)):
+        r = rng.standard_normal(M.shape[0])
+        expect = spla.spsolve(M, r)
+        got = f.solve(r)
+        assert np.linalg.norm(got - expect) <= 1e-12 * np.linalg.norm(expect)
+
+
+def test_band_factor_refuses_indefinite_block():
+    M = sp.csc_matrix(np.array([[2.0, 1.0, 0.0], [1.0, 0.4, 0.0],
+                                [0.0, 0.0, 1.0]]))
+    with pytest.raises(ValueError, match="u_D is not positive definite"):
+        factor(M, "u_D")
+
+
+def test_u_s_band_plan_built_once_per_mesh(monkeypatch, rng):
+    # the u_S order and band slots depend on its pattern alone: one plan
+    # per mesh serves every (mu, K), and so do the unit factors' two
+    plans = []
+    real = precond._BandPlan.of
+    monkeypatch.setattr(precond._BandPlan, "of",
+                        classmethod(lambda cls, M: plans.append(M) or real(M)))
+    m = tagged(BcConfig.EN)
+    first = None
+    for e in range(-6, 7):
+        system = assemble_system(m, PhysParams(mu=10.0 ** e, K=1.0))
+        B = build_preconditioner(system)
+        first = first or B._solvers["u_S"]._plan
+        assert B._solvers["u_S"]._plan is first
+        blk = _riesz_block(system.N, system.layout, "u_S")
+        r = rng.standard_normal(blk.shape[0])
+        expect = np.linalg.solve(blk.toarray(), r)
+        got = B.solve_block("u_S", r)
+        assert np.linalg.norm(got - expect) <= 1e-12 * np.linalg.norm(expect)
+    assert len(plans) == 1 + len(SCALED_BLOCKS)
 
 
 def test_preconditioner_is_spd_form(rng):
