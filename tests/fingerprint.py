@@ -14,14 +14,17 @@ The outputs, per system: A, N, b, the essential dofs and values,
 `interface_operator`, each block solve of the preconditioner
 (`solve_block` on its rows of one vector), the deflation W and gamma and a
 50-step deflated MINRES log where the layout has a near-kernel, a 50-step
-MINRES log and `compute_errors` of its iterate, and a 50-step diagnostic
-MINRES log with its harmonic Ritz values and loss of orthogonality.  The
-systems: NN, EE, NEstar, ENstar, NE and EN at nref 0-2 (stacked, n0 4)
-and MultiInclusion with 1 and 3 inclusions at nref 0-1, each at the three
-(mu, K) of PARAMS on one mesh per case, plus NN at nref 1 and the first
-(mu, K) on a mesh that went through save_mesh and load_mesh.  It reads
-only public names that both checkouts of a comparison must share, so that
-one copy of the script serves both sides.
+MINRES log and `compute_errors` of its iterate, a 50-step diagnostic
+MINRES log with its harmonic Ritz values and loss of orthogonality, and,
+at nref 0-1, the `generalized_eigs` eigenvalues, plain and, where the
+layout has a near-kernel, under its deflation (at nref 2 an eigensolve
+takes about 0.45 s on 2 vCPUs, so it is left out).  The systems: NN, EE,
+NEstar, ENstar, NE and EN at nref 0-2 (stacked, n0 4) and MultiInclusion
+with 1 and 3 inclusions at nref 0-1, each at the three (mu, K) of PARAMS
+on one mesh per case, plus NN at nref 1 and the first (mu, K) on a mesh
+that went through save_mesh and load_mesh.  It reads only public names
+that both checkouts of a comparison must share, so that one copy of the
+script serves both sides.
 """
 
 import os
@@ -47,10 +50,13 @@ from sdlab.mms import ExactSolution, compute_errors
 from sdlab.precond import (DeflatedPreconditioner, build_deflation,
                            build_preconditioner)
 from sdlab.spaces import FIELDS
+from sdlab.spectrum import generalized_eigs
 
 PARAMS = ((3.0, 0.2), (1e-3, 1e3), (1e4, 1e-2))
 EDGE_LAYOUTS = ("NN", "EE", "NEstar", "ENstar", "NE", "EN")
 MINRES_STEPS = 50
+# the finest nref whose spectra are hashed
+SPECTRUM_NREF = 1
 
 
 def _stacked(config, nref):
@@ -134,6 +140,12 @@ def system_outputs(mesh, mu, K):
                        diagnostic=True)
     yield "minres_diagnostic", _log(log, log.theta_min,
                                     np.float64(log.ortho_max))
+    if mesh.nref <= SPECTRUM_NREF:
+        yield "spectrum", digest(
+            generalized_eigs(system.A, system.N).eigenvalues)
+        if deflation is not None:
+            yield "spectrum_deflated", digest(generalized_eigs(
+                system.A, system.N, deflation=deflation).eigenvalues)
 
 
 def fingerprints(cases=CASES):

@@ -10,14 +10,14 @@ import fingerprint
 
 
 def small_result():
-    # NN at nref 0: fourteen outputs (no deflation, five block solves) at
-    # each of the three (mu, K)
+    # NN at nref 0: fifteen outputs (no deflation, five block solves, one
+    # spectrum) at each of the three (mu, K)
     return fingerprint.fingerprints(fingerprint.CASES[:1])
 
 
 def test_comparison_names_exactly_the_altered_output():
     ours = small_result()
-    assert len(ours) == 14 * len(fingerprint.PARAMS)
+    assert len(ours) == 15 * len(fingerprint.PARAMS)
     assert small_result() == ours
     assert fingerprint.differing(ours, dict(ours)) == []
     name = "NN/nref0/mu=0.001,K=1000/solve_u_S"
