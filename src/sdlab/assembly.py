@@ -47,9 +47,10 @@ import scipy.sparse as sp
 
 from . import elements as el
 from .frac_interface import fractional_pieces
-from .mesh import (STOKES, STOKES_NATURAL_TAGS, TAG_DARCY_NATURAL,
+from .mesh import (STOKES_NATURAL_TAGS, TAG_DARCY_NATURAL,
                    ConfigurationError, _per_mesh, stokes_cell)
-from .spaces import FIELDS, build_layout, essential_dofs, global_facet_normal
+from .spaces import (FIELDS, build_layout, essential_dofs, facet_sign,
+                     global_facet_normal)
 
 OPERATOR_TRI_DEGREE = 4
 OPERATOR_SEG_DEGREE = 5    # P2 trace products are quartic along a facet
@@ -273,8 +274,7 @@ def _velocity_entries(layout, viscous, iface):
     share.  viscous: the element blocks of `_viscous_blocks`; iface: the
     interface `_facet_quadrature` of degree OPERATOR_SEG_DEGREE with its
     traces."""
-    n_S = layout.interface_normals
-    tau = np.column_stack([-n_S[:, 1], n_S[:, 0]])
+    tau = layout.interface_tangents
     m = np.einsum("faq,fbq,fq->fab", iface.phi, iface.phi, iface.ds)
     slip = {(beta, alpha): (tau[:, alpha] * tau[:, beta])[:, None, None] * m
             for beta in range(2) for alpha in range(2)}
@@ -625,17 +625,14 @@ def _coupling_entries(mesh, layout, iface):
     f = layout.interface_facets
     lam = layout.offsets["lam"] + np.arange(len(f))
     ud = layout.flux_dof(f)
-    # n_S is the Stokes cell's outward normal and the global RT normal is
-    # that of facet_cells[f, 0], so they agree iff the Stokes cell comes first
-    sigmas = np.where(
-        mesh.cell_subdomain[mesh.facet_cells[f, 0]] == STOKES, 1.0, -1.0)
     ints = _dot(iface.phi, iface.ds)
     parts = []
     for alpha in range(2):
         cols = layout.velocity_dof(alpha, iface.cs)
         vals = layout.interface_normals[:, alpha, None] * ints
         parts += [(lam[:, None], cols, vals), (cols, lam[:, None], vals)]
-    val = -sigmas * iface.ds.sum(axis=1)
+    # the global RT normal is +-n_S, n_S pointing out of the Stokes cell
+    val = -facet_sign(mesh, f, stokes_cell(mesh, f)) * iface.ds.sum(axis=1)
     return parts + [(lam, ud, val), (ud, lam, val)]
 
 
@@ -671,8 +668,7 @@ def assemble_rhs(mesh, loads):
     if loads.g_gamma is not None or loads.t_n is not None or loads.t_t is not None:
         q = _sampling(mesh).interface
         pts, ds = q.x.reshape(-1, 2), q.ds
-        n_S = layout.interface_normals
-        tau = np.column_stack([-n_S[:, 1], n_S[:, 0]])
+        n_S, tau = layout.interface_normals, layout.interface_tangents
         n_q, tau_q = q.per_point(n_S), q.per_point(tau)
         if loads.g_gamma is not None:
             g = loads.g_gamma(pts, n_q).reshape(ds.shape)
@@ -780,8 +776,10 @@ def essential_values(mesh, u_S=None, u_D=None):
     velocities, reduced to the facet-mean normal flux densities of the u_D
     dofs, the rest (`_sampling`).  Each is called once, on all its points,
     and not at all where it has none.  Missing fields give zeros."""
-    s = _sampling(mesh)
     vals = np.zeros(len(_affine(mesh).essential))
+    if u_S is None and u_D is None:
+        return vals
+    s = _sampling(mesh)
     n, q = len(s.nodes), s.flux
     if u_S is not None and n:
         vals[:n] = u_S(s.nodes)[np.arange(n), s.component]

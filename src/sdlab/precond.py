@@ -15,7 +15,8 @@ taken from the diagonal, which keeps the ordering symmetric and roughly
 halves the fill of a default `splu`.  The u_D and p_S blocks are one
 weight times a parameter-free matrix, factored once per mesh (see
 BlockPreconditioner); only u_S is factored per (mu, K), and its band
-order and the band slots of its entries are kept per mesh.
+order and the band slots of its entries are kept per mesh.  The spectral
+reduction half-solves with `BandCholesky` factors too, at any size.
 
 Deflation augments the preconditioner with a rank-m correction built from
 near-kernel indicator vectors W:
@@ -96,11 +97,11 @@ class _BandPlan:
 
 
 class BandCholesky:
-    """LAPACK band Cholesky of a sparse SPD matrix on its reverse
-    Cuthill-McKee band (`_BandPlan`); ValueError, naming the block, where
-    the matrix is not positive definite.  Like a SuperLU factor it has
+    """LAPACK band Cholesky C C' = M[order][:, order] of a sparse SPD M on
+    its reverse Cuthill-McKee band (`_BandPlan`); ValueError, naming the
+    block, where M is not positive definite.  Like a SuperLU factor it has
     `.solve(r)` and `.L.nnz`, `.U.nnz`: L and U = L' are one band, so each
-    counts the band's stored entries."""
+    counts the band's stored entries.  M = L_u L_u' with L_u = P' C."""
 
     def __init__(self, M, name, plan=None):
         self._plan = _BandPlan.of(M) if plan is None else plan
@@ -115,6 +116,18 @@ class BandCholesky:
         z = np.empty_like(r)
         z[order] = lapack.dpbtrs(self._c, r[order], lower=1, overwrite_b=1)[0]
         return z
+
+    def half_solve(self, X):
+        """L_u^{-1} X = C^{-1} X[order], P x = x[order], for a dense X of
+        M's rows: its rows are left in band order."""
+        return lapack.dtbtrs(self._c, X[self._plan.order], uplo="L",
+                             overwrite_b=1)[0]
+
+    @property
+    def nbytes(self):
+        """Bytes of the band and of its plan."""
+        p = self._plan
+        return self._c.nbytes + p.order.nbytes + p.src.nbytes + p.dst.nbytes
 
 
 def factor(M, name, mesh=None):

@@ -53,6 +53,12 @@ class BlockLayout:
         """Scalar P2 dofs per velocity component."""
         return len(self.stokes_vertices) + len(self.stokes_edges)
 
+    @property
+    def interface_tangents(self):
+        """(nlam, 2) interface tangents: the normals rotated by +90 degrees."""
+        n = self.interface_normals
+        return np.column_stack([-n[:, 1], n[:, 0]])
+
     def field_slice(self, name):
         off = self.offsets[name]
         return slice(off, off + self.sizes[name])
@@ -86,15 +92,12 @@ def build_layout(mesh):
     cell_scalar = np.hstack([vpos.reshape(tris.shape),
                              nv + epos.reshape(tris.shape)])
 
-    # the global RT normal of a facet is the outward normal of its
-    # lower-indexed cell, facet_cells[f, 0] (see global_facet_normal)
     facet_keys = mesh.facets[:, 0] * nvert + mesh.facets[:, 1]
     fids = np.searchsorted(facet_keys,
                            _edge_keys(mesh.cells[darcy_cells], nvert))
     darcy_facets, fpos = np.unique(fids, return_inverse=True)
     cell_facets = fpos.reshape(fids.shape)
-    cell_signs = np.where(mesh.facet_cells[fids, 0] == darcy_cells[:, None],
-                          1, -1)
+    cell_signs = facet_sign(mesh, fids, darcy_cells[:, None])
 
     chains = interface_chains(mesh)
     interface = np.concatenate([ch.facets for ch in chains])
@@ -128,6 +131,12 @@ def global_facet_normal(mesh, f):
     """Normal fixing the sign of the RT dof on facet(s) f: the outward
     normal of its lower-indexed adjacent cell (facet_cells rows sorted)."""
     return outward_normal(mesh, f, mesh.facet_cells[f, 0])
+
+
+def facet_sign(mesh, f, cell):
+    """+1 where `global_facet_normal` of facet(s) f points out of its
+    adjacent cell(s) `cell`, -1 where it points in."""
+    return np.where(mesh.facet_cells[f, 0] == cell, 1, -1)
 
 
 def essential_dofs(mesh, layout):

@@ -31,11 +31,12 @@ Spectrum, has the measurements):
     an orthonormal basis of range(L_p' W_p).  That is L_p (I + s U U')^2
     L_p' with s = r - 1, r = (1 - c)^{1/2}, so the reduction runs on
     Y (I + t U U'), t = 1/r - 1, and G = R[:, D] + s (R U) U[D, :]'.
-  - L_u is a sparse `_VelocityFactor` per connected component of N_uu; one
-    that is not definite declines the reduction.  Y's u rows are
-    triangular solves on the columns each component couples to.  L_p is a
-    dense Cholesky factor per component of N_pp, a diagonal on the single
-    dofs, which come first.  R comes from a Householder QR of Y.
+  - L_u is a `precond.BandCholesky` per component of N_uu, at any size;
+    one not positive definite declines the reduction.  Only Y'Y (and V'V
+    in the certificate) enters, so any L_u L_u' = N_uu serves, and Y's u
+    rows are `half_solve`s on the columns each component couples to.  L_p
+    is a dense Cholesky factor per component of N_pp, a diagonal on the
+    single dofs, which come first.  R comes from a Householder QR of Y.
   - Certificate: with Delta = N_uu - A_uu - A_uD N_DD^{-1} A_Du (sparse),
     ||L_u^{-1} Delta L_u^{-T}||_F <= n eps ||G G'||_F, computed from
     half-solves on Delta's nonzero columns only.  By Weyl it bounds the
@@ -48,7 +49,7 @@ Spectrum, has the measurements):
   here, as a rank-m update of the dense N.
 - Budget: before it allocates a dense array, each path estimates the bytes
   it will hold and raises a BudgetError over DENSE_BUDGET.  The reduction
-  holds 8 (n_u n_p + 4 n_p^2) bytes for Y and H plus its sparse and dense
+  holds 8 (n_u n_p + 4 n_p^2) bytes for Y and H plus its band and dense
   factors, ``sygv`` 16 n^2; a deflation's n x m arrays are not counted.
 - Heap: the freed heap is handed back to the OS (`_release_heap`) before H
   is allocated and when `generalized_eigs` has its eigenvalues.
@@ -62,11 +63,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.linalg import blas, lapack
 from scipy.sparse import csgraph
 
-from .precond import symmetric_lu
+from .precond import BandCholesky
 
 # bytes the dense path may hold (the `_check_budget` estimate): EN and NN
 # need 0.62-0.63 GB at nref 3 (by the reduction) and 9.6 GB at nref 4
@@ -183,15 +183,15 @@ def _saddle_eigs(A, N, W, gamma):
     u, p = u[u_order], p[p_order]
     N_uu, N_pp, A_up = N[u][:, u], N[p][:, p], A[u][:, p].tocsc()
     try:
-        u_facs = [_VelocityFactor(N_uu[b, b], c) for b, c in u_blocks]
-    except (np.linalg.LinAlgError, RuntimeError):
+        u_facs = [BandCholesky(N_uu[b, b], "N_uu") for b, _ in u_blocks]
+    except ValueError:      # a component is not positive definite
         return None
     # Y (n_u x n_p) and H (2 n_p x 2 n_p) do not coexist, so this bounds
     # the peak; the dense pressure factors are at most n_p^2 together
     _check_budget(8 * (n_u * n_p + 4 * n_p ** 2
                        + sum((b.stop - b.start) ** 2 for b, c in p_blocks
                              if c))
-                  + sum(f.nbytes() for f in u_facs))
+                  + sum(f.nbytes for f in u_facs))
     try:
         p_facs = [_pressure_factor(N_pp[b, b], c) for b, c in p_blocks]
     except np.linalg.LinAlgError:
@@ -296,48 +296,13 @@ def _components(M):
     return order, blocks
 
 
-class _VelocityFactor:
-    """M[q][:, q] = L diag(d) L' by `precond.symmetric_lu` of the SPD sparse
-    M, with L unit lower triangular; a diagonal M keeps L = None and q the
-    identity.  So M = L_u L_u' with L_u = P' L diag(d)^{1/2}, P the
-    permutation x -> x[q].  A LinAlgError where the factor pivots off the
-    diagonal or a pivot is not positive."""
-
-    def __init__(self, M, coupled):
-        self.q = self.L = None
-        d = M.diagonal()
-        if coupled:
-            lu = symmetric_lu(M)
-            if not np.array_equal(lu.perm_r, lu.perm_c):
-                raise np.linalg.LinAlgError("pencil is not definite")
-            self.q, self.L = np.argsort(lu.perm_c), lu.L.tocsr()
-            d = lu.U.diagonal()
-        self.sqrt_d = _sqrt_diagonal(d)
-
-    def half_solve(self, X):
-        """L_u^{-1} X for a dense X of as many rows as M."""
-        if self.L is not None:
-            X = spla.spsolve_triangular(self.L, X[self.q], lower=True,
-                                        unit_diagonal=True, overwrite_b=True)
-        return X / self.sqrt_d[:, None]
-
-    def nbytes(self):
-        L = self.L
-        sparse = 0 if L is None else (L.data.nbytes + L.indices.nbytes
-                                      + L.indptr.nbytes + self.q.nbytes)
-        return sparse + self.sqrt_d.nbytes
-
-
 def _pressure_factor(M, coupled):
     """Dense lower Cholesky factor of the SPD sparse M, or the vector of
     square roots of its diagonal where M is the run of single dofs."""
-    if not coupled:
-        return _sqrt_diagonal(M.diagonal())
-    return sla.cholesky(M.toarray(), lower=True, overwrite_a=True,
-                        check_finite=False)
-
-
-def _sqrt_diagonal(d):
+    if coupled:
+        return sla.cholesky(M.toarray(), lower=True, overwrite_a=True,
+                            check_finite=False)
+    d = M.diagonal()
     if not np.all(d > 0):
         raise np.linalg.LinAlgError("pencil is not definite")
     return np.sqrt(d)

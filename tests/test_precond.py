@@ -179,6 +179,61 @@ def test_band_factor_refuses_indefinite_block():
         factor(M, "u_D")
 
 
+def shuffled(rng, M):
+    """M with its rows and columns in one random order."""
+    q = rng.permutation(M.shape[0])
+    return M.tocsr()[q][:, q].tocsc()
+
+
+def random_band(rng, n, offsets=(1, 4)):
+    """A random symmetric matrix with the given off-diagonals, diagonally
+    dominant so SPD."""
+    off = [rng.uniform(-1.0, 1.0, n - k) for k in offsets]
+    d = np.full(n, 0.5)
+    for k, v in zip(offsets, off):
+        d[k:] += np.abs(v)
+        d[:-k] += np.abs(v)
+    return sp.diags([*off, d, *off], [*offsets, 0, *(-k for k in offsets)],
+                    format="csc")
+
+
+HALF_SOLVE_CASES = {
+    "banded": lambda rng: shuffled(rng, random_band(rng, 40)),
+    "two components": lambda rng: shuffled(rng, sp.block_diag(
+        [random_band(rng, 25), random_band(rng, 15, (2,))])),
+    "diagonal": lambda rng: sp.diags(rng.uniform(0.5, 2.0, 20), format="csc"),
+    "dense": lambda rng: shuffled(rng, random_band(rng, 12, range(1, 12))),
+}
+
+
+@pytest.mark.parametrize("case", HALF_SOLVE_CASES)
+def test_half_solve_is_a_half_factor_solve(case, rng):
+    # H = L_u^{-1} X for some L_u L_u' = M, so H'H = X' M^{-1} X whatever
+    # the row order of H; the byte count is the band's and its plan's
+    M = HALF_SOLVE_CASES[case](rng)
+    n = M.shape[0]
+    f = BandCholesky(M, "M")
+    X = rng.standard_normal((n, 3))
+    H = f.half_solve(X)
+    G = sla.solve_triangular(sla.cholesky(M.toarray(), lower=True), X,
+                             lower=True)
+    expect = G.T @ G
+    assert np.linalg.norm(H.T @ H - expect) <= 1e-12 * np.linalg.norm(expect)
+    plan = f._plan
+    assert plan.width == {"diagonal": 0, "dense": n - 1}.get(case, plan.width)
+    assert f.nbytes == 8 * (plan.width + 1) * n + sum(
+        a.nbytes for a in (plan.order, plan.src, plan.dst))
+
+
+def test_band_factor_names_the_block_that_is_not_positive_definite(rng):
+    # the second of two components is indefinite
+    bad = random_band(rng, 10)
+    bad[3, 3] = -1.0
+    M = shuffled(rng, sp.block_diag([random_band(rng, 20), bad]))
+    with pytest.raises(ValueError, match="N_uu is not positive definite"):
+        BandCholesky(M, "N_uu")
+
+
 def test_u_s_band_plan_built_once_per_mesh(monkeypatch, rng):
     # the u_S order and band slots depend on its pattern alone: one plan
     # per mesh serves every (mu, K), and so do the unit factors' two
