@@ -684,8 +684,8 @@ def assemble_rhs(mesh, loads):
         if stress:
             _add_trace_load(b, layout, q.cs, np.stack(stress, axis=1))
 
-    q = _sampling(mesh).traction
-    if loads.stokes_traction is not None and len(q.facets):
+    q = loads.stokes_traction is not None and _sampling(mesh).traction
+    if q and len(q.facets):
         tr = np.empty_like(q.x)
         for tag in sorted(set(q.tags)):
             on = q.tags == tag
@@ -696,8 +696,8 @@ def assemble_rhs(mesh, loads):
                          for alpha in range(2)], axis=1)
         _add_trace_load(b, layout, q.cs, vals[:, None])
 
-    q = _sampling(mesh).pressure
-    if loads.darcy_pressure is not None and len(q.facets):
+    q = loads.darcy_pressure is not None and _sampling(mesh).pressure
+    if q and len(q.facets):
         p = loads.darcy_pressure(q.x.reshape(-1, 2)).reshape(q.ds.shape)
         b[layout.flux_dof(q.facets)] -= _dot(q.ds, p)
     return b

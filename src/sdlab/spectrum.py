@@ -14,33 +14,44 @@ Spectrum, has the measurements):
   matrices are made dense.
 - A saddle-point pencil, A = [[A_uu, A_up], [A_pu, 0]] and N = diag(N_uu,
   N_pp) with p the dofs where A_ii = 0, is reduced when N_uu - A_uu acts
-  only through the single pressure dofs D (Benzi, Golub & Liesen 2005,
-  section 10): N_uu - A_uu = A_uD N_DD^{-1} A_Du (in sdlab D is p_D, N_DD
-  its P0 mass, and N_uu - A_uu is (1/K) divdiv on u_D).  With N_uu = L_u
+  only through the single pressure dofs D, and p has a coupled component
+  too (Benzi, Golub & Liesen 2005, section 10): N_uu - A_uu = A_uD N_DD^{-1}
+  A_Du (in sdlab D is p_D, N_DD its P0 mass, and N_uu - A_uu is (1/K)
+  divdiv on u_D).  With N_uu = L_u
   L_u' and N_pp = L_p L_p', the pencil is congruent to
 
       [[I - Z, Y], [Y', 0]],   Z = L_u^{-1} (N_uu - A_uu) L_u^{-T},
                                Y = L_u^{-1} A_up L_p^{-T} = Q R,
 
   and Z = Q G G' Q' with G = R[:, D].  Every direction orthogonal to
-  range(Q) is an eigenvector with eigenvalue exactly 1, and the rest of
-  the spectrum is that of the 2 n_p matrix H = [[I - G G', R], [R', 0]].
-  Q is never formed: the reduction holds Y, R and H only.
+  range(Q) is an eigenvector with eigenvalue exactly 1, and so, with D
+  last in p, is every (xi, y) = ((0, z), (0, R_DD' z)) of H = [[I - G G',
+  R], [R', 0]].  On their complement, xi_D = -R_DD y_D, with Gram matrix
+  diag(I, I, T), T = I + R_DD' R_DD = L_T L_T', the rest of the spectrum
+  is that of the 2 n_r + n_D matrix, r the other n_r dofs of p,
+
+      H~ = [[I - G_r G_r', R_rr, R_rD L_T], [R_rr', 0, 0],
+            [L_T' R_rD', 0, I - L_T' L_T]],   G_r = G[r, :].
+
+  Q is never formed: the reduction holds Y, R and H~ only.
   - Deflation is a rank-m congruence.  W lives on p, so B_W^{-1} is N but
     for its pp block L_p (I - c U U') L_p', with c = 1 / (1 + gamma) and U
     an orthonormal basis of range(L_p' W_p).  That is L_p (I + s U U')^2
     L_p' with s = r - 1, r = (1 - c)^{1/2}, so the reduction runs on
-    Y (I + t U U'), t = 1/r - 1, and G = R[:, D] + s (R U) U[D, :]'.
+    Y (I + t U U'), t = 1/r - 1, and G = R[:, D] + s (R U) U[D, :]'.  D is
+    first rotated by the Q_D of U[D] = Q_D [R_U; 0], in place on Y, so
+    that U touches only the first m_D = min(m, n_D) of D (none where W is
+    off D); H~ takes the rest of D for D.
   - L_u is a `precond.BandCholesky` per component of N_uu, at any size;
     one not positive definite declines the reduction.  Only Y'Y (and V'V
     in the certificate) enters, so any L_u L_u' = N_uu serves, and Y's u
     rows are `half_solve`s on the columns each component couples to.  L_p
     is a dense Cholesky factor per component of N_pp, a diagonal on the
-    single dofs, which come first.  R comes from a Householder QR of Y.
+    single dofs, which come last.  R comes from a Householder QR of Y.
   - Certificate: with Delta = N_uu - A_uu - A_uD N_DD^{-1} A_Du (sparse),
-    ||L_u^{-1} Delta L_u^{-T}||_F <= n eps ||G G'||_F, computed from
-    half-solves on Delta's nonzero columns only.  By Weyl it bounds the
-    eigenvalue error the reduction neglects.
+    ||L_u^{-1} Delta L_u^{-T}||_F <= n eps ||G'G||_F = n eps ||G G'||_F,
+    from half-solves on Delta's nonzero columns only.  By Weyl it bounds
+    the eigenvalue error the reduction neglects.
   The reduction calls scipy's LAPACK/BLAS only: numpy's `@` wakes numpy's
   own BLAS thread pool, whose idle workers spin next to scipy's.
 - A pencil without this structure, or whose certificate fails (a NaN
@@ -49,10 +60,10 @@ Spectrum, has the measurements):
   here, as a rank-m update of the dense N.
 - Budget: before it allocates a dense array, each path estimates the bytes
   it will hold and raises a BudgetError over DENSE_BUDGET.  The reduction
-  holds 8 (n_u n_p + 4 n_p^2) bytes for Y and H plus its band and dense
-  factors, ``sygv`` 16 n^2; a deflation's n x m arrays are not counted.
-- Heap: the freed heap is handed back to the OS (`_release_heap`) before H
-  is allocated and when `generalized_eigs` has its eigenvalues.
+  holds at most 8 (n_u n_p + 4 n_p^2) bytes for Y and H~ plus its band and
+  dense factors, ``sygv`` 16 n^2; a deflation's n x m arrays are not counted.
+- Heap: the freed heap is handed back to the OS (`_release_heap`) before
+  H~ is allocated and when `generalized_eigs` has its eigenvalues.
 """
 
 from __future__ import annotations
@@ -180,14 +191,17 @@ def _saddle_eigs(A, N, W, gamma):
         return None
     u_order, u_blocks = _components(N[u][:, u])
     p_order, p_blocks = _components(N[p][:, p])
+    # D, the single pressure dofs, come last, after a coupled component
+    if p_blocks[-1][1] or len(p_blocks) == 1:
+        return None
     u, p = u[u_order], p[p_order]
     N_uu, N_pp, A_up = N[u][:, u], N[p][:, p], A[u][:, p].tocsc()
     try:
         u_facs = [BandCholesky(N_uu[b, b], "N_uu") for b, _ in u_blocks]
     except ValueError:      # a component is not positive definite
         return None
-    # Y (n_u x n_p) and H (2 n_p x 2 n_p) do not coexist, so this bounds
-    # the peak; the dense pressure factors are at most n_p^2 together
+    # Y (n_u x n_p) and H~ (at most 2 n_p x 2 n_p) do not coexist, so this
+    # bounds the peak; the dense pressure factors are at most n_p^2 together
     _check_budget(8 * (n_u * n_p + 4 * n_p ** 2
                        + sum((b.stop - b.start) ** 2 for b, c in p_blocks
                              if c))
@@ -211,6 +225,8 @@ def _saddle_eigs(A, N, W, gamma):
         else:
             Y[:, b] = blas.dtrsm(1.0, L, Y[:, b], side=1, lower=1,
                                  trans_a=1, overwrite_b=1)
+    D = p_blocks[-1][0]
+    n_D, m_D = D.stop - D.start, 0
     if W is not None:
         # B_W^{-1}'s pp block is L_p (I + s U U')^2 L_p', U an orthonormal
         # basis of range(L_p' W_p): Y becomes Y (I + t U U'), 1 + t = 1/(1 + s)
@@ -219,6 +235,13 @@ def _saddle_eigs(A, N, W, gamma):
             V[b] = (L[:, None] * V[b] if L.ndim == 1
                     else blas.dtrmm(1.0, L, V[b], lower=1, trans_a=1))
         U = sla.qr(V, mode="economic", check_finite=False)[0]
+        if U[D].any():
+            # rotate D in place so that U touches its first m_D dofs only
+            qr, tau = lapack.dgeqrf(U[D])[:2]
+            m_D = len(tau)
+            lapack.dormqr("R", "N", qr[:, :m_D], tau, Y[:, D], n_u,
+                          overwrite_c=1)
+            U[D] = np.triu(qr)
         c = 1.0 / (1.0 + gamma)
         r = np.sqrt(gamma * c)          # sqrt(1 - c), without cancellation
         t, s = c / (r * (1.0 + r)), -c / (1.0 + r)
@@ -230,24 +253,21 @@ def _saddle_eigs(A, N, W, gamma):
     R = np.triu(V[:n_p])
     del Y, V
 
-    # D, the single pressure dofs, come first in p, and L_p[D, D] =
-    # N_DD^{1/2}: G = R (I + s U U')[:, D] gives Q'ZQ = G G'
-    n_D = 0 if p_blocks[0][1] else p_blocks[0][0].stop
-    G = np.asfortranarray(R[:, :n_D])
+    # L_p[D, D] = N_DD^{1/2}: G = R (I + s U U')[:, D] gives Q'ZQ = G G'
+    G = np.asfortranarray(R[:, D])
     if W is not None:
-        G = blas.dgemm(s, blas.dgemm(1.0, R, U), U[:n_D], trans_b=True,
+        G = blas.dgemm(s, blas.dgemm(1.0, R, U), U[D], trans_b=True,
                        beta=1.0, c=G, overwrite_c=1)
-    GG = blas.dsyrk(1.0, G)             # upper triangle of G G'
-    del G
+    GG = blas.dsyrk(1.0, G, trans=1)    # upper triangle of G'G
     diag = GG.diagonal()
     GG_norm = np.sqrt(2.0 * lapack.dlange("F", GG) ** 2 - np.sum(diag * diag))
+    del GG
 
     # certificate: ||L_u^{-1} Delta L_u^{-T}||_F, Delta = N_uu - A_uu -
     # A_uD N_DD^{-1} A_Du, from the half-solves V = L_u^{-1} on Delta's
     # nonzero columns c: its square is tr(V'V Delta_cc V'V Delta_cc)
-    A_uD = A_up[:, :n_D]
-    s_D = p_facs[0] if n_D else np.empty(0)
-    Delta = (N_uu - A[u][:, u] - A_uD @ sp.diags(1.0 / s_D ** 2)
+    A_uD = A_up[:, D]
+    Delta = (N_uu - A[u][:, u] - A_uD @ sp.diags(1.0 / p_facs[-1] ** 2)
              @ A_uD.T).tocsc()
     Delta.eliminate_zeros()
     c = np.flatnonzero(np.diff(Delta.indptr))
@@ -267,33 +287,43 @@ def _saddle_eigs(A, N, W, gamma):
     if not off <= (n_u + n_p) * np.finfo(float).eps * GG_norm:
         return None
 
-    # Y, freed above, left a hole in the heap that H does not fit
+    # H~ on r, the n_r dofs before E, and E, the last n_E of D, where U = 0
+    n_r, n_E = n_p - n_D + m_D, n_D - m_D
+    # Y, freed above, left a hole in the heap that H~ does not fit
     _release_heap()
-    H = np.zeros((2 * n_p, 2 * n_p), order="F")
-    np.negative(GG, out=H[:n_p, :n_p])
-    del GG
-    H[np.arange(n_p), np.arange(n_p)] += 1.0
-    H[:n_p, n_p:] = R
+    H = np.zeros((2 * n_r + n_E,) * 2, order="F")
+    np.negative(blas.dsyrk(1.0, G[:n_r]), out=H[:n_r, :n_r])
+    del G
+    H[:n_r, n_r:2 * n_r] = R[:n_r, :n_r]
+    if n_E:
+        # F, the upper Cholesky factor of T = I + R_EE' R_EE, is L_T'
+        F = lapack.dpotrf(blas.dsyrk(1.0, R[n_r:, n_r:], trans=1, beta=1.0,
+                                     c=np.eye(n_E)))[0]
+        H[:n_r, 2 * n_r:] = blas.dtrmm(1.0, F, R[:n_r, n_r:], side=1,
+                                       trans_a=1)
+        H[2 * n_r:, 2 * n_r:] = -lapack.dlauum(F)[0]
     del R
+    i = np.r_[:n_r, 2 * n_r:len(H)]
+    H[i, i] += 1.0
     lam = sla.eigvalsh(H, lower=False, overwrite_a=True, check_finite=False)
-    return np.concatenate([lam, np.ones(n_u - n_p)])
+    return np.concatenate([lam, np.ones(n_u - n_p + n_E)])
 
 
 def _components(M):
     """The order that makes every connected component of the pattern of the
-    sparse M contiguous, single dofs first, and a list of (slice, coupled)
+    sparse M contiguous, single dofs last, and a list of (slice, coupled)
     in that order: a component, or the run of single dofs with coupled
     False."""
     _, label = csgraph.connected_components(M, directed=False)
     single = np.bincount(label)[label] == 1
-    order = np.lexsort((label, ~single))
+    order = np.lexsort((label, single))
     label = label[order]
-    n1 = np.count_nonzero(single)
-    blocks = [(slice(0, n1), False)] if n1 else []
-    starts = np.r_[n1, np.flatnonzero(np.diff(label[n1:])) + n1 + 1]
-    ends = np.r_[starts[1:], len(label)]
-    blocks += [(slice(a, b), True) for a, b in zip(starts, ends) if b > a]
-    return order, blocks
+    n = len(label) - np.count_nonzero(single)
+    starts = np.r_[0, np.flatnonzero(np.diff(label[:n])) + 1]
+    ends = np.r_[starts[1:], n]
+    blocks = [(slice(a, b), True) for a, b in zip(starts, ends) if b > a]
+    return order, blocks + ([(slice(n, len(label)), False)]
+                            if n < len(label) else [])
 
 
 def _pressure_factor(M, coupled):

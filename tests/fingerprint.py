@@ -18,7 +18,7 @@ MINRES log and `compute_errors` of its iterate, a 50-step diagnostic
 MINRES log with its harmonic Ritz values and loss of orthogonality, and,
 at nref 0-1, the `generalized_eigs` eigenvalues, plain and, where the
 layout has a near-kernel, under its deflation (at nref 2 an eigensolve
-takes about 0.45 s on 2 vCPUs, so it is left out).  The systems: NN, EE,
+takes about 0.2 s on 2 vCPUs, so it is left out).  The systems: NN, EE,
 NEstar, ENstar, NE and EN at nref 0-2 (stacked, n0 4) and MultiInclusion
 with 1 and 3 inclusions at nref 0-1, each at the three (mu, K) of PARAMS
 on one mesh per case, plus NN at nref 1 and the first (mu, K) on a mesh

@@ -455,22 +455,24 @@ def test_shared_per_mesh_arrays_are_read_only(config):
 @pytest.mark.parametrize("config", [BcConfig.EN, BcConfig.MULTI],
                          ids=lambda c: c.value)
 def test_load_free_system_builds_no_sampling_record(config):
-    # with no loads nothing is sampled, so the per-mesh sampling record is
-    # not built, and the system is that of a mesh that holds the record
+    # with no loads, or a LoadData whose every load is None, nothing is
+    # sampled, so the per-mesh sampling record is not built, and the system
+    # is that of a mesh that holds the record
     params = PhysParams(mu=3.0, K=0.2, alpha_bjs=0.5)
-    m = tagged(config)
-    got = assemble_system(m, params)
-    assert "sampling" not in m._derived
-    ref = tagged(config)
-    assembly._sampling(ref)
-    want = assemble_system(ref, params)
-    for name in ("A", "N"):
-        a, b = getattr(got, name), getattr(want, name)
-        for attr in ("indptr", "indices", "data"):
-            assert np.array_equal(getattr(a, attr), getattr(b, attr))
-    for name in ("b", "essential", "essential_vals"):
-        assert np.array_equal(getattr(got, name), getattr(want, name))
-    assert len(got.essential_vals) and not got.essential_vals.any()
+    for loads in (None, LoadData()):
+        m = tagged(config)
+        got = assemble_system(m, params, loads)
+        assert "sampling" not in m._derived
+        ref = tagged(config)
+        assembly._sampling(ref)
+        want = assemble_system(ref, params, loads)
+        for name in ("A", "N"):
+            a, b = getattr(got, name), getattr(want, name)
+            for attr in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(a, attr), getattr(b, attr))
+        for name in ("b", "essential", "essential_vals"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+        assert len(got.essential_vals) and not got.essential_vals.any()
 
 
 def test_retagged_mesh_matches_fresh_mesh():

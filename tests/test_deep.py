@@ -28,3 +28,15 @@ def test_deflated_spectrum_at_nref_3():
     spec = generalized_eigs(system.A, system.N,
                             deflation=build_deflation(system))
     assert spec.kappa() == pytest.approx(15.80468, rel=1e-6)
+
+
+def test_deflated_spectrum_off_the_single_dofs_at_nref_3():
+    # the deflated EN pencil at nref 3: W lives on p_S, off the single
+    # (porous) pressure dofs, so every unit eigenvalue of p_D is eliminated
+    # next to a rank-m correction
+    mesh = tag_boundaries(build_coupled_mesh(stacked_domain(4), 3), BcConfig.EN)
+    system = assemble_system(mesh, PhysParams(mu=1e-4, K=1e-4, alpha_bjs=0.5))
+    spec = generalized_eigs(system.A, system.N,
+                            deflation=build_deflation(system))
+    assert spec.kappa() == pytest.approx(25.76716, rel=1e-6)
+    assert spec.kappa_eff(1) == pytest.approx(23.71615, rel=1e-6)

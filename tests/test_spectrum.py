@@ -212,6 +212,35 @@ def test_saddle_reduction_on_random_pencils(rng):
         assert np.abs(np.sort(lam) - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
+@pytest.mark.parametrize("m", (1, 2))
+@pytest.mark.parametrize("n_D, on_D",
+                         ((5, None), (5, 0), (5, 3), (5, 5), (2, 2)),
+                         ids=("no-W", "W-off-D", "W-on-some-of-D",
+                              "W-on-all-of-D", "W-on-all-of-a-small-D"))
+def test_saddle_reduction_eliminates_the_unit_eigenvalues(rng, n_D, on_D, m):
+    # D is the last n_D pressure dofs.  W (None for none) lives on the
+    # coupled pressure dofs and the first on_D of D, so it touches m_D =
+    # min(m, on_D) directions of D, and the other n_D - m_D exact unit
+    # eigenvalues (none where m = n_D = 2) are eliminated before the dense
+    # eigensolve
+    n_u, n_p = 20, 9
+    A, N = _saddle_pencil(rng, n_u, n_p, n_p, n_D)
+    W = gamma = None
+    M, m_D = N, 0
+    if on_D is not None:
+        W = np.zeros((n_u + n_p, m))
+        W[n_u:n_u + n_p - n_D + on_D] = rng.standard_normal(
+            (n_p - n_D + on_D, m))
+        gamma, m_D = 2.0, min(m, on_D)
+        NW = N @ W
+        M = N - NW @ np.linalg.solve((1.0 + gamma) * (W.T @ NW), NW.T)
+    ref = sla.eigh(A, M, eigvals_only=True)
+    lam = spectrum._saddle_eigs(sp.csr_matrix(A), sp.csr_matrix(N), W, gamma)
+    assert lam is not None
+    assert np.count_nonzero(lam == 1.0) >= n_u - n_p + n_D - m_D
+    assert np.abs(np.sort(lam) - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
 def test_saddle_reduction_declines_other_pencils(rng):
     A, N = _saddle_pencil(rng, 15, 6, 6)
     # N_uu - A_uu = B' S B with a dense S: no single pressure dofs carry it
