@@ -16,7 +16,9 @@ plus (1/K)*(div u, div v), the (1/(2*mu))-scaled P1 mass, the K-scaled P0
 mass, and the interface multiplier block, the (1/mu)- and K-scaled
 fractional powers of frac_interface.
 
-Both are affine in a few scalar weights of the parameters (`_weights`).
+Both are affine in a few scalar weights of the parameters (`_weights`);
+the preconditioner factors the N it is handed, so no other module
+weighs a piece of it.
 Every pattern is built one way (`_system`): each parameter-free piece is
 split once into its entries off the essential rows and columns and those
 in the essential columns, off their rows (`_split`); the eliminated A and
@@ -110,9 +112,6 @@ _SUMS = {"A": (("visc", "mass", "saddle"), ("slip",)),
          "N": (("visc", "mass", "p1", "p0", "lam_low"),
                ("slip", "divdiv", "lam_high"))}
 _HOST = {"slip": "visc", "divdiv": "mass", "lam_high": "lam_low"}
-# the blocks of N whose pieces share one weight: u_D is (1/K)(mass + divdiv)
-# and p_S is p1/(2 mu), apart from the unit rows of eliminated dofs
-SCALED_BLOCKS = {"u_D": ("mass", "divdiv"), "p_S": ("p1",)}
 
 
 @dataclass

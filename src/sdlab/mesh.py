@@ -392,7 +392,7 @@ def _per_mesh(mesh, key, build):
 
     For what every (mu, K) on the mesh shares: the interface order, the
     parameter-free operator pieces and patterns, the load geometry, the
-    unit-weight Riesz factors, the deflation vectors.  tag_boundaries
+    band plans of the Riesz blocks, the deflation vectors.  tag_boundaries
     clears it, since tags decide the essential dofs and the interface
     endpoints."""
     if key not in mesh._derived:

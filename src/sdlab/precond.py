@@ -12,11 +12,11 @@ by its per-column overhead, and the band of a P2 or RT0 block on a
 structured mesh is narrow.  A larger block is factored by `symmetric_lu`,
 a `splu` in symmetric mode: a minimum-degree ordering of A' + A and pivots
 taken from the diagonal, which keeps the ordering symmetric and roughly
-halves the fill of a default `splu`.  The u_D and p_S blocks are one
-weight times a parameter-free matrix, factored once per mesh (see
-BlockPreconditioner); only u_S is factored per (mu, K), and its band
-order and the band slots of its entries are kept per mesh.  The spectral
-reduction half-solves with `BandCholesky` factors too, at any size.
+halves the fill of a default `splu`.  Every sparse block is factored
+per (mu, K) off the system's own N; the band order and the band slots of
+its entries depend on the pattern alone and are kept per mesh.  The
+spectral reduction half-solves with `BandCholesky` factors too, at any
+size.
 
 Deflation augments the preconditioner with a rank-m correction built from
 near-kernel indicator vectors W:
@@ -44,7 +44,7 @@ from scipy.sparse.csgraph import reverse_cuthill_mckee
 import scipy.sparse.linalg as spla
 
 from . import elements as el
-from .assembly import SCALED_BLOCKS, _affine, _weights
+from .assembly import _affine
 from .mesh import LAYOUTS, BcConfig, ConfigurationError, _per_mesh
 from .spaces import FIELDS
 
@@ -130,14 +130,12 @@ class BandCholesky:
         return self._c.nbytes + p.order.nbytes + p.src.nbytes + p.dst.nbytes
 
 
-def factor(M, name, mesh=None):
+def factor(M, name, mesh):
     """The factor of N's SPD block `name`, the sparse M: band Cholesky up to
-    BAND_ROWS rows, `symmetric_lu` above.  With `mesh`, M's pattern is that
-    of every (mu, K) on the tagged mesh, and its band plan is kept per mesh."""
+    BAND_ROWS rows, `symmetric_lu` above.  M's pattern is that of every
+    (mu, K) on the tagged mesh, so its band plan is kept per mesh."""
     if M.shape[0] > BAND_ROWS:
         return symmetric_lu(M)
-    if mesh is None:
-        return BandCholesky(M, name)
     plan = _per_mesh(mesh, f"{name} band plan", lambda _: _BandPlan.of(M))
     return BandCholesky(M, name, plan)
 
@@ -154,50 +152,22 @@ def _riesz_block(N, layout, name):
                           p - p[0]), shape=(n, n))
 
 
-def _unit_factors(mesh):
-    """For each block of SCALED_BLOCKS, the `factor` of its pieces at unit
-    weight, eliminated, and the mask of its eliminated dofs; built
-    once per tagged mesh from one unit-weight N of all their pieces."""
-    def build(mesh):
-        aff = _affine(mesh)
-        lay = aff.layout
-        N = aff.N.matrix(
-            {k: 1.0 for pieces in SCALED_BLOCKS.values() for k in pieces})
-        out = {}
-        for name in SCALED_BLOCKS:
-            s = lay.field_slice(name)
-            if s.stop > s.start:
-                out[name] = (factor(_riesz_block(N, lay, name), name),
-                             np.isin(np.arange(s.start, s.stop), aff.essential))
-        return out
-    return _per_mesh(mesh, "unit riesz factors", build)
-
-
 class BlockPreconditioner:
     """Inverse of the block-diagonal Riesz map N of an assembled system.
 
-    The u_S block weighs two pieces differently, so it is factored per
-    call, and so is the dense multiplier block, by Cholesky.  Each block
-    of SCALED_BLOCKS is its pieces times one weight w, apart from the unit
-    rows of its eliminated dofs: N's block is D M = M D with M its
-    unit-weight form and D = diag(d), d = w (1 at eliminated dofs).  M is
-    factored once per mesh (`_unit_factors`), and the block is solved as
-    M^{-1} r, then one in-place division by d.
+    The sparse blocks are factored (`factor`) and the dense multiplier
+    block by Cholesky, each read off the system's N.
     """
 
     def __init__(self, system):
         N, lay = system.N, system.layout
         self._blocks = [(name, lay.field_slice(name)) for name in FIELDS
                         if lay.sizes[name]]
-        unit = _unit_factors(system.mesh)
-        self._solvers = {"u_S": factor(_riesz_block(N, lay, "u_S"), "u_S",
-                                       system.mesh)}
-        self._scales = {}
-        w = _weights(system.params)
-        for name, (lu, eliminated) in unit.items():
-            self._solvers[name] = lu
-            self._scales[name] = np.where(eliminated, 1.0,
-                                          w[SCALED_BLOCKS[name][0]])
+        # u_S, the largest, is factored after the small blocks, which keeps
+        # the peak memory lower; listed in FIELDS order for the sidecar
+        made = {name: factor(_riesz_block(N, lay, name), name, system.mesh)
+                for name in ("p_S", "u_D", "u_S") if lay.sizes[name]}
+        self._solvers = dict(reversed(made.items()))
         pd = _riesz_block(N, lay, "p_D").diagonal()
         if np.any(pd <= 0):
             raise ValueError("porous pressure block is not positive definite")
@@ -228,10 +198,7 @@ class BlockPreconditioner:
             # called once per apply, so LAPACK's potrs is called directly:
             # the checks of `cho_solve` cost several times the solve itself
             return lapack.dpotrs(self._lam_chol, r)[0]
-        z = self._solvers[name].solve(r)
-        if name in self._scales:
-            z /= self._scales[name]
-        return z
+        return self._solvers[name].solve(r)
 
     def __call__(self, r):
         z = np.empty_like(r)

@@ -128,12 +128,13 @@ class Spectrum:
         return lam[np.argsort(np.abs(lam))]
 
     def kappa(self):
-        lam = np.abs(self.by_magnitude)
-        return float(lam[-1] / lam[0])
+        return self.kappa_eff(drop=0)
 
     def kappa_eff(self, drop=1):
+        """max |lam| over the (drop+1)-th smallest |lam|; inf where that is
+        exactly 0, as on a pencil with a null vector."""
         lam = np.abs(self.by_magnitude)
-        return float(lam[-1] / lam[drop])
+        return float(lam[-1] / lam[drop]) if lam[drop] else np.inf
 
 
 def _check_budget(nbytes):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from sdlab import assembly, frac_interface, precond
+from sdlab import assembly, frac_interface
 from sdlab.assembly import (
     LoadData,
     PhysParams,
@@ -659,8 +659,7 @@ def reference_sums(m, weights):
     out = {}
     for name, names in (("A", A_PIECES), ("N", N_PIECES)):
         ref = oracles.ReferencePattern({k: pieces[k] for k in names}, dofs)
-        full = ref.matrix({k: weights[k] * pieces[k].data
-                           for k in names if k in weights})
+        full = ref.matrix({k: weights[k] * pieces[k].data for k in names})
         out[name] = ref.eliminated(full)
         out["full " + name] = full
     return out
@@ -688,25 +687,6 @@ def test_one_pass_system_matches_eliminated_full_operator(config, nref, mu,
     assert_same_csr(system.A, ref["A"])
     assert_same_csr(system.N, ref["N"])
     assert_bitwise(system.b, b)
-
-
-@pytest.mark.parametrize("config", CACHE_CONFIGS, ids=lambda c: c.value)
-def test_unit_factors_match_unit_weight_reference(config, monkeypatch):
-    # the blocks factored once per mesh are those of the unit-weight sum of
-    # their pieces, eliminated (by the route of reference_sums)
-    factored = []
-    real = precond.factor
-    monkeypatch.setattr(precond, "factor",
-                        lambda M, *args: factored.append(M) or real(M, *args))
-    m = tagged(config)
-    unit = precond._unit_factors(m)
-    names = [k for pieces in assembly.SCALED_BLOCKS.values() for k in pieces]
-    N = reference_sums(m, {k: 1.0 for k in names})["N"]
-    assert len(factored) == len(unit)
-    for M, name in zip(factored, unit):
-        want = precond._riesz_block(N, assembly._affine(m).layout, name)
-        for a in ("indptr", "indices", "data"):
-            assert_bitwise(getattr(M, a), getattr(want, a))
 
 
 def test_full_system_route_matches_one_pass_system():

@@ -1,5 +1,7 @@
 """Block-diagonal Riesz-map preconditioner and near-kernel deflation."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -7,7 +9,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from sdlab import precond
-from sdlab.assembly import SCALED_BLOCKS, PhysParams, assemble_system
+from sdlab.assembly import PhysParams, assemble_system
 from sdlab.mesh import (BcConfig, ConfigurationError, build_coupled_mesh,
                         stacked_domain, tag_boundaries)
 from sdlab.precond import (
@@ -55,10 +57,10 @@ def test_apply_parameter_extremes(rng):
 @pytest.mark.parametrize("config,mu,K", [
     (BcConfig.NE, 3.0, 0.2), (BcConfig.EN, 1e-4, 1e4), (BcConfig.NN, 1e4, 1e-4)])
 def test_block_factors_match_dense_solve(config, mu, K, rng):
-    # each block solve of the preconditioner (scaled or not) matches a
-    # dense solve of its block of N, and a symmetric-mode factor of each
-    # block (these all take the band) has no more fill than a
-    # default-ordering splu of the same block
+    # each block solve of the preconditioner matches a dense solve of its
+    # block of N, and a symmetric-mode factor of each block (these all
+    # take the band) has no more fill than a default-ordering splu of the
+    # same block
     system = make_system(config=config, nref=2, mu=mu, K=K)
     B = build_preconditioner(system)
     assert {name: kind for name, (kind, _) in B.factors.items()} == {
@@ -112,20 +114,36 @@ def test_riesz_blocks_read_off_rows(config):
 @pytest.mark.parametrize("config", [BcConfig.NE, BcConfig.EN, BcConfig.MULTI],
                          ids=lambda c: c.value)
 def test_scaled_factors_solve_their_blocks(config, rng):
-    # the unit-weight factors are built once per mesh, at whichever (mu, K)
-    # comes first, and solve the scaled block of every other (mu, K)
+    # on one mesh, at weights far from 1 either way, each sparse block's
+    # factor solves the block of that (mu, K)
     m = tagged(config)
-    first = build_preconditioner(assemble_system(m, PhysParams(mu=1.0, K=1.0)))
     for mu, K in [(1e-6, 1.0), (1.0, 1e-6), (1e6, 1.0), (1.0, 1e6)]:
         system = assemble_system(m, PhysParams(mu=mu, K=K))
         B = build_preconditioner(system)
-        for name in SCALED_BLOCKS:
-            assert B._solvers[name] is first._solvers[name]
+        for name in B._solvers:
             s = system.layout.field_slice(name)
             r = rng.standard_normal(s.stop - s.start)
             expect = np.linalg.solve(system.N[s, :][:, s].toarray(), r)
             got = B.solve_block(name, r)
             assert np.linalg.norm(got - expect) <= 1e-12 * np.linalg.norm(expect)
+
+
+@pytest.mark.parametrize("config", list(BcConfig), ids=lambda c: c.value)
+def test_preconditioner_inverts_the_riesz_map_it_is_handed(config, rng):
+    # N holds every weight: twice N, on the same pattern, halves every
+    # block solve, whatever the system's parameters say
+    system = assemble_system(tagged(config), PhysParams(mu=3.0, K=0.2))
+    doubled = replace(system, N=2.0 * system.N)
+    assert np.array_equal(doubled.N.indices, system.N.indices)
+    B, B2 = build_preconditioner(system), build_preconditioner(doubled)
+    off = []
+    for name, s in B._blocks:
+        r = rng.standard_normal(s.stop - s.start)
+        want = 0.5 * B.solve_block(name, r)
+        got = B2.solve_block(name, r)
+        if np.linalg.norm(got - want) > 1e-13 * np.linalg.norm(want):
+            off.append(name)
+    assert off == []
 
 
 @pytest.mark.parametrize("nref", [0, 1, 2])
@@ -135,7 +153,7 @@ def test_band_and_lu_solve_each_block(config, nref, rng):
     # preconditioner's solve of it, agree with a dense solve
     system = assemble_system(tagged(config, nref), PhysParams(mu=3.0, K=0.2))
     B = build_preconditioner(system)
-    for name in ("u_S", *SCALED_BLOCKS):
+    for name in B._solvers:
         blk = _riesz_block(system.N, system.layout, name)
         r = rng.standard_normal(blk.shape[0])
         expect = np.linalg.solve(blk.toarray(), r)
@@ -160,9 +178,10 @@ def test_band_rows_decides_before_any_ordering(monkeypatch, rng):
     real = precond.reverse_cuthill_mckee
     monkeypatch.setattr(precond, "reverse_cuthill_mckee",
                         lambda M, **kw: orderings.append(M) or real(M, **kw))
-    band = factor(small, "small")
+    m = tagged(BcConfig.NN, 0)
+    band = factor(small, "small", m)
     assert isinstance(band, BandCholesky) and len(orderings) == 1
-    lu = factor(large, "large")
+    lu = factor(large, "large", m)
     assert not isinstance(lu, BandCholesky) and len(orderings) == 1
     assert band._plan.width <= 64
     for f, M in ((band, small), (lu, large)):
@@ -176,7 +195,7 @@ def test_band_factor_refuses_indefinite_block():
     M = sp.csc_matrix(np.array([[2.0, 1.0, 0.0], [1.0, 0.4, 0.0],
                                 [0.0, 0.0, 1.0]]))
     with pytest.raises(ValueError, match="u_D is not positive definite"):
-        factor(M, "u_D")
+        factor(M, "u_D", tagged(BcConfig.NN, 0))
 
 
 def shuffled(rng, M):
@@ -235,8 +254,8 @@ def test_band_factor_names_the_block_that_is_not_positive_definite(rng):
 
 
 def test_u_s_band_plan_built_once_per_mesh(monkeypatch, rng):
-    # the u_S order and band slots depend on its pattern alone: one plan
-    # per mesh serves every (mu, K), and so do the unit factors' two
+    # a block's order and band slots depend on its pattern alone: one plan
+    # per sparse block per mesh serves every (mu, K)
     plans = []
     real = precond._BandPlan.of
     monkeypatch.setattr(precond._BandPlan, "of",
@@ -246,14 +265,16 @@ def test_u_s_band_plan_built_once_per_mesh(monkeypatch, rng):
     for e in range(-6, 7):
         system = assemble_system(m, PhysParams(mu=10.0 ** e, K=1.0))
         B = build_preconditioner(system)
-        first = first or B._solvers["u_S"]._plan
-        assert B._solvers["u_S"]._plan is first
-        blk = _riesz_block(system.N, system.layout, "u_S")
-        r = rng.standard_normal(blk.shape[0])
-        expect = np.linalg.solve(blk.toarray(), r)
-        got = B.solve_block("u_S", r)
-        assert np.linalg.norm(got - expect) <= 1e-12 * np.linalg.norm(expect)
-    assert len(plans) == 1 + len(SCALED_BLOCKS)
+        first = first or {k: f._plan for k, f in B._solvers.items()}
+        for name, f in B._solvers.items():
+            assert f._plan is first[name]
+            blk = _riesz_block(system.N, system.layout, name)
+            r = rng.standard_normal(blk.shape[0])
+            expect = np.linalg.solve(blk.toarray(), r)
+            got = B.solve_block(name, r)
+            assert (np.linalg.norm(got - expect)
+                    <= 1e-12 * np.linalg.norm(expect))
+    assert len(plans) == len(first) == 3
 
 
 def test_preconditioner_is_spd_form(rng):

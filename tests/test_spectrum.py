@@ -1,6 +1,7 @@
 """Dense spectral analysis of the preconditioned pencil."""
 
 import platform
+import warnings
 
 import numpy as np
 import pytest
@@ -145,6 +146,17 @@ def test_spectrum_kappa_and_kappa_eff():
     spec = Spectrum(eigenvalues=np.array([-1.5, 0.25, 1.0]))
     assert spec.kappa() == pytest.approx(6.0)
     assert spec.kappa_eff(1) == pytest.approx(1.5)
+
+
+def test_kappa_of_an_exact_zero_is_inf_without_a_warning():
+    # a pencil with a null vector (EE) can give an eigenvalue of exactly 0;
+    # the ratio over it is inf, not a divide-by-zero warning
+    spec = Spectrum(eigenvalues=np.array([-1.0, 0.0, 2.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert spec.kappa() == np.inf
+        assert spec.kappa_eff(drop=1) == 2.0
+        assert Spectrum(np.array([-0.0, 3.0])).kappa() == np.inf
 
 
 EDGE_CONFIGS = [BcConfig.NN, BcConfig.EE, BcConfig.NESTAR, BcConfig.ENSTAR,
