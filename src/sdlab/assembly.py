@@ -297,9 +297,7 @@ def _rt_divergence(mesh, layout):
     coords = mesh.cell_coords(layout.darcy_cells)
     _, _, det = el.affine_maps(coords)
     area = 0.5 * np.abs(det)
-    edge_len = np.stack([
-        np.linalg.norm(coords[:, j] - coords[:, i], axis=1)
-        for (i, j) in el.LOCAL_EDGES], axis=1)
+    edge_len = mesh.facet_lengths(layout.darcy_facets)[layout.darcy_cell_facets]
     return coords, area, layout.darcy_cell_signs * edge_len / area[:, None]
 
 
@@ -646,9 +644,6 @@ def assemble_rhs(mesh, loads):
     (`_sampling`); a call evaluates the loads and sums."""
     layout = _affine(mesh).layout
     b = np.zeros(layout.total_dofs)
-    if loads is None:
-        return b
-
     if loads.f_S is not None:
         x, W = _cell_rule(mesh, "stokes")
         fv = loads.f_S(x.reshape(-1, 2)).reshape(x.shape)
@@ -850,12 +845,12 @@ def assemble_system(mesh, params, loads=None):
     """Facade: operator, Riesz map, rhs and essential elimination.  A and N
     are written straight into their eliminated patterns and the rhs lifted
     by A's entries in the essential columns, all from the mesh's per-mesh
-    pieces; only the weights and the loads are new."""
+    pieces; only the weights and the loads are new.  No loads (None) is
+    `LoadData()`."""
     aff = _affine(mesh)
     w = _weights(params)
-    vals = essential_values(
-        mesh, None if loads is None else loads.u_S_essential,
-        None if loads is None else loads.u_D_essential)
+    loads = loads or LoadData()
+    vals = essential_values(mesh, loads.u_S_essential, loads.u_D_essential)
     b = _lift(aff.lift.matrix(w), assemble_rhs(mesh, loads), aff.essential,
               vals)
     return BlockSystem(mesh=mesh, layout=aff.layout, params=params,

@@ -139,6 +139,19 @@ def floating_domain(n_inclusions=2, n0=4):
     return DomainSpec((0.0, 0.0, width, 3.0), incl, n0)
 
 
+def _systems(args, domain, config, loads):
+    """The sweep of cond-sweep, solve and floating: one `config`-tagged
+    mesh of `domain` per --nref, and on it the system of each point of
+    `args.points` with loads `loads(params)`.  Yields (nref, system,
+    assemble_s), the seconds spent assembling it."""
+    for nref in args.nref:
+        mesh = tag_boundaries(build_coupled_mesh(domain, nref), config)
+        for params in args.points:
+            t0 = time.perf_counter()
+            system = assemble_system(mesh, params, loads(params))
+            yield nref, system, time.perf_counter() - t0
+
+
 def channel_loads():
     """Pressure-drop traction, pressure 1 on the inflow and 0 on the
     outflow edge; no body force."""
@@ -185,31 +198,28 @@ def cmd_cond_sweep(args):
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"cond_sweep_{config.value}.csv"
 
-    rows, skipped, timings = [], [], {}
-    for nref in args.nref:
-        mesh = build_coupled_mesh(stacked_domain(args.n0), nref)
-        tag_boundaries(mesh, config)
-        for mu in args.mu:
-            for K in args.K:
-                t1 = time.perf_counter()
-                params = PhysParams(mu=mu, K=K, alpha_bjs=args.alpha)
-                system = assemble_system(mesh, params)
-                try:
-                    spec = generalized_eigs(system.A, system.N,
-                                            n_eliminated=len(system.essential))
-                except BudgetError as err:
-                    skipped.append((mu, K, nref))
-                    print(f"warning: skipping mu={mu:g} K={K:g} nref={nref}: "
-                          f"{err}", file=sys.stderr)
-                    continue
-                rows.append({
-                    "mu": mu, "K": K, "nref": nref, "h": mesh.h,
-                    "ndof": system.A.shape[0],
-                    "kappa": spec.kappa(),
-                    "kappa_eff": spec.kappa_eff(),
-                })
-                timings[f"mu={_fmt(mu)}_K={_fmt(K)}_nref={nref}"] = (
-                    time.perf_counter() - t1)
+    rows, skipped, points = [], [], {}
+    phases = {"assemble": 0.0, "spectrum": 0.0}
+    for nref, system, assemble_s in _systems(
+            args, stacked_domain(args.n0), config, lambda _: None):
+        mu, K = system.params.mu, system.params.K
+        t1 = time.perf_counter()
+        try:
+            spec = generalized_eigs(system.A, system.N,
+                                    n_eliminated=len(system.essential))
+        except BudgetError as err:
+            skipped.append((mu, K, nref))
+            print(f"warning: skipping mu={mu:g} K={K:g} nref={nref}: {err}",
+                  file=sys.stderr)
+            continue
+        spectrum_s = time.perf_counter() - t1
+        phases["assemble"] += assemble_s
+        phases["spectrum"] += spectrum_s
+        rows.append({"mu": mu, "K": K, "nref": nref, "h": system.mesh.h,
+                     "ndof": system.A.shape[0], "kappa": spec.kappa(),
+                     "kappa_eff": spec.kappa_eff()})
+        points[f"mu={_fmt(mu)}_K={_fmt(K)}_nref={nref}"] = (
+            assemble_s + spectrum_s)
 
     with open(path, "w", newline="") as fh:
         fh.write("mu,K,nref,h,ndof,kappa,kappa_eff\n")
@@ -225,10 +235,10 @@ def cmd_cond_sweep(args):
         path, "cond-sweep",
         {"case": config.value, "mu": list(args.mu), "K": list(args.K),
          "alpha_bjs": args.alpha, "nref": list(args.nref), "n0": args.n0},
-        {"total": time.perf_counter() - t0, "points": timings},
+        {"total": time.perf_counter() - t0, "points": points, **phases},
         {"rows": len(rows), "skipped": skipped,
          "check_key": key, "max_over_min": ratio},
-        memory_record(mesh))     # the store of the last mesh swept
+        memory_record(system.mesh))     # the store of the last mesh swept
     print(f"wrote {path} ({len(rows)} rows, {key} spread {ratio:.3g})")
     if args.check:
         if skipped:
@@ -330,24 +340,15 @@ def _missed(log, deflate):
 def cmd_solve(args):
     config = BcConfig(args.case)
     status = 0
-    for nref in args.nref:
-        # one mesh per nref: its per-mesh pieces serve every (mu, K)
-        mesh = build_coupled_mesh(stacked_domain(args.n0), nref)
-        tag_boundaries(mesh, config)
-        for mu in args.mu:
-            for K in args.K:
-                exact = ExactSolution(mu=mu, K=K, alpha_bjs=args.alpha)
-                t0 = time.perf_counter()
-                system = assemble_system(mesh, exact.params(), exact.loads())
-                assemble_s = time.perf_counter() - t0
-                label = (f"solve_{config.value}_mu{_fmt(mu)}_K{_fmt(K)}"
-                         f"_nref{nref}")
-                cfg = _run_config(args, config.value, mu, K, nref,
-                                  args.deflate)
-                log, = _run_minres(system, args, "solve", [(label, cfg)],
-                                   assemble_s)
-                if args.check:
-                    status = max(status, int(_missed(log, args.deflate)))
+    for nref, system, assemble_s in _systems(
+            args, stacked_domain(args.n0), config,
+            lambda p: ExactSolution(p.mu, p.K, p.alpha_bjs).loads()):
+        mu, K = system.params.mu, system.params.K
+        label = f"solve_{config.value}_mu{_fmt(mu)}_K{_fmt(K)}_nref{nref}"
+        cfg = _run_config(args, config.value, mu, K, nref, args.deflate)
+        log, = _run_minres(system, args, "solve", [(label, cfg)], assemble_s)
+        if args.check:
+            status = max(status, int(_missed(log, args.deflate)))
     return status
 
 
@@ -355,19 +356,14 @@ def cmd_solve(args):
 
 
 def cmd_floating(args):
-    mesh = build_coupled_mesh(
-        floating_domain(args.inclusions, args.n0), args.nref[0])
-    tag_boundaries(mesh, BcConfig.MULTI)
     status = 0
-    for K in args.K:
-        params = PhysParams(mu=args.mu[0], K=K, alpha_bjs=args.alpha)
-        t0 = time.perf_counter()
-        system = assemble_system(mesh, params, channel_loads())
-        assemble_s = time.perf_counter() - t0
+    for nref, system, assemble_s in _systems(
+            args, floating_domain(args.inclusions, args.n0), BcConfig.MULTI,
+            lambda _: channel_loads()):
+        mu, K = system.params.mu, system.params.K
         runs = [(f"floating_{kind}_K{_fmt(K)}_m{args.inclusions}",
-                 _run_config(args, BcConfig.MULTI.value, args.mu[0], K,
-                             args.nref[0], deflate,
-                             inclusions=args.inclusions))
+                 _run_config(args, BcConfig.MULTI.value, mu, K, nref,
+                             deflate, inclusions=args.inclusions))
                 for kind, deflate in (("plain", False), ("deflated", True))]
         _, log = _run_minres(system, args, "floating", runs, assemble_s)
         if args.check:
@@ -477,17 +473,17 @@ def main(argv=None):
                 raise ConfigurationError(
                     f"{args.command} takes one --{flag} value, got "
                     f"{len(values)}")
-        # every (mu, K) of a sweep, before the first run writes a file, and
-        # the deflation weight at each (a layout with no near-kernel has
-        # none); E's definiteness needs the system
+        # every (mu, K) of a sweep, validated once before the first run
+        # writes a file, and the deflation weight at each (a layout with no
+        # near-kernel has none); E's definiteness needs the system
+        args.points = [PhysParams(mu, K, args.alpha)
+                       for mu in args.mu for K in args.K]
         config = (BcConfig.MULTI if args.command == "floating"
                   else BcConfig(args.case) if getattr(args, "deflate", False)
                   else None)
-        for mu in args.mu:
-            for K in args.K:
-                params = PhysParams(mu, K, args.alpha)
-                if config is not None:
-                    deflation_weight(params, config, args.gamma_mult)
+        if config is not None:
+            for params in args.points:
+                deflation_weight(params, config, args.gamma_mult)
         if args.command == "mms" and max(args.nref) < 1:
             raise ConfigurationError("mms needs --nref >= 1: a rate needs two levels")
         return args.func(args)

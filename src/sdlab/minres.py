@@ -176,10 +176,13 @@ def _recurrence(x, r, y, beta1, target):
     """The MINRES recurrence from x = 0, residual r and y = B r, with
     r'y = beta1^2 > 0.  Each step yields v and r (module docstring), then
     (alpha, beta, |phibar|) once it has updated x in place.  It returns
-    "converged" once |phibar| <= target, or "breakdown"; "indefinite" or
-    "nonfinite" in place of a step, which is not taken."""
+    "converged" once |phibar| <= target, or "breakdown"; "indefinite",
+    "nonfinite" or "breakdown" in place of a step, which is not taken: the
+    last where the Givens diagonal gamma is at the roundoff of T_{k+1,k}
+    (T_k singular: x would move along its null direction)."""
     n = len(r)
     oldb, beta = 0.0, beta1
+    tnorm = 0.0     # sum of |alpha_i| + beta_{i+1}, at least |T_{k+1,k}|
     dbar = epsln = sn = 0.0
     cs = -1.0
     phibar = beta1
@@ -214,7 +217,11 @@ def _recurrence(x, r, y, beta1, target):
         gbar = sn * dbar - cs * alfa
         epsln = sn * beta
         dbar = -cs * beta
-        gamma = max(np.hypot(gbar, beta), 1e-300)
+        gamma = np.hypot(gbar, beta)
+        tnorm += abs(alfa) + beta
+        # an infinite T is left to the "nonfinite" test below
+        if gamma <= np.finfo(float).eps * tnorm < np.inf:
+            return "breakdown"
         cs = gbar / gamma
         sn = beta / gamma
         phi = cs * phibar

@@ -27,7 +27,8 @@ where N is the assembled Riesz matrix (the inverse of the preconditioner)
 and gamma scales like 1/(mu*K) when the porous pressure block carries the
 near-kernel (NE and floating inclusions) and like mu*K when the free-flow
 pressure does (EN).  `mesh.LAYOUTS` names the block per layout;
-`deflation_weight` alone turns it into gamma or a refusal.
+`deflation_weight` alone turns it into gamma or a refusal, and
+`build_deflation` asks it first.
 """
 
 from __future__ import annotations
@@ -160,14 +161,11 @@ class BlockPreconditioner:
     """
 
     def __init__(self, system):
-        N, lay = system.N, system.layout
-        self._blocks = [(name, lay.field_slice(name)) for name in FIELDS
-                        if lay.sizes[name]]
-        # u_S, the largest, is factored after the small blocks, which keeps
-        # the peak memory lower; listed in FIELDS order for the sidecar
-        made = {name: factor(_riesz_block(N, lay, name), name, system.mesh)
-                for name in ("p_S", "u_D", "u_S") if lay.sizes[name]}
-        self._solvers = dict(reversed(made.items()))
+        N, lay, mesh = system.N, system.layout, system.mesh
+        self._blocks = [(name, lay.field_slice(name)) for name in FIELDS]
+        # u_S, the largest, last: that keeps the peak memory lower
+        self._solvers = {name: factor(_riesz_block(N, lay, name), name, mesh)
+                         for name in ("p_S", "u_D", "u_S")}
         pd = _riesz_block(N, lay, "p_D").diagonal()
         if np.any(pd <= 0):
             raise ValueError("porous pressure block is not positive definite")
@@ -280,12 +278,10 @@ def _weight_error(gamma, gamma_mult):
 
 
 def build_deflation(system, gamma_mult=1.0):
-    """Deflation data for a BlockSystem, or None if the layout needs none;
-    a ConfigurationError where gamma or E is not positive and finite."""
-    W = deflation_vectors(system.mesh)
-    if W is None:
-        return None
+    """Deflation data for a BlockSystem; a ConfigurationError where its
+    layout has no near-kernel, or where gamma or E is not positive and finite."""
     gamma = deflation_weight(system.params, system.config, gamma_mult)
+    W = deflation_vectors(system.mesh)
     try:
         E = sla.cho_factor(W.T @ (system.N @ W) * gamma)
     except ValueError:      # not positive definite, or not finite

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sdlab import cli
+from sdlab import cli, spectrum
 from sdlab.assembly import store_bytes
 from sdlab.cli import main, version_string
 from sdlab.mesh import BcConfig, build_coupled_mesh, stacked_domain, tag_boundaries
@@ -49,6 +49,14 @@ def test_mms_subcommand(tmp_path):
     assert "total" in side["timings_sec"]
 
 
+def test_mms_check_misses_its_rates(tmp_path):
+    # at nref 0-1 on the n0 = 2 lattice the rates are not yet asymptotic
+    out = tmp_path / "coarse"
+    assert main(["mms", "--nref", "1", "--n0", "2", "--check",
+                 "--out", str(out)]) == 1
+    assert read_sidecar(out / "mms_table.csv")["results"]["rates_ok"] is False
+
+
 def test_cond_sweep_subcommand(tmp_path):
     out = tmp_path / "sweep"
     ret = main([
@@ -68,6 +76,14 @@ def test_cond_sweep_subcommand(tmp_path):
     assert side["results"]["skipped"] == []
     assert side["memory"]["peak_rss_mb"] > 0
     assert side["memory"]["store_bytes"] > 0
+    # the assembly and eigensolve phases, summed over the points
+    timings = side["timings_sec"]
+    assert set(timings) == {"assemble", "spectrum", "points", "total"}
+    assert len(timings["points"]) == 2
+    assert timings["assemble"] > 0 and timings["spectrum"] > 0
+    assert timings["assemble"] + timings["spectrum"] <= timings["total"]
+    assert sum(timings["points"].values()) == pytest.approx(
+        timings["assemble"] + timings["spectrum"])
 
 
 def test_cond_sweep_check_exit_codes(tmp_path):
@@ -144,6 +160,20 @@ def test_solve_subcommand_diagnostic(tmp_path):
         <= timings["total"]
     assert isinstance(side["results"]["lu_fill"], int)
     assert side["results"]["lu_fill"] > 0
+
+
+def test_diagnostic_over_the_dense_budget(tmp_path, monkeypatch, capsys):
+    # a --diagnostic run whose eigensolve is over the budget still solves,
+    # warns once and leaves F_k blank; theta_min needs no eigensolve
+    monkeypatch.setattr(spectrum, "DENSE_BUDGET", 1)
+    out = tmp_path / "budget"
+    ret = main(["solve", "--case", "NE", "--mu", "1", "--K", "100",
+                "--nref", "0", "--n0", "2", "--diagnostic", "--out", str(out)])
+    assert ret == 0
+    assert capsys.readouterr().err.count("F_k column left blank") == 1
+    rows = read_csv(out / "solve_NE_mu1_K100_nref0.csv")[1:]
+    assert all(r[3] == "" for r in rows)
+    assert all(r[2] != "" for r in rows[1:])
 
 
 def test_solve_sidecar_counts_and_true_residual(tmp_path):
@@ -484,8 +514,9 @@ def test_reproducible_outputs(tmp_path):
 
 
 def test_solve_sweep_matches_single_point_runs(tmp_path):
-    # a sweep assembles every (mu, K) on one mesh per nref; its logs equal
-    # those of runs that each build their own mesh, byte for byte
+    # every sweep command assembles each (mu, K) on one mesh per nref; its
+    # outputs equal those of runs that each build their own mesh, byte for
+    # byte
     argv = ["solve", "--case", "EN", "--nref", "1", "--n0", "2", "--mu", "1"]
     assert main(argv + ["--K", "1e-2,1e2", "--out", str(tmp_path / "sweep")]) == 0
     for K in ("1e-2", "1e2"):
@@ -493,3 +524,29 @@ def test_solve_sweep_matches_single_point_runs(tmp_path):
         name = f"solve_EN_mu1_K{float(K):g}_nref1.csv"
         assert ((tmp_path / "sweep" / name).read_bytes()
                 == (tmp_path / K / name).read_bytes())
+    # every row of a cond-sweep over two meshes and two K
+    argv = ["cond-sweep", "--case", "EE", "--mu", "1", "--n0", "2"]
+    out = tmp_path / "cond"
+    assert main(argv + ["--nref", "0,1", "--K", "1e-2,1e2",
+                        "--out", str(out / "sweep")]) == 0
+    rows = (out / "sweep" / "cond_sweep_EE.csv").read_bytes().splitlines()
+    assert len(rows) == 5
+    point_rows = []
+    for nref in ("0", "1"):
+        for K in ("1e-2", "1e2"):
+            one = out / f"{nref}_{K}"
+            assert main(argv + ["--nref", nref, "--K", K,
+                                "--out", str(one)]) == 0
+            header, row = (one / "cond_sweep_EE.csv").read_bytes().splitlines()
+            point_rows.append(row)
+    assert rows == [header] + point_rows
+    # each log of a floating sweep over K
+    argv = ["floating", "--inclusions", "1", "--n0", "2", "--nref", "0"]
+    out = tmp_path / "floating"
+    assert main(argv + ["--K", "1,100", "--out", str(out / "sweep")]) == 0
+    for K in ("1", "100"):
+        assert main(argv + ["--K", K, "--out", str(out / K)]) == 0
+        for kind in ("plain", "deflated"):
+            name = f"floating_{kind}_K{K}_m1.csv"
+            assert ((out / "sweep" / name).read_bytes()
+                    == (out / K / name).read_bytes())

@@ -23,6 +23,7 @@ from sdlab.minres import (
     detect_plateaus,
     harmonic_ritz,
     minres_solve,
+    true_residual,
 )
 from sdlab.precond import DeflatedPreconditioner, build_deflation, build_preconditioner
 from sdlab.spectrum import generalized_eigs
@@ -84,12 +85,36 @@ def test_log_counts_products_and_applies(B):
 
 def test_breakdown_on_a_singular_operator():
     # b's component in A's null space has norm 1, and no step reduces it:
-    # the third step exhausts the Krylov space, and beta vanishes
+    # the third step exhausts the Krylov space, its T_3 is singular, and
+    # the step is refused, though its products are counted
     log = minres_solve(np.diag([2.0, 0.0, -1.0]), np.ones(3), lambda r: r)
     assert log.reason == "breakdown"
-    assert log.iterations == 3
+    assert log.iterations == 2
     assert log.residuals[-1] == 0.9999999999999998
     assert (log.a_matvecs, log.b_applies) == (3, 4)
+
+
+@pytest.mark.parametrize("diagonal,diagnostic", [
+    ([1.0, 0.0], False), ([2.0, 0.0, -1.0], True)], ids=["plain", "diagnostic"])
+def test_singular_step_refused(diagonal, diagnostic):
+    # a step on a singular T_k would move x along its null direction (to
+    # x[1] = 3.6e15 on the first, where the log read 0.845; the second
+    # re-orthogonalized to a "converged" 1.4e-31 while its true residual
+    # was 16.0): the run breaks down where it stands, at the true residual
+    A, b = np.diag(diagonal), np.ones(len(diagonal))
+    log = minres_solve(A, b, lambda r: r, diagnostic=diagnostic)
+    assert log.reason == "breakdown"
+    assert np.all(np.isfinite(log.x))
+    assert abs(log.residuals[-1] - 1.0) <= 1e-15
+    assert abs(true_residual(A, b, log.x, lambda r: r) - 1.0) <= 1e-15
+
+
+def test_nonfinite_rhs_takes_no_step():
+    log = minres_solve(np.eye(2), np.array([1.0, np.nan]), lambda r: r)
+    assert log.reason == "nonfinite"
+    assert log.iterations == 0
+    assert np.array_equal(log.x, np.zeros(2))
+    assert (log.a_matvecs, log.b_applies) == (0, 1)
 
 
 def test_indefinite_two_step():

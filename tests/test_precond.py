@@ -326,7 +326,11 @@ def test_deflation_vectors_exactly_where_gamma_defined(config):
     except ConfigurationError:
         gamma = None
     assert (W is None) == (gamma is None)
-    assert (build_deflation(system) is None) == (gamma is None)
+    if gamma is None:
+        with pytest.raises(ConfigurationError, match="no near-kernel"):
+            build_deflation(system)
+    else:
+        assert build_deflation(system).gamma == gamma
 
 
 def test_deflation_vectors_multi_disjoint():
@@ -391,9 +395,12 @@ def test_deflated_form_symmetric_positive(rng):
         assert r1 @ BW(r1) > 0
 
 
-def test_build_deflation_none_for_uniform_configs():
+def test_build_deflation_refuses_uniform_configs():
+    # deflation_weight refuses a layout without a near-kernel, and
+    # build_deflation asks it first
     system = make_system(config=BcConfig.NN)
-    assert build_deflation(system) is None
+    with pytest.raises(ConfigurationError, match="no near-kernel"):
+        build_deflation(system)
 
 
 def test_gamma_mult_scales_correction(rng):
